@@ -59,6 +59,10 @@ class CurveSpec:
             )
 
     @property
+    def coefficients(self) -> tuple[int, int, int, int, int]:
+        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
+    @property
     def b2(self) -> int:
         return self.a1 * self.a1 + 4 * self.a2
 
@@ -264,14 +268,22 @@ class TruncationPlan:
         return terms_needed(y, self.tol)
 
 
-def plan_for(f: Eigenform, y_min: float, tol: float) -> TruncationPlan:
-    return TruncationPlan(tol=tol, y_min=y_min, n_cap=f.n_max)
-
-
 # ---------------------------------------------------------------------------
 # Series evaluation
 
 _CHUNK = 1 << 21
+
+
+def _series(zs: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_n coef[n-1] e(nz) at each z, in blocks of at most _CHUNK terms."""
+    n_terms = coef.size
+    ns = np.arange(1, n_terms + 1)
+    out = np.empty(zs.shape, dtype=np.complex128)
+    step = max(1, _CHUNK // max(n_terms, 1))
+    for i in range(0, zs.size, step):
+        block = zs[i : i + step, None]
+        out[i : i + step] = np.sum(np.exp(2j * np.pi * block * ns) * coef, axis=1)
+    return out
 
 
 def antiderivative_batch(f: Eigenform, zs, plan: TruncationPlan) -> np.ndarray:
@@ -283,13 +295,7 @@ def antiderivative_batch(f: Eigenform, zs, plan: TruncationPlan) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
     n_terms = plan.terms(float(zs.imag.min()))
     ns = np.arange(1, n_terms + 1)
-    coef = f.coeffs[1 : n_terms + 1] / (2j * np.pi * ns)
-    out = np.empty(zs.shape, dtype=np.complex128)
-    step = max(1, _CHUNK // max(n_terms, 1))
-    for i in range(0, zs.size, step):
-        block = zs[i : i + step, None]
-        out[i : i + step] = np.sum(np.exp(2j * np.pi * block * ns) * coef, axis=1)
-    return out
+    return _series(zs, f.coeffs[1 : n_terms + 1] / (2j * np.pi * ns))
 
 
 def antiderivative_F(f: Eigenform, z: complex, plan: TruncationPlan) -> complex:
@@ -305,14 +311,7 @@ def form_values(f: Eigenform, zs, tol: float = 1e-10) -> np.ndarray:
             f"form evaluation at height {float(zs.imag.min()):g} needs {n_terms} "
             f"coefficients but only {f.n_max} are available"
         )
-    ns = np.arange(1, n_terms + 1)
-    coef = f.coeffs[1 : n_terms + 1].astype(np.float64)
-    out = np.empty(zs.shape, dtype=np.complex128)
-    step = max(1, _CHUNK // max(n_terms, 1))
-    for i in range(0, zs.size, step):
-        block = zs[i : i + step, None]
-        out[i : i + step] = np.sum(np.exp(2j * np.pi * block * ns) * coef, axis=1)
-    return out
+    return _series(zs, f.coeffs[1 : n_terms + 1].astype(np.float64))
 
 
 def lfun1(f: Eigenform, tol: float = 1e-12) -> float:
@@ -336,29 +335,49 @@ def lfun1(f: Eigenform, tol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 # Coefficient cache
 
-_COEFFS_MAGIC = "modsym-coeffs v1"
+_COEFFS_MAGIC = "modsym-coeffs v2"
+
+
+def coeffs_cache_path(cache_dir: str, q: int, n_max: int) -> str:
+    return os.path.join(cache_dir, f"coeffs-q{q}-N{n_max}.txt")
+
+
+def format_curve(coefficients) -> str:
+    return ",".join(str(a) for a in coefficients)
+
+
+def parse_curve(text: str) -> tuple[int, int, int, int, int]:
+    parts = tuple(int(p) for p in text.split(","))
+    if len(parts) != 5:
+        raise ValueError("curve needs exactly five comma-separated integers")
+    return parts
 
 
 def write_coeffs_cache(path: str, f: Eigenform) -> None:
-    lines = [f"{_COEFFS_MAGIC} q={f.q} N={f.n_max}"]
+    """Plain-text coefficients; the header names the level, length and curve."""
+    curve = format_curve(f.curve.coefficients)
+    lines = [f"{_COEFFS_MAGIC} q={f.q} N={f.n_max} curve={curve}"]
     lines += [f"{n} {int(f.coeffs[n])}" for n in range(1, f.n_max + 1)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_coeffs_cache(path: str) -> tuple[int, np.ndarray]:
+def read_coeffs_cache(path: str) -> tuple[int, tuple[int, ...], np.ndarray]:
+    """(level, curve coefficients, a(0..N)) from a write_coeffs_cache file."""
     with open(path, encoding="ascii") as fh:
         header = fh.readline().strip()
         parts = header.split()
         if (
-            len(parts) != 4
+            len(parts) != 5
             or " ".join(parts[:2]) != _COEFFS_MAGIC
             or not parts[2].startswith("q=")
             or not parts[3].startswith("N=")
+            or not parts[4].startswith("curve=")
         ):
             raise CacheFormatError(f"bad coefficient cache header: {header!r}")
         q = int(parts[2][2:])
         n_max = int(parts[3][2:])
+        curve = parse_curve(parts[4][6:])
         coeffs = np.zeros(n_max + 1, dtype=np.int64)
         count = 0
         for line in fh:
@@ -375,21 +394,29 @@ def read_coeffs_cache(path: str) -> tuple[int, np.ndarray]:
             raise CacheFormatError(
                 f"coefficient cache has {count} entries, header says {n_max}"
             )
-    return q, coeffs
+    return q, curve, coeffs
 
 
 def load_or_build_eigenform(
     curve: CurveSpec, n_max: int, cache_dir: str | None = None
 ) -> Eigenform:
-    """Eigenform with cache-backed coefficients; corrupt caches are rebuilt."""
+    """Eigenform with cache-backed coefficients.
+
+    A cache that is corrupt, or written for another level or curve, is
+    rebuilt with a warning.
+    """
     if cache_dir is None:
         return build_eigenform(curve, n_max)
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"coeffs-q{curve.q}-N{n_max}.txt")
+    path = coeffs_cache_path(cache_dir, curve.q, n_max)
     if os.path.exists(path):
         try:
-            q, coeffs = read_coeffs_cache(path)
-            if q != curve.q or len(coeffs) - 1 < n_max:
+            q, cached_curve, coeffs = read_coeffs_cache(path)
+            if (
+                q != curve.q
+                or cached_curve != curve.coefficients
+                or len(coeffs) - 1 < n_max
+            ):
                 raise CacheFormatError("cache does not match the requested build")
             traces = _traces_from_coeffs(coeffs, n_max)
             signs = {p: -int(coeffs[p]) for p in squarefree_factors(curve.q)}

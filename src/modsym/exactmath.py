@@ -90,9 +90,8 @@ class Mat2:
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
-# Path-reversal and triangle-rotation matrices for the two/three-term relations.
+# Path reversal, the matrix of the two-term relation.
 S_MAT = Mat2(0, -1, 1, 0)
-U_MAT = Mat2(1, -1, 1, 0)
 
 
 def cf_decompose(r: Fraction) -> list[Mat2]:

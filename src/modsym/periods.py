@@ -21,7 +21,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigenform import Eigenform, TruncationPlan, al_sign, antiderivative_batch
+from .eigenform import (
+    CacheFormatError,
+    Eigenform,
+    TruncationPlan,
+    al_sign,
+    antiderivative_batch,
+    format_curve,
+    parse_curve,
+)
 from .exactmath import (
     Mat2,
     P1Class,
@@ -91,7 +99,8 @@ class PeriodTable:
     values[k] is the integral of f dz along the unimodular path
     g(0) -> g(infinity) for the canonical lift g of class k; it is a class
     function because f dz is level-q invariant.  residual_two/three record
-    the worst two-term and three-term relation defects measured at build.
+    the worst two-term and three-term relation defects measured at build;
+    curve is the Weierstrass model of the form the table was built from.
     """
 
     q: int
@@ -100,6 +109,7 @@ class PeriodTable:
     values: np.ndarray
     residual_two: float
     residual_three: float
+    curve: tuple[int, int, int, int, int] | None = None
 
     def index_of(self, c: int, d: int) -> int:
         return self.classes.index_of(c, d)
@@ -144,7 +154,8 @@ def build_period_table(f: Eigenform, tol: float = 1e-12) -> PeriodTable:
     for k, (sh_g, sh_gs) in enumerate(shifts):
         values[k] = -sh_g.e * f_vals[k, 0] + sh_gs.e * f_vals[k, 1]
     r2, r3 = _relation_residuals(q, classes, values)
-    return PeriodTable(q, tol, classes, values, r2, r3)
+    curve = f.curve.coefficients if f.curve is not None else None
+    return PeriodTable(q, tol, classes, values, r2, r3, curve)
 
 
 def lift_class_from_index(classes: P1Table, k: int) -> Mat2:
@@ -239,11 +250,12 @@ def direct_symbol_oracle(
 # ---------------------------------------------------------------------------
 # Period table cache
 
-_TABLE_MAGIC = "modsym-table v1"
+_TABLE_MAGIC = "modsym-table v2"
 
 
 def write_table_cache(path: str, table: PeriodTable) -> None:
-    lines = [f"{_TABLE_MAGIC} q={table.q} tol={table.tol:.17g}"]
+    curve = format_curve(table.curve)
+    lines = [f"{_TABLE_MAGIC} q={table.q} tol={table.tol:.17g} curve={curve}"]
     for k, (c, d) in enumerate(table.classes.reps):
         w = table.values[k]
         lines.append(f"{c}:{d} {w.real:.17g} {w.imag:.17g}")
@@ -253,20 +265,20 @@ def write_table_cache(path: str, table: PeriodTable) -> None:
 
 def read_table_cache(path: str) -> PeriodTable:
     """Reload a persisted table; %.17g round-trips doubles bit-identically."""
-    from .eigenform import CacheFormatError
-
     with open(path, encoding="ascii") as fh:
         header = fh.readline().strip()
         parts = header.split()
         if (
-            len(parts) != 4
+            len(parts) != 5
             or " ".join(parts[:2]) != _TABLE_MAGIC
             or not parts[2].startswith("q=")
             or not parts[3].startswith("tol=")
+            or not parts[4].startswith("curve=")
         ):
             raise CacheFormatError(f"bad period table header: {header!r}")
         q = int(parts[2][2:])
         tol = float(parts[3][4:])
+        curve = parse_curve(parts[4][6:])
         classes = p1_table(q)
         values = np.zeros(len(classes), dtype=np.complex128)
         seen = 0
@@ -284,4 +296,4 @@ def read_table_cache(path: str) -> PeriodTable:
                 f"period table has {seen} entries, expected {len(classes)}"
             )
     r2, r3 = _relation_residuals(q, classes, values)
-    return PeriodTable(q, tol, classes, values, r2, r3)
+    return PeriodTable(q, tol, classes, values, r2, r3, curve)

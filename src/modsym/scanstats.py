@@ -5,23 +5,20 @@ gcd class with the level and to a subinterval of [0,1)), evaluates the real
 symbol on every point through a vectorized continued-fraction engine, and
 reduces the values to per-denominator moment rows.  On top of the rows sit
 the variance fits, the mean-decay and Weyl-sum reports, the contiguous
-averages, and the standardized distribution report.
-
-Concurrency: scan shards partition the denominator range and each row is
-computed wholly inside one shard with a fixed-order pairwise reduction, so
-the shard count cannot change any output bit; the fold is concatenation in
-ascending c.
+averages, and the standardized distribution report.  The Weyl sums read no
+symbol value: over the coprime residues of c they are Ramanujan sums, which
+the report evaluates exactly in integers.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy import stats as _stats
 
+from .eigenform import _smallest_prime_factors
 from .periods import PeriodTable
 
 __all__ = [
@@ -80,8 +77,8 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class AggregateRow:
-    """Per-denominator reduction: moment sums, interval-restricted sums,
-    and Weyl accumulators, all over the coprime residues a mod c."""
+    """Per-denominator reduction: moment sums and interval-restricted sums
+    over the coprime residues a mod c."""
 
     c: int
     d: int
@@ -89,7 +86,6 @@ class AggregateRow:
     s: tuple[float, ...]
     n_int: int
     s_int: tuple[float, ...]
-    weyl: tuple[complex, ...]
 
 
 def enumerate_points(spec: ScanSpec):
@@ -105,28 +101,30 @@ def enumerate_points(spec: ScanSpec):
                 yield (c, a)
 
 
+MEMO_MAX = 4096  # largest denominator whose dense array SymbolStore keeps
+
+
 class SymbolStore:
     """Dense per-denominator symbol arrays with a bounded memo.
 
     dense(c)[a] is the real symbol at a/c for gcd(a,c)=1 and 0 elsewhere.
-    Arrays for c up to memo_threshold are kept; larger ones are recomputed
-    per call.  The engine walks every continued fraction for a denominator
+    Arrays for c up to MEMO_MAX are kept; larger ones are recomputed per
+    call.  The engine walks every continued fraction for a denominator
     at once: lanes are the coprime residues, each Euclid step advances the
     convergent denominators, and the class of the current path matrix is
     looked up from its bottom row (q_j, +-q_{j-1}) in the flat orbit table.
     """
 
-    def __init__(self, table: PeriodTable, memo_threshold: int = 4096):
+    def __init__(self, table: PeriodTable):
         self.table = table
         self.q = table.q
-        self.memo_threshold = memo_threshold
         self._flat = np.asarray(table.classes.flat, dtype=np.int64)
         self._w_re = np.ascontiguousarray(table.values.real)
         self._idx_10 = table.index_of(1, 0)
         self._memo: dict[int, np.ndarray] = {}
 
     def dense(self, c: int) -> np.ndarray:
-        if c <= self.memo_threshold:
+        if c <= MEMO_MAX:
             got = self._memo.get(c)
             if got is None:
                 got = self._memo[c] = self._compute(c)
@@ -166,9 +164,19 @@ class SymbolStore:
         return out
 
 
-def _window(spec: ScanSpec, c: int) -> tuple[int, int]:
+def _window(c: int, x0: Fraction, x1: Fraction) -> tuple[int, int]:
     # a/c in [x0, x1) <=> ceil(c x0) <= a < ceil(c x1), exactly in Fraction
-    return math.ceil(c * spec.x0), math.ceil(c * spec.x1)
+    return math.ceil(c * x0), math.ceil(c * x1)
+
+
+def _power_sums(vals: np.ndarray, k_max: int) -> list[float]:
+    """[sum vals, sum vals^2, ..., sum vals^k_max], powers built by repeated products."""
+    sums = []
+    power = np.ones_like(vals)
+    for _ in range(k_max):
+        power = power * vals
+        sums.append(float(np.sum(power)))
+    return sums
 
 
 def _row_for(spec: ScanSpec, store: SymbolStore, c: int) -> AggregateRow:
@@ -177,66 +185,26 @@ def _row_for(spec: ScanSpec, store: SymbolStore, c: int) -> AggregateRow:
     coprime = np.gcd(ar, c) == 1
     vals = dense[coprime]
     a_cop = ar[coprime]
-    phi = int(vals.size)
 
-    sums = []
-    power = np.ones_like(vals)
-    for _ in range(spec.k_max):
-        power = power * vals
-        sums.append(float(np.sum(power)))
+    sums = _power_sums(vals, spec.k_max)
     if not all(math.isfinite(v) for v in sums):
         raise OverflowError(f"moment accumulator overflowed at c={c}")
 
-    a_lo, a_hi = _window(spec, c)
-    in_window = (a_cop >= a_lo) & (a_cop < a_hi)
-    vals_int = vals[in_window]
-    sums_int = []
-    power = np.ones_like(vals_int)
-    for _ in range(spec.k_max):
-        power = power * vals_int
-        sums_int.append(float(np.sum(power)))
-
-    weyl: tuple[complex, ...] = ()
-    if spec.weyl_modes:
-        base = np.exp((2j * math.pi / c) * a_cop)
-        cur = np.ones(phi, dtype=np.complex128)
-        n_cur = 0
-        by_mode = {}
-        for n in sorted({abs(n) for n in spec.weyl_modes}):
-            while n_cur < n:
-                cur = cur * base
-                n_cur += 1
-            by_mode[n] = complex(np.sum(cur))
-        # e(-n a/c) sums are exact conjugates of the e(n a/c) sums
-        weyl = tuple(
-            by_mode[n] if n >= 0 else by_mode[-n].conjugate()
-            for n in spec.weyl_modes
-        )
-
+    a_lo, a_hi = _window(c, spec.x0, spec.x1)
+    vals_int = vals[(a_cop >= a_lo) & (a_cop < a_hi)]
     return AggregateRow(
         c=c,
         d=math.gcd(c, spec.q),
-        phi=phi,
+        phi=int(vals.size),
         s=tuple(sums),
         n_int=int(vals_int.size),
-        s_int=tuple(sums_int),
-        weyl=weyl,
+        s_int=tuple(_power_sums(vals_int, spec.k_max)),
     )
 
 
-def scan(spec: ScanSpec, store: SymbolStore, shards: int = 1) -> list[AggregateRow]:
+def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
     """One AggregateRow per admissible denominator, in ascending c."""
-    cs = [c for c in range(1, spec.m_max + 1) if spec.wants(c)]
-    if shards <= 1 or len(cs) < 2 * shards:
-        return [_row_for(spec, store, c) for c in cs]
-    blocks = [cs[i::shards] for i in range(shards)]
-    with ThreadPoolExecutor(max_workers=shards) as pool:
-        parts = list(
-            pool.map(lambda block: [_row_for(spec, store, c) for c in block], blocks)
-        )
-    rows = [row for part in parts for row in part]
-    rows.sort(key=lambda row: row.c)
-    return rows
+    return [_row_for(spec, store, c) for c in range(1, spec.m_max + 1) if spec.wants(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +293,35 @@ class WeylEntry:
     ratio: float
 
 
-def weyl_report(spec: ScanSpec, rows: list[AggregateRow]) -> list[WeylEntry]:
-    """Exponential-sum totals per mode with |total|/count ratios.
+def _moebius_totient(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu(0..n_max) and phi(0..n_max) from one prime sieve."""
+    spf = _smallest_prime_factors(n_max)
+    mu = np.ones(n_max + 1, dtype=np.int64)
+    phi = np.arange(n_max + 1, dtype=np.int64)
+    for p in range(2, n_max + 1):
+        if spf[p] == p:
+            mu[::p] *= -1
+            mu[:: p * p] = 0
+            phi[::p] -= phi[::p] // p
+    return mu, phi
 
-    The n=0 entry equals the sample count exactly.
+
+def weyl_report(spec: ScanSpec, rows: list[AggregateRow]) -> list[WeylEntry]:
+    """Totals of e(n a/c) over every sampled point, per mode, with |total|/count.
+
+    Each row holds a full system of coprime residues a mod c, over which the
+    sum of e(n a/c) is the Ramanujan sum mu(c/g) phi(c)/phi(c/g) with
+    g = gcd(c, n) (von Sterneck).  The totals are therefore exact integers,
+    real, and even in n; the n=0 entry is the sample count.
     """
-    count = sum(row.phi for row in rows)
+    cs = np.array([row.c for row in rows], dtype=np.int64)
+    phis = np.array([row.phi for row in rows], dtype=np.int64)
+    mu, phi = _moebius_totient(int(cs.max(initial=1)))
+    count = int(phis.sum())
     entries = []
-    for j, n in enumerate(spec.weyl_modes):
-        total = sum((row.weyl[j] for row in rows), start=0j)
+    for n in spec.weyl_modes:
+        m = cs // np.gcd(cs, n)
+        total = complex(int(np.sum(mu[m] * (phis // phi[m]))))
         entries.append(WeylEntry(n=n, total=total, ratio=abs(total) / count))
     return entries
 
@@ -473,13 +461,9 @@ def distribution_report(
             raise ValueError(
                 f"modelled variance is not positive at c={c}; raise c_min"
             )
-        dense = store.dense(c)
-        ar = np.arange(c, dtype=np.int64)
-        ok = np.gcd(ar, c) == 1
-        a_lo = math.ceil(c * x0)
-        a_hi = math.ceil(c * x1)
-        ok &= (ar >= a_lo) & (ar < a_hi)
-        vals = dense[ok]
+        a_lo, a_hi = _window(c, x0, x1)
+        window = np.arange(a_lo, a_hi, dtype=np.int64)
+        vals = store.dense(c)[a_lo:a_hi][np.gcd(window, c) == 1]
         zs_shift.append(vals / math.sqrt(var_shift))
         zs_slope.append(vals / math.sqrt(var_slope))
     if not zs_shift:
@@ -488,12 +472,7 @@ def distribution_report(
     z_slope = np.concatenate(zs_slope)
 
     def raw_moments(z):
-        mts = []
-        power = np.ones_like(z)
-        for _ in range(k_max):
-            power = power * z
-            mts.append(float(np.sum(power)) / z.size)
-        return tuple(mts)
+        return tuple(s / z.size for s in _power_sums(z, k_max))
 
     edges = np.linspace(-span, span, bins + 1)
     counts, _ = np.histogram(z_shift, bins=edges)

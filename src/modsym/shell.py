@@ -1,15 +1,17 @@
 """Command-line front end: configuration, caching, and report emission.
 
-Configuration is a flat key=value file plus CLI flag overrides; every
-result-affecting field feeds a sha256 fingerprint that is embedded in each
-CSV report, so outputs are traceable to the exact run parameters.  Exit
-codes: 0 success, 2 validation error, 3 gate failure.
+Configuration is a flat key=value file plus CLI flag overrides, both
+parsed through one key table; every result-affecting field feeds a sha256
+fingerprint that is embedded in each CSV report, so outputs are traceable
+to the exact run parameters.  Exit codes: 0 success, 2 validation error,
+3 gate failure.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import logging
 import math
 import os
 import random
@@ -23,8 +25,10 @@ from .eigenform import (
     CurveSpec,
     Eigenform,
     TruncationError,
+    coeffs_cache_path,
     lfun1,
     load_or_build_eigenform,
+    parse_curve,
 )
 from .periods import (
     PeriodTable,
@@ -62,6 +66,8 @@ from .theory import (
     sym2_l_from_petersson,
 )
 
+log = logging.getLogger("modsym")
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GATE = 3
@@ -84,8 +90,6 @@ class RunConfig:
     weyl_modes: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
     tol: float = 1e-12
     n_max: int = 100000
-    memo_threshold: int = 4096
-    shards: int = 1
     seed: int = 1729
     cache_dir: str = ".modsym-cache"
     fixture: str | None = None
@@ -94,9 +98,7 @@ class RunConfig:
     def fingerprint(self) -> str:
         """12-hex digest of the result-affecting fields.
 
-        Path fields (cache_dir, fixture, out_dir), the shard count, and the
-        memo threshold are excluded: shards and memo size provably never
-        change an output bit.
+        The path fields (cache_dir, fixture, out_dir) are excluded.
         """
         payload = repr(
             (
@@ -135,13 +137,6 @@ class RunConfig:
 # Configuration parsing
 
 
-def _parse_curve(text: str) -> tuple[int, int, int, int, int]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 5:
-        raise ValueError("curve needs exactly five comma-separated integers")
-    return tuple(parts)
-
-
 def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
     lo, _, hi = text.partition(":")
     if not hi:
@@ -159,24 +154,31 @@ def _parse_weyl(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
+# Config-file key -> (RunConfig field(s), converter, help).  Each key is also
+# the CLI flag --<key with '-' for '_'>, whose argparse dest is the key.
 _CONFIG_KEYS = {
-    "q": ("q", int),
-    "curve": ("curve", _parse_curve),
-    "label": ("label", str),
-    "M": ("m_max", int),
-    "d": ("d_filter", _parse_d),
-    "interval": ("interval", _parse_interval),
-    "k_max": ("k_max", int),
-    "weyl": ("weyl_modes", _parse_weyl),
-    "tol": ("tol", float),
-    "n_max": ("n_max", int),
-    "memo_threshold": ("memo_threshold", int),
-    "shards": ("shards", int),
-    "seed": ("seed", int),
-    "cache_dir": ("cache_dir", str),
-    "fixture": ("fixture", str),
-    "out_dir": ("out_dir", str),
+    "q": ("q", int, "level (squarefree)"),
+    "curve": ("curve", parse_curve, "a1,a2,a3,a4,a6"),
+    "label": ("label", str, "display label for the curve"),
+    "M": ("m_max", int, "max denominator"),
+    "d": ("d_filter", _parse_d, "gcd class with q, or 'all'"),
+    "interval": (("x0", "x1"), _parse_interval, "x0:x1 subinterval of [0,1)"),
+    "k_max": ("k_max", int, "moment depth"),
+    "weyl": ("weyl_modes", _parse_weyl, "comma-separated Weyl modes"),
+    "tol": ("tol", float, "period-table tolerance"),
+    "n_max": ("n_max", int, "coefficient count"),
+    "seed": ("seed", int, "seed for sampled checks"),
+    "cache_dir": ("cache_dir", str, "cache directory"),
+    "fixture": ("fixture", str, "L-value fixture path"),
+    "out_dir": ("out_dir", str, "report directory"),
 }
+
+
+def _convert(key: str, text: str) -> dict:
+    """RunConfig updates for one config key given as text."""
+    field, conv, _ = _CONFIG_KEYS[key]
+    value = conv(text)
+    return dict(zip(field, value)) if isinstance(field, tuple) else {field: value}
 
 
 def load_config_file(path: str) -> dict:
@@ -189,54 +191,23 @@ def load_config_file(path: str) -> dict:
                 continue
             key, eq, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
             if not eq or key not in _CONFIG_KEYS:
                 raise ValueError(f"bad config line: {raw.strip()!r}")
-            field, conv = _CONFIG_KEYS[key]
-            parsed = conv(value)
-            if field == "interval":
-                updates["x0"], updates["x1"] = parsed
-            else:
-                updates[field] = parsed
+            updates.update(_convert(key, value.strip()))
     return updates
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = replace(cfg, **load_config_file(args.config))
-    overrides: dict = {}
-    for flag, key in [
-        ("q", "q"),
-        ("M", "m_max"),
-        ("k_max", "k_max"),
-        ("tol", "tol"),
-        ("n_max", "n_max"),
-        ("memo_threshold", "memo_threshold"),
-        ("shards", "shards"),
-        ("seed", "seed"),
-        ("cache_dir", "cache_dir"),
-        ("fixture", "fixture"),
-        ("out_dir", "out_dir"),
-        ("label", "label"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "curve", None) is not None:
-        overrides["curve"] = _parse_curve(args.curve)
-    if getattr(args, "d", None) is not None:
-        overrides["d_filter"] = _parse_d(args.d)
-    if getattr(args, "interval", None) is not None:
-        overrides["x0"], overrides["x1"] = _parse_interval(args.interval)
-    if getattr(args, "weyl", None) is not None:
-        overrides["weyl_modes"] = _parse_weyl(args.weyl)
-    cfg = replace(cfg, **overrides)
+    """Defaults, then config-file values, then CLI flags."""
+    updates = load_config_file(args.config) if args.config else {}
+    for key in _CONFIG_KEYS:
+        text = getattr(args, key, None)
+        if text is not None:
+            updates.update(_convert(key, text))
+    cfg = replace(RunConfig(), **updates)
     # fail fast on anything the modules would reject later
     CurveSpec(*cfg.curve, q=cfg.q)
     cfg.scan_spec()
-    if cfg.shards < 1:
-        raise ValueError("shards must be positive")
     return cfg
 
 
@@ -253,14 +224,26 @@ def _table_cache_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.cache_dir, f"table-q{cfg.q}-tol{cfg.tol:.3g}.txt")
 
 
+def _read_table(cfg: RunConfig, path: str) -> PeriodTable | None:
+    """The cached table, or None when there is none or it is unusable."""
+    if not os.path.exists(path):
+        return None
+    try:
+        table = read_table_cache(path)
+        if (table.q, table.tol, table.curve) != (cfg.q, cfg.tol, cfg.curve):
+            raise CacheFormatError("cache does not match the requested build")
+        return table
+    except (CacheFormatError, ValueError) as exc:
+        log.warning("period table cache %s is unusable (%s); rebuilding", path, exc)
+        return None
+
+
 def _table(cfg: RunConfig, f: Eigenform) -> PeriodTable:
     """Load the period table from cache or build it; gate residuals at 10 tol."""
     path = _table_cache_path(cfg)
-    if os.path.exists(path):
-        table = read_table_cache(path)
-        if table.q != cfg.q:
-            raise CacheFormatError(f"cache {path} is for level {table.q}")
-    else:
+    table = _read_table(cfg, path)
+    fresh = table is None
+    if fresh:
         table = build_period_table(f, cfg.tol)
     worst = max(table.residual_two, table.residual_three)
     if worst > 10.0 * cfg.tol:
@@ -268,26 +251,15 @@ def _table(cfg: RunConfig, f: Eigenform) -> PeriodTable:
             f"period-table relation residual {worst:.3g} exceeds 10*tol; "
             "refusing to persist or use the table"
         )
-    if not os.path.exists(path):
+    if fresh:
         os.makedirs(cfg.cache_dir, exist_ok=True)
         write_table_cache(path, table)
     return table
 
 
-def _store(cfg: RunConfig, table: PeriodTable) -> SymbolStore:
-    return SymbolStore(table, memo_threshold=cfg.memo_threshold)
-
-
 def _out(cfg: RunConfig, name: str) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
-
-
-def _slope(cfg: RunConfig) -> tuple[float, float, float | None]:
-    """(slope_paper, slope_real, shift source value) from the fixture."""
-    l1, l1p = load_lvalue_fixture(cfg.fixture_path())
-    slope_paper, slope_real = slope_from_L(cfg.q, l1)
-    return slope_paper, slope_real, l1p
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +268,7 @@ def _slope(cfg: RunConfig) -> tuple[float, float, float | None]:
 
 def cmd_coeffs(cfg: RunConfig, args) -> int:
     f = _form(cfg)
-    path = os.path.join(cfg.cache_dir, f"coeffs-q{cfg.q}-N{cfg.n_max}.txt")
+    path = coeffs_cache_path(cfg.cache_dir, cfg.q, cfg.n_max)
     print(f"coefficient cache: {path}")
     print(f"N = {f.n_max}")
     signs = " ".join(f"e({v})={f.al_signs[v]:+d}" for v in sorted(f.al_signs))
@@ -340,8 +312,8 @@ def cmd_symbol(cfg: RunConfig, args) -> int:
 
 def cmd_scan(cfg: RunConfig, args) -> int:
     f = _form(cfg)
-    store = _store(cfg, _table(cfg, f))
-    rows = scan(cfg.scan_spec(), store, shards=cfg.shards)
+    store = SymbolStore(_table(cfg, f))
+    rows = scan(cfg.scan_spec(), store)
     path = _out(cfg, "aggregates.csv")
     write_aggregates_csv(path, cfg.scan_spec(), rows, cfg.fingerprint())
     decay = mean_decay_report(rows)
@@ -355,13 +327,13 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 def cmd_fit(cfg: RunConfig, args) -> int:
     f = _form(cfg)
-    store = _store(cfg, _table(cfg, f))
-    slope_paper, slope_real, l1p = _slope(cfg)
-    rows = scan(cfg.scan_spec(), store, shards=cfg.shards)
+    store = SymbolStore(_table(cfg, f))
+    l1, l1p = load_lvalue_fixture(cfg.fixture_path())
+    slope_paper, slope_real = slope_from_L(cfg.q, l1)
+    rows = scan(cfg.scan_spec(), store)
     fits = variance_fit(rows, slope_real)
     path = _out(cfg, "fit.csv")
     write_fit_csv(path, fits, cfg.fingerprint())
-    l1, _ = load_lvalue_fixture(cfg.fixture_path())
     print(f"theory slope: paper {slope_paper:+.6f} / real {slope_real:+.6f}")
     for d, r in sorted(fits.items()):
         line = (
@@ -380,9 +352,10 @@ def cmd_dist(cfg: RunConfig, args) -> int:
     if cfg.d_filter == "all":
         raise ValueError("dist needs a single gcd class: pass --d")
     f = _form(cfg)
-    store = _store(cfg, _table(cfg, f))
-    _, slope_real, _ = _slope(cfg)
-    rows = scan(cfg.scan_spec(), store, shards=cfg.shards)
+    store = SymbolStore(_table(cfg, f))
+    l1, _ = load_lvalue_fixture(cfg.fixture_path())
+    _, slope_real = slope_from_L(cfg.q, l1)
+    rows = scan(cfg.scan_spec(), store)
     shift_real = variance_fit(rows, slope_real)[cfg.d_filter].fixed_slope_shift_real
     report = distribution_report(
         store,
@@ -413,7 +386,7 @@ def cmd_dist(cfg: RunConfig, args) -> int:
 
 def cmd_contig(cfg: RunConfig, args) -> int:
     f = _form(cfg)
-    store = _store(cfg, _table(cfg, f))
+    store = SymbolStore(_table(cfg, f))
     n_grid = args.grid
     xs = [Fraction(j, n_grid - 1) for j in range(n_grid)]
     a_m = contiguous_avg(store, cfg.m_max, xs)
@@ -433,9 +406,9 @@ def cmd_contig(cfg: RunConfig, args) -> int:
 
 def cmd_weyl(cfg: RunConfig, args) -> int:
     f = _form(cfg)
-    store = _store(cfg, _table(cfg, f))
+    store = SymbolStore(_table(cfg, f))
     spec = cfg.scan_spec()
-    rows = scan(spec, store, shards=cfg.shards)
+    rows = scan(spec, store)
     entries = weyl_report(spec, rows)
     path = _out(cfg, "weyl.csv")
     write_weyl_csv(path, entries, cfg.fingerprint())
@@ -522,9 +495,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if l1p is None:
         raise ValueError("verify needs a fixture with the derivative value")
     _, slope_real = slope_from_L(cfg.q, l1)
-    store = _store(cfg, table)
-    spec = replace(cfg, d_filter="all", k_max=2, weyl_modes=()).scan_spec()
-    rows = scan(spec, store, shards=cfg.shards)
+    spec = replace(cfg, d_filter="all", k_max=2).scan_spec()
+    rows = scan(spec, SymbolStore(table))
     fits = variance_fit(rows, slope_real)
     worst = 0.0
     for d, r in fits.items():
@@ -553,24 +525,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--q", type=int, help="level (squarefree)")
-    common.add_argument("--curve", help="a1,a2,a3,a4,a6")
-    common.add_argument("--label", help="display label for the curve")
-    common.add_argument("--M", type=int, help="max denominator")
-    common.add_argument("--d", help="gcd class with q, or 'all'")
-    common.add_argument("--interval", help="x0:x1 subinterval of [0,1)")
-    common.add_argument("--k-max", dest="k_max", type=int, help="moment depth")
-    common.add_argument("--weyl", help="comma-separated Weyl modes")
-    common.add_argument("--tol", type=float, help="period-table tolerance")
-    common.add_argument("--n-max", dest="n_max", type=int, help="coefficient count")
-    common.add_argument(
-        "--memo-threshold", dest="memo_threshold", type=int, help="symbol memo cap"
-    )
-    common.add_argument("--shards", type=int, help="scan shard count")
-    common.add_argument("--seed", type=int, help="seed for sampled checks")
-    common.add_argument("--cache-dir", dest="cache_dir", help="cache directory")
-    common.add_argument("--fixture", help="L-value fixture path")
-    common.add_argument("--out-dir", dest="out_dir", help="report directory")
+    for key, (_, _, text) in _CONFIG_KEYS.items():
+        common.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
     common.add_argument(
         "--paper-sign",
         dest="paper_sign",

@@ -22,19 +22,16 @@ from .periods import cusp_shift, lift_class_from_index
 ZETA_PRIME_2 = -0.9375482543158437537
 
 
-def volume(q: int) -> float:
-    """Hyperbolic area of the level-q quotient: (pi/3) q prod_{p|q} (1 + 1/p)."""
-    prod = 1.0
-    for p in squarefree_factors(q):
-        prod *= 1.0 + 1.0 / p
-    return math.pi / 3.0 * q * prod
-
-
 def _unit_index_product(q: int) -> float:
     prod = 1.0
     for p in squarefree_factors(q):
         prod *= 1.0 + 1.0 / p
     return prod
+
+
+def volume(q: int) -> float:
+    """Hyperbolic area of the level-q quotient: (pi/3) q prod_{p|q} (1 + 1/p)."""
+    return math.pi / 3.0 * q * _unit_index_product(q)
 
 
 def slope_from_L(q: int, sym2_l: float) -> tuple[float, float]:

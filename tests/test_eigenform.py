@@ -273,8 +273,9 @@ def test_lfun1_vanishes_for_positive_sign():
 def test_coeffs_cache_round_trip(tmp_path, form15_small):
     path = tmp_path / "coeffs.txt"
     write_coeffs_cache(str(path), form15_small)
-    q, coeffs = read_coeffs_cache(str(path))
+    q, curve, coeffs = read_coeffs_cache(str(path))
     assert q == 15
+    assert curve == form15_small.curve.coefficients
     assert np.array_equal(coeffs, form15_small.coeffs)
 
 

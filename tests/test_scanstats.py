@@ -1,8 +1,9 @@
 """Scan enumeration, the vectorized symbol engine, and the reports.
 
 The engine is held to exact agreement with the per-point path evaluator,
-the Weyl accumulators to the classical closed form for exponential sums
-over coprime residues, and the fits to synthetic data with known answers.
+the Weyl totals to the per-point exponential sums and, exactly, to the
+classical closed form for them over coprime residues, and the fits to
+synthetic data with known answers.
 """
 import math
 import random
@@ -13,6 +14,7 @@ import pytest
 
 from modsym.periods import symbol
 from modsym.scanstats import (
+    MEMO_MAX,
     AggregateRow,
     ScanSpec,
     SymbolStore,
@@ -111,18 +113,25 @@ def test_engine_matches_path_evaluator_exactly(store15, table15):
         assert dense[a] == symbol(Fraction(a, c), table15).m_minus
 
 
-def test_engine_recompute_path_matches_memo(table15, store15):
-    tiny = SymbolStore(table15, memo_threshold=8)
-    for c in (9, 57, 123):
-        assert np.array_equal(tiny.dense(c), store15.dense(c))
-        # above the threshold nothing is kept, so a second call recomputes
-        assert np.array_equal(tiny.dense(c), tiny.dense(c))
-    assert not tiny._memo.get(123)
+def test_engine_recompute_path_matches_memo(table15):
+    store = SymbolStore(table15)
+    rng = random.Random(11)
+    for c in (MEMO_MAX + 1, 4801, 6007):
+        # above the memo bound nothing is kept, so a second call recomputes
+        first = store.dense(c)
+        again = store.dense(c)
+        assert first is not again
+        assert np.array_equal(first, again)
+        assert c not in store._memo
+        for a in rng.sample(range(1, c), 5):
+            if math.gcd(a, c) == 1:
+                assert first[a] == symbol(Fraction(a, c), table15).m_minus
 
 
 def test_engine_memo_returns_same_array(table15):
-    store = SymbolStore(table15, memo_threshold=64)
+    store = SymbolStore(table15)
     assert store.dense(20) is store.dense(20)
+    assert store.dense(MEMO_MAX) is store.dense(MEMO_MAX)
 
 
 def test_engine_denominator_one(store15, table15):
@@ -164,23 +173,27 @@ def test_row_against_manual_reduction(store15, table15):
     assert row.s_int[0] == pytest.approx(sum(window_vals), abs=1e-12)
 
 
-def test_scan_is_shard_invariant(store15):
-    spec = ScanSpec(q=15, m_max=60)
-    assert scan(spec, store15, shards=3) == scan(spec, store15, shards=1)
+def _weyl_oracle(c: int, n: int) -> complex:
+    """Sum of e(n a/c) over the coprime residues a mod c, term by term."""
+    a = np.array([a for a in range(c) if math.gcd(a, c) == 1], dtype=np.float64)
+    return complex(np.sum(np.exp((2j * math.pi * n / c) * a)))
 
 
 def test_weyl_accumulators_are_ramanujan_sums(store15):
-    spec = ScanSpec(q=15, m_max=150, weyl_modes=(0, 1, 2, 3, 4, 5))
-    rows = scan(spec, store15)
-    rng = random.Random(5)
-    for row in rng.sample(rows, 30):
-        for j, n in enumerate(spec.weyl_modes):
-            if n == 0:
-                assert row.weyl[0] == row.phi
-                continue
-            g = math.gcd(n, row.c)
-            expect = _moebius(row.c // g) * _totient(row.c) // _totient(row.c // g)
-            assert row.weyl[j] == pytest.approx(expect, abs=1e-8)
+    modes = (0, 1, 2, 3, 4, 5, -2)
+    for m_max, d_filter in ((150, "all"), (97, 5)):
+        spec = ScanSpec(q=15, m_max=m_max, d_filter=d_filter, weyl_modes=modes)
+        rows = scan(spec, store15)
+        for e in weyl_report(spec, rows):
+            oracle = sum((_weyl_oracle(row.c, e.n) for row in rows), start=0j)
+            assert abs(e.total - oracle) < 1e-9
+            closed = sum(
+                _moebius(row.c // math.gcd(row.c, e.n))
+                * _totient(row.c)
+                // _totient(row.c // math.gcd(row.c, e.n))
+                for row in rows
+            )
+            assert e.total == closed
 
 
 def test_weyl_hand_value():
@@ -195,8 +208,13 @@ def test_weyl_hand_value():
 
 def test_negative_weyl_mode_is_conjugate(store15):
     spec = ScanSpec(q=15, m_max=40, weyl_modes=(2, -2))
-    for row in scan(spec, store15):
-        assert row.weyl[1] == row.weyl[0].conjugate()
+    rows = scan(spec, store15)
+    plus, minus = weyl_report(spec, rows)
+    assert (plus.n, minus.n) == (2, -2)
+    assert minus.total == plus.total.conjugate()
+    assert plus.total.imag == 0.0
+    oracle = sum((_weyl_oracle(row.c, -2) for row in rows), start=0j)
+    assert abs(minus.total - oracle) < 1e-9
 
 
 def test_weyl_report_zero_mode_counts_sample(store15):
@@ -244,7 +262,6 @@ def _synthetic_rows(slope: float, shift: float) -> list[AggregateRow]:
                 s=(0.0, phi * var, 0.0, 3.0 * phi * var * var),
                 n_int=phi,
                 s_int=(0.0, phi * var, 0.0, 3.0 * phi * var * var),
-                weyl=(),
             )
         )
     return rows

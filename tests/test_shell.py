@@ -5,6 +5,7 @@ output directories; the module-scoped fixture warms one coefficient and
 period-table cache so the individual commands stay fast.
 """
 import json
+import logging
 import shutil
 from dataclasses import replace
 from fractions import Fraction
@@ -15,6 +16,7 @@ from modsym.shell import (
     EXIT_GATE,
     EXIT_OK,
     EXIT_VALIDATION,
+    _CONFIG_KEYS,
     RunConfig,
     build_parser,
     load_config_file,
@@ -92,6 +94,40 @@ def test_config_rejects_malformed_lines(tmp_path):
         load_config_file(str(cfg_path))
 
 
+def test_config_keys_and_flags_correspond_one_to_one():
+    parser = build_parser()
+    dests = set(vars(parser.parse_args(["scan"])))
+    assert dests - {"command", "config", "paper_sign"} == set(_CONFIG_KEYS)
+    for key in _CONFIG_KEYS:
+        flag = "--" + key.replace("_", "-")
+        assert getattr(parser.parse_args(["scan", flag, "7"]), key) == "7"
+
+
+def test_flags_and_file_values_share_converters(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("curve = 0,-1,1,-2,2\nq = 57\nd = 3\nweyl = 1,-1\n")
+    from_file = resolve_config(
+        build_parser().parse_args(["scan", "--config", str(cfg_path)])
+    )
+    from_flags = resolve_config(
+        build_parser().parse_args(
+            ["scan", "--curve", "0,-1,1,-2,2", "--q", "57", "--d", "3", "--weyl", "1,-1"]
+        )
+    )
+    assert from_file == from_flags
+    assert from_flags.curve == (0, -1, 1, -2, 2)
+    assert from_flags.d_filter == 3 and from_flags.weyl_modes == (1, -1)
+
+
+def test_removed_knobs_are_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--shards", "2"])
+    assert exc.value.code == EXIT_VALIDATION
+    cfg_path = tmp_path / "old.cfg"
+    cfg_path.write_text("shards = 2\n")
+    assert main(["scan", "--config", str(cfg_path)]) == EXIT_VALIDATION
+
+
 def test_interval_parse_requires_colon():
     args = build_parser().parse_args(["scan", "--interval", "0.5"])
     with pytest.raises(ValueError):
@@ -110,8 +146,6 @@ def test_fingerprint_ignores_non_result_fields():
         {"cache_dir": "/elsewhere"},
         {"out_dir": "/elsewhere"},
         {"fixture": "/some/file"},
-        {"shards": 7},
-        {"memo_threshold": 99},
     ):
         assert replace(base, **change).fingerprint() == fp
 
@@ -194,19 +228,53 @@ def test_tampered_table_cache_trips_the_gate(cli, tmp_path, capsys):
     assert "gate failure" in capsys.readouterr().err
 
 
+def test_truncated_table_cache_is_rebuilt(cli, tmp_path, caplog):
+    run, cache, _ = cli
+    bad_cache = tmp_path / "cache"
+    shutil.copytree(cache, bad_cache)
+    table_file = next(bad_cache.glob("table-*.txt"))
+    intact = table_file.read_bytes()
+    table_file.write_bytes(intact[: len(intact) // 2])  # cut mid-line
+    with caplog.at_level(logging.WARNING, logger="modsym"):
+        code = main(["table", "--cache-dir", str(bad_cache), "--n-max", N_MAX])
+    assert code == EXIT_OK
+    assert "rebuilding" in caplog.text
+    assert table_file.read_bytes() == intact
+
+
+def _symbol_line(capsys, cache_dir, curve):
+    argv = ["symbol", "1", "7", "--q", "57", "--curve", curve]
+    assert main(argv + ["--n-max", "500", "--cache-dir", str(cache_dir)]) == EXIT_OK
+    out = capsys.readouterr().out
+    return next(line for line in out.splitlines() if line.startswith("m_plus"))
+
+
+def test_caches_are_not_shared_between_curves(tmp_path, capsys, caplog):
+    # 57a1 and 57b1 share a level, so their caches share file names
+    from modsym.eigenform import CurveSpec, load_or_build_eigenform
+
+    shared = tmp_path / "shared"
+    _symbol_line(capsys, shared, "0,-1,1,-2,2")
+    with caplog.at_level(logging.WARNING, logger="modsym"):
+        reused = _symbol_line(capsys, shared, "0,1,1,20,-32")
+    assert caplog.text.count("rebuilding") == 2  # coefficients and table
+    fresh = _symbol_line(capsys, tmp_path / "fresh", "0,1,1,20,-32")
+    assert reused == fresh
+    f = load_or_build_eigenform(CurveSpec(0, 1, 1, 20, -32, q=57), 500, str(shared))
+    assert f.coeffs[5] == 1
+
+
 # ---------------------------------------------------------------------------
 # report commands
 
 
-def test_scan_is_deterministic_and_shard_independent(cli, tmp_path):
+def test_scan_is_deterministic(cli, tmp_path):
     run, _, _ = cli
-    outs = [tmp_path / f"out{i}" for i in range(3)]
+    outs = [tmp_path / f"out{i}" for i in range(2)]
     assert run("scan", "--M", "60", out_dir=outs[0]) == EXIT_OK
     assert run("scan", "--M", "60", out_dir=outs[1]) == EXIT_OK
-    assert run("scan", "--M", "60", "--shards", "3", out_dir=outs[2]) == EXIT_OK
     ref = (outs[0] / "aggregates.csv").read_bytes()
     assert (outs[1] / "aggregates.csv").read_bytes() == ref
-    assert (outs[2] / "aggregates.csv").read_bytes() == ref
 
 
 def test_scan_embeds_the_run_fingerprint(cli, tmp_path):
