@@ -353,13 +353,29 @@ def parse_curve(text: str) -> tuple[int, int, int, int, int]:
     return parts
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text to a temp file beside path, then os.replace it into place.
+
+    Readers see the old file or the new one, never a partial write; the temp
+    file is removed when the write fails.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_coeffs_cache(path: str, f: Eigenform) -> None:
     """Plain-text coefficients; the header names the level, length and curve."""
     curve = format_curve(f.curve.coefficients)
     lines = [f"{_COEFFS_MAGIC} q={f.q} N={f.n_max} curve={curve}"]
     lines += [f"{n} {int(f.coeffs[n])}" for n in range(1, f.n_max + 1)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_coeffs_cache(path: str) -> tuple[int, tuple[int, ...], np.ndarray]:

@@ -39,12 +39,25 @@ def squarefree_factors(q: int) -> list[int]:
     return factors
 
 
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n in increasing order."""
+    if n < 1:
+        raise ValueError(f"positive integer required, got {n}")
+    small, large = [], []
+    k = 1
+    while k * k <= n:
+        if n % k == 0:
+            small.append(k)
+            if k * k != n:
+                large.append(n // k)
+        k += 1
+    return small + large[::-1]
+
+
 def divisors_squarefree(q: int) -> list[int]:
     """All divisors of squarefree q, sorted increasing."""
-    divs = [1]
-    for p in squarefree_factors(q):
-        divs += [d * p for d in divs]
-    return sorted(divs)
+    squarefree_factors(q)  # raises unless q is squarefree
+    return divisors(q)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .eigenform import (
     antiderivative_batch,
     format_curve,
     parse_curve,
+    write_text_atomic,
 )
 from .exactmath import (
     Mat2,
@@ -259,8 +260,7 @@ def write_table_cache(path: str, table: PeriodTable) -> None:
     for k, (c, d) in enumerate(table.classes.reps):
         w = table.values[k]
         lines.append(f"{c}:{d} {w.real:.17g} {w.imag:.17g}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_table_cache(path: str) -> PeriodTable:

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import stats as _stats
 
 from .eigenform import _smallest_prime_factors
+from .exactmath import divisors
 from .periods import PeriodTable
 
 __all__ = [
@@ -249,18 +250,6 @@ def mean_decay_report(rows: list[AggregateRow]) -> MeanDecayReport:
     )
 
 
-def _divisors(c: int) -> list[int]:
-    small, large = [], []
-    k = 1
-    while k * k <= c:
-        if c % k == 0:
-            small.append(k)
-            if k * k != c:
-                large.append(c // k)
-        k += 1
-    return small + large[::-1]
-
-
 def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.ndarray:
     """Average of the contiguous sums G_c(x) = (1/c) sum_{0<=a<=floor(cx)} of
     the symbol at a/c (unreduced a evaluated via its reduced fraction), over
@@ -274,7 +263,7 @@ def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.nda
     out = np.zeros(len(xs))
     for c in range(1, m_max + 1):
         v_full = np.empty(c)
-        for g in _divisors(c):
+        for g in divisors(c):
             v_full[::g] = store.dense(c // g)  # ascending g: last write is g=gcd
         pref = np.cumsum(v_full)
         for i, x in enumerate(xs):

@@ -326,9 +326,9 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit(cfg: RunConfig, args) -> int:
+    l1, l1p = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
     f = _form(cfg)
     store = SymbolStore(_table(cfg, f))
-    l1, l1p = load_lvalue_fixture(cfg.fixture_path())
     slope_paper, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg.scan_spec(), store)
     fits = variance_fit(rows, slope_real)
@@ -351,9 +351,9 @@ def cmd_fit(cfg: RunConfig, args) -> int:
 def cmd_dist(cfg: RunConfig, args) -> int:
     if cfg.d_filter == "all":
         raise ValueError("dist needs a single gcd class: pass --d")
+    l1, _ = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
     f = _form(cfg)
     store = SymbolStore(_table(cfg, f))
-    l1, _ = load_lvalue_fixture(cfg.fixture_path())
     _, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg.scan_spec(), store)
     shift_real = variance_fit(rows, slope_real)[cfg.d_filter].fixed_slope_shift_real
@@ -422,7 +422,7 @@ def cmd_weyl(cfg: RunConfig, args) -> int:
 
 
 def cmd_theory(cfg: RunConfig, args) -> int:
-    l1, l1p = load_lvalue_fixture(cfg.fixture_path())
+    l1, l1p = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
     f = _form(cfg) if args.petersson else None
     tc = build_theory(
         cfg.q,
@@ -450,6 +450,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             }
         )
 
+    l1, l1p = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
     f = _form(cfg)
     table = _table(cfg, f)
     gate("relation_two_term", table.residual_two, 2.0 * cfg.tol)
@@ -460,7 +461,6 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     gate("value_at_zero_plus", abs(s0.m_plus - l_at_1), 1e-8)
     gate("value_at_zero_minus", abs(s0.m_minus), 1e-8)
 
-    l1, l1p = load_lvalue_fixture(cfg.fixture_path())
     norm = petersson_quadrature(f, tol=1e-5)
     recovered = sym2_l_from_petersson(f, norm.value)
     gate("fixture_sym2_recovery", abs(recovered - l1) / l1, 1e-3)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenform import Eigenform, terms_needed
+from .eigenform import Eigenform, format_curve, parse_curve, terms_needed
 from .exactmath import divisors_squarefree, p1_table, squarefree_factors
 from .periods import cusp_shift, lift_class_from_index
 
@@ -132,57 +132,45 @@ class PeterssonResult:
     classes: int
 
 
-def _gauss_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+def _map_rule(rule, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule (x, w) on [-1, 1] mapped onto each panel between edges."""
+    x, w = rule
+    edges = np.asarray(edges, dtype=np.float64)
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
-def _class_integral(
-    f: Eigenform, k1: int, k2: int, m: int, tol_tail: float, n_leg: int
-) -> tuple[float, float]:
-    """Integral over the standard fundamental domain of (k1/k2)^2 |f((k1 w + m)/k2)|^2.
-
-    x-panels are Gauss-Legendre on [-1/2, 1/2]; in y, geometric panels run
-    from the domain floor sqrt(1 - x^2) up to a per-class cutoff chosen so
-    the certified tail is below tol_tail.
-    """
-    ratio = k1 / k2
+def _class_cutoff(coeff_abs: np.ndarray, ratio: float, tol_tail: float) -> float:
+    """Height above which the certified tail of a class integrand is below tol_tail."""
     y_floor = math.sqrt(3.0) / 2.0
-    coeff_abs = np.abs(f.coeffs[1:].astype(np.float64))
-    ns = np.arange(1, f.n_max + 1)
+    ns = np.arange(1, len(coeff_abs) + 1)
     big_c = float(np.sum(coeff_abs * np.exp(-2.0 * np.pi * (ns - 1) * ratio * y_floor)))
     cutoff = (1.0 / (4.0 * math.pi * ratio)) * math.log(
         max(big_c, 1.0) ** 2 * max(ratio, 1e-30) / (4.0 * math.pi * tol_tail)
     )
-    cutoff = max(cutoff, 2.0)
+    return max(cutoff, 2.0)
 
-    n_panels_x = 8
-    xs = []
-    wxs = []
-    for j in range(n_panels_x):
-        lo = -0.5 + j / n_panels_x
-        nodes, weights = _gauss_nodes(n_leg, lo, lo + 1.0 / n_panels_x)
-        xs.append(nodes)
-        wxs.append(weights)
-    xs = np.concatenate(xs)
-    wxs = np.concatenate(wxs)
 
+def _class_integral(
+    f: Eigenform, shift: tuple, tol_tail: float, rule: tuple, x_panels: tuple
+) -> float:
+    """Integral over the standard fundamental domain of (k1/k2)^2 |f((k1 w + m)/k2)|^2.
+
+    shift is (k1, k2, m, cutoff).  x_panels is the rule on 8 panels of
+    [-1/2, 1/2]; in y, geometric panels run from the domain floor
+    sqrt(1 - x^2) up to the class cutoff.
+    """
+    k1, k2, m, cutoff = shift
+    ratio = k1 / k2
     total = 0.0
     growth = 1.6
-    for x, wx in zip(xs, wxs):
+    for x, wx in zip(*x_panels):
         y0 = math.sqrt(max(1.0 - x * x, 0.0))
         edges = [y0]
         while edges[-1] < cutoff:
             edges.append(min(edges[-1] * growth, cutoff))
-        ys = []
-        wys = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            nodes, weights = _gauss_nodes(n_leg, lo, hi)
-            ys.append(nodes)
-            wys.append(weights)
-        ys = np.concatenate(ys)
-        wys = np.concatenate(wys)
+        ys, wys = _map_rule(rule, edges)
         zs = (k1 * (x + 1j * ys) + m) / k2
         n_terms = terms_needed(float(zs.imag.min()), tol_tail * 1e-3)
         n_terms = min(n_terms, f.n_max)
@@ -192,7 +180,7 @@ def _class_integral(
             axis=1,
         )
         total += wx * float(np.sum(wys * np.abs(vals) ** 2))
-    return ratio * ratio * total, cutoff
+    return ratio * ratio * total
 
 
 def petersson_quadrature(
@@ -203,33 +191,31 @@ def petersson_quadrature(
     Sums, over the coset classes indexed by P^1(Z/q), the fundamental-domain
     integrals of |f|g|^2 = (k1/k2)^2 |f((k1 w + m)/k2)|^2; each class uses a
     certified exponential cutoff and the whole quadrature is repeated with
-    doubled node counts to estimate the mesh error.
+    doubled node counts to estimate the mesh error.  The Gauss-Legendre rule
+    is computed once per node count and the cutoffs once per class.
     """
     q = f.q
     classes = p1_table(q)
     tol_tail = tol / (2.0 * len(classes))
+    coeff_abs = np.abs(f.coeffs[1:].astype(np.float64))
     shifts = []
     for k in range(len(classes)):
-        g = lift_class_from_index(classes, k)
-        sh = cusp_shift(g, q, f)
-        shifts.append((sh.k1, sh.k2, sh.m))
+        sh = cusp_shift(lift_class_from_index(classes, k), q, f)
+        cutoff = _class_cutoff(coeff_abs, sh.k1 / sh.k2, tol_tail)
+        shifts.append((sh.k1, sh.k2, sh.m, cutoff))
 
-    def run(nodes: int) -> tuple[float, float]:
-        total = 0.0
-        worst = 0.0
-        for k1, k2, m in shifts:
-            part, cut = _class_integral(f, k1, k2, m, tol_tail, nodes)
-            total += part
-            worst = max(worst, cut)
-        return total, worst
+    def run(nodes: int) -> float:
+        rule = np.polynomial.legendre.leggauss(nodes)
+        x_panels = _map_rule(rule, [-0.5 + j / 8 for j in range(9)])
+        return sum(_class_integral(f, sh, tol_tail, rule, x_panels) for sh in shifts)
 
-    coarse, _ = run(n_leg)
-    fine, max_cut = run(2 * n_leg)
+    coarse = run(n_leg)
+    fine = run(2 * n_leg)
     return PeterssonResult(
         value=fine,
         mesh_error=abs(fine - coarse),
         tol=tol,
-        max_cutoff=max_cut,
+        max_cutoff=max(s[3] for s in shifts),
         classes=len(classes),
     )
 
@@ -247,25 +233,35 @@ def sym2_l_from_petersson(f: Eigenform, norm_sq: float) -> float:
 # Fixture and the constants report
 
 
-def load_lvalue_fixture(path: str) -> tuple[float, float | None]:
-    """Parse 'L1 <value>' / 'L1p <value>' lines; L1p may be absent."""
-    l1 = None
-    l1p = None
+def load_lvalue_fixture(
+    path: str, curve: tuple[int, ...] | None = None
+) -> tuple[float, float | None]:
+    """Parse 'L1 <value>' / 'L1p <value>' / 'curve a1,...,a6' lines.
+
+    L1p and curve may be absent; when curve is given, the fixture must name
+    that curve.
+    """
+    keys: dict[str, str] = {}
     with open(path, encoding="ascii") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, val = line.split()
-            if key == "L1":
-                l1 = float(val)
-            elif key == "L1p":
-                l1p = float(val)
-            else:
+            if key not in ("L1", "L1p", "curve"):
                 raise ValueError(f"unknown fixture key {key!r}")
-    if l1 is None:
+            keys[key] = val
+    if "L1" not in keys:
         raise ValueError(f"fixture {path} is missing the required L1 line")
-    return l1, l1p
+    if curve is not None:
+        if "curve" not in keys:
+            raise ValueError(f"fixture {path} does not name its curve")
+        if parse_curve(keys["curve"]) != tuple(curve):
+            raise ValueError(
+                f"fixture {path} is for curve {keys['curve']}, not {format_curve(curve)}"
+            )
+    l1p = keys.get("L1p")
+    return float(keys["L1"]), None if l1p is None else float(l1p)
 
 
 def default_fixture_path() -> str:

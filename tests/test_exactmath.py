@@ -17,6 +17,7 @@ from modsym.exactmath import (
     _crt_least_abs,
     atkin_lehner_matrix,
     cf_decompose,
+    divisors,
     divisors_squarefree,
     lift_class,
     normalize_p1,
@@ -47,6 +48,13 @@ def test_squarefree_factors_rejects_square_divisors(bad):
 def test_squarefree_factors_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         squarefree_factors(bad)
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 501):
+        assert divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
+    with pytest.raises(ValueError):
+        divisors(0)
 
 
 def test_divisors_squarefree():

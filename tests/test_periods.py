@@ -5,7 +5,9 @@ is checked against a direct slash-identity evaluation at a generic point for
 every class, the table relations are certified, and the Manin-path evaluator
 is cross-checked against a one-matrix direct oracle.
 """
+import builtins
 import math
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +15,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modsym.eigenform import Eigenform, TruncationError, form_values, lfun1
+from modsym import eigenform
+from modsym.eigenform import (
+    Eigenform,
+    TruncationError,
+    form_values,
+    lfun1,
+    read_coeffs_cache,
+    write_coeffs_cache,
+)
 from modsym.exactmath import Mat2, S_MAT, p1_table
 from modsym.periods import (
     ExpansionShift,
@@ -249,3 +259,61 @@ def test_table_cache_detects_tampered_values(tmp_path, table15):
     path.write_text("\n".join(lines) + "\n")
     back = read_table_cache(str(path))
     assert back.residual_two > 0.1
+
+
+class _HalfWriter:
+    """File stand-in that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+
+def _fail_mid_write(monkeypatch):
+    def half_open(path, *args, **kwargs):
+        return _HalfWriter(builtins.open(path, *args, **kwargs))
+
+    monkeypatch.setattr(eigenform, "open", half_open, raising=False)
+
+
+def _fail_on_replace(monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+
+
+@pytest.mark.parametrize("fail", [_fail_mid_write, _fail_on_replace])
+@pytest.mark.parametrize(
+    "write,read,payload",
+    [
+        (write_coeffs_cache, read_coeffs_cache, "form15_small"),
+        (write_table_cache, read_table_cache, "table15"),
+    ],
+)
+def test_failed_cache_write_keeps_previous_cache(
+    tmp_path, monkeypatch, request, fail, write, read, payload
+):
+    obj = request.getfixturevalue(payload)
+    path = tmp_path / "cache.txt"
+    write(str(path), obj)
+    before = path.read_bytes()
+    fail(monkeypatch)
+    with pytest.raises(OSError):
+        write(str(path), obj)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    read(str(path))
+    assert os.listdir(tmp_path) == ["cache.txt"]
+    write(str(path), obj)  # a later write succeeds and leaves nothing behind
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.txt"]

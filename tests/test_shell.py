@@ -346,6 +346,29 @@ def test_theory_command_emits_json(cli, capsys):
     assert payload["petersson_norm_sq"] is None
 
 
+_FIXTURE_COMMANDS = [["theory"], ["fit"], ["dist", "--d", "3"], ["verify"]]
+
+
+@pytest.mark.parametrize("command", _FIXTURE_COMMANDS)
+def test_fixture_for_another_curve_is_refused(command, tmp_path, capsys):
+    # 57a1 against the packaged 15a1 fixture: refused before anything is built
+    cache = tmp_path / "cache"
+    argv = [*command, "--q", "57", "--curve", "0,-1,1,-2,2", "--M", "50"]
+    argv += ["--n-max", "500", "--cache-dir", str(cache), "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_VALIDATION
+    assert "is for curve 1,1,1,-10,-10, not 0,-1,1,-2,2" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("command", _FIXTURE_COMMANDS)
+def test_fixture_without_curve_is_refused(command, cli, tmp_path, capsys):
+    run, _, _ = cli
+    fixture = tmp_path / "untagged.txt"
+    fixture.write_text("L1 0.9364885435\nL1p 0.03534541\n")
+    assert run(*command, "--M", "50", "--fixture", str(fixture)) == EXIT_VALIDATION
+    assert "does not name its curve" in capsys.readouterr().err
+
+
 def test_verify_runs_every_gate(cli, capsys):
     run, _, _ = cli
     assert run("verify", "--M", "600") == EXIT_OK

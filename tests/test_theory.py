@@ -167,6 +167,27 @@ def test_petersson_coarse_run_stays_within_requested_tol(form15):
     assert rough.value == pytest.approx(0.056629823041199435, abs=1e-3)
 
 
+def test_petersson_quadrature_is_frozen_bit_for_bit(form15_small):
+    # any change to node placement or summation order moves these bits
+    rough = petersson_quadrature(form15_small, tol=1e-3, n_leg=4)
+    assert rough.value == 0.05654015872824968
+    assert rough.mesh_error == 2.1230408327188588e-08
+    assert rough.max_cutoff == 9.550641899748028
+
+
+def test_petersson_quadrature_computes_each_rule_once(form15_small, monkeypatch):
+    orders = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        orders.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    petersson_quadrature(form15_small, tol=1e-3, n_leg=4)
+    assert orders == [4, 8]  # coarse and fine node counts, once each
+
+
 # ---------------------------------------------------------------------------
 # fixture parsing and the constants report
 
@@ -199,6 +220,21 @@ def test_default_fixture_ships_with_the_package():
     l1, l1p = load_lvalue_fixture(default_fixture_path())
     assert l1 == L1_15A1
     assert l1p == L1P_15A1
+
+
+def test_default_fixture_names_its_curve():
+    curve = (1, 1, 1, -10, -10)
+    assert load_lvalue_fixture(default_fixture_path(), curve) == (L1_15A1, L1P_15A1)
+    with pytest.raises(ValueError, match="not 0,-1,1,-2,2"):
+        load_lvalue_fixture(default_fixture_path(), (0, -1, 1, -2, 2))
+
+
+def test_fixture_without_curve_is_refused_only_when_one_is_required(tmp_path):
+    p = tmp_path / "f.txt"
+    p.write_text("L1 0.5\n")
+    assert load_lvalue_fixture(str(p)) == (0.5, None)
+    with pytest.raises(ValueError, match="does not name its curve"):
+        load_lvalue_fixture(str(p), (1, 1, 1, -10, -10))
 
 
 def test_build_theory_report_round_trips(lfix):
