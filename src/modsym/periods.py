@@ -12,6 +12,10 @@ m_plus(r) = -2 pi Im P(r).  The classical symbol is i * m_minus(r); only the
 real convention is stored.  Well-definedness of individual symbols up to
 cusp-pair offsets is inherited from the period table's relation residuals,
 which the build records and the gates check.
+
+By Manin-Drinfeld every real class weight 2 pi Re W_k is an integer multiple
+n_k of one quantum; the table certifies that lattice (certify_lattice) and
+the real symbol is evaluated exactly as quantum * sum n_k.
 """
 from __future__ import annotations
 
@@ -102,6 +106,8 @@ class PeriodTable:
     function because f dz is level-q invariant.  residual_two/three record
     the worst two-term and three-term relation defects measured at build;
     curve is the Weierstrass model of the form the table was built from.
+    lattice[k] is the integer n_k with 2 pi Re values[k] ~ n_k * quantum,
+    and lattice_residual the worst deviation |2 pi Re W_k - n_k quantum|.
     """
 
     q: int
@@ -110,7 +116,10 @@ class PeriodTable:
     values: np.ndarray
     residual_two: float
     residual_three: float
-    curve: tuple[int, int, int, int, int] | None = None
+    curve: tuple[int, int, int, int, int] | None
+    quantum: float
+    lattice: np.ndarray
+    lattice_residual: float
 
     def index_of(self, c: int, d: int) -> int:
         return self.classes.index_of(c, d)
@@ -134,6 +143,41 @@ def _relation_residuals(q: int, classes: P1Table, values: np.ndarray) -> tuple[f
     return r2, r3
 
 
+def lattice_bound(tol: float) -> float:
+    """Largest accepted |2 pi Re W_k - n_k * quantum| for a table built at tol."""
+    return 2.0 * math.pi * 10.0 * tol
+
+
+def certify_lattice(weights: np.ndarray, bound: float) -> tuple[float, np.ndarray, float]:
+    """Fit the real class weights onto the integer multiples of one quantum.
+
+    Tries quantum = (smallest weight above bound) / j for j = 1..12 and keeps
+    the first that puts every weight within bound of an int8 multiple.
+    Returns (quantum, lattice, residual); when no j fits, the j = 1 fit, whose
+    residual then exceeds bound, so the caller's gate refuses the table.
+    """
+    nonzero = np.abs(weights[np.abs(weights) > bound])
+    if nonzero.size == 0:
+        raise ValueError("every real class weight is zero: no symbol lattice")
+    fits = []
+    for j in range(1, 13):
+        quantum = float(nonzero.min()) / j
+        lattice = np.clip(np.rint(weights / quantum), -127, 127).astype(np.int8)
+        fits.append((quantum, lattice, float(np.max(np.abs(weights - quantum * lattice)))))
+    return next((fit for fit in fits if fit[2] <= bound), fits[0])
+
+
+def _table_from_values(
+    q: int, tol: float, classes: P1Table, values: np.ndarray,
+    curve: tuple[int, int, int, int, int] | None,
+) -> PeriodTable:
+    r2, r3 = _relation_residuals(q, classes, values)
+    quantum, lattice, residual = certify_lattice(
+        2.0 * math.pi * values.real, lattice_bound(tol)
+    )
+    return PeriodTable(q, tol, classes, values, r2, r3, curve, quantum, lattice, residual)
+
+
 def build_period_table(f: Eigenform, tol: float = 1e-12) -> PeriodTable:
     """Evaluate the period of every class from two antiderivative values.
 
@@ -154,9 +198,8 @@ def build_period_table(f: Eigenform, tol: float = 1e-12) -> PeriodTable:
     values = np.empty(len(classes), dtype=np.complex128)
     for k, (sh_g, sh_gs) in enumerate(shifts):
         values[k] = -sh_g.e * f_vals[k, 0] + sh_gs.e * f_vals[k, 1]
-    r2, r3 = _relation_residuals(q, classes, values)
     curve = f.curve.coefficients if f.curve is not None else None
-    return PeriodTable(q, tol, classes, values, r2, r3, curve)
+    return _table_from_values(q, tol, classes, values, curve)
 
 
 def lift_class_from_index(classes: P1Table, k: int) -> Mat2:
@@ -164,13 +207,18 @@ def lift_class_from_index(classes: P1Table, k: int) -> Mat2:
     return lift_class(P1Class(classes.q, c, d))
 
 
-def period_sum(r: Fraction, table: PeriodTable) -> complex:
-    """P(r) along the Manin path; exact 1-periodicity via a mod c reduction."""
+def _path_classes(r: Fraction, table: PeriodTable) -> list[int]:
+    """Classes along the Manin path of r, reduced mod 1 (exact periodicity)."""
     c = r.denominator
     a = r.numerator % c
+    return [table.index_of(g.c, g.d) for g in cf_decompose(Fraction(a, c))]
+
+
+def period_sum(r: Fraction, table: PeriodTable) -> complex:
+    """P(r) along the Manin path; exact 1-periodicity via a mod c reduction."""
     total = 0j
-    for g in cf_decompose(Fraction(a, c)):
-        total += table.values[table.index_of(g.c, g.d)]
+    for k in _path_classes(r, table):
+        total += table.values[k]
     return complex(total)
 
 
@@ -201,16 +249,17 @@ class SymbolValue:
 
 
 def symbol(r: Fraction, table: PeriodTable) -> SymbolValue:
-    """Both symbol components at the rational r, reduced into [0, 1)."""
+    """Both symbol components at the rational r, reduced into [0, 1); m_minus
+    is exact on the certified lattice, quantum times the path's integer sum."""
     c = r.denominator
     a = r.numerator % c
-    p = period_sum(Fraction(a, c), table)
+    n = int(table.lattice[_path_classes(r, table)].sum())
     return SymbolValue(
         numer=a,
         denom=c,
         d=math.gcd(c, table.q),
-        m_minus=2.0 * math.pi * p.real,
-        m_plus=-2.0 * math.pi * p.imag,
+        m_minus=table.quantum * n,
+        m_plus=-2.0 * math.pi * period_sum(r, table).imag,
     )
 
 
@@ -295,5 +344,4 @@ def read_table_cache(path: str) -> PeriodTable:
             raise CacheFormatError(
                 f"period table has {seen} entries, expected {len(classes)}"
             )
-    r2, r3 = _relation_residuals(q, classes, values)
-    return PeriodTable(q, tol, classes, values, r2, r3, curve)
+    return _table_from_values(q, tol, classes, values, curve)

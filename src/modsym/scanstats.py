@@ -2,8 +2,9 @@
 
 Enumerates the sample points a/c with c up to M (optionally restricted to a
 gcd class with the level and to a subinterval of [0,1)), evaluates the real
-symbol on every point through a vectorized continued-fraction engine, and
-reduces the values to per-denominator moment rows.  On top of the rows sit
+symbol on every point in one sweep of the continued-fraction tree over the
+certified integer class weights, and reduces the lattice values to
+per-denominator moment rows in exact integers.  On top of the rows sit
 the variance fits, the mean-decay and Weyl-sum reports, the contiguous
 averages, and the standardized distribution report.  The Weyl sums read no
 symbol value: over the coprime residues of c they are Ramanujan sums, which
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats as _stats
 
 from .eigenform import _smallest_prime_factors
 from .exactmath import divisors
@@ -102,67 +102,94 @@ def enumerate_points(spec: ScanSpec):
                 yield (c, a)
 
 
-MEMO_MAX = 4096  # largest denominator whose dense array SymbolStore keeps
+CHUNK = 1 << 18  # most tree children the sweep expands in one numpy pass
+SENTINEL = -128  # table entry at the residues a with gcd(a, c) > 1
+_BIN_VALUE = np.arange(256, dtype=np.uint8).view(np.int8)  # bincount bin -> n
+
+
+def _offset(c):
+    """Start of row c (residues a = 0 .. c-1) in the flat table."""
+    return c * (c - 1) // 2
 
 
 class SymbolStore:
-    """Dense per-denominator symbol arrays with a bounded memo.
+    """Every real symbol a/c with c up to a bound, on the certified lattice.
 
-    dense(c)[a] is the real symbol at a/c for gcd(a,c)=1 and 0 elsewhere.
-    Arrays for c up to MEMO_MAX are kept; larger ones are recomputed per
-    call.  The engine walks every continued fraction for a denominator
-    at once: lanes are the coprime residues, each Euclid step advances the
-    convergent denominators, and the class of the current path matrix is
-    looked up from its bottom row (q_j, +-q_{j-1}) in the flat orbit table.
+    Row c of one flat int8 table holds n with m_minus(a/c) = quantum * n at
+    the coprime a and SENTINEL elsewhere; dense(c) is quantum * row(c) with 0
+    off the coprimes.  One depth-first sweep of the continued-fraction tree
+    fills the table: a node ends in (q_j, q_{j-1}, p_j, p_{j-1}, n_j), its
+    children b >= 1 with q = b q_j + q_{j-1} <= bound add the weight of the
+    class (q : +-q_j), and a child with b >= 2 is the point p/q, so each
+    point costs O(1).  The table grows, at least doubling, to the largest c
+    asked for; reserve(m) sizes it exactly.
     """
 
     def __init__(self, table: PeriodTable):
-        self.table = table
         self.q = table.q
-        self._flat = np.asarray(table.classes.flat, dtype=np.int64)
-        self._w_re = np.ascontiguousarray(table.values.real)
-        self._idx_10 = table.index_of(1, 0)
-        self._memo: dict[int, np.ndarray] = {}
+        self.quantum = table.quantum
+        # weight of the class (u : v) at u * q + v
+        self._step = table.lattice.astype(np.int64)[np.asarray(table.classes.flat)]
+        self._first = int(table.lattice[table.index_of(1, 0)])
+        self._m = 0
+        self._flat = np.zeros(0, dtype=np.int8)
+
+    def reserve(self, m: int) -> None:
+        if m > self._m:
+            self._compute(m)
+
+    def row(self, c: int) -> np.ndarray:
+        if c > self._m:
+            self._compute(max(c, 2 * self._m))
+        return self._flat[_offset(c) : _offset(c + 1)]
 
     def dense(self, c: int) -> np.ndarray:
-        if c <= MEMO_MAX:
-            got = self._memo.get(c)
-            if got is None:
-                got = self._memo[c] = self._compute(c)
-            return got
-        return self._compute(c)
-
-    def _compute(self, c: int) -> np.ndarray:
-        out = np.zeros(c)
-        q = self.q
-        w_first = self._w_re[self._idx_10]
-        if c == 1:
-            out[0] = 2.0 * math.pi * w_first
-            return out
-        a = np.arange(c, dtype=np.int64)
-        pos = a[np.gcd(a, c) == 1]
-        out[pos] = w_first
-        u_prev = np.full(pos.shape, c, dtype=np.int64)
-        u_cur = pos.copy()
-        q_prev = np.zeros(pos.shape, dtype=np.int64)
-        q_cur = np.ones(pos.shape, dtype=np.int64)
-        sign = 1
-        while pos.size:
-            b = u_prev // u_cur
-            u_prev, u_cur = u_cur, u_prev - b * u_cur
-            q_prev, q_cur = q_cur, b * q_cur + q_prev
-            cls = self._flat[(q_cur % q) * q + (sign * q_prev) % q]
-            out[pos] += self._w_re[cls]
-            sign = -sign
-            keep = u_cur > 0
-            if not keep.all():
-                pos = pos[keep]
-                u_prev = u_prev[keep]
-                u_cur = u_cur[keep]
-                q_prev = q_prev[keep]
-                q_cur = q_cur[keep]
-        out *= 2.0 * math.pi
+        row = self.row(c)
+        out = self.quantum * row
+        out[row == SENTINEL] = 0.0
         return out
+
+    def _compute(self, m: int) -> None:
+        q = self.q
+        flat = np.full(_offset(m + 1), SENTINEL, dtype=np.int8)
+        flat[0] = self._first  # c = 1 holds a = 0 only
+
+        def put(b, qc, pc, nc):
+            point = b >= 2
+            vals = nc[point]
+            if vals.size and max(-vals.min(), vals.max()) > 127:
+                raise OverflowError(f"a symbol below c={m} leaves the int8 lattice")
+            flat[_offset(qc[point]) + pc[point]] = vals
+
+        # entries: (depth of the children, q_j, q_{j-1}, p_j, p_{j-1}, n_j)
+        stack = [(1, *(np.array([v]) for v in (1, 0, 0, 1, self._first)))]
+        while stack:
+            depth, *node = stack.pop()
+            qj, qj1, pj, pj1, nj = node
+            kids = (m - qj1) // qj  # every stacked node has at least one
+            grow = kids - 1  # children b < kids have children of their own
+            ends = np.cumsum(grow)
+            total = int(ends[-1])
+            if total > CHUNK and qj.size > 1:
+                h = qj.size // 2
+                stack += [(depth, *(x[h:] for x in node)), (depth, *(x[:h] for x in node))]
+                continue
+            rq = (qj if depth % 2 else -qj) % q
+            qc = kids * qj + qj1  # the last child, b = kids, is a leaf
+            put(kids, qc, kids * pj + pj1, nj + self._step[(qc % q) * q + rq])
+            if total == 0:
+                continue
+            parent = np.repeat(np.arange(qj.size), grow)
+            b = np.arange(1, total + 1) - np.repeat(ends - grow, grow)
+            qp = qj[parent]
+            pp = pj[parent]
+            qc = b * qp + qj1[parent]
+            pc = b * pp + pj1[parent]
+            nc = nj[parent] + self._step[(qc % q) * q + rq[parent]]
+            put(b, qc, pc, nc)
+            stack.append((depth + 1, qc, qp, pc, pp, nc))
+        self._flat = flat
+        self._m = m
 
 
 def _window(c: int, x0: Fraction, x1: Fraction) -> tuple[int, int]:
@@ -170,41 +197,33 @@ def _window(c: int, x0: Fraction, x1: Fraction) -> tuple[int, int]:
     return math.ceil(c * x0), math.ceil(c * x1)
 
 
-def _power_sums(vals: np.ndarray, k_max: int) -> list[float]:
-    """[sum vals, sum vals^2, ..., sum vals^k_max], powers built by repeated products."""
-    sums = []
-    power = np.ones_like(vals)
-    for _ in range(k_max):
-        power = power * vals
-        sums.append(float(np.sum(power)))
-    return sums
+def _lattice_sums(row: np.ndarray, k_max: int, quantum: float) -> tuple[int, list[float]]:
+    """Coprime count of a table slice and its S_k = quantum^k sum n^k, k <= k_max,
+    with the sums over n taken in exact integers from one bincount."""
+    counts = np.bincount(row.view(np.uint8), minlength=256)
+    counts[SENTINEL % 256] = 0
+    bins = np.flatnonzero(counts)
+    ns, cs = _BIN_VALUE[bins].tolist(), counts[bins].tolist()
+    sums = [quantum**k * sum(c * n**k for n, c in zip(ns, cs)) for k in range(1, k_max + 1)]
+    return sum(cs), sums
 
 
 def _row_for(spec: ScanSpec, store: SymbolStore, c: int) -> AggregateRow:
-    dense = store.dense(c)
-    ar = np.arange(c, dtype=np.int64)
-    coprime = np.gcd(ar, c) == 1
-    vals = dense[coprime]
-    a_cop = ar[coprime]
-
-    sums = _power_sums(vals, spec.k_max)
+    row = store.row(c)
+    phi, sums = _lattice_sums(row, spec.k_max, store.quantum)
     if not all(math.isfinite(v) for v in sums):
         raise OverflowError(f"moment accumulator overflowed at c={c}")
-
     a_lo, a_hi = _window(c, spec.x0, spec.x1)
-    vals_int = vals[(a_cop >= a_lo) & (a_cop < a_hi)]
-    return AggregateRow(
-        c=c,
-        d=math.gcd(c, spec.q),
-        phi=int(vals.size),
-        s=tuple(sums),
-        n_int=int(vals_int.size),
-        s_int=tuple(_power_sums(vals_int, spec.k_max)),
-    )
+    if a_hi - a_lo == c:
+        n_int, sums_int = phi, sums
+    else:
+        n_int, sums_int = _lattice_sums(row[a_lo:a_hi], spec.k_max, store.quantum)
+    return AggregateRow(c, math.gcd(c, spec.q), phi, tuple(sums), n_int, tuple(sums_int))
 
 
 def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
     """One AggregateRow per admissible denominator, in ascending c."""
+    store.reserve(spec.m_max)
     return [_row_for(spec, store, c) for c in range(1, spec.m_max + 1) if spec.wants(c)]
 
 
@@ -255,24 +274,23 @@ def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.nda
     the symbol at a/c (unreduced a evaluated via its reduced fraction), over
     all denominators c <= M; real convention.
 
-    Thresholds floor(c x) are exact because the grid points are Fractions.
+    Thresholds floor(c x) are exact because the grid points are Fractions,
+    and the partial sums are exact integers on the symbol lattice.
     """
     for x in xs:
         if not 0 <= x <= 1:
             raise ValueError("grid points must lie in [0, 1]")
+    store.reserve(m_max)
+    nums = np.array([x.numerator for x in xs], dtype=np.int64)
+    dens = np.array([x.denominator for x in xs], dtype=np.int64)
     out = np.zeros(len(xs))
     for c in range(1, m_max + 1):
-        v_full = np.empty(c)
+        v_full = np.empty(c + 1, dtype=np.int64)
         for g in divisors(c):
-            v_full[::g] = store.dense(c // g)  # ascending g: last write is g=gcd
-        pref = np.cumsum(v_full)
-        for i, x in enumerate(xs):
-            k = (c * x.numerator) // x.denominator
-            if k >= c:
-                out[i] += (pref[c - 1] + v_full[0]) / c  # a=c term equals a=0
-            else:
-                out[i] += pref[k] / c
-    return out / m_max
+            v_full[:c:g] = store.row(c // g)  # ascending g: last write is g=gcd
+        v_full[c] = v_full[0]  # the a=c term equals a=0
+        out += np.cumsum(v_full)[c * nums // dens] / c
+    return store.quantum * out / m_max
 
 
 @dataclass(frozen=True)
@@ -437,7 +455,10 @@ def distribution_report(
     """Collect the symbol values of one gcd class, standardize, and compare
     against the standard normal: moments up to k_max, KS distance, histogram.
     """
+    from scipy import stats  # deferred: its import costs about a second
+
     q = store.q
+    store.reserve(c_max)
     half_log_class = 0.5 * math.log(q / d)
     zs_shift = []
     zs_slope = []
@@ -451,8 +472,8 @@ def distribution_report(
                 f"modelled variance is not positive at c={c}; raise c_min"
             )
         a_lo, a_hi = _window(c, x0, x1)
-        window = np.arange(a_lo, a_hi, dtype=np.int64)
-        vals = store.dense(c)[a_lo:a_hi][np.gcd(window, c) == 1]
+        window = store.row(c)[a_lo:a_hi]
+        vals = store.quantum * window[window != SENTINEL]
         zs_shift.append(vals / math.sqrt(var_shift))
         zs_slope.append(vals / math.sqrt(var_slope))
     if not zs_shift:
@@ -461,7 +482,7 @@ def distribution_report(
     z_slope = np.concatenate(zs_slope)
 
     def raw_moments(z):
-        return tuple(s / z.size for s in _power_sums(z, k_max))
+        return tuple(float(np.mean(z**k)) for k in range(1, k_max + 1))
 
     edges = np.linspace(-span, span, bins + 1)
     counts, _ = np.histogram(z_shift, bins=edges)
@@ -475,8 +496,8 @@ def distribution_report(
         shift_used=shift_real,
         moments_shift=raw_moments(z_shift),
         moments_slope=raw_moments(z_slope),
-        ks_shift=float(_stats.kstest(z_shift, "norm").statistic),
-        ks_slope=float(_stats.kstest(z_slope, "norm").statistic),
+        ks_shift=float(stats.kstest(z_shift, "norm").statistic),
+        ks_slope=float(stats.kstest(z_slope, "norm").statistic),
         hist_edges=edges,
         hist_counts=counts,
     )
@@ -540,13 +561,15 @@ def write_fit_csv(
 def write_dist_csv(
     path: str, report: DistributionReport, fingerprint: str | None = None
 ) -> None:
+    from scipy import stats
+
     with _open_csv(path, fingerprint) as fh:
         fh.write("bin_lo,bin_hi,count,phi_cdf\n")
         for lo, hi, n in zip(
             report.hist_edges[:-1], report.hist_edges[1:], report.hist_counts
         ):
             fh.write(
-                f"{_g(lo)},{_g(hi)},{int(n)},{_g(_stats.norm.cdf(hi))}\n"
+                f"{_g(lo)},{_g(hi)},{int(n)},{_g(stats.norm.cdf(hi))}\n"
             )
 
 

@@ -35,6 +35,7 @@ from .periods import (
     build_period_table,
     direct_symbol_oracle,
     hecke_residual,
+    lattice_bound,
     period_sum,
     read_table_cache,
     symbol,
@@ -239,7 +240,8 @@ def _read_table(cfg: RunConfig, path: str) -> PeriodTable | None:
 
 
 def _table(cfg: RunConfig, f: Eigenform) -> PeriodTable:
-    """Load the period table from cache or build it; gate residuals at 10 tol."""
+    """Load the period table from cache or build it; gate the relation
+    residuals at 10 tol and the symbol lattice at 2 pi * 10 tol."""
     path = _table_cache_path(cfg)
     table = _read_table(cfg, path)
     fresh = table is None
@@ -250,6 +252,11 @@ def _table(cfg: RunConfig, f: Eigenform) -> PeriodTable:
         raise GateFailure(
             f"period-table relation residual {worst:.3g} exceeds 10*tol; "
             "refusing to persist or use the table"
+        )
+    if table.lattice_residual > lattice_bound(cfg.tol):
+        raise GateFailure(
+            f"symbol lattice residual {table.lattice_residual:.3g} exceeds "
+            "2*pi*10*tol; refusing to persist or use the table"
         )
     if fresh:
         os.makedirs(cfg.cache_dir, exist_ok=True)
@@ -282,6 +289,9 @@ def cmd_table(cfg: RunConfig, args) -> int:
     print(f"period table: {len(table.classes)} classes at tol {cfg.tol:g}")
     print(f"two-term residual:   {table.residual_two:.3e}")
     print(f"three-term residual: {table.residual_three:.3e}")
+    n_max = max(abs(int(n)) for n in table.lattice)
+    print(f"symbol lattice: quantum {table.quantum:.15g}, |n| <= {n_max}, "
+          f"residual {table.lattice_residual:.3e}")
     print(f"cache: {_table_cache_path(cfg)}")
     return EXIT_OK
 
@@ -455,11 +465,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     table = _table(cfg, f)
     gate("relation_two_term", table.residual_two, 2.0 * cfg.tol)
     gate("relation_three_term", table.residual_three, 3.0 * cfg.tol)
+    gate("symbol_lattice", table.lattice_residual, lattice_bound(cfg.tol))
 
-    s0 = symbol(Fraction(0, 1), table)
+    p0 = period_sum(Fraction(0, 1), table)
     l_at_1 = lfun1(f)
-    gate("value_at_zero_plus", abs(s0.m_plus - l_at_1), 1e-8)
-    gate("value_at_zero_minus", abs(s0.m_minus), 1e-8)
+    gate("value_at_zero_plus", abs(-2.0 * math.pi * p0.imag - l_at_1), 1e-8)
+    gate("value_at_zero_minus", abs(2.0 * math.pi * p0.real), 1e-8)
 
     norm = petersson_quadrature(f, tol=1e-5)
     recovered = sym2_l_from_petersson(f, norm.value)

@@ -17,8 +17,10 @@ import pytest
 
 from modsym import eigenform
 from modsym.eigenform import (
+    CurveSpec,
     Eigenform,
     TruncationError,
+    build_eigenform,
     form_values,
     lfun1,
     read_coeffs_cache,
@@ -28,15 +30,18 @@ from modsym.exactmath import Mat2, S_MAT, p1_table
 from modsym.periods import (
     ExpansionShift,
     build_period_table,
+    certify_lattice,
     cusp_shift,
     direct_symbol_oracle,
     hecke_residual,
+    lattice_bound,
     lift_class_from_index,
     period_sum,
     read_table_cache,
     symbol,
     write_table_cache,
 )
+from modsym.scanstats import SymbolStore
 
 T_MAT = Mat2(1, 1, 0, 1)
 V_MAT = Mat2(1, 0, 15, 1)  # generator with lower-left divisible by the level
@@ -317,3 +322,75 @@ def test_failed_cache_write_keeps_previous_cache(
     write(str(path), obj)  # a later write succeeds and leaves nothing behind
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["cache.txt"]
+
+
+# ---------------------------------------------------------------------------
+# the symbol lattice
+
+
+def test_table_lattice_reproduces_the_real_weights(table15):
+    weights = 2.0 * math.pi * table15.values.real
+    assert table15.quantum == pytest.approx(0.798121111065892, abs=1e-12)
+    assert table15.lattice.dtype == np.int8
+    assert table15.lattice_residual <= lattice_bound(1e-12)
+    assert np.max(np.abs(weights - table15.quantum * table15.lattice)) == (
+        table15.lattice_residual
+    )
+
+
+def test_certification_refuses_a_weight_moved_off_the_lattice(table15):
+    bound = lattice_bound(1e-12)
+    weights = 2.0 * math.pi * table15.values.real
+    for k in range(len(weights)):
+        moved = weights.copy()
+        moved[k] += 1e-6
+        _, _, residual = certify_lattice(moved, bound)
+        assert residual > bound
+
+
+def test_cached_table_rederives_the_lattice(tmp_path, table15):
+    path = tmp_path / "table.txt"
+    write_table_cache(str(path), table15)
+    back = read_table_cache(str(path))
+    assert back.quantum == table15.quantum
+    assert np.array_equal(back.lattice, table15.lattice)
+    assert back.lattice_residual == table15.lattice_residual
+
+
+_CURVES_57 = {
+    "57a1": ((0, -1, 1, -2, 2), 0.95916),
+    "57b1": ((0, 1, 1, 20, -32), 0.92672),
+    "57c1": ((1, 0, 1, -7, 5), 0.75202),
+}
+
+
+@pytest.fixture(scope="module")
+def tables57():
+    return {
+        label: build_period_table(build_eigenform(CurveSpec(*curve, q=57), n_max=500))
+        for label, (curve, _) in _CURVES_57.items()
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_CURVES_57))
+def test_conductor_57_lattices_are_certified(label, tables57):
+    table = tables57[label]
+    weights = 2.0 * math.pi * table.values.real
+    assert table.quantum == pytest.approx(_CURVES_57[label][1], abs=5e-6)
+    # j = 1: the quantum is itself the smallest nonzero weight
+    assert table.quantum == np.min(np.abs(weights[table.lattice != 0]))
+    assert int(np.max(np.abs(table.lattice.astype(int)))) <= 4
+    assert table.lattice_residual <= lattice_bound(table.tol)
+
+
+def test_conductor_57_engine_matches_symbols(tables57):
+    table = tables57["57a1"]
+    store = SymbolStore(table)
+    store.reserve(300)
+    for c in range(1, 301):
+        dense = store.dense(c)
+        for a in range(c):
+            if math.gcd(a, c) == 1:
+                assert dense[a] == symbol(Fraction(a, c), table).m_minus
+            else:
+                assert dense[a] == 0.0

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modsym.periods import symbol
 from modsym.scanstats import (
-    MEMO_MAX,
     AggregateRow,
     ScanSpec,
     SymbolStore,
@@ -116,22 +117,35 @@ def test_engine_matches_path_evaluator_exactly(store15, table15):
 def test_engine_recompute_path_matches_memo(table15):
     store = SymbolStore(table15)
     rng = random.Random(11)
-    for c in (MEMO_MAX + 1, 4801, 6007):
-        # above the memo bound nothing is kept, so a second call recomputes
+    for c in (4097, 4801, 6007):
+        # each denominator grows the table past the previous one
         first = store.dense(c)
         again = store.dense(c)
-        assert first is not again
         assert np.array_equal(first, again)
-        assert c not in store._memo
         for a in rng.sample(range(1, c), 5):
             if math.gcd(a, c) == 1:
                 assert first[a] == symbol(Fraction(a, c), table15).m_minus
 
 
 def test_engine_memo_returns_same_array(table15):
+    # a row read before the table grows equals the same row read after
     store = SymbolStore(table15)
-    assert store.dense(20) is store.dense(20)
-    assert store.dense(MEMO_MAX) is store.dense(MEMO_MAX)
+    small = store.dense(20)
+    assert np.array_equal(store.dense(20), small)
+    store.reserve(4096)
+    assert np.array_equal(store.dense(20), small)
+    assert np.array_equal(store.dense(4096), store.dense(4096))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.integers(min_value=1, max_value=3000), data=st.data())
+def test_engine_is_exact_at_random_points(store15, table15, c, data):
+    a = data.draw(st.integers(min_value=0, max_value=c - 1))
+    dense = store15.dense(c)
+    if math.gcd(a, c) == 1:
+        assert dense[a] == symbol(Fraction(a, c), table15).m_minus
+    else:
+        assert dense[a] == 0.0
 
 
 def test_engine_denominator_one(store15, table15):
@@ -171,6 +185,14 @@ def test_row_against_manual_reduction(store15, table15):
     assert row.n_int == 2
     window_vals = [symbol(Fraction(a, 12), table15).m_minus for a in (5, 7)]
     assert row.s_int[0] == pytest.approx(sum(window_vals), abs=1e-12)
+
+
+def test_full_rows_have_vanishing_odd_moments_and_totient_counts(store15):
+    rows = scan(ScanSpec(q=15, m_max=400), store15)
+    for row in rows:
+        assert row.phi == _totient(row.c)
+        assert row.s[0] == 0.0 and row.s[2] == 0.0
+        assert row.n_int == row.phi and row.s_int == row.s
 
 
 def _weyl_oracle(c: int, n: int) -> complex:

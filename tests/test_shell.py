@@ -6,7 +6,11 @@ period-table cache so the individual commands stay fast.
 """
 import json
 import logging
+import math
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -228,6 +232,22 @@ def test_tampered_table_cache_trips_the_gate(cli, tmp_path, capsys):
     assert "gate failure" in capsys.readouterr().err
 
 
+def test_table_off_the_lattice_trips_the_gate(tmp_path, monkeypatch, capsys):
+    import modsym.shell as shell
+
+    build = shell.build_period_table
+    monkeypatch.setattr(
+        shell,
+        "build_period_table",
+        lambda f, tol: replace(build(f, tol), lattice_residual=1e-6),
+    )
+    cache = tmp_path / "cache"
+    code = main(["table", "--cache-dir", str(cache), "--n-max", N_MAX])
+    assert code == EXIT_GATE
+    assert "symbol lattice residual" in capsys.readouterr().err
+    assert not list(cache.glob("table-*.txt"))  # refused tables are not persisted
+
+
 def test_truncated_table_cache_is_rebuilt(cli, tmp_path, caplog):
     run, cache, _ = cli
     bad_cache = tmp_path / "cache"
@@ -378,6 +398,7 @@ def test_verify_runs_every_gate(cli, capsys):
     assert names == [
         "relation_two_term",
         "relation_three_term",
+        "symbol_lattice",
         "value_at_zero_plus",
         "value_at_zero_minus",
         "fixture_sym2_recovery",
@@ -386,6 +407,20 @@ def test_verify_runs_every_gate(cli, capsys):
         "variance_shifts",
     ]
     assert all(g["passed"] for g in verdict["gates"])
+    lattice = verdict["gates"][2]
+    assert lattice["threshold"] == 2.0 * math.pi * 10.0 * 1e-12
+    assert lattice["value"] <= 1e-14
     assert verdict["fingerprint"] == RunConfig(
         m_max=600, n_max=int(N_MAX)
     ).fingerprint()
+
+
+def test_importing_the_shell_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import; only dist needs it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = "import sys, modsym.shell; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
