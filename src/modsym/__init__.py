@@ -45,7 +45,6 @@ from .scanstats import (
     contiguous_avg,
     distribution_report,
     enumerate_points,
-    mean_decay_report,
     scan,
     variance_fit,
     weyl_report,

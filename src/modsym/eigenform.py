@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,7 +159,6 @@ class Eigenform:
     coeffs: np.ndarray
     al_signs: dict[int, int]
     curve: CurveSpec | None = None
-    prime_traces: dict[int, int] = field(default_factory=dict)
 
     @property
     def n_max(self) -> int:
@@ -204,7 +203,7 @@ def build_eigenform(curve: CurveSpec, n_max: int = 100000) -> Eigenform:
             )
     coeffs = hecke_extend(traces, curve.q, n_max)
     signs = {p: -traces[p] for p in squarefree_factors(curve.q)}
-    return Eigenform(curve.q, coeffs, signs, curve, traces)
+    return Eigenform(curve.q, coeffs, signs, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +297,6 @@ def antiderivative_batch(f: Eigenform, zs, plan: TruncationPlan) -> np.ndarray:
     return _series(zs, f.coeffs[1 : n_terms + 1] / (2j * np.pi * ns))
 
 
-def antiderivative_F(f: Eigenform, z: complex, plan: TruncationPlan) -> complex:
-    return complex(antiderivative_batch(f, [z], plan)[0])
-
-
 def form_values(f: Eigenform, zs, tol: float = 1e-10) -> np.ndarray:
     """The form itself, f(z) = sum a(n) e(nz), certified to tol at each z."""
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
@@ -333,7 +328,7 @@ def lfun1(f: Eigenform, tol: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient cache
+# Caches: one header-checked text format, and the coefficient cache
 
 _COEFFS_MAGIC = "modsym-coeffs v2"
 
@@ -353,16 +348,21 @@ def parse_curve(text: str) -> tuple[int, int, int, int, int]:
     return parts
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text to a temp file beside path, then os.replace it into place.
+def _header(magic: str, fields: dict) -> str:
+    return " ".join([magic, *(f"{k}={v}" for k, v in fields.items())])
 
-    Readers see the old file or the new one, never a partial write; the temp
-    file is removed when the write fails.
+
+def write_cache(path: str, magic: str, fields: dict, body) -> None:
+    """Write the header `magic k=v ...` and then the body lines, atomically.
+
+    The text goes to a temp file beside path, which os.replace moves into
+    place, so readers see the old file or the new one, never a partial write;
+    the temp file is removed when the write fails.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.write("\n".join([_header(magic, fields), *body]) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -370,80 +370,71 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def read_cache(path: str, magic: str, fields: dict):
+    """Yield the body rows, split on whitespace, of a write_cache file whose
+    header is exactly the one write_cache makes from magic and fields: the
+    identity of the cache is checked on every read, before the first row."""
+    want = _header(magic, fields)
+    with open(path, encoding="ascii") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != want:
+            raise CacheFormatError(f"cache header {header!r} is not {want!r}")
+        for line in fh:
+            if not line.isspace():
+                yield line.split()
+
+
+def read_usable(path: str, what: str, read, *identity):
+    """read(path, *identity), or None when the cache is missing or, with a
+    warning, unusable; the caller then builds the data and rewrites it."""
+    if not os.path.exists(path):
+        return None
+    try:
+        return read(path, *identity)
+    except ValueError as exc:  # CacheFormatError and malformed body lines
+        log.warning("%s cache %s is unusable (%s); rebuilding", what, path, exc)
+        return None
+
+
+def _coeffs_identity(curve: CurveSpec, n_max: int) -> dict:
+    return {"q": curve.q, "N": n_max, "curve": format_curve(curve.coefficients)}
+
+
 def write_coeffs_cache(path: str, f: Eigenform) -> None:
     """Plain-text coefficients; the header names the level, length and curve."""
-    curve = format_curve(f.curve.coefficients)
-    lines = [f"{_COEFFS_MAGIC} q={f.q} N={f.n_max} curve={curve}"]
-    lines += [f"{n} {int(f.coeffs[n])}" for n in range(1, f.n_max + 1)]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    body = (f"{n} {a}" for n, a in enumerate(f.coeffs[1:].tolist(), 1))
+    write_cache(path, _COEFFS_MAGIC, _coeffs_identity(f.curve, f.n_max), body)
 
 
-def read_coeffs_cache(path: str) -> tuple[int, tuple[int, ...], np.ndarray]:
-    """(level, curve coefficients, a(0..N)) from a write_coeffs_cache file."""
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if (
-            len(parts) != 5
-            or " ".join(parts[:2]) != _COEFFS_MAGIC
-            or not parts[2].startswith("q=")
-            or not parts[3].startswith("N=")
-            or not parts[4].startswith("curve=")
-        ):
-            raise CacheFormatError(f"bad coefficient cache header: {header!r}")
-        q = int(parts[2][2:])
-        n_max = int(parts[3][2:])
-        curve = parse_curve(parts[4][6:])
-        coeffs = np.zeros(n_max + 1, dtype=np.int64)
-        count = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            n_str, a_str = line.split()
-            n = int(n_str)
-            if not 1 <= n <= n_max:
-                raise CacheFormatError(f"coefficient index {n} out of range")
-            coeffs[n] = int(a_str)
-            count += 1
-        if count != n_max:
-            raise CacheFormatError(
-                f"coefficient cache has {count} entries, header says {n_max}"
-            )
-    return q, curve, coeffs
+def read_coeffs_cache(path: str, curve: CurveSpec, n_max: int) -> np.ndarray:
+    """a(0..n_max) from a write_coeffs_cache file of this curve and length,
+    which must list n = 1..n_max once each, in order."""
+    rows = read_cache(path, _COEFFS_MAGIC, _coeffs_identity(curve, n_max))
+    coeffs = np.zeros(n_max + 1, dtype=np.int64)
+    n = 0
+    for n, (n_s, a_s) in enumerate(rows, 1):
+        if n > n_max or n_s != str(n):
+            raise CacheFormatError(f"coefficient cache lists n = {n_s} in place of {n}")
+        coeffs[n] = int(a_s)
+    if n != n_max:
+        raise CacheFormatError(f"coefficient cache has {n} entries, not {n_max}")
+    return coeffs
 
 
 def load_or_build_eigenform(
     curve: CurveSpec, n_max: int, cache_dir: str | None = None
 ) -> Eigenform:
-    """Eigenform with cache-backed coefficients.
-
-    A cache that is corrupt, or written for another level or curve, is
-    rebuilt with a warning.
-    """
+    """Eigenform with cache-backed coefficients; a missing cache is built, and
+    a corrupt one, or one written for another level, length or curve, is
+    rebuilt with a warning."""
     if cache_dir is None:
         return build_eigenform(curve, n_max)
     os.makedirs(cache_dir, exist_ok=True)
     path = coeffs_cache_path(cache_dir, curve.q, n_max)
-    if os.path.exists(path):
-        try:
-            q, cached_curve, coeffs = read_coeffs_cache(path)
-            if (
-                q != curve.q
-                or cached_curve != curve.coefficients
-                or len(coeffs) - 1 < n_max
-            ):
-                raise CacheFormatError("cache does not match the requested build")
-            traces = _traces_from_coeffs(coeffs, n_max)
-            signs = {p: -int(coeffs[p]) for p in squarefree_factors(curve.q)}
-            return Eigenform(curve.q, coeffs[: n_max + 1], signs, curve, traces)
-        except (CacheFormatError, ValueError) as exc:
-            log.warning("coefficient cache %s is unusable (%s); rebuilding", path, exc)
+    coeffs = read_usable(path, "coefficient", read_coeffs_cache, curve, n_max)
+    if coeffs is not None:
+        signs = {p: -int(coeffs[p]) for p in squarefree_factors(curve.q)}
+        return Eigenform(curve.q, coeffs, signs, curve)
     f = build_eigenform(curve, n_max)
     write_coeffs_cache(path, f)
     return f
-
-
-def _traces_from_coeffs(coeffs: np.ndarray, n_max: int) -> dict[int, int]:
-    spf = _smallest_prime_factors(n_max)
-    return {p: int(coeffs[p]) for p in range(2, n_max + 1) if spf[p] == p}

@@ -32,8 +32,8 @@ from .eigenform import (
     al_sign,
     antiderivative_batch,
     format_curve,
-    parse_curve,
-    write_text_atomic,
+    read_cache,
+    write_cache,
 )
 from .exactmath import (
     Mat2,
@@ -303,45 +303,24 @@ def direct_symbol_oracle(
 _TABLE_MAGIC = "modsym-table v2"
 
 
+def _table_identity(q: int, tol: float, curve) -> dict:
+    return {"q": q, "tol": f"{tol:.17g}", "curve": format_curve(curve)}
+
+
 def write_table_cache(path: str, table: PeriodTable) -> None:
-    curve = format_curve(table.curve)
-    lines = [f"{_TABLE_MAGIC} q={table.q} tol={table.tol:.17g} curve={curve}"]
-    for k, (c, d) in enumerate(table.classes.reps):
-        w = table.values[k]
-        lines.append(f"{c}:{d} {w.real:.17g} {w.imag:.17g}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    body = (
+        f"{c}:{d} {w.real:.17g} {w.imag:.17g}"
+        for (c, d), w in zip(table.classes.reps, table.values)
+    )
+    write_cache(path, _TABLE_MAGIC, _table_identity(table.q, table.tol, table.curve), body)
 
 
-def read_table_cache(path: str) -> PeriodTable:
-    """Reload a persisted table; %.17g round-trips doubles bit-identically."""
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if (
-            len(parts) != 5
-            or " ".join(parts[:2]) != _TABLE_MAGIC
-            or not parts[2].startswith("q=")
-            or not parts[3].startswith("tol=")
-            or not parts[4].startswith("curve=")
-        ):
-            raise CacheFormatError(f"bad period table header: {header!r}")
-        q = int(parts[2][2:])
-        tol = float(parts[3][4:])
-        curve = parse_curve(parts[4][6:])
-        classes = p1_table(q)
-        values = np.zeros(len(classes), dtype=np.complex128)
-        seen = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, re_s, im_s = line.split()
-            c_s, d_s = key.split(":")
-            k = classes.index_of(int(c_s), int(d_s))
-            values[k] = float(re_s) + 1j * float(im_s)
-            seen += 1
-        if seen != len(classes):
-            raise CacheFormatError(
-                f"period table has {seen} entries, expected {len(classes)}"
-            )
+def read_table_cache(path: str, q: int, tol: float, curve) -> PeriodTable:
+    """Reload the table of this level, tolerance and curve, which must list
+    every class once, in canonical order; %.17g round-trips doubles exactly."""
+    rows = list(read_cache(path, _TABLE_MAGIC, _table_identity(q, tol, curve)))
+    classes = p1_table(q)
+    if [key for key, _, _ in rows] != [f"{c}:{d}" for c, d in classes.reps]:
+        raise CacheFormatError("period table does not list each class once, in order")
+    values = np.array([float(re_s) + 1j * float(im_s) for _, re_s, im_s in rows])
     return _table_from_values(q, tol, classes, values, curve)

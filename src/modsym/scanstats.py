@@ -5,10 +5,10 @@ gcd class with the level and to a subinterval of [0,1)), evaluates the real
 symbol on every point in one sweep of the continued-fraction tree over the
 certified integer class weights, and reduces the lattice values to
 per-denominator moment rows in exact integers.  On top of the rows sit
-the variance fits, the mean-decay and Weyl-sum reports, the contiguous
-averages, and the standardized distribution report.  The Weyl sums read no
-symbol value: over the coprime residues of c they are Ramanujan sums, which
-the report evaluates exactly in integers.
+the variance fits, the Weyl-sum report, the contiguous averages, and the
+standardized distribution report.  The Weyl sums read no symbol value: over
+the coprime residues of c they are Ramanujan sums, which the report
+evaluates exactly in integers.
 """
 from __future__ import annotations
 
@@ -28,8 +28,6 @@ __all__ = [
     "SymbolStore",
     "enumerate_points",
     "scan",
-    "mean_decay_report",
-    "MeanDecayReport",
     "contiguous_avg",
     "weyl_report",
     "WeylEntry",
@@ -67,10 +65,6 @@ class ScanSpec:
         if self.d_filter != "all":
             if not isinstance(self.d_filter, int) or self.q % self.d_filter:
                 raise ValueError(f"d_filter {self.d_filter!r} does not divide {self.q}")
-
-    @property
-    def full_interval(self) -> bool:
-        return self.x0 == 0 and self.x1 == 1
 
     def wants(self, c: int) -> bool:
         return self.d_filter == "all" or math.gcd(c, self.q) == self.d_filter
@@ -229,44 +223,6 @@ def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
 
 # ---------------------------------------------------------------------------
 # Reports on top of the rows
-
-
-@dataclass(frozen=True)
-class MeanDecayReport:
-    """Normalized means |S1/phi| sqrt(c), with the dyadic-window summary."""
-
-    cs: np.ndarray
-    normalized: np.ndarray
-    late_window: tuple[int, int]
-    early_window: tuple[int, int]
-    max_late: float
-    median_early: float
-
-
-def mean_decay_report(rows: list[AggregateRow]) -> MeanDecayReport:
-    """Summarize the root-denominator decay of the per-c means.
-
-    The late window is (M/2, M] and the early one (M/16, M/8]; the headline
-    comparison is max(late) against the median of the early window.
-    """
-    cs = np.array([row.c for row in rows])
-    means = np.array([row.s[0] / row.phi for row in rows])
-    normalized = np.abs(means) * np.sqrt(cs)
-    m = int(cs.max())
-    late = (m // 2, m)
-    early = (m // 16, m // 8)
-    in_late = (cs > late[0]) & (cs <= late[1])
-    in_early = (cs > early[0]) & (cs <= early[1])
-    if not in_late.any() or not in_early.any():
-        raise ValueError("not enough rows to fill the dyadic windows")
-    return MeanDecayReport(
-        cs=cs,
-        normalized=normalized,
-        late_window=late,
-        early_window=early,
-        max_late=float(normalized[in_late].max()),
-        median_early=float(np.median(normalized[in_early])),
-    )
 
 
 def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.ndarray:
@@ -504,58 +460,42 @@ def distribution_report(
 
 
 # ---------------------------------------------------------------------------
-# CSV writers (17 significant digits throughout)
+# CSV writers (floats with 17 significant digits throughout)
 
 
-def _g(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(v) -> str:
+    return str(v) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
 
 
-def _open_csv(path: str, fingerprint: str | None):
-    fh = open(path, "w", encoding="ascii", newline="")
-    if fingerprint:
-        fh.write(f"# fingerprint={fingerprint}\n")
-    return fh
+def _write_csv(path: str, fingerprint: str | None, head: list[str], rows) -> None:
+    """The fingerprint comment, the header, and one line per row of cells:
+    integers print as they are, every other cell as a 17-digit float."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        if fingerprint:
+            fh.write(f"# fingerprint={fingerprint}\n")
+        fh.write(",".join(head) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def write_aggregates_csv(
     path: str, spec: ScanSpec, rows: list[AggregateRow], fingerprint: str | None = None
 ) -> None:
     ks = range(1, spec.k_max + 1)
-    with _open_csv(path, fingerprint) as fh:
-        head = ["c", "d", "phi"]
-        head += [f"S{k}" for k in ks]
-        head += ["I_count"] + [f"I_S{k}" for k in ks]
-        fh.write(",".join(head) + "\n")
-        for row in rows:
-            cells = [str(row.c), str(row.d), str(row.phi)]
-            cells += [_g(v) for v in row.s]
-            cells += [str(row.n_int)] + [_g(v) for v in row.s_int]
-            fh.write(",".join(cells) + "\n")
+    head = ["c", "d", "phi", *(f"S{k}" for k in ks), "I_count", *(f"I_S{k}" for k in ks)]
+    cells = ([r.c, r.d, r.phi, *r.s, r.n_int, *r.s_int] for r in rows)
+    _write_csv(path, fingerprint, head, cells)
 
 
 def write_fit_csv(
     path: str, fits: dict[int, FitResult], fingerprint: str | None = None
 ) -> None:
-    with _open_csv(path, fingerprint) as fh:
-        fh.write(
-            "d,slope_real,shift_real,slope_paper,shift_paper,fixed_slope_shift\n"
-        )
-        for d in sorted(fits):
-            r = fits[d]
-            fh.write(
-                ",".join(
-                    [
-                        str(d),
-                        _g(r.slope_real),
-                        _g(r.shift_real),
-                        _g(r.slope_paper),
-                        _g(r.shift_paper),
-                        _g(r.fixed_slope_shift_paper),
-                    ]
-                )
-                + "\n"
-            )
+    head = ["d", "slope_real", "shift_real", "slope_paper", "shift_paper", "fixed_slope_shift"]
+    cells = (
+        [d, r.slope_real, r.shift_real, r.slope_paper, r.shift_paper, r.fixed_slope_shift_paper]
+        for d, r in sorted(fits.items())
+    )
+    _write_csv(path, fingerprint, head, cells)
 
 
 def write_dist_csv(
@@ -563,25 +503,16 @@ def write_dist_csv(
 ) -> None:
     from scipy import stats
 
-    with _open_csv(path, fingerprint) as fh:
-        fh.write("bin_lo,bin_hi,count,phi_cdf\n")
-        for lo, hi, n in zip(
-            report.hist_edges[:-1], report.hist_edges[1:], report.hist_counts
-        ):
-            fh.write(
-                f"{_g(lo)},{_g(hi)},{int(n)},{_g(stats.norm.cdf(hi))}\n"
-            )
+    edges = report.hist_edges
+    cells = zip(edges[:-1], edges[1:], report.hist_counts, stats.norm.cdf(edges[1:]))
+    _write_csv(path, fingerprint, ["bin_lo", "bin_hi", "count", "phi_cdf"], cells)
 
 
 def write_weyl_csv(
     path: str, entries: list[WeylEntry], fingerprint: str | None = None
 ) -> None:
-    with _open_csv(path, fingerprint) as fh:
-        fh.write("n,re,im,ratio\n")
-        for e in entries:
-            fh.write(
-                f"{e.n},{_g(e.total.real)},{_g(e.total.imag)},{_g(e.ratio)}\n"
-            )
+    cells = ([e.n, e.total.real, e.total.imag, e.ratio] for e in entries)
+    _write_csv(path, fingerprint, ["n", "re", "im", "ratio"], cells)
 
 
 def write_contig_csv(
@@ -591,7 +522,4 @@ def write_contig_csv(
     ghat_vals: np.ndarray,
     fingerprint: str | None = None,
 ) -> None:
-    with _open_csv(path, fingerprint) as fh:
-        fh.write("x,A_M_real,ghat\n")
-        for x, a, g in zip(xs, a_m, ghat_vals):
-            fh.write(f"{_g(float(x))},{_g(a)},{_g(g)}\n")
+    _write_csv(path, fingerprint, ["x", "A_M_real", "ghat"], zip(xs, a_m, ghat_vals))

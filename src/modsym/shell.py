@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import math
 import os
 import random
@@ -29,6 +28,7 @@ from .eigenform import (
     lfun1,
     load_or_build_eigenform,
     parse_curve,
+    read_usable,
 )
 from .periods import (
     PeriodTable,
@@ -46,7 +46,6 @@ from .scanstats import (
     SymbolStore,
     contiguous_avg,
     distribution_report,
-    mean_decay_report,
     scan,
     variance_fit,
     weyl_report,
@@ -66,8 +65,6 @@ from .theory import (
     slope_from_L,
     sym2_l_from_petersson,
 )
-
-log = logging.getLogger("modsym")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -225,25 +222,11 @@ def _table_cache_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.cache_dir, f"table-q{cfg.q}-tol{cfg.tol:.3g}.txt")
 
 
-def _read_table(cfg: RunConfig, path: str) -> PeriodTable | None:
-    """The cached table, or None when there is none or it is unusable."""
-    if not os.path.exists(path):
-        return None
-    try:
-        table = read_table_cache(path)
-        if (table.q, table.tol, table.curve) != (cfg.q, cfg.tol, cfg.curve):
-            raise CacheFormatError("cache does not match the requested build")
-        return table
-    except (CacheFormatError, ValueError) as exc:
-        log.warning("period table cache %s is unusable (%s); rebuilding", path, exc)
-        return None
-
-
 def _table(cfg: RunConfig, f: Eigenform) -> PeriodTable:
     """Load the period table from cache or build it; gate the relation
     residuals at 10 tol and the symbol lattice at 2 pi * 10 tol."""
     path = _table_cache_path(cfg)
-    table = _read_table(cfg, path)
+    table = read_usable(path, "period table", read_table_cache, cfg.q, cfg.tol, cfg.curve)
     fresh = table is None
     if fresh:
         table = build_period_table(f, cfg.tol)
@@ -326,12 +309,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     rows = scan(cfg.scan_spec(), store)
     path = _out(cfg, "aggregates.csv")
     write_aggregates_csv(path, cfg.scan_spec(), rows, cfg.fingerprint())
-    decay = mean_decay_report(rows)
     print(f"{len(rows)} rows -> {path}")
-    print(
-        f"mean decay: max|E|sqrt(c) over ({decay.late_window[0]},{decay.late_window[1]}] "
-        f"= {decay.max_late:.4g}, early median = {decay.median_early:.4g}"
-    )
     return EXIT_OK
 
 

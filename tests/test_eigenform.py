@@ -20,7 +20,6 @@ from modsym.eigenform import (
     TruncationError,
     TruncationPlan,
     al_sign,
-    antiderivative_F,
     antiderivative_batch,
     build_eigenform,
     count_points,
@@ -216,7 +215,7 @@ def test_antiderivative_reference_value(form15):
         an = int(form15.coeffs[n])
         ref += an / (2j * mpmath.pi * n) * mpmath.e ** (-2 * mpmath.pi * n)
     plan = TruncationPlan(tol=1e-13, y_min=1.0, n_cap=form15.n_max)
-    got = antiderivative_F(form15, 1j, plan)
+    got = antiderivative_batch(form15, [1j], plan)[0]
     assert abs(got - complex(ref)) < 1e-12
 
 
@@ -273,9 +272,7 @@ def test_lfun1_vanishes_for_positive_sign():
 def test_coeffs_cache_round_trip(tmp_path, form15_small):
     path = tmp_path / "coeffs.txt"
     write_coeffs_cache(str(path), form15_small)
-    q, curve, coeffs = read_coeffs_cache(str(path))
-    assert q == 15
-    assert curve == form15_small.curve.coefficients
+    coeffs = read_coeffs_cache(str(path), form15_small.curve, form15_small.n_max)
     assert np.array_equal(coeffs, form15_small.coeffs)
 
 
@@ -291,7 +288,7 @@ def test_coeffs_cache_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a cache header\n1 1\n")
     with pytest.raises(CacheFormatError):
-        read_coeffs_cache(str(path))
+        read_coeffs_cache(str(path), CurveSpec(*CURVE_15A1, q=15), 1)
 
 
 def test_coeffs_cache_rejects_truncated_body(tmp_path, form15_small):
@@ -300,7 +297,7 @@ def test_coeffs_cache_rejects_truncated_body(tmp_path, form15_small):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-5]) + "\n")
     with pytest.raises(CacheFormatError):
-        read_coeffs_cache(str(path))
+        read_coeffs_cache(str(path), form15_small.curve, form15_small.n_max)
 
 
 def test_load_or_build_rebuilds_corrupt_cache(tmp_path, caplog):
@@ -323,3 +320,31 @@ def test_load_or_build_uses_cache(tmp_path):
     f2 = load_or_build_eigenform(spec, 60, str(cache_dir))
     assert np.array_equal(f1.coeffs, f2.coeffs)
     assert f2.al_signs == {3: 1, 5: -1}
+
+
+def test_coeffs_cache_rejects_another_identity(tmp_path, form15_small):
+    path = tmp_path / "coeffs.txt"
+    write_coeffs_cache(str(path), form15_small)
+    other = CurveSpec(0, -1, 1, -10, -20, q=11)  # 11a1
+    for curve, n_max in [(form15_small.curve, 2999), (other, form15_small.n_max)]:
+        with pytest.raises(CacheFormatError):
+            read_coeffs_cache(str(path), curve, n_max)
+
+
+def test_duplicated_coefficient_line_is_rebuilt(tmp_path, caplog):
+    # the entry count still matches the header, so only an index check sees it
+    spec = CurveSpec(*CURVE_15A1, q=15)
+    cache_dir = tmp_path / "cache"
+    load_or_build_eigenform(spec, 60, str(cache_dir))
+    cache_file = cache_dir / "coeffs-q15-N60.txt"
+    lines = cache_file.read_text().splitlines()
+    assert lines[10:12] == ["10 -1", "11 -4"]
+    lines[11] = lines[10]
+    cache_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError):
+        read_coeffs_cache(str(cache_file), spec, 60)
+    with caplog.at_level("WARNING"):
+        f = load_or_build_eigenform(spec, 60, str(cache_dir))
+    assert "rebuilding" in caplog.text
+    assert f.coeffs[11] == -4
+    assert read_coeffs_cache(str(cache_file), spec, 60)[11] == -4

@@ -17,6 +17,7 @@ import pytest
 
 from modsym import eigenform
 from modsym.eigenform import (
+    CacheFormatError,
     CurveSpec,
     Eigenform,
     TruncationError,
@@ -125,7 +126,6 @@ def test_period_table_wrong_involution_signs_break_relations(form15_small):
         form15_small.coeffs,
         {3: -1, 5: -1},
         form15_small.curve,
-        form15_small.prime_traces,
     )
     table = build_period_table(bad, tol=1e-9)
     assert table.residual_two == 0.0  # reversal cancels for any sign data
@@ -225,10 +225,14 @@ def test_direct_oracle_refuses_short_store(form15_small):
 # table cache
 
 
+def _identity(table):
+    return table.q, table.tol, table.curve
+
+
 def test_table_cache_round_trip_bitwise(tmp_path, table15):
     path = tmp_path / "table.txt"
     write_table_cache(str(path), table15)
-    back = read_table_cache(str(path))
+    back = read_table_cache(str(path), *_identity(table15))
     assert back.q == table15.q
     assert back.tol == table15.tol
     assert np.array_equal(back.values, table15.values)
@@ -240,7 +244,7 @@ def test_table_cache_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("wrong magic q=15 tol=1e-12\n")
     with pytest.raises(Exception):
-        read_table_cache(str(path))
+        read_table_cache(str(path), 15, 1e-12, (1, 1, 1, -10, -10))
 
 
 def test_table_cache_rejects_missing_entries(tmp_path, table15):
@@ -248,10 +252,17 @@ def test_table_cache_rejects_missing_entries(tmp_path, table15):
     write_table_cache(str(path), table15)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")
-    from modsym.eigenform import CacheFormatError
-
     with pytest.raises(CacheFormatError):
-        read_table_cache(str(path))
+        read_table_cache(str(path), *_identity(table15))
+
+
+def test_table_cache_rejects_another_identity(tmp_path, table15):
+    path = tmp_path / "table.txt"
+    write_table_cache(str(path), table15)
+    q, tol, curve = _identity(table15)
+    for other in [(q, 1e-10, curve), (q, tol, (0, 1, 1, 20, -32)), (21, tol, curve)]:
+        with pytest.raises(CacheFormatError):
+            read_table_cache(str(path), *other)
 
 
 def test_table_cache_detects_tampered_values(tmp_path, table15):
@@ -262,7 +273,7 @@ def test_table_cache_detects_tampered_values(tmp_path, table15):
     key, re_s, im_s = lines[1].split()
     lines[1] = f"{key} {float(re_s) + 0.25!r} {im_s}"
     path.write_text("\n".join(lines) + "\n")
-    back = read_table_cache(str(path))
+    back = read_table_cache(str(path), *_identity(table15))
     assert back.residual_two > 0.1
 
 
@@ -297,6 +308,12 @@ def _fail_on_replace(monkeypatch):
     monkeypatch.setattr(os, "replace", refuse)
 
 
+_CACHE_IDENTITY = {
+    "form15_small": lambda f: (f.curve, f.n_max),
+    "table15": _identity,
+}
+
+
 @pytest.mark.parametrize("fail", [_fail_mid_write, _fail_on_replace])
 @pytest.mark.parametrize(
     "write,read,payload",
@@ -317,7 +334,7 @@ def test_failed_cache_write_keeps_previous_cache(
         write(str(path), obj)
     monkeypatch.undo()
     assert path.read_bytes() == before
-    read(str(path))
+    read(str(path), *_CACHE_IDENTITY[payload](obj))
     assert os.listdir(tmp_path) == ["cache.txt"]
     write(str(path), obj)  # a later write succeeds and leaves nothing behind
     assert path.read_bytes() == before
@@ -351,7 +368,7 @@ def test_certification_refuses_a_weight_moved_off_the_lattice(table15):
 def test_cached_table_rederives_the_lattice(tmp_path, table15):
     path = tmp_path / "table.txt"
     write_table_cache(str(path), table15)
-    back = read_table_cache(str(path))
+    back = read_table_cache(str(path), *_identity(table15))
     assert back.quantum == table15.quantum
     assert np.array_equal(back.lattice, table15.lattice)
     assert back.lattice_residual == table15.lattice_residual

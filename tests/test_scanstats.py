@@ -22,7 +22,6 @@ from modsym.scanstats import (
     contiguous_avg,
     distribution_report,
     enumerate_points,
-    mean_decay_report,
     scan,
     variance_fit,
     weyl_report,
@@ -246,25 +245,6 @@ def test_weyl_report_zero_mode_counts_sample(store15):
     assert entries[0].total == sum(row.phi for row in rows)
     assert entries[0].ratio == 1.0
     assert entries[1].ratio < 1.0
-
-
-# ---------------------------------------------------------------------------
-# mean decay
-
-
-def test_mean_decay_windows(store15):
-    rows = scan(ScanSpec(q=15, m_max=320), store15)
-    rep = mean_decay_report(rows)
-    assert rep.late_window == (160, 320)
-    assert rep.early_window == (20, 40)
-    assert rep.cs.size == len(rows)
-    assert rep.max_late >= 0
-
-
-def test_mean_decay_needs_enough_rows(store15):
-    rows = scan(ScanSpec(q=15, m_max=3), store15)
-    with pytest.raises(ValueError):
-        mean_decay_report(rows)
 
 
 # ---------------------------------------------------------------------------

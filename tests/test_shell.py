@@ -262,6 +262,23 @@ def test_truncated_table_cache_is_rebuilt(cli, tmp_path, caplog):
     assert table_file.read_bytes() == intact
 
 
+def test_table_cache_with_a_duplicated_line_is_rebuilt(cli, tmp_path, caplog):
+    # as many lines as classes, but one class twice: rebuilt, not gated
+    run, cache, _ = cli
+    bad_cache = tmp_path / "cache"
+    shutil.copytree(cache, bad_cache)
+    table_file = next(bad_cache.glob("table-*.txt"))
+    intact = table_file.read_bytes()
+    lines = intact.decode().splitlines()
+    lines[5] = lines[4]
+    table_file.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.WARNING, logger="modsym"):
+        code = main(["table", "--cache-dir", str(bad_cache), "--n-max", N_MAX])
+    assert code == EXIT_OK
+    assert "rebuilding" in caplog.text
+    assert table_file.read_bytes() == intact
+
+
 def _symbol_line(capsys, cache_dir, curve):
     argv = ["symbol", "1", "7", "--q", "57", "--curve", curve]
     assert main(argv + ["--n-max", "500", "--cache-dir", str(cache_dir)]) == EXIT_OK
@@ -295,6 +312,14 @@ def test_scan_is_deterministic(cli, tmp_path):
     assert run("scan", "--M", "60", out_dir=outs[1]) == EXIT_OK
     ref = (outs[0] / "aggregates.csv").read_bytes()
     assert (outs[1] / "aggregates.csv").read_bytes() == ref
+
+
+def test_scan_of_one_small_class_succeeds(cli, tmp_path):
+    run, _, _ = cli
+    assert run("scan", "--d", "15", "--M", "100", out_dir=tmp_path) == EXIT_OK
+    lines = (tmp_path / "aggregates.csv").read_text().splitlines()
+    rows = lines[2:]  # after the fingerprint and the column names
+    assert [int(row.split(",")[0]) for row in rows] == [15, 30, 45, 60, 75, 90]
 
 
 def test_scan_embeds_the_run_fingerprint(cli, tmp_path):
