@@ -44,7 +44,6 @@ from .scanstats import (
     SymbolStore,
     contiguous_avg,
     distribution_report,
-    enumerate_points,
     scan,
     variance_fit,
     weyl_report,

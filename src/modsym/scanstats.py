@@ -4,11 +4,12 @@ Enumerates the sample points a/c with c up to M (optionally restricted to a
 gcd class with the level and to a subinterval of [0,1)), evaluates the real
 symbol on every point in one sweep of the continued-fraction tree over the
 certified integer class weights, and reduces the lattice values to
-per-denominator moment rows in exact integers.  On top of the rows sit
-the variance fits, the Weyl-sum report, the contiguous averages, and the
-standardized distribution report.  The Weyl sums read no symbol value: over
-the coprime residues of c they are Ramanujan sums, which the report
-evaluates exactly in integers.
+per-denominator counts of each lattice integer n.  Every report reads
+the lattice through those counts: the moment rows are exact integer sums,
+the distribution report works on the (c, n) atoms with their weights, and
+the contiguous averages on the reduced rows.  The Weyl sums read no symbol
+value: over the coprime residues of c they are Ramanujan sums, which the
+report evaluates exactly in integers.
 """
 from __future__ import annotations
 
@@ -19,14 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from .eigenform import _smallest_prime_factors
-from .exactmath import divisors
 from .periods import PeriodTable
 
 __all__ = [
     "ScanSpec",
     "AggregateRow",
     "SymbolStore",
-    "enumerate_points",
     "scan",
     "contiguous_avg",
     "weyl_report",
@@ -83,22 +82,9 @@ class AggregateRow:
     s_int: tuple[float, ...]
 
 
-def enumerate_points(spec: ScanSpec):
-    """Yield the sample points (c, a) in ascending (c, a) order."""
-    for c in range(1, spec.m_max + 1):
-        if not spec.wants(c):
-            continue
-        if c == 1:
-            yield (1, 0)
-            continue
-        for a in range(1, c):
-            if math.gcd(a, c) == 1:
-                yield (c, a)
-
-
 CHUNK = 1 << 18  # most tree children the sweep expands in one numpy pass
 SENTINEL = -128  # table entry at the residues a with gcd(a, c) > 1
-_BIN_VALUE = np.arange(256, dtype=np.uint8).view(np.int8)  # bincount bin -> n
+_LATTICE_N = np.arange(SENTINEL + 1, 128)  # every other int8 value, ascending
 
 
 def _offset(c):
@@ -191,13 +177,18 @@ def _window(c: int, x0: Fraction, x1: Fraction) -> tuple[int, int]:
     return math.ceil(c * x0), math.ceil(c * x1)
 
 
+def _atoms(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice integers n of a table slice, ascending, and how often each
+    occurs among the coprime residues: one bincount, the sentinel dropped."""
+    counts = np.bincount(row.view(np.uint8), minlength=256)[_LATTICE_N % 256]
+    keep = np.flatnonzero(counts)
+    return _LATTICE_N[keep], counts[keep]
+
+
 def _lattice_sums(row: np.ndarray, k_max: int, quantum: float) -> tuple[int, list[float]]:
     """Coprime count of a table slice and its S_k = quantum^k sum n^k, k <= k_max,
-    with the sums over n taken in exact integers from one bincount."""
-    counts = np.bincount(row.view(np.uint8), minlength=256)
-    counts[SENTINEL % 256] = 0
-    bins = np.flatnonzero(counts)
-    ns, cs = _BIN_VALUE[bins].tolist(), counts[bins].tolist()
+    with the sums over n taken in exact integers over the atoms."""
+    ns, cs = (x.tolist() for x in _atoms(row))
     sums = [quantum**k * sum(c * n**k for n, c in zip(ns, cs)) for k in range(1, k_max + 1)]
     return sum(cs), sums
 
@@ -227,11 +218,15 @@ def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
 
 def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.ndarray:
     """Average of the contiguous sums G_c(x) = (1/c) sum_{0<=a<=floor(cx)} of
-    the symbol at a/c (unreduced a evaluated via its reduced fraction), over
-    all denominators c <= M; real convention.
+    the symbol at a/c, over all denominators c <= M; real convention.
 
-    Thresholds floor(c x) are exact because the grid points are Fractions,
-    and the partial sums are exact integers on the symbol lattice.
+    An unreduced a/c is its reduced fraction a'/c' with c' | c, and a = c is
+    1/1, which carries the value of 0/1: 0, as the real symbol is odd.
+    Collecting each reduced a'/c' <= x over its multiples c = k c' <= M gives
+        A_M(x) = (quantum/M) sum_{a'/c' <= x, c' <= M} n(a'/c') H(floor(M/c'))/c'
+    with H the harmonic numbers, so only the reduced rows are read.  The
+    thresholds floor(c' x) are exact because the grid points are Fractions,
+    and the partial sums over a' are exact integers on the symbol lattice.
     """
     for x in xs:
         if not 0 <= x <= 1:
@@ -239,13 +234,12 @@ def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.nda
     store.reserve(m_max)
     nums = np.array([x.numerator for x in xs], dtype=np.int64)
     dens = np.array([x.denominator for x in xs], dtype=np.int64)
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, m_max + 1))))
     out = np.zeros(len(xs))
     for c in range(1, m_max + 1):
-        v_full = np.empty(c + 1, dtype=np.int64)
-        for g in divisors(c):
-            v_full[:c:g] = store.row(c // g)  # ascending g: last write is g=gcd
-        v_full[c] = v_full[0]  # the a=c term equals a=0
-        out += np.cumsum(v_full)[c * nums // dens] / c
+        row = store.row(c)
+        sums = np.cumsum(np.where(row == SENTINEL, 0, row), dtype=np.int64)
+        out += harmonic[m_max // c] / c * sums[np.minimum(c * nums // dens, c - 1)]
     return store.quantum * out / m_max
 
 
@@ -377,7 +371,7 @@ class DistributionReport:
     in; the shifted one divides by sqrt(slope * log c + shift), the fitted
     empirical law (whose shift absorbs the same class constant).  Moments
     are raw sample moments of the standardized values; the KS statistic is
-    the one-sample sup distance to the standard normal CDF.
+    the exact one-sample sup distance to the standard normal CDF.
     """
 
     d: int
@@ -408,16 +402,18 @@ def distribution_report(
     bins: int = 100,
     span: float = 5.0,
 ) -> DistributionReport:
-    """Collect the symbol values of one gcd class, standardize, and compare
-    against the standard normal: moments up to k_max, KS distance, histogram.
-    """
-    from scipy import stats  # deferred: its import costs about a second
+    """Standardize the symbol values of one gcd class and compare them against
+    the standard normal: moments up to k_max, KS distance, histogram.
 
+    The sample is read as atoms: each admissible c contributes its lattice
+    integers n on the window with their counts w, at z = quantum n / sigma_c.
+    Moments are sum w z^k / N, the histogram counts weights, and the KS
+    distance is exact over the sorted atoms.
+    """
     q = store.q
     store.reserve(c_max)
     half_log_class = 0.5 * math.log(q / d)
-    zs_shift = []
-    zs_slope = []
+    zs_shift, zs_slope, ws = [], [], []
     for c in range(max(c_min, 1), c_max + 1):
         if math.gcd(c, q) != d:
             continue
@@ -428,35 +424,58 @@ def distribution_report(
                 f"modelled variance is not positive at c={c}; raise c_min"
             )
         a_lo, a_hi = _window(c, x0, x1)
-        window = store.row(c)[a_lo:a_hi]
-        vals = store.quantum * window[window != SENTINEL]
+        ns, counts = _atoms(store.row(c)[a_lo:a_hi])
+        vals = store.quantum * ns
         zs_shift.append(vals / math.sqrt(var_shift))
         zs_slope.append(vals / math.sqrt(var_slope))
-    if not zs_shift:
+        ws.append(counts)
+    if not ws:
         raise ValueError("empty sample: no admissible denominators")
     z_shift = np.concatenate(zs_shift)
     z_slope = np.concatenate(zs_slope)
+    w = np.concatenate(ws)
+    n_sample = int(w.sum())
 
     def raw_moments(z):
-        return tuple(float(np.mean(z**k)) for k in range(1, k_max + 1))
+        # w z^k by repeated products, which keep the sign symmetry z -> -z
+        # exact, so odd moments over a symmetric sample are exactly 0
+        terms = [w.astype(np.float64)]
+        for _ in range(k_max):
+            terms.append(terms[-1] * z)
+        return tuple(math.fsum(t.tolist()) / n_sample for t in terms[1:])
 
     edges = np.linspace(-span, span, bins + 1)
-    counts, _ = np.histogram(z_shift, bins=edges)
+    hist, _ = np.histogram(z_shift, bins=edges, weights=w)
     return DistributionReport(
         d=d,
         c_min=c_min,
         c_max=c_max,
         x0=x0,
         x1=x1,
-        n_sample=int(z_shift.size),
+        n_sample=n_sample,
         shift_used=shift_real,
         moments_shift=raw_moments(z_shift),
         moments_slope=raw_moments(z_slope),
-        ks_shift=float(stats.kstest(z_shift, "norm").statistic),
-        ks_slope=float(stats.kstest(z_slope, "norm").statistic),
+        ks_shift=_ks_distance(z_shift, w),
+        ks_slope=_ks_distance(z_slope, w),
         hist_edges=edges,
-        hist_counts=counts,
+        hist_counts=hist.astype(np.int64),
     )
+
+
+def _normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _ks_distance(z: np.ndarray, w: np.ndarray) -> float:
+    """sup |F - Phi| for the sample with weight w at z: over the sorted atoms,
+    the larger of cum_after/N - Phi(z) and Phi(z) - cum_before/N."""
+    order = np.argsort(z, kind="stable")
+    z, w = z[order], w[order]
+    after = np.cumsum(w)
+    n = int(after[-1])
+    cdf = np.array([_normal_cdf(x) for x in z.tolist()])
+    return float(max(np.max(after / n - cdf), np.max(cdf - (after - w) / n)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +520,9 @@ def write_fit_csv(
 def write_dist_csv(
     path: str, report: DistributionReport, fingerprint: str | None = None
 ) -> None:
-    from scipy import stats
-
     edges = report.hist_edges
-    cells = zip(edges[:-1], edges[1:], report.hist_counts, stats.norm.cdf(edges[1:]))
+    phi = [_normal_cdf(x) for x in edges[1:].tolist()]
+    cells = zip(edges[:-1], edges[1:], report.hist_counts, phi)
     _write_csv(path, fingerprint, ["bin_lo", "bin_hi", "count", "phi_cdf"], cells)
 
 

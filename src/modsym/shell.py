@@ -222,14 +222,15 @@ def _table_cache_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.cache_dir, f"table-q{cfg.q}-tol{cfg.tol:.3g}.txt")
 
 
-def _table(cfg: RunConfig, f: Eigenform) -> PeriodTable:
+def _table(cfg: RunConfig) -> PeriodTable:
     """Load the period table from cache or build it; gate the relation
-    residuals at 10 tol and the symbol lattice at 2 pi * 10 tol."""
+    residuals at 10 tol and the symbol lattice at 2 pi * 10 tol.  The
+    eigenform is loaded or built only when the table must be built."""
     path = _table_cache_path(cfg)
     table = read_usable(path, "period table", read_table_cache, cfg.q, cfg.tol, cfg.curve)
     fresh = table is None
     if fresh:
-        table = build_period_table(f, cfg.tol)
+        table = build_period_table(_form(cfg), cfg.tol)
     worst = max(table.residual_two, table.residual_three)
     if worst > 10.0 * cfg.tol:
         raise GateFailure(
@@ -267,8 +268,7 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
 
 
 def cmd_table(cfg: RunConfig, args) -> int:
-    f = _form(cfg)
-    table = _table(cfg, f)
+    table = _table(cfg)
     print(f"period table: {len(table.classes)} classes at tol {cfg.tol:g}")
     print(f"two-term residual:   {table.residual_two:.3e}")
     print(f"three-term residual: {table.residual_three:.3e}")
@@ -287,8 +287,7 @@ def cmd_symbol(cfg: RunConfig, args) -> int:
     if g > 1:
         print(f"note: {a}/{c} reduced to {a // g}/{c // g}")
         a, c = a // g, c // g
-    f = _form(cfg)
-    table = _table(cfg, f)
+    table = _table(cfg)
     s = symbol(Fraction(a, c), table)
     if s.numer != a:
         print(f"note: {a}/{c} folded into [0, 1) as {s.numer}/{s.denom}")
@@ -304,8 +303,7 @@ def cmd_symbol(cfg: RunConfig, args) -> int:
 
 
 def cmd_scan(cfg: RunConfig, args) -> int:
-    f = _form(cfg)
-    store = SymbolStore(_table(cfg, f))
+    store = SymbolStore(_table(cfg))
     rows = scan(cfg.scan_spec(), store)
     path = _out(cfg, "aggregates.csv")
     write_aggregates_csv(path, cfg.scan_spec(), rows, cfg.fingerprint())
@@ -315,8 +313,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 def cmd_fit(cfg: RunConfig, args) -> int:
     l1, l1p = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
-    f = _form(cfg)
-    store = SymbolStore(_table(cfg, f))
+    store = SymbolStore(_table(cfg))
     slope_paper, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg.scan_spec(), store)
     fits = variance_fit(rows, slope_real)
@@ -340,8 +337,7 @@ def cmd_dist(cfg: RunConfig, args) -> int:
     if cfg.d_filter == "all":
         raise ValueError("dist needs a single gcd class: pass --d")
     l1, _ = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
-    f = _form(cfg)
-    store = SymbolStore(_table(cfg, f))
+    store = SymbolStore(_table(cfg))
     _, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg.scan_spec(), store)
     shift_real = variance_fit(rows, slope_real)[cfg.d_filter].fixed_slope_shift_real
@@ -373,8 +369,8 @@ def cmd_dist(cfg: RunConfig, args) -> int:
 
 
 def cmd_contig(cfg: RunConfig, args) -> int:
+    store = SymbolStore(_table(cfg))
     f = _form(cfg)
-    store = SymbolStore(_table(cfg, f))
     n_grid = args.grid
     xs = [Fraction(j, n_grid - 1) for j in range(n_grid)]
     a_m = contiguous_avg(store, cfg.m_max, xs)
@@ -393,8 +389,7 @@ def cmd_contig(cfg: RunConfig, args) -> int:
 
 
 def cmd_weyl(cfg: RunConfig, args) -> int:
-    f = _form(cfg)
-    store = SymbolStore(_table(cfg, f))
+    store = SymbolStore(_table(cfg))
     spec = cfg.scan_spec()
     rows = scan(spec, store)
     entries = weyl_report(spec, rows)
@@ -439,8 +434,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         )
 
     l1, l1p = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
+    table = _table(cfg)
     f = _form(cfg)
-    table = _table(cfg, f)
     gate("relation_two_term", table.residual_two, 2.0 * cfg.tol)
     gate("relation_three_term", table.residual_three, 3.0 * cfg.tol)
     gate("symbol_lattice", table.lattice_residual, lattice_bound(cfg.tol))

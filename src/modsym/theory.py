@@ -86,20 +86,6 @@ def ghat_tail_certificate(n_terms: int) -> float:
     return (3.0 * math.log(n_terms) + 9.0) / (math.pi * math.sqrt(n_terms))
 
 
-@dataclass(frozen=True)
-class LimitProfile:
-    """Truncated first-moment limit ghat with its honest tail certificate."""
-
-    q: int
-    n_terms: int
-    tail_certificate: float
-
-
-def limit_profile(f: Eigenform, n_terms: int | None = None) -> LimitProfile:
-    n = f.n_max if n_terms is None else min(n_terms, f.n_max)
-    return LimitProfile(f.q, n, ghat_tail_certificate(n))
-
-
 def ghat(f: Eigenform, xs, n_terms: int | None = None) -> np.ndarray:
     """Limit of the contiguous averages: (1/2pi) sum a(n)(1 - cos 2 pi n x)/n^2.
 

@@ -1,12 +1,16 @@
 """Exact-arithmetic layer: matrices, path decomposition, P^1(Z/q), solvers.
 
 Every oracle here is hand-computed or a closed-form identity; no floats.
+The last section checks the same identities as hypothesis properties over
+random squarefree levels and fractions.
 """
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modsym.exactmath import (
     CapacityError,
@@ -296,3 +300,55 @@ def test_atkin_lehner_matrix_properties():
 def test_atkin_lehner_matrix_rejects_non_divisor():
     with pytest.raises(ValueError):
         atkin_lehner_matrix(6, 15)
+
+
+# ---------------------------------------------------------------------------
+# properties over random squarefree levels and fractions
+
+_LEVELS = [q for q in range(1, 201) if all(q % (k * k) for k in range(2, 15))]
+levels = st.sampled_from(_LEVELS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(-10**6, 10**6), c=st.integers(1, 10**6))
+def test_cf_decompose_chains_from_infinity_to_r(a, c):
+    r = Fraction(a, c)
+    mats = cf_decompose(r)
+    assert all(m.det == 1 for m in mats)
+    # g_0(0) = 1/0, g_j(0) = g_{j-1}(inf), and the last g(inf) is r
+    assert _projectively_equal(mats[0].b, mats[0].d, 1, 0)
+    for prev, cur in zip(mats, mats[1:]):
+        assert _projectively_equal(cur.b, cur.d, prev.a, prev.c)
+    assert _projectively_equal(mats[-1].a, mats[-1].c, r.numerator, r.denominator)
+
+
+@settings(deadline=None)
+@given(q=levels, c=st.integers(-10**4, 10**4), d=st.integers(-10**4, 10**4), data=st.data())
+def test_normalize_p1_is_invariant_under_units(q, c, d, data):
+    assume(math.gcd(math.gcd(c, d), q) == 1)
+    lam = data.draw(st.integers(1, 10**4).filter(lambda u: math.gcd(u, q) == 1))
+    assert normalize_p1(lam * c, lam * d, q) == normalize_p1(c, d, q)
+
+
+@settings(deadline=None)
+@given(q=levels, data=st.data())
+def test_lift_class_is_unimodular_over_its_class(q, data):
+    table = p1_table(q)
+    k = data.draw(st.integers(0, len(table) - 1))
+    m = lift_class(P1Class(q, *table.reps[k]))
+    assert m.det == 1
+    assert table.index_of(m.c, m.d) == k
+
+
+@settings(deadline=None)
+@given(
+    m1=st.integers(1, 10**6),
+    m2=st.integers(1, 10**6),
+    r1=st.integers(-10**9, 10**9),
+    r2=st.integers(-10**9, 10**9),
+)
+def test_crt_least_abs_meets_both_congruences(m1, m2, r1, r2):
+    assume(math.gcd(m1, m2) == 1)
+    x = _crt_least_abs(r1, m1, r2, m2)
+    assert (x - r1) % m1 == 0 and (x - r2) % m2 == 0
+    assert 2 * abs(x) <= m1 * m2

@@ -398,6 +398,9 @@ def test_conductor_57_lattices_are_certified(label, tables57):
     assert table.quantum == np.min(np.abs(weights[table.lattice != 0]))
     assert int(np.max(np.abs(table.lattice.astype(int)))) <= 4
     assert table.lattice_residual <= lattice_bound(table.tol)
+    # the path of 0/1 is the class (1 : 0), where the odd symbol vanishes;
+    # contiguous_avg relies on it for the term 1/1
+    assert table.lattice[table.index_of(1, 0)] == 0
 
 
 def test_conductor_57_engine_matches_symbols(tables57):

@@ -1,4 +1,4 @@
-"""Scan enumeration, the vectorized symbol engine, and the reports.
+"""Scan specification, the vectorized symbol engine, and the reports.
 
 The engine is held to exact agreement with the per-point path evaluator,
 the Weyl totals to the per-point exponential sums and, exactly, to the
@@ -21,7 +21,6 @@ from modsym.scanstats import (
     SymbolStore,
     contiguous_avg,
     distribution_report,
-    enumerate_points,
     scan,
     variance_fit,
     weyl_report,
@@ -67,23 +66,7 @@ def _moebius(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
-
-
-def test_enumerate_points_small_bound():
-    pts = list(enumerate_points(ScanSpec(q=15, m_max=4)))
-    assert pts == [(1, 0), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]
-
-
-def test_enumerate_points_gcd_filter():
-    pts = list(enumerate_points(ScanSpec(q=15, m_max=12, d_filter=3)))
-    assert {c for c, _ in pts} == {3, 6, 9, 12}
-    assert all(math.gcd(c, 15) == 3 for c, _ in pts)
-
-
-def test_enumerate_points_count_is_totient_sum():
-    pts = list(enumerate_points(ScanSpec(q=15, m_max=200)))
-    assert len(pts) == sum(_totient(c) for c in range(1, 201))
+# sample specification
 
 
 def test_spec_validation():
@@ -340,6 +323,56 @@ def test_distribution_report_structure(store15, slopes15):
     assert 0.0 <= rep.ks_shift <= 1.0 and 0.0 <= rep.ks_slope <= 1.0
     assert rep.hist_edges.size == rep.hist_counts.size + 1
     assert int(rep.hist_counts.sum()) <= rep.n_sample
+
+
+def _expanded_report(store, slope_real, shift_real, m_max, x0, x1):
+    """n, moments, KS and histogram of the shift-normalized stream, and the
+    moments and KS of the slope-normalized one, from every sample value
+    taken one by one (the atoms expanded) for d = 1."""
+    z_shift, z_slope = [], []
+    for c in range(1, m_max + 1):
+        if math.gcd(c, 15) != 1:
+            continue
+        lo, hi = math.ceil(c * x0), math.ceil(c * x1)
+        dense = store.dense(c)
+        vals = np.array([dense[a] for a in range(lo, hi) if math.gcd(a, c) == 1])
+        z_shift.append(vals / math.sqrt(slope_real * math.log(c) + shift_real))
+        z_slope.append(vals / math.sqrt(slope_real * (math.log(c) + 0.5 * math.log(15))))
+
+    def ks(z):
+        z = np.sort(z)
+        n = z.size
+        cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z])
+        return max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+
+    def moments(z):
+        return [float(np.mean(z**k)) for k in range(1, 7)]
+
+    z_shift, z_slope = np.concatenate(z_shift), np.concatenate(z_slope)
+    hist, _ = np.histogram(z_shift, bins=np.linspace(-5.0, 5.0, 101))
+    return z_shift.size, hist, (moments(z_shift), ks(z_shift)), (moments(z_slope), ks(z_slope))
+
+
+@pytest.mark.parametrize(
+    "x0, x1", [(Fraction(0), Fraction(1)), (Fraction(1, 10), Fraction(7, 20))]
+)
+def test_atom_report_matches_the_expanded_sample(store15, slopes15, x0, x1):
+    _, slope_real = slopes15
+    rep = distribution_report(
+        store15, slope_real, 0.440048, d=1, c_max=300, x0=x0, x1=x1
+    )
+    n, hist, shift, slope = _expanded_report(store15, slope_real, 0.440048, 300, x0, x1)
+    assert rep.n_sample == n
+    assert np.array_equal(rep.hist_counts, hist)
+    for got_m, got_ks, (want_m, want_ks) in (
+        (rep.moments_shift, rep.ks_shift, shift),
+        (rep.moments_slope, rep.ks_slope, slope),
+    ):
+        assert got_ks == pytest.approx(want_ks, rel=0, abs=1e-15)
+        # odd moments of the full interval are 0 up to rounding in the oracle
+        assert got_m == pytest.approx(want_m, rel=1e-12, abs=1e-15)
+    if x1 - x0 == 1:
+        assert rep.moments_shift[::2] == rep.moments_slope[::2] == (0.0, 0.0, 0.0)
 
 
 def test_distribution_report_rejects_nonpositive_variance(store15, slopes15):

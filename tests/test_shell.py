@@ -279,6 +279,20 @@ def test_table_cache_with_a_duplicated_line_is_rebuilt(cli, tmp_path, caplog):
     assert table_file.read_bytes() == intact
 
 
+def test_symbol_reads_only_the_table_cache(cli, tmp_path, capsys):
+    run, cache, _ = cli
+    assert run("symbol", "2", "5") == EXIT_OK
+    expect = capsys.readouterr().out
+    own = tmp_path / "cache"
+    shutil.copytree(cache, own)
+    coeffs = next(own.glob("coeffs-*.txt"))
+    coeffs.unlink()
+    argv = ["symbol", "2", "5", "--cache-dir", str(own), "--n-max", N_MAX]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expect
+    assert not coeffs.exists()
+
+
 def _symbol_line(capsys, cache_dir, curve):
     argv = ["symbol", "1", "7", "--q", "57", "--curve", curve]
     assert main(argv + ["--n-max", "500", "--cache-dir", str(cache_dir)]) == EXIT_OK
@@ -440,12 +454,18 @@ def test_verify_runs_every_gate(cli, capsys):
     ).fingerprint()
 
 
-def test_importing_the_shell_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second to import; only dist needs it
+def test_dist_runs_without_loading_scipy(cli):
+    _, cache, out = cli
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    probe = "import sys, modsym.shell; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    argv = ["dist", "--M", "200", "--d", "1", "--n-max", N_MAX]
+    argv += ["--cache-dir", str(cache), "--out-dir", str(out)]
+    probe = (
+        "import sys; from modsym.shell import main; rc = main(sys.argv[1:]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert out.stdout.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 []"

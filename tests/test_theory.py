@@ -17,7 +17,6 @@ from modsym.theory import (
     default_fixture_path,
     ghat,
     ghat_tail_certificate,
-    limit_profile,
     load_lvalue_fixture,
     petersson_quadrature,
     shift_coefficients,
@@ -122,12 +121,6 @@ def test_profile_truncation_certificate(form15):
     measured = float(np.max(np.abs(fine - coarse)))
     assert measured <= ghat_tail_certificate(2000)
     assert ghat_tail_certificate(4000) < ghat_tail_certificate(2000)
-
-
-def test_limit_profile_caps_at_store_length(form15_small):
-    prof = limit_profile(form15_small, n_terms=10**9)
-    assert prof.n_terms == form15_small.n_max
-    assert prof.tail_certificate == ghat_tail_certificate(form15_small.n_max)
 
 
 # ---------------------------------------------------------------------------
