@@ -1,15 +1,17 @@
 """Farey-point scans and the statistical reports built on them.
 
-Enumerates the sample points a/c with c up to M (optionally restricted to a
-gcd class with the level and to a subinterval of [0,1)), evaluates the real
-symbol on every point in one sweep of the continued-fraction tree over the
-certified integer class weights, and reduces the lattice values to
-per-denominator counts of each lattice integer n.  Every report reads
-the lattice through those counts: the moment rows are exact integer sums,
-the distribution report works on the (c, n) atoms with their weights, and
-the contiguous averages on the reduced rows.  The Weyl sums read no symbol
-value: over the coprime residues of c they are Ramanujan sums, which the
-report evaluates exactly in integers.
+Evaluates the real symbol at every sample point a/c with c up to M in one
+streaming sweep of the continued-fraction tree over the certified integer
+class weights, and folds the lattice integers n into accumulators as the
+sweep goes: per-denominator counts of each n over all coprime residues and
+over a subinterval of [0,1), or, for the contiguous averages, integer sums
+of n per denominator and grid bin.  No point is stored, so memory is
+O(M * width + chunk).  Every report reads the lattice through those
+accumulators: the moment rows are exact integer sums over the counts, the
+distribution report works on the (c, n) atoms with their weights, and a
+scan followed by a report over the same window shares one sweep.  The Weyl
+sums read no symbol value: over the coprime residues of c they are
+Ramanujan sums, which the report evaluates exactly in integers.
 """
 from __future__ import annotations
 
@@ -82,73 +84,121 @@ class AggregateRow:
     s_int: tuple[float, ...]
 
 
-CHUNK = 1 << 18  # most tree children the sweep expands in one numpy pass
-SENTINEL = -128  # table entry at the residues a with gcd(a, c) > 1
-_LATTICE_N = np.arange(SENTINEL + 1, 128)  # every other int8 value, ascending
+CHUNK = 1 << 16  # most tree children the sweep expands in one numpy pass
 
 
-def _offset(c):
-    """Start of row c (residues a = 0 .. c-1) in the flat table."""
-    return c * (c - 1) // 2
+class LatticeCounts:
+    """How often each lattice integer n occurs in each row c <= m: counts[c,
+    n + off] over the points a/c with ceil(c x0) <= a < ceil(c x1).  A sink
+    of the sweep; the width grows with the largest |n| seen."""
+
+    def __init__(self, m: int, x0: Fraction = Fraction(0), x1: Fraction = Fraction(1)):
+        self.off = 0
+        self.counts = np.zeros((m + 1, 1), dtype=np.int64)
+        self._bounds = None
+        if (x0, x1) != (0, 1):
+            self._bounds = [_ceil_multiples(m, x) for x in (x0, x1)]
+
+    def __call__(self, c: np.ndarray, a: np.ndarray, n: np.ndarray) -> None:
+        if self._bounds is not None:
+            lo, hi = self._bounds
+            keep = (a >= lo[c]) & (a < hi[c])
+            c, n = c[keep], n[keep]
+        if not n.size:
+            return
+        top = max(-int(n.min()), int(n.max()))
+        if top > self.off:
+            wide = np.zeros((len(self.counts), 2 * top + 1), dtype=np.int64)
+            wide[:, top - self.off : top + self.off + 1] = self.counts
+            self.counts, self.off = wide, top
+        np.add.at(self.counts.reshape(-1), c * self.counts.shape[1] + (n + self.off), 1)
+
+    def atoms(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """The lattice integers n of row c, ascending, and their counts."""
+        row = self.counts[c]
+        keep = np.flatnonzero(row)
+        return keep - self.off, row[keep]
+
+
+def _ceil_multiples(m: int, x: Fraction) -> np.ndarray:
+    """ceil(c x) for c = 0 .. m, exactly: a/c >= x <=> a >= ceil(c x)."""
+    num, den = x.numerator, x.denominator
+    return np.array([-(-c * num // den) for c in range(m + 1)], dtype=np.int64)
 
 
 class SymbolStore:
-    """Every real symbol a/c with c up to a bound, on the certified lattice.
+    """The real symbol m_minus(a/c) = quantum * n on the certified lattice,
+    streamed over every point a/c with c up to a bound.
 
-    Row c of one flat int8 table holds n with m_minus(a/c) = quantum * n at
-    the coprime a and SENTINEL elsewhere; dense(c) is quantum * row(c) with 0
-    off the coprimes.  One depth-first sweep of the continued-fraction tree
-    fills the table: a node ends in (q_j, q_{j-1}, p_j, p_{j-1}, n_j), its
-    children b >= 1 with q = b q_j + q_{j-1} <= bound add the weight of the
-    class (q : +-q_j), and a child with b >= 2 is the point p/q, so each
-    point costs O(1).  The table grows, at least doubling, to the largest c
-    asked for; reserve(m) sizes it exactly.
+    One depth-first sweep of the continued-fraction tree reaches every point:
+    a node ends in (q_j, q_{j-1}, p_j, p_{j-1}, n_j), its children b >= 1
+    with q = b q_j + q_{j-1} <= bound add the weight of the class
+    (q : +-q_j), and a child with b >= 2 is the point p/q, so each point
+    costs O(1).  The sweep stores no point: it hands each chunk of points
+    (c, a, n) to its sinks.  The stack holds int32 nodes, about CHUNK per
+    level of the tree, so the working set grows with the chunk and the
+    depth of the tree, not with the number of points.
+
+    counts(m, x0, x1) sinks the points into per-row counts of each n, over
+    all coprime residues and over a window; the counts of the last sweep
+    serve any smaller bound with the same window.  dense(c) sweeps to c and
+    keeps row c: the per-point oracle.
     """
 
     def __init__(self, table: PeriodTable):
         self.q = table.q
         self.quantum = table.quantum
         # weight of the class (u : v) at u * q + v
-        self._step = table.lattice.astype(np.int64)[np.asarray(table.classes.flat)]
+        self._step = table.lattice.astype(np.int32)[np.asarray(table.classes.flat)]
         self._first = int(table.lattice[table.index_of(1, 0)])
-        self._m = 0
-        self._flat = np.zeros(0, dtype=np.int8)
+        self._last = None
 
-    def reserve(self, m: int) -> None:
-        if m > self._m:
-            self._compute(m)
-
-    def row(self, c: int) -> np.ndarray:
-        if c > self._m:
-            self._compute(max(c, 2 * self._m))
-        return self._flat[_offset(c) : _offset(c + 1)]
+    def counts(
+        self, m: int, x0: Fraction = Fraction(0), x1: Fraction = Fraction(1)
+    ) -> tuple[LatticeCounts, LatticeCounts]:
+        """Counts of every row c <= m over all coprime residues and over the
+        window [x0, x1); the two are one object when the window is [0, 1)."""
+        if self._last is None or self._last[0] < m or self._last[1:3] != (x0, x1):
+            full = LatticeCounts(m)
+            window = full if (x0, x1) == (0, 1) else LatticeCounts(m, x0, x1)
+            self._compute(m, *((full,) if window is full else (full, window)))
+            self._last = (m, x0, x1, full, window)
+        return self._last[3:]
 
     def dense(self, c: int) -> np.ndarray:
-        row = self.row(c)
-        out = self.quantum * row
-        out[row == SENTINEL] = 0.0
+        """quantum * n at the coprime residues a of row c, 0 elsewhere."""
+        out = np.zeros(c)
+
+        def keep(cs, a, n):
+            at = cs == c
+            out[a[at]] = self.quantum * n[at]
+
+        self._compute(c, keep)
         return out
 
-    def _compute(self, m: int) -> None:
+    def _compute(self, m: int, *sinks) -> None:
+        """Sweep every point a/c with c <= m once, handing each chunk of
+        points to every sink as sink(c, a, n), three int32 arrays."""
         q = self.q
-        flat = np.full(_offset(m + 1), SENTINEL, dtype=np.int8)
-        flat[0] = self._first  # c = 1 holds a = 0 only
+        step = self._step
+        row_of = (np.arange(m + 1, dtype=np.int32) % q) * q  # u * q at u = c mod q
 
-        def put(b, qc, pc, nc):
-            point = b >= 2
-            vals = nc[point]
-            if vals.size and max(-vals.min(), vals.max()) > 127:
-                raise OverflowError(f"a symbol below c={m} leaves the int8 lattice")
-            flat[_offset(qc[point]) + pc[point]] = vals
+        def emit(point, qc, pc, nc):
+            at = np.flatnonzero(point)
+            chunk = qc.take(at), pc.take(at), nc.take(at)
+            for sink in sinks:
+                sink(*chunk)
 
-        # entries: (depth of the children, q_j, q_{j-1}, p_j, p_{j-1}, n_j)
-        stack = [(1, *(np.array([v]) for v in (1, 0, 0, 1, self._first)))]
+        # 0/1, then stack entries (depth of the children, q_j, q_{j-1}, p_j, p_{j-1}, n_j)
+        root = [np.array([v], dtype=np.int32) for v in (1, 0, 0, 1, self._first)]
+        emit(np.array([True]), root[0], root[2], root[4])
+        stack = [(1, *root)]
         while stack:
             depth, *node = stack.pop()
             qj, qj1, pj, pj1, nj = node
             kids = (m - qj1) // qj  # every stacked node has at least one
             grow = kids - 1  # children b < kids have children of their own
-            ends = np.cumsum(grow)
+            ends = np.cumsum(grow, dtype=np.int32)
             total = int(ends[-1])
             if total > CHUNK and qj.size > 1:
                 h = qj.size // 2
@@ -156,60 +206,43 @@ class SymbolStore:
                 continue
             rq = (qj if depth % 2 else -qj) % q
             qc = kids * qj + qj1  # the last child, b = kids, is a leaf
-            put(kids, qc, kids * pj + pj1, nj + self._step[(qc % q) * q + rq])
+            emit(kids >= 2, qc, kids * pj + pj1, nj + step.take(row_of.take(qc) + rq))
             if total == 0:
                 continue
-            parent = np.repeat(np.arange(qj.size), grow)
-            b = np.arange(1, total + 1) - np.repeat(ends - grow, grow)
-            qp = qj[parent]
-            pp = pj[parent]
-            qc = b * qp + qj1[parent]
-            pc = b * pp + pj1[parent]
-            nc = nj[parent] + self._step[(qc % q) * q + rq[parent]]
-            put(b, qc, pc, nc)
+            parent = np.repeat(np.arange(qj.size, dtype=np.int32), grow)
+            b = np.arange(1, total + 1, dtype=np.int32) - (ends - grow).take(parent)
+            qp = qj.take(parent)
+            pp = pj.take(parent)
+            qc = b * qp + qj1.take(parent)
+            pc = b * pp + pj1.take(parent)
+            nc = nj.take(parent) + step.take(row_of.take(qc) + rq.take(parent))
+            emit(b >= 2, qc, pc, nc)
             stack.append((depth + 1, qc, qp, pc, pp, nc))
-        self._flat = flat
-        self._m = m
 
 
-def _window(c: int, x0: Fraction, x1: Fraction) -> tuple[int, int]:
-    # a/c in [x0, x1) <=> ceil(c x0) <= a < ceil(c x1), exactly in Fraction
-    return math.ceil(c * x0), math.ceil(c * x1)
-
-
-def _atoms(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice integers n of a table slice, ascending, and how often each
-    occurs among the coprime residues: one bincount, the sentinel dropped."""
-    counts = np.bincount(row.view(np.uint8), minlength=256)[_LATTICE_N % 256]
-    keep = np.flatnonzero(counts)
-    return _LATTICE_N[keep], counts[keep]
-
-
-def _lattice_sums(row: np.ndarray, k_max: int, quantum: float) -> tuple[int, list[float]]:
-    """Coprime count of a table slice and its S_k = quantum^k sum n^k, k <= k_max,
-    with the sums over n taken in exact integers over the atoms."""
-    ns, cs = (x.tolist() for x in _atoms(row))
+def _lattice_sums(atoms, k_max: int, quantum: float) -> tuple[int, list[float]]:
+    """Count of a row's atoms and its S_k = quantum^k sum n^k, k <= k_max,
+    with the sums over n taken in exact integers."""
+    ns, cs = (x.tolist() for x in atoms)
     sums = [quantum**k * sum(c * n**k for n, c in zip(ns, cs)) for k in range(1, k_max + 1)]
     return sum(cs), sums
 
 
-def _row_for(spec: ScanSpec, store: SymbolStore, c: int) -> AggregateRow:
-    row = store.row(c)
-    phi, sums = _lattice_sums(row, spec.k_max, store.quantum)
-    if not all(math.isfinite(v) for v in sums):
-        raise OverflowError(f"moment accumulator overflowed at c={c}")
-    a_lo, a_hi = _window(c, spec.x0, spec.x1)
-    if a_hi - a_lo == c:
-        n_int, sums_int = phi, sums
-    else:
-        n_int, sums_int = _lattice_sums(row[a_lo:a_hi], spec.k_max, store.quantum)
-    return AggregateRow(c, math.gcd(c, spec.q), phi, tuple(sums), n_int, tuple(sums_int))
-
-
 def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
     """One AggregateRow per admissible denominator, in ascending c."""
-    store.reserve(spec.m_max)
-    return [_row_for(spec, store, c) for c in range(1, spec.m_max + 1) if spec.wants(c)]
+    full, window = store.counts(spec.m_max, spec.x0, spec.x1)
+    rows = []
+    for c in range(1, spec.m_max + 1):
+        if not spec.wants(c):
+            continue
+        phi, sums = _lattice_sums(full.atoms(c), spec.k_max, store.quantum)
+        if not all(math.isfinite(v) for v in sums):
+            raise OverflowError(f"moment accumulator overflowed at c={c}")
+        n_int, sums_int = phi, sums
+        if window is not full:
+            n_int, sums_int = _lattice_sums(window.atoms(c), spec.k_max, store.quantum)
+        rows.append(AggregateRow(c, math.gcd(c, spec.q), phi, tuple(sums), n_int, tuple(sums_int)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +257,34 @@ def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.nda
     1/1, which carries the value of 0/1: 0, as the real symbol is odd.
     Collecting each reduced a'/c' <= x over its multiples c = k c' <= M gives
         A_M(x) = (quantum/M) sum_{a'/c' <= x, c' <= M} n(a'/c') H(floor(M/c'))/c'
-    with H the harmonic numbers, so only the reduced rows are read.  The
-    thresholds floor(c' x) are exact because the grid points are Fractions,
-    and the partial sums over a' are exact integers on the symbol lattice.
+    with H the harmonic numbers, so only the reduced points are read.  One
+    sweep sums n per (c', bin), a point's bin being the number of grid points
+    below it; the prefix over the bins is the partial sum over a'/c' <= x,
+    an exact integer on the symbol lattice.
     """
     for x in xs:
         if not 0 <= x <= 1:
             raise ValueError("grid points must lie in [0, 1]")
-    store.reserve(m_max)
-    nums = np.array([x.numerator for x in xs], dtype=np.int64)
-    dens = np.array([x.denominator for x in xs], dtype=np.int64)
+    grid = sorted(set(xs))
+    # distinct a/c and x differ by at least 1/(c den(x)), so the float
+    # comparison of a/c with x is exact below this bound
+    if m_max * max((x.denominator for x in grid), default=1) >= 1 << 52:
+        raise ValueError("grid denominators too large for this M")
+    grid_f = np.array([float(x) for x in grid])
+    width = len(grid) + 1
+    by_bin = np.zeros((m_max + 1) * width, dtype=np.int64)
+
+    def bin_sums(c, a, n):
+        # a/c <= x_j exactly for the grid points from #{j : x_j < a/c} on
+        np.add.at(by_bin, c * width + np.searchsorted(grid_f, a / c), n.astype(np.int64))
+
+    store._compute(m_max, bin_sums)
+    at = {x: j for j, x in enumerate(grid)}
+    sums = np.cumsum(by_bin.reshape(m_max + 1, width), axis=1)[:, [at[x] for x in xs]]
     harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, m_max + 1))))
     out = np.zeros(len(xs))
     for c in range(1, m_max + 1):
-        row = store.row(c)
-        sums = np.cumsum(np.where(row == SENTINEL, 0, row), dtype=np.int64)
-        out += harmonic[m_max // c] / c * sums[np.minimum(c * nums // dens, c - 1)]
+        out += harmonic[m_max // c] / c * sums[c]
     return store.quantum * out / m_max
 
 
@@ -411,7 +456,7 @@ def distribution_report(
     distance is exact over the sorted atoms.
     """
     q = store.q
-    store.reserve(c_max)
+    _, window = store.counts(c_max, x0, x1)
     half_log_class = 0.5 * math.log(q / d)
     zs_shift, zs_slope, ws = [], [], []
     for c in range(max(c_min, 1), c_max + 1):
@@ -423,8 +468,7 @@ def distribution_report(
             raise ValueError(
                 f"modelled variance is not positive at c={c}; raise c_min"
             )
-        a_lo, a_hi = _window(c, x0, x1)
-        ns, counts = _atoms(store.row(c)[a_lo:a_hi])
+        ns, counts = window.atoms(c)
         vals = store.quantum * ns
         zs_shift.append(vals / math.sqrt(var_shift))
         zs_slope.append(vals / math.sqrt(var_slope))
@@ -439,10 +483,12 @@ def distribution_report(
     def raw_moments(z):
         # w z^k by repeated products, which keep the sign symmetry z -> -z
         # exact, so odd moments over a symmetric sample are exactly 0
-        terms = [w.astype(np.float64)]
+        term = w.astype(np.float64)
+        moments = []
         for _ in range(k_max):
-            terms.append(terms[-1] * z)
-        return tuple(math.fsum(t.tolist()) / n_sample for t in terms[1:])
+            term = term * z
+            moments.append(math.fsum(term.tolist()) / n_sample)
+        return tuple(moments)
 
     edges = np.linspace(-span, span, bins + 1)
     hist, _ = np.histogram(z_shift, bins=edges, weights=w)

@@ -1,13 +1,18 @@
 """Shared fixtures: the 15.a1 pipeline built once per session.
 
 The expensive objects (full coefficient store, period table, symbol store,
-the M = 10^4 scan, and the Petersson quadrature) are session-scoped so the
-acceptance suite and the unit tests share one build.
+the rows of one engine sweep to c = 3000, the M = 10^4 scan, and the
+Petersson quadrature) are session-scoped so the acceptance suite and the
+unit tests share one build.
 """
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from modsym.eigenform import CurveSpec, build_eigenform
-from modsym.periods import build_period_table
+from modsym.periods import build_period_table, symbol
 from modsym.scanstats import ScanSpec, SymbolStore, scan
 from modsym.theory import (
     default_fixture_path,
@@ -39,6 +44,72 @@ def table15(form15):
 @pytest.fixture(scope="session")
 def store15(table15):
     return SymbolStore(table15)
+
+
+class CollectedRows:
+    """Every row c <= m of one engine sweep, for tests that read many rows:
+    dense(c) is quantum * n at the coprime a of row c and 0 elsewhere, as
+    SymbolStore.dense(c) gives it from a sweep of its own."""
+
+    def __init__(self, store, m):
+        self.quantum = store.quantum
+        self._flat = np.zeros(m * (m + 1) // 2, dtype=np.int32)
+        store._compute(m, self._put)
+
+    def _put(self, c, a, n):
+        c = c.astype(np.int64)
+        self._flat[c * (c - 1) // 2 + a] = n
+
+    def dense(self, c):
+        return self.quantum * self._flat[c * (c - 1) // 2 : c * (c + 1) // 2]
+
+
+@pytest.fixture(scope="session")
+def collected_rows():
+    """The collecting sweep, for modules that build tables of their own."""
+    return CollectedRows
+
+
+def _expanded_counts(table, m_max, x0, x1):
+    """{c: {n: count}} over all coprime residues and over the window, from
+    symbol() at every point, each value checked to be quantum * n."""
+    full, window = {}, {}
+    for c in range(1, m_max + 1):
+        lo, hi = math.ceil(c * x0), math.ceil(c * x1)
+        for a in range(c):
+            if math.gcd(a, c) != 1:
+                continue
+            value = symbol(Fraction(a, c), table).m_minus
+            n = round(value / table.quantum)
+            assert table.quantum * n == value
+            for counts, inside in ((full, True), (window, lo <= a < hi)):
+                if inside:
+                    row = counts.setdefault(c, {})
+                    row[n] = row.get(n, 0) + 1
+    return full, window
+
+
+@pytest.fixture(scope="session")
+def counts_match_symbols():
+    """Asserts that SymbolStore.counts(m_max, x0, x1) of a table holds, row
+    by row and n ascending, the counts of the expanded symbol values."""
+
+    def check(table, m_max, x0, x1):
+        full, window = SymbolStore(table).counts(m_max, x0, x1)
+        assert (full is window) == (x1 - x0 == 1)
+        for got, want in zip((full, window), _expanded_counts(table, m_max, x0, x1)):
+            for c in range(1, m_max + 1):
+                ns, counts = (x.tolist() for x in got.atoms(c))
+                assert ns == sorted(want.get(c, {}))
+                assert dict(zip(ns, counts)) == want.get(c, {})
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def rows15(store15):
+    """The engine's rows of 15a1 up to c = 3000, from one sweep."""
+    return CollectedRows(store15, 3000)
 
 
 @pytest.fixture(scope="session")

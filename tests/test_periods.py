@@ -403,14 +403,25 @@ def test_conductor_57_lattices_are_certified(label, tables57):
     assert table.lattice[table.index_of(1, 0)] == 0
 
 
-def test_conductor_57_engine_matches_symbols(tables57):
+def test_conductor_57_engine_matches_symbols(tables57, collected_rows):
     table = tables57["57a1"]
-    store = SymbolStore(table)
-    store.reserve(300)
+    rows = collected_rows(SymbolStore(table), 300)
     for c in range(1, 301):
-        dense = store.dense(c)
+        dense = rows.dense(c)
         for a in range(c):
             if math.gcd(a, c) == 1:
                 assert dense[a] == symbol(Fraction(a, c), table).m_minus
             else:
                 assert dense[a] == 0.0
+
+
+@pytest.mark.parametrize("label", sorted(_CURVES_57))
+@pytest.mark.parametrize(
+    "x0, x1",
+    [(Fraction(0), Fraction(1)), (Fraction(1, 10), Fraction(7, 20))],
+    ids=["full", "window"],
+)
+def test_conductor_57_counts_match_the_expanded_symbols(
+    label, x0, x1, tables57, counts_match_symbols
+):
+    counts_match_symbols(tables57[label], 200, x0, x1)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from modsym.scanstats import SymbolStore
 from modsym.shell import (
     EXIT_GATE,
     EXIT_OK,
@@ -370,6 +371,22 @@ def test_dist_command_reports_both_normalizations(cli, tmp_path, capsys):
     assert "shift-normalized: moments" in text
     assert "slope-normalized: moments" in text
     assert (out / "dist.csv").exists()
+
+
+def test_dist_command_sweeps_once(cli, tmp_path, monkeypatch):
+    # the rows of the variance fit and the atoms of the report share a sweep
+    sweeps = []
+    compute = SymbolStore._compute
+
+    def counting(self, m, *sinks):
+        sweeps.append(m)
+        compute(self, m, *sinks)
+
+    monkeypatch.setattr(SymbolStore, "_compute", counting)
+    run, _, _ = cli
+    argv = ("dist", "--M", "300", "--d", "1", "--interval", "1/10:7/20")
+    assert run(*argv, out_dir=tmp_path) == EXIT_OK
+    assert sweeps == [300]
 
 
 def test_contig_command_reports_sup_deviation(cli, tmp_path, capsys):
