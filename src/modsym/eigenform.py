@@ -12,10 +12,9 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
+from .exactmath import divisors_squarefree, lazy_numpy, squarefree_factors
 
-from .exactmath import divisors_squarefree, squarefree_factors
-
+np = lazy_numpy()
 log = logging.getLogger("modsym")
 
 TOL_FLOOR = 1e-14
@@ -108,14 +107,26 @@ def count_points(curve: CurveSpec, p: int) -> int:
                 if (y * y + curve.a1 * x * y + curve.a3 * y) % p == rhs:
                     n_affine += 1
         return p + 1 - (n_affine + 1)
+    # In place, in two int64 arrays and two int8 ones: more or larger
+    # temporaries, freed at the top of the heap, let glibc trim it, and the
+    # next prime faults the pages back in (up to 10x the page faults).
     x = np.arange(p, dtype=np.int64)
-    qr = np.full(p, -1, dtype=np.int64)
-    qr[(x * x) % p] = 1
+    rhs = x * x
+    rhs %= p
+    qr = np.full(p, -1, dtype=np.int8)
+    qr[rhs] = 1
     qr[0] = 0
     b2 = curve.b2 % p
     b4_twice = (2 * curve.b4) % p
     b6 = curve.b6 % p
-    rhs = (((4 * x + b2) * x + b4_twice) % p * x + b6) % p
+    np.multiply(x, 4, out=rhs)  # then ((4x + b2) x + 2 b4) x + b6 mod p
+    rhs += b2
+    rhs *= x
+    rhs += b4_twice
+    rhs %= p
+    rhs *= x
+    rhs += b6
+    rhs %= p
     return -int(qr[rhs].sum())
 
 
@@ -270,18 +281,26 @@ class TruncationPlan:
 # ---------------------------------------------------------------------------
 # Series evaluation
 
-_CHUNK = 1 << 21
+# A block's one complex temporary is at most 128 KB unless one point needs
+# more terms.  Larger temporaries, freed at the top of the heap, let glibc
+# trim it, and the next block faults the pages back in: up to 5x the page
+# faults in the Petersson quadrature.
+_CHUNK = 1 << 13
 
 
 def _series(zs: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_n coef[n-1] e(nz) at each z, in blocks of at most _CHUNK terms."""
+    """sum_n coef[n-1] e(nz) at each z, in blocks of at most _CHUNK terms;
+    the sum of a row does not depend on the block it is in."""
     n_terms = coef.size
     ns = np.arange(1, n_terms + 1)
+    coef = coef.astype(np.complex128)
     out = np.empty(zs.shape, dtype=np.complex128)
     step = max(1, _CHUNK // max(n_terms, 1))
     for i in range(0, zs.size, step):
-        block = zs[i : i + step, None]
-        out[i : i + step] = np.sum(np.exp(2j * np.pi * block * ns) * coef, axis=1)
+        terms = np.multiply.outer(2j * np.pi * zs[i : i + step], ns)
+        np.exp(terms, out=terms)
+        terms *= coef
+        out[i : i + step] = terms.sum(axis=1)
     return out
 
 

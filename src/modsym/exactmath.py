@@ -3,11 +3,14 @@
 Unimodular 2x2 matrices, the Manin continued-fraction path decomposition,
 the projective line P^1(Z/q) with canonical representatives, and the
 CRT/Bezout solvers used by the cusp machinery.  Everything in this module
-is exact; floats never enter.
+is exact; floats never enter.  It also hands the numeric layers numpy
+through lazy_numpy, so that the table-only path never loads it.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -307,3 +310,20 @@ def atkin_lehner_matrix(v: int, q: int) -> Mat2:
     mat = Mat2(v, y, q, v * w)
     assert mat.det == v
     return mat
+
+
+def lazy_numpy():
+    """numpy, loaded on the first attribute access rather than here.
+
+    The layers bind np = lazy_numpy() in place of `import numpy as np`, so a
+    command that only reads the period table (symbol, a warm table) never
+    pays for the import.  A plain `import numpy` of the lazy module loads it.
+    """
+    np = sys.modules.get("numpy")
+    if np is None:
+        spec = importlib.util.find_spec("numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        np = importlib.util.module_from_spec(spec)
+        sys.modules["numpy"] = np
+        spec.loader.exec_module(np)
+    return np

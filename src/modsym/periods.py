@@ -16,14 +16,16 @@ which the build records and the gates check.
 By Manin-Drinfeld every real class weight 2 pi Re W_k is an integer multiple
 n_k of one quantum; the table certifies that lattice (certify_lattice) and
 the real symbol is evaluated exactly as quantum * sum n_k.
+
+The table holds |P^1(Z/q)| entries (24 at q = 15), so it is plain Python:
+reading it from the cache and evaluating symbols loads no numpy, which only
+the table build (the antiderivative series) needs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .eigenform import (
     CacheFormatError,
@@ -43,10 +45,13 @@ from .exactmath import (
     _crt_least_abs,
     atkin_lehner_matrix,
     cf_decompose,
+    lazy_numpy,
     lift_class,
     p1_table,
     solve_gamma_tilde,
 )
+
+np = lazy_numpy()
 
 
 @dataclass(frozen=True)
@@ -99,33 +104,36 @@ def cusp_shift(h: Mat2, q: int, f: Eigenform) -> ExpansionShift:
 
 @dataclass
 class PeriodTable:
-    """One period value per P^1(Z/q) class, certified to tol.
+    """One period value per P^1(Z/q) class, certified to tol; plain tuples.
 
-    values[k] is the integral of f dz along the unimodular path
+    values[k] is the complex integral of f dz along the unimodular path
     g(0) -> g(infinity) for the canonical lift g of class k; it is a class
     function because f dz is level-q invariant.  residual_two/three record
     the worst two-term and three-term relation defects measured at build;
     curve is the Weierstrass model of the form the table was built from.
-    lattice[k] is the integer n_k with 2 pi Re values[k] ~ n_k * quantum,
-    and lattice_residual the worst deviation |2 pi Re W_k - n_k quantum|.
+    lattice[k] is the int n_k in [-127, 127] with 2 pi Re values[k] ~
+    n_k * quantum, and lattice_residual the worst deviation
+    |2 pi Re W_k - n_k quantum|.
     """
 
     q: int
     tol: float
     classes: P1Table
-    values: np.ndarray
+    values: tuple[complex, ...]
     residual_two: float
     residual_three: float
     curve: tuple[int, int, int, int, int] | None
     quantum: float
-    lattice: np.ndarray
+    lattice: tuple[int, ...]
     lattice_residual: float
 
     def index_of(self, c: int, d: int) -> int:
         return self.classes.index_of(c, d)
 
 
-def _relation_residuals(q: int, classes: P1Table, values: np.ndarray) -> tuple[float, float]:
+def _relation_residuals(
+    q: int, classes: P1Table, values: tuple[complex, ...]
+) -> tuple[float, float]:
     # At build time the two-term defect is structurally zero: the expansion
     # shift depends only on the class, so the S-partner reuses the same two
     # antiderivative values with opposite signs (path reversal).  It still
@@ -148,32 +156,34 @@ def lattice_bound(tol: float) -> float:
     return 2.0 * math.pi * 10.0 * tol
 
 
-def certify_lattice(weights: np.ndarray, bound: float) -> tuple[float, np.ndarray, float]:
+def certify_lattice(weights, bound: float) -> tuple[float, tuple[int, ...], float]:
     """Fit the real class weights onto the integer multiples of one quantum.
 
     Tries quantum = (smallest weight above bound) / j for j = 1..12 and keeps
-    the first that puts every weight within bound of an int8 multiple.
+    the first that puts every weight within bound of a multiple n in
+    [-127, 127], n the weight over the quantum rounded half to even.
     Returns (quantum, lattice, residual); when no j fits, the j = 1 fit, whose
     residual then exceeds bound, so the caller's gate refuses the table.
     """
-    nonzero = np.abs(weights[np.abs(weights) > bound])
-    if nonzero.size == 0:
+    nonzero = [abs(w) for w in weights if abs(w) > bound]
+    if not nonzero:
         raise ValueError("every real class weight is zero: no symbol lattice")
     fits = []
     for j in range(1, 13):
-        quantum = float(nonzero.min()) / j
-        lattice = np.clip(np.rint(weights / quantum), -127, 127).astype(np.int8)
-        fits.append((quantum, lattice, float(np.max(np.abs(weights - quantum * lattice)))))
+        quantum = min(nonzero) / j
+        lattice = tuple(round(min(127.0, max(-127.0, w / quantum))) for w in weights)
+        residual = max(abs(w - quantum * n) for w, n in zip(weights, lattice))
+        fits.append((quantum, lattice, residual))
     return next((fit for fit in fits if fit[2] <= bound), fits[0])
 
 
 def _table_from_values(
-    q: int, tol: float, classes: P1Table, values: np.ndarray,
+    q: int, tol: float, classes: P1Table, values: tuple[complex, ...],
     curve: tuple[int, int, int, int, int] | None,
 ) -> PeriodTable:
     r2, r3 = _relation_residuals(q, classes, values)
     quantum, lattice, residual = certify_lattice(
-        2.0 * math.pi * values.real, lattice_bound(tol)
+        [2.0 * math.pi * w.real for w in values], lattice_bound(tol)
     )
     return PeriodTable(q, tol, classes, values, r2, r3, curve, quantum, lattice, residual)
 
@@ -195,9 +205,10 @@ def build_period_table(f: Eigenform, tol: float = 1e-12) -> PeriodTable:
     plan = TruncationPlan(tol=tol / 4.0, y_min=1.0 / q, n_cap=f.n_max)
     args = np.array([[sh_g.arg, sh_gs.arg] for sh_g, sh_gs in shifts])
     f_vals = antiderivative_batch(f, args.ravel(), plan).reshape(args.shape)
-    values = np.empty(len(classes), dtype=np.complex128)
-    for k, (sh_g, sh_gs) in enumerate(shifts):
-        values[k] = -sh_g.e * f_vals[k, 0] + sh_gs.e * f_vals[k, 1]
+    values = tuple(
+        complex(-sh_g.e * f_vals[k, 0] + sh_gs.e * f_vals[k, 1])
+        for k, (sh_g, sh_gs) in enumerate(shifts)
+    )
     curve = f.curve.coefficients if f.curve is not None else None
     return _table_from_values(q, tol, classes, values, curve)
 
@@ -219,7 +230,7 @@ def period_sum(r: Fraction, table: PeriodTable) -> complex:
     total = 0j
     for k in _path_classes(r, table):
         total += table.values[k]
-    return complex(total)
+    return total
 
 
 def hecke_residual(r: Fraction, p: int, f: Eigenform, table: PeriodTable) -> float:
@@ -253,7 +264,7 @@ def symbol(r: Fraction, table: PeriodTable) -> SymbolValue:
     is exact on the certified lattice, quantum times the path's integer sum."""
     c = r.denominator
     a = r.numerator % c
-    n = int(table.lattice[_path_classes(r, table)].sum())
+    n = sum(table.lattice[k] for k in _path_classes(r, table))
     return SymbolValue(
         numer=a,
         denom=c,
@@ -322,5 +333,5 @@ def read_table_cache(path: str, q: int, tol: float, curve) -> PeriodTable:
     classes = p1_table(q)
     if [key for key, _, _ in rows] != [f"{c}:{d}" for c, d in classes.reps]:
         raise CacheFormatError("period table does not list each class once, in order")
-    values = np.array([float(re_s) + 1j * float(im_s) for _, re_s, im_s in rows])
+    values = tuple(float(re_s) + 1j * float(im_s) for _, re_s, im_s in rows)
     return _table_from_values(q, tol, classes, values, curve)

@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .eigenform import _smallest_prime_factors
+from .exactmath import lazy_numpy
 from .periods import PeriodTable
+
+np = lazy_numpy()
 
 __all__ = [
     "ScanSpec",
@@ -149,7 +150,7 @@ class SymbolStore:
         self.q = table.q
         self.quantum = table.quantum
         # weight of the class (u : v) at u * q + v
-        self._step = table.lattice.astype(np.int32)[np.asarray(table.classes.flat)]
+        self._step = np.asarray(table.lattice, dtype=np.int32)[np.asarray(table.classes.flat)]
         self._first = int(table.lattice[table.index_of(1, 0)])
         self._last = None
 

@@ -70,6 +70,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GATE = 3
 
+ORACLE_CHECKS = 10  # certified direct-oracle comparisons the verify gate needs
+ORACLE_DRAWS = 1000  # most points a/c drawn for them
+
 
 class GateFailure(RuntimeError):
     """A consistency gate tripped; the command exits with code 3."""
@@ -219,7 +222,7 @@ def _form(cfg: RunConfig) -> Eigenform:
 
 
 def _table_cache_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.cache_dir, f"table-q{cfg.q}-tol{cfg.tol:.3g}.txt")
+    return os.path.join(cfg.cache_dir, f"table-q{cfg.q}-tol{cfg.tol!r}.txt")
 
 
 def _table(cfg: RunConfig) -> PeriodTable:
@@ -462,8 +465,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     gate("hecke_identity", worst, 1e-8)
 
     worst = 0.0
-    done = 0
-    while done < 10:
+    done = draws = 0
+    while done < ORACLE_CHECKS and draws < ORACLE_DRAWS:
+        draws += 1
         c = rng.randrange(2, 60)
         a = rng.randrange(1, c)
         if math.gcd(a, c) != 1:
@@ -474,6 +478,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             continue
         worst = max(worst, abs(period_sum(Fraction(a, c), table) - direct))
         done += 1
+    if done < ORACLE_CHECKS:
+        raise TruncationError(
+            f"the direct oracle certified {done} of the {ORACLE_CHECKS} comparisons "
+            f"the dual-algorithm gate needs in {draws} draws; raise --n-max"
+        )
     gate("dual_algorithm", worst, 1e-8)
 
     if l1p is None:

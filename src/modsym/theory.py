@@ -12,11 +12,11 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
-from .eigenform import Eigenform, format_curve, parse_curve, terms_needed
-from .exactmath import divisors_squarefree, p1_table, squarefree_factors
+from .eigenform import Eigenform, _series, format_curve, parse_curve, terms_needed
+from .exactmath import divisors_squarefree, lazy_numpy, p1_table, squarefree_factors
 from .periods import cusp_shift, lift_class_from_index
+
+np = lazy_numpy()
 
 # zeta'(2); cross-checked by an Euler-Maclaurin oracle in the test suite.
 ZETA_PRIME_2 = -0.9375482543158437537
@@ -101,7 +101,13 @@ def ghat(f: Eigenform, xs, n_terms: int | None = None) -> np.ndarray:
         hi = min(lo + step - 1, n)
         ns = np.arange(lo, hi + 1, dtype=np.float64)
         w = f.coeffs[lo : hi + 1] / (ns * ns)
-        out += (w * (1.0 - np.cos(2.0 * np.pi * np.outer(xs, ns)))).sum(axis=1)
+        # in place: one grid-by-block temporary, the largest array of `contig`
+        terms = np.outer(xs, ns)
+        terms *= 2.0 * np.pi
+        np.cos(terms, out=terms)
+        np.subtract(1.0, terms, out=terms)
+        terms *= w
+        out += terms.sum(axis=1)
     return out / (2.0 * np.pi)
 
 
@@ -160,11 +166,7 @@ def _class_integral(
         zs = (k1 * (x + 1j * ys) + m) / k2
         n_terms = terms_needed(float(zs.imag.min()), tol_tail * 1e-3)
         n_terms = min(n_terms, f.n_max)
-        nss = np.arange(1, n_terms + 1)
-        vals = np.sum(
-            np.exp(2j * np.pi * zs[:, None] * nss) * f.coeffs[1 : n_terms + 1],
-            axis=1,
-        )
+        vals = _series(zs, f.coeffs[1 : n_terms + 1])
         total += wx * float(np.sum(wys * np.abs(vals) ** 2))
     return ratio * ratio * total
 

@@ -19,6 +19,7 @@ from modsym.eigenform import (
     TOL_FLOOR,
     TruncationError,
     TruncationPlan,
+    _series,
     al_sign,
     antiderivative_batch,
     build_eigenform,
@@ -95,6 +96,19 @@ def test_count_points_enumeration_matches_character_sum():
                 if lhs == rhs:
                     n_affine += 1
         assert count_points(spec, p) == p + 1 - (n_affine + 1)
+
+
+@pytest.mark.parametrize("curve,q", [(CURVE_15A1, 15), ((0, -1, 1, -2, 2), 57)])
+def test_count_points_matches_the_one_expression_sum(curve, q):
+    # the character sum as one numpy expression, before it worked in place
+    spec = CurveSpec(*curve, q=q)
+    for p in [5, 7, 11, 13, 997, 8191, 19997, 99991]:
+        x = np.arange(p, dtype=np.int64)
+        qr = np.full(p, -1, dtype=np.int64)
+        qr[(x * x) % p] = 1
+        qr[0] = 0
+        rhs = (((4 * x + spec.b2 % p) * x + (2 * spec.b4) % p) % p * x + spec.b6 % p) % p
+        assert count_points(spec, p) == -int(qr[rhs].sum())
 
 
 def test_count_points_rejects_bad_p():
@@ -235,6 +249,22 @@ def test_form_values_matches_direct_sum(form15):
     )
     got = form_values(form15, [z], tol=1e-12)[0]
     assert abs(got - direct) < 1e-12
+
+
+@pytest.mark.parametrize("n_terms", [7, 300, 5000, 9000])
+@pytest.mark.parametrize("kind", ["int", "float", "complex"])
+def test_series_blocks_match_the_one_pass_sum_bitwise(form15, n_terms, kind):
+    # one numpy pass over every point at once is the oracle: blocking, the
+    # in-place exponential and the complex cast of the coefficients change
+    # no bit of any value
+    rng = random.Random(n_terms)
+    zs = np.array([complex(rng.uniform(-1, 1), rng.uniform(0.05, 2)) for _ in range(50)])
+    ns = np.arange(1, n_terms + 1)
+    coef = form15.coeffs[1 : n_terms + 1]
+    if kind != "int":  # as form_values and antiderivative_batch pass them
+        coef = coef.astype(np.float64) if kind == "float" else coef / (2j * np.pi * ns)
+    want = np.sum(np.exp(2j * np.pi * zs[:, None] * ns) * coef, axis=1)
+    assert _series(zs, coef).tolist() == want.tolist()
 
 
 def test_form_values_refuses_without_coefficients(form15_small):

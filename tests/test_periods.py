@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modsym import eigenform
 from modsym.eigenform import (
@@ -113,7 +115,7 @@ def test_cusp_shift_slash_identity_every_class(form15):
 
 def test_period_table_shape_and_relations(table15):
     assert len(table15.classes) == 24
-    assert table15.values.shape == (24,)
+    assert len(table15.values) == 24
     # path reversal reuses the same two antiderivative values, so the
     # two-term defect is structurally zero at build time
     assert table15.residual_two == 0.0
@@ -346,23 +348,72 @@ def test_failed_cache_write_keeps_previous_cache(
 
 
 def test_table_lattice_reproduces_the_real_weights(table15):
-    weights = 2.0 * math.pi * table15.values.real
+    weights = [2.0 * math.pi * w.real for w in table15.values]
     assert table15.quantum == pytest.approx(0.798121111065892, abs=1e-12)
-    assert table15.lattice.dtype == np.int8
+    assert all(type(n) is int and -127 <= n <= 127 for n in table15.lattice)
     assert table15.lattice_residual <= lattice_bound(1e-12)
-    assert np.max(np.abs(weights - table15.quantum * table15.lattice)) == (
+    assert max(abs(w - table15.quantum * n) for w, n in zip(weights, table15.lattice)) == (
         table15.lattice_residual
     )
 
 
 def test_certification_refuses_a_weight_moved_off_the_lattice(table15):
     bound = lattice_bound(1e-12)
-    weights = 2.0 * math.pi * table15.values.real
+    weights = [2.0 * math.pi * w.real for w in table15.values]
     for k in range(len(weights)):
-        moved = weights.copy()
+        moved = list(weights)
         moved[k] += 1e-6
         _, _, residual = certify_lattice(moved, bound)
         assert residual > bound
+
+
+def _certify_lattice_numpy(weights, bound):
+    """certify_lattice as it was written on numpy arrays: the oracle."""
+    weights = np.asarray(weights, dtype=np.float64)
+    nonzero = np.abs(weights[np.abs(weights) > bound])
+    if nonzero.size == 0:
+        raise ValueError("every real class weight is zero: no symbol lattice")
+    fits = []
+    for j in range(1, 13):
+        quantum = float(nonzero.min()) / j
+        lattice = np.clip(np.rint(weights / quantum), -127, 127).astype(np.int8)
+        fits.append((quantum, lattice, float(np.max(np.abs(weights - quantum * lattice)))))
+    return next((fit for fit in fits if fit[2] <= bound), fits[0])
+
+
+@st.composite
+def _weights_and_bound(draw):
+    """Weights on a lattice (|n| up to 130, past the clip) with noise below
+    the bound, some of them moved off it, or arbitrary floats."""
+    bound = lattice_bound(draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3])))
+    size = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        return draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)), bound
+    quantum = draw(st.floats(0.01, 10.0))
+    ns = draw(st.lists(st.integers(-130, 130), min_size=size, max_size=size))
+    noise = draw(st.lists(st.floats(-0.99, 0.99), min_size=size, max_size=size))
+    weights = [quantum * n + bound * e for n, e in zip(ns, noise)]
+    for k in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        weights[k] += draw(st.floats(bound, bound + quantum))
+    return weights, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weights_and_bound())
+@example(([2.0, 5.0, -3.0, 7.0, 3.3], 1e-9))  # no j fits: the j = 1 fit, halves to even
+@example(([0.0, 1e-20, -0.0], 1e-9))  # no weight above the bound
+def test_certify_lattice_matches_the_numpy_formulation(case):
+    weights, bound = case
+    try:
+        want = _certify_lattice_numpy(weights, bound)
+    except ValueError:
+        with pytest.raises(ValueError):
+            certify_lattice(weights, bound)
+        return
+    quantum, lattice, residual = certify_lattice(weights, bound)
+    assert quantum == want[0]
+    assert lattice == tuple(int(n) for n in want[1])
+    assert residual == want[2]
 
 
 def test_cached_table_rederives_the_lattice(tmp_path, table15):
@@ -392,11 +443,11 @@ def tables57():
 @pytest.mark.parametrize("label", sorted(_CURVES_57))
 def test_conductor_57_lattices_are_certified(label, tables57):
     table = tables57[label]
-    weights = 2.0 * math.pi * table.values.real
+    weights = [2.0 * math.pi * w.real for w in table.values]
     assert table.quantum == pytest.approx(_CURVES_57[label][1], abs=5e-6)
     # j = 1: the quantum is itself the smallest nonzero weight
-    assert table.quantum == np.min(np.abs(weights[table.lattice != 0]))
-    assert int(np.max(np.abs(table.lattice.astype(int)))) <= 4
+    assert table.quantum == min(abs(w) for w, n in zip(weights, table.lattice) if n != 0)
+    assert max(abs(n) for n in table.lattice) <= 4
     assert table.lattice_residual <= lattice_bound(table.tol)
     # the path of 0/1 is the class (1 : 0), where the odd symbol vanishes;
     # contiguous_avg relies on it for the term 1/1

@@ -280,6 +280,24 @@ def test_table_cache_with_a_duplicated_line_is_rebuilt(cli, tmp_path, caplog):
     assert table_file.read_bytes() == intact
 
 
+def test_nearby_tolerances_keep_separate_table_caches(cli, tmp_path, caplog):
+    run, cache, _ = cli
+    own = tmp_path / "cache"
+    shutil.copytree(cache, own)
+    tols = ["1e-12", "1.0004e-12"]
+    for tol in tols:
+        assert main(["table", "--tol", tol, "--cache-dir", str(own), "--n-max", N_MAX]) == EXIT_OK
+    assert sorted(p.name for p in own.glob("table-*.txt")) == [
+        "table-q15-tol1.0004e-12.txt",
+        "table-q15-tol1e-12.txt",
+    ]
+    with caplog.at_level(logging.WARNING, logger="modsym"):
+        for tol in tols:
+            argv = ["table", "--tol", tol, "--cache-dir", str(own), "--n-max", N_MAX]
+            assert main(argv) == EXIT_OK
+    assert "rebuilding" not in caplog.text
+
+
 def test_symbol_reads_only_the_table_cache(cli, tmp_path, capsys):
     run, cache, _ = cli
     assert run("symbol", "2", "5") == EXIT_OK
@@ -469,6 +487,43 @@ def test_verify_runs_every_gate(cli, capsys):
     assert verdict["fingerprint"] == RunConfig(
         m_max=600, n_max=int(N_MAX)
     ).fingerprint()
+
+
+def test_verify_stops_when_the_direct_oracle_refuses_every_draw(tmp_path):
+    # at N = 60 the oracle's own tol 1e-10 refuses every c < 60
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = ["verify", "--M", "50", "--tol", "1e-6", "--n-max", "60"]
+    argv += ["--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-m", "modsym.shell", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_VALIDATION
+    assert "certified 0 of the 10 comparisons" in done.stderr
+    assert "in 1000 draws" in done.stderr
+
+
+@pytest.mark.parametrize("command", [["symbol", "2", "5"], ["table"]])
+def test_warm_table_commands_run_without_loading_numpy(command, cli, capsys):
+    run, cache, out = cli
+    assert run(*command) == EXIT_OK
+    expect = capsys.readouterr().out
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [*command, "--n-max", N_MAX, "--cache-dir", str(cache), "--out-dir", str(out)]
+    # the lazy top-level entry may be there; any submodule means numpy loaded
+    probe = (
+        "import sys; from modsym.shell import main; rc = main(sys.argv[1:]); "
+        "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    *lines, last = done.stdout.splitlines()
+    assert last == "0 []"
+    assert lines == expect.splitlines()
 
 
 def test_dist_runs_without_loading_scipy(cli):

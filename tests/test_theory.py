@@ -114,6 +114,18 @@ def test_profile_symmetry(form15):
     assert np.max(np.abs(left - right)) < 1e-12
 
 
+def test_profile_in_place_matches_the_expression_bitwise(form15):
+    # the expression ghat evaluated before it worked in place, block for block
+    xs = np.linspace(0.0, 1.0, 101)
+    n, step = 40000, 1 << 14
+    want = np.zeros(xs.shape)
+    for lo in range(1, n + 1, step):
+        ns = np.arange(lo, min(lo + step - 1, n) + 1, dtype=np.float64)
+        w = form15.coeffs[lo : lo + ns.size] / (ns * ns)
+        want += (w * (1.0 - np.cos(2.0 * np.pi * np.outer(xs, ns)))).sum(axis=1)
+    assert ghat(form15, xs, n_terms=n).tolist() == (want / (2.0 * np.pi)).tolist()
+
+
 def test_profile_truncation_certificate(form15):
     xs = np.linspace(0.0, 1.0, 11)
     coarse = ghat(form15, xs, n_terms=2000)
