@@ -282,9 +282,10 @@ class TruncationPlan:
 # Series evaluation
 
 # A block's one complex temporary is at most 128 KB unless one point needs
-# more terms.  Larger temporaries, freed at the top of the heap, let glibc
-# trim it, and the next block faults the pages back in: up to 5x the page
-# faults in the Petersson quadrature.
+# more terms.  Larger temporaries, freed at the top of the heap, can let
+# glibc trim it, and the next block faults the pages back in.  The callers
+# are small: the period table's 48 points fit in one block, and the direct
+# oracle evaluates two points at a time.
 _CHUNK = 1 << 13
 
 

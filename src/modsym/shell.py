@@ -451,6 +451,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     norm = petersson_quadrature(f, tol=1e-5)
     recovered = sym2_l_from_petersson(f, norm.value)
     gate("fixture_sym2_recovery", abs(recovered - l1) / l1, 1e-3)
+    gate("petersson_mesh", norm.mesh_error, norm.tol)
+    gate("petersson_truncation", norm.truncated, 0)
 
     rng = random.Random(cfg.seed)
     good_primes = [p for p in (2, 3, 5, 7, 11) if cfg.q % p][:2]

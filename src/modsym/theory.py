@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .eigenform import Eigenform, _series, format_curve, parse_curve, terms_needed
+from .eigenform import Eigenform, format_curve, parse_curve, terms_needed
 from .exactmath import divisors_squarefree, lazy_numpy, p1_table, squarefree_factors
 from .periods import cusp_shift, lift_class_from_index
 
@@ -122,6 +122,7 @@ class PeterssonResult:
     tol: float
     max_cutoff: float
     classes: int
+    truncated: int  # (class, x-node) columns of both passes cut short of the certified length
 
 
 def _map_rule(rule, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -144,31 +145,31 @@ def _class_cutoff(coeff_abs: np.ndarray, ratio: float, tol_tail: float) -> float
     return max(cutoff, 2.0)
 
 
-def _class_integral(
-    f: Eigenform, shift: tuple, tol_tail: float, rule: tuple, x_panels: tuple
-) -> float:
-    """Integral over the standard fundamental domain of (k1/k2)^2 |f((k1 w + m)/k2)|^2.
+def _width_integral(f: Eigenform, width, ms, tol_tail: float, rule, x_panels) -> tuple[float, int]:
+    """Sum over the classes m of the width (k1, k2, cutoff) of the integrals over the
+    standard fundamental domain of (k1/k2)^2 |f((k1 w + m)/k2)|^2, and the columns cut short.
 
-    shift is (k1, k2, m, cutoff).  x_panels is the rule on 8 panels of
-    [-1/2, 1/2]; in y, geometric panels run from the domain floor
-    sqrt(1 - x^2) up to the class cutoff.
+    At an x-node all the classes' points have heights k1 y/k2, y on geometric panels from
+    sqrt(1 - x^2) to the cutoff, so their series are one real product D @ C, with
+    D[j, n] = exp(-2 pi n k1 y_j/k2) and C[n, c] = a(n) e(n (k1 x + m_c)/k2).
     """
-    k1, k2, m, cutoff = shift
-    ratio = k1 / k2
-    total = 0.0
-    growth = 1.6
+    k1, k2, cutoff = width
+    total, truncated = 0.0, 0
     for x, wx in zip(*x_panels):
-        y0 = math.sqrt(max(1.0 - x * x, 0.0))
-        edges = [y0]
+        edges = [math.sqrt(max(1.0 - x * x, 0.0))]
         while edges[-1] < cutoff:
-            edges.append(min(edges[-1] * growth, cutoff))
+            edges.append(min(edges[-1] * 1.6, cutoff))
         ys, wys = _map_rule(rule, edges)
-        zs = (k1 * (x + 1j * ys) + m) / k2
-        n_terms = terms_needed(float(zs.imag.min()), tol_tail * 1e-3)
-        n_terms = min(n_terms, f.n_max)
-        vals = _series(zs, f.coeffs[1 : n_terms + 1])
-        total += wx * float(np.sum(wys * np.abs(vals) ** 2))
-    return ratio * ratio * total
+        heights = k1 * ys / k2
+        needed = terms_needed(float(heights.min()), tol_tail * 1e-3)
+        truncated += len(ms) if needed > f.n_max else 0
+        ns = np.arange(1, min(needed, f.n_max) + 1)
+        decay = np.exp(np.multiply.outer(-2.0 * np.pi * heights, ns))
+        phase = np.exp(np.multiply.outer(2j * np.pi * ns, np.add(k1 * x, ms) / k2))
+        phase *= f.coeffs[1 : ns.size + 1, None]
+        vals = decay @ phase.view(np.float64)  # re and im of each class, interleaved
+        total += wx * float(wys @ (vals * vals).sum(axis=1))
+    return (k1 / k2) ** 2 * total, truncated
 
 
 def petersson_quadrature(
@@ -177,34 +178,38 @@ def petersson_quadrature(
     """Petersson norm ||f||^2 over the level-q quotient, with mesh self-check.
 
     Sums, over the coset classes indexed by P^1(Z/q), the fundamental-domain
-    integrals of |f|g|^2 = (k1/k2)^2 |f((k1 w + m)/k2)|^2; each class uses a
-    certified exponential cutoff and the whole quadrature is repeated with
-    doubled node counts to estimate the mesh error.  The Gauss-Legendre rule
-    is computed once per node count and the cutoffs once per class.
+    integrals of |f|g|^2 = (k1/k2)^2 |f((k1 w + m)/k2)|^2, one cusp width (k1, k2)
+    at a time with a certified exponential cutoff per width; the whole quadrature
+    is repeated with doubled node counts, each computing its Gauss-Legendre rule
+    once, to estimate the mesh error.
     """
     q = f.q
     classes = p1_table(q)
     tol_tail = tol / (2.0 * len(classes))
     coeff_abs = np.abs(f.coeffs[1:].astype(np.float64))
-    shifts = []
+    widths: dict[tuple, list[int]] = {}
     for k in range(len(classes)):
         sh = cusp_shift(lift_class_from_index(classes, k), q, f)
-        cutoff = _class_cutoff(coeff_abs, sh.k1 / sh.k2, tol_tail)
-        shifts.append((sh.k1, sh.k2, sh.m, cutoff))
+        widths.setdefault((sh.k1, sh.k2), []).append(sh.m)
+    groups = [
+        ((k1, k2, _class_cutoff(coeff_abs, k1 / k2, tol_tail)), ms)
+        for (k1, k2), ms in widths.items()
+    ]
 
-    def run(nodes: int) -> float:
+    def run(nodes: int) -> tuple[float, int]:
         rule = np.polynomial.legendre.leggauss(nodes)
         x_panels = _map_rule(rule, [-0.5 + j / 8 for j in range(9)])
-        return sum(_class_integral(f, sh, tol_tail, rule, x_panels) for sh in shifts)
+        parts = [_width_integral(f, w, ms, tol_tail, rule, x_panels) for w, ms in groups]
+        return sum(p for p, _ in parts), sum(n for _, n in parts)
 
-    coarse = run(n_leg)
-    fine = run(2 * n_leg)
+    (coarse, cut_coarse), (fine, cut_fine) = run(n_leg), run(2 * n_leg)
     return PeterssonResult(
         value=fine,
         mesh_error=abs(fine - coarse),
         tol=tol,
-        max_cutoff=max(s[3] for s in shifts),
+        max_cutoff=max(w[2] for w, _ in groups),
         classes=len(classes),
+        truncated=cut_coarse + cut_fine,
     )
 
 
@@ -304,18 +309,10 @@ def build_theory(
     petersson_tol: float = 1e-5,
 ) -> TheoryConstants:
     slope_paper, slope_real = slope_from_L(q, sym2_l)
-    divs = divisors_squarefree(q)
-    shift_a = {}
-    shift_b = None
-    shifts: dict[int, float] | None = {}
-    for d in divs:
-        a, b = shift_coefficients(q, d)
-        shift_a[d] = a
-        shift_b = b
-        if sym2_l_prime is None:
-            shifts = None
-        elif shifts is not None:
-            shifts[d] = a * sym2_l + b * sym2_l_prime
+    coeffs = {d: shift_coefficients(q, d) for d in divisors_squarefree(q)}
+    shifts = None
+    if sym2_l_prime is not None:
+        shifts = {d: a * sym2_l + b * sym2_l_prime for d, (a, b) in coeffs.items()}
     out = TheoryConstants(
         q=q,
         vol=volume(q),
@@ -323,8 +320,8 @@ def build_theory(
         sym2_l_prime=sym2_l_prime,
         slope_paper=slope_paper,
         slope_real=slope_real,
-        shift_a=shift_a,
-        shift_b=shift_b,
+        shift_a={d: a for d, (a, _) in coeffs.items()},
+        shift_b=coeffs[q][1],  # B does not depend on d
         shifts=shifts,
         zeta_prime_2=ZETA_PRIME_2,
     )

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from modsym import shell
 from modsym.scanstats import SymbolStore
 from modsym.shell import (
     EXIT_GATE,
@@ -476,6 +477,8 @@ def test_verify_runs_every_gate(cli, capsys):
         "value_at_zero_plus",
         "value_at_zero_minus",
         "fixture_sym2_recovery",
+        "petersson_mesh",
+        "petersson_truncation",
         "hecke_identity",
         "dual_algorithm",
         "variance_shifts",
@@ -487,6 +490,19 @@ def test_verify_runs_every_gate(cli, capsys):
     assert verdict["fingerprint"] == RunConfig(
         m_max=600, n_max=int(N_MAX)
     ).fingerprint()
+
+
+def test_verify_fails_a_quadrature_cut_short_of_its_certificate(cli, capsys, monkeypatch):
+    run, _, _ = cli
+    quadrature = shell.petersson_quadrature
+
+    def cut_short(f, tol):
+        return replace(quadrature(f, tol=tol), truncated=1)
+
+    monkeypatch.setattr(shell, "petersson_quadrature", cut_short)
+    assert run("verify", "--M", "600") == EXIT_GATE
+    gates = json.loads(capsys.readouterr().out)["gates"]
+    assert [g["name"] for g in gates if not g["passed"]] == ["petersson_truncation"]
 
 
 def test_verify_stops_when_the_direct_oracle_refuses_every_draw(tmp_path):

@@ -11,6 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from modsym import theory
+from modsym.eigenform import CurveSpec, _series, build_eigenform, terms_needed
+from modsym.exactmath import p1_table
+from modsym.periods import cusp_shift, lift_class_from_index
 from modsym.theory import (
     ZETA_PRIME_2,
     build_theory,
@@ -173,11 +177,13 @@ def test_petersson_coarse_run_stays_within_requested_tol(form15):
 
 
 def test_petersson_quadrature_is_frozen_bit_for_bit(form15_small):
-    # any change to node placement or summation order moves these bits
+    # any change to node placement or summation order moves these bits;
+    # test_width_kernel_matches_the_per_class_oracle bounds a deliberate move
     rough = petersson_quadrature(form15_small, tol=1e-3, n_leg=4)
     assert rough.value == 0.05654015872824968
-    assert rough.mesh_error == 2.1230408327188588e-08
+    assert rough.mesh_error == 2.1230408320249694e-08
     assert rough.max_cutoff == 9.550641899748028
+    assert rough.truncated == 0
 
 
 def test_petersson_quadrature_computes_each_rule_once(form15_small, monkeypatch):
@@ -191,6 +197,101 @@ def test_petersson_quadrature_computes_each_rule_once(form15_small, monkeypatch)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     petersson_quadrature(form15_small, tol=1e-3, n_leg=4)
     assert orders == [4, 8]  # coarse and fine node counts, once each
+
+
+@pytest.fixture(scope="module")
+def form57_short():
+    """57a1 with too few coefficients to certify every column of the quadrature."""
+    return build_eigenform(CurveSpec(0, -1, 1, -2, 2, q=57), n_max=100)
+
+
+def _per_class_quadrature(f, tol, n_leg):
+    """Oracle: the quadrature one class at a time, each class's series summed
+    over every (point, term) pair in complex exponentials.
+
+    Returns (value, mesh_error, max_cutoff, classes, truncated, shifts,
+    lengths), where lengths[nodes, k] lists the series length of class k at
+    each x-node of the pass with that node count.
+    """
+    classes = p1_table(f.q)
+    tol_tail = tol / (2.0 * len(classes))
+    coeff_abs = np.abs(f.coeffs[1:].astype(np.float64))
+    shifts = [cusp_shift(lift_class_from_index(classes, k), f.q, f) for k in range(len(classes))]
+    cutoffs = [theory._class_cutoff(coeff_abs, sh.k1 / sh.k2, tol_tail) for sh in shifts]
+    passes, truncated, lengths = [], 0, {}
+    for nodes in (n_leg, 2 * n_leg):
+        rule = np.polynomial.legendre.leggauss(nodes)
+        x_panels = theory._map_rule(rule, [-0.5 + j / 8 for j in range(9)])
+        passes.append(0.0)
+        for k, (sh, cutoff) in enumerate(zip(shifts, cutoffs)):
+            total = 0.0
+            for x, wx in zip(*x_panels):
+                edges = [math.sqrt(max(1.0 - x * x, 0.0))]
+                while edges[-1] < cutoff:
+                    edges.append(min(edges[-1] * 1.6, cutoff))
+                ys, wys = theory._map_rule(rule, edges)
+                zs = (sh.k1 * (x + 1j * ys) + sh.m) / sh.k2
+                n_terms = terms_needed(float(zs.imag.min()), tol_tail * 1e-3)
+                truncated += n_terms > f.n_max
+                n_terms = min(n_terms, f.n_max)
+                lengths.setdefault((nodes, k), []).append(n_terms)
+                vals = _series(zs, f.coeffs[1 : n_terms + 1])
+                total += wx * float(np.sum(wys * np.abs(vals) ** 2))
+            passes[-1] += (sh.k1 / sh.k2) ** 2 * total
+    coarse, fine = passes
+    return fine, abs(fine - coarse), max(cutoffs), len(classes), truncated, shifts, lengths
+
+
+@pytest.mark.parametrize(
+    "form,tol,n_leg",
+    [("form15_small", 1e-3, 4), ("form15", 1e-5, 12), ("form57_short", 1e-3, 4)],
+)
+def test_width_kernel_matches_the_per_class_oracle(form, tol, n_leg, request, monkeypatch):
+    f = request.getfixturevalue(form)
+    value, mesh, max_cutoff, classes, truncated, shifts, lengths = _per_class_quadrature(
+        f, tol, n_leg
+    )
+    # series length at each x-node, per (node count, width), as the kernel chose it
+    seen = {}
+    width_integral, needed = theory._width_integral, theory.terms_needed
+
+    def recording(f, width, ms, tol_tail, rule, x_panels):
+        cols = seen.setdefault((len(rule[0]), width[:2]), [])
+
+        def counted(y, tail_tol):
+            n = needed(y, tail_tol)
+            cols.append(min(n, f.n_max))
+            return n
+
+        monkeypatch.setattr(theory, "terms_needed", counted)
+        return width_integral(f, width, ms, tol_tail, rule, x_panels)
+
+    monkeypatch.setattr(theory, "_width_integral", recording)
+    got = petersson_quadrature(f, tol=tol, n_leg=n_leg)
+    assert got.value == pytest.approx(value, rel=1e-13)
+    assert got.mesh_error == pytest.approx(mesh, abs=1e-13 * value)
+    assert (got.max_cutoff, got.classes, got.truncated) == (max_cutoff, classes, truncated)
+    assert set(seen) == {(nodes, (shifts[k].k1, shifts[k].k2)) for nodes, k in lengths}
+    for (nodes, k), cols in lengths.items():
+        assert seen[nodes, (shifts[k].k1, shifts[k].k2)] == cols
+    if form == "form15":
+        assert request.getfixturevalue("petersson15") == got
+    if form == "form57_short":
+        assert got.truncated > 0  # the count is exercised, not only its zero
+
+
+def test_petersson_cutoff_runs_once_per_cusp_width(form15_small, monkeypatch):
+    ratios = []
+    class_cutoff = theory._class_cutoff
+
+    def counting(coeff_abs, ratio, tol_tail):
+        ratios.append(ratio)
+        return class_cutoff(coeff_abs, ratio, tol_tail)
+
+    monkeypatch.setattr(theory, "_class_cutoff", counting)
+    petersson_quadrature(form15_small, tol=1e-3, n_leg=4)
+    # the 24 classes of level 15 have widths k1/k2 = 1, 1/3, 1/5 and 1/15
+    assert sorted(ratios) == [1 / 15, 1 / 5, 1 / 3, 1.0]
 
 
 # ---------------------------------------------------------------------------
