@@ -16,12 +16,10 @@ from .eigenform import (
 from .exactmath import (
     CapacityError,
     Mat2,
-    P1Class,
     P1Table,
     cf_decompose,
     divisors_squarefree,
     lift_class,
-    normalize_p1,
     p1_table,
     squarefree_factors,
 )

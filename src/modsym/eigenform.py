@@ -3,7 +3,7 @@
 Prime coefficients come from projective point counts (singular points
 included, so multiplicative primes give +-1 directly), the full coefficient
 array from the Hecke recursions, and the analytic side provides certified
-truncation plans, the antiderivative of the form, and the central L-value.
+series lengths, the antiderivative of the form, and the central L-value.
 """
 from __future__ import annotations
 
@@ -251,68 +251,40 @@ def terms_needed(y: float, tol: float) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class TruncationPlan:
-    """Certified truncation: guarantees tail < tol for heights >= y_min.
-
-    n_cap is the number of coefficients actually available; a plan that
-    would need more refuses with TruncationError rather than degrade.
-    """
-
-    tol: float
-    y_min: float
-    n_cap: int
-
-    def __post_init__(self):
-        terms = terms_needed(self.y_min, self.tol)
-        if terms > self.n_cap:
-            raise TruncationError(
-                f"certified truncation at height {self.y_min:g} and tolerance "
-                f"{self.tol:g} needs {terms} coefficients but only {self.n_cap} "
-                f"are available"
-            )
-
-    def terms(self, y: float) -> int:
-        if y < self.y_min * (1.0 - 1e-12):
-            raise ValueError(f"height {y:g} below the planned minimum {self.y_min:g}")
-        return terms_needed(y, self.tol)
+def certified_terms(f: Eigenform, y: float, tol: float) -> int:
+    """terms_needed(y, tol), the series length certified below tol at every
+    height >= y; refuses with TruncationError rather than degrade when f has
+    fewer coefficients than that."""
+    terms = terms_needed(y, tol)
+    if terms > f.n_max:
+        raise TruncationError(
+            f"certified truncation at height {y:g} and tolerance {tol:g} needs "
+            f"{terms} coefficients but only {f.n_max} are available"
+        )
+    return terms
 
 
 # ---------------------------------------------------------------------------
 # Series evaluation
 
-# A block's one complex temporary is at most 128 KB unless one point needs
-# more terms.  Larger temporaries, freed at the top of the heap, can let
-# glibc trim it, and the next block faults the pages back in.  The callers
-# are small: the period table's 48 points fit in one block, and the direct
-# oracle evaluates two points at a time.
-_CHUNK = 1 << 13
-
 
 def _series(zs: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_n coef[n-1] e(nz) at each z, in blocks of at most _CHUNK terms;
-    the sum of a row does not depend on the block it is in."""
-    n_terms = coef.size
-    ns = np.arange(1, n_terms + 1)
-    coef = coef.astype(np.complex128)
-    out = np.empty(zs.shape, dtype=np.complex128)
-    step = max(1, _CHUNK // max(n_terms, 1))
-    for i in range(0, zs.size, step):
-        terms = np.multiply.outer(2j * np.pi * zs[i : i + step], ns)
-        np.exp(terms, out=terms)
-        terms *= coef
-        out[i : i + step] = terms.sum(axis=1)
-    return out
+    """sum_n coef[n-1] e(nz) at each z, every point in one numpy pass."""
+    terms = np.multiply.outer(2j * np.pi * zs, np.arange(1, coef.size + 1))
+    np.exp(terms, out=terms)
+    terms *= coef.astype(np.complex128)
+    return terms.sum(axis=1)
 
 
-def antiderivative_batch(f: Eigenform, zs, plan: TruncationPlan) -> np.ndarray:
-    """Antiderivative F(z) = sum a(n)/(2 pi i n) e(nz) at each z, certified by plan.
+def antiderivative_batch(f: Eigenform, zs, tol: float) -> np.ndarray:
+    """Antiderivative F(z) = sum a(n)/(2 pi i n) e(nz) at each z, certified to tol.
 
-    F vanishes at i*infinity and has period 1; the plan's tail bound (stated
-    for the form itself) dominates the antiderivative's tail term by term.
+    F vanishes at i*infinity and has period 1; the tail bound of
+    certified_terms (stated for the form itself) dominates the
+    antiderivative's tail term by term.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-    n_terms = plan.terms(float(zs.imag.min()))
+    n_terms = certified_terms(f, float(zs.imag.min()), tol)
     ns = np.arange(1, n_terms + 1)
     return _series(zs, f.coeffs[1 : n_terms + 1] / (2j * np.pi * ns))
 
@@ -320,12 +292,7 @@ def antiderivative_batch(f: Eigenform, zs, plan: TruncationPlan) -> np.ndarray:
 def form_values(f: Eigenform, zs, tol: float = 1e-10) -> np.ndarray:
     """The form itself, f(z) = sum a(n) e(nz), certified to tol at each z."""
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-    n_terms = terms_needed(float(zs.imag.min()), tol)
-    if n_terms > f.n_max:
-        raise TruncationError(
-            f"form evaluation at height {float(zs.imag.min()):g} needs {n_terms} "
-            f"coefficients but only {f.n_max} are available"
-        )
+    n_terms = certified_terms(f, float(zs.imag.min()), tol)
     return _series(zs, f.coeffs[1 : n_terms + 1].astype(np.float64))
 
 
@@ -441,14 +408,10 @@ def read_coeffs_cache(path: str, curve: CurveSpec, n_max: int) -> np.ndarray:
     return coeffs
 
 
-def load_or_build_eigenform(
-    curve: CurveSpec, n_max: int, cache_dir: str | None = None
-) -> Eigenform:
+def load_or_build_eigenform(curve: CurveSpec, n_max: int, cache_dir: str) -> Eigenform:
     """Eigenform with cache-backed coefficients; a missing cache is built, and
     a corrupt one, or one written for another level, length or curve, is
     rebuilt with a warning."""
-    if cache_dir is None:
-        return build_eigenform(curve, n_max)
     os.makedirs(cache_dir, exist_ok=True)
     path = coeffs_cache_path(cache_dir, curve.q, n_max)
     coeffs = read_usable(path, "coefficient", read_coeffs_cache, curve, n_max)

@@ -136,15 +136,6 @@ def cf_decompose(r: Fraction) -> list[Mat2]:
     return mats
 
 
-@dataclass(frozen=True)
-class P1Class:
-    """Canonical representative (c : d) of a point of P^1(Z/q)."""
-
-    q: int
-    c: int
-    d: int
-
-
 class P1Table:
     """P^1(Z/q) for squarefree q: canonical reps and a flat lookup table.
 
@@ -186,19 +177,10 @@ class P1Table:
             raise ValueError(f"({c}:{d}) is not a point of P^1(Z/{q}): gcd(c,d,q) > 1")
         return k
 
-    def rep_of(self, c: int, d: int) -> tuple[int, int]:
-        return self.reps[self.index_of(c, d)]
-
 
 @lru_cache(maxsize=None)
 def p1_table(q: int) -> P1Table:
     return P1Table(q)
-
-
-def normalize_p1(c: int, d: int, q: int) -> P1Class:
-    """Canonical representative of (c : d) in P^1(Z/q)."""
-    rep = p1_table(q).rep_of(c, d)
-    return P1Class(q, rep[0], rep[1])
 
 
 def _spiral():
@@ -210,28 +192,15 @@ def _spiral():
         t += 1
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    return old_r, old_x, old_y
-
-
-def lift_class(k: P1Class) -> Mat2:
-    """A unimodular matrix whose bottom row reduces to the class (c : d).
+def lift_class(q: int, c0: int, d0: int) -> Mat2:
+    """A unimodular matrix whose bottom row reduces to the class (c0 : d0).
 
     Search strategy (documented and deterministic): keep the canonical c,
     adjust d by multiples of q with offsets 0, 1, -1, 2, ... until the
-    bottom row is coprime, complete with the extended Euclid algorithm,
-    then reduce the top row by the nearest multiple of the bottom row.
+    bottom row is coprime, complete it with x = d^-1 mod c, then reduce the
+    top row by the nearest multiple of the bottom row; that reduction gives
+    the same matrix for every x in the residue class.
     """
-    c0, d0, q = k.c, k.d, k.q
     if q == 1:
         return IDENTITY
     if c0 == 0:
@@ -242,9 +211,8 @@ def lift_class(k: P1Class) -> Mat2:
         if math.gcd(c0, d1) == 1:
             break
     # top row (x, y) with x*d1 - y*c0 = 1
-    g, x, y = _egcd(d1, c0)
-    y = -y
-    assert g == 1 and x * d1 - y * c0 == 1
+    x = pow(d1, -1, c0)
+    y = (x * d1 - 1) // c0
     # shift the top row by multiples of the bottom row to shrink it
     m = (2 * x + c0) // (2 * c0)
     return Mat2(x - m * c0, y - m * d1, c0, d1)

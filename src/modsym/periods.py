@@ -30,7 +30,6 @@ from fractions import Fraction
 from .eigenform import (
     CacheFormatError,
     Eigenform,
-    TruncationPlan,
     al_sign,
     antiderivative_batch,
     format_curve,
@@ -39,7 +38,6 @@ from .eigenform import (
 )
 from .exactmath import (
     Mat2,
-    P1Class,
     P1Table,
     S_MAT,
     _crt_least_abs,
@@ -202,9 +200,8 @@ def build_period_table(f: Eigenform, tol: float = 1e-12) -> PeriodTable:
     for k in range(len(classes)):
         g = lift_class_from_index(classes, k)
         shifts.append((cusp_shift(g, q, f), cusp_shift(g @ S_MAT, q, f)))
-    plan = TruncationPlan(tol=tol / 4.0, y_min=1.0 / q, n_cap=f.n_max)
     args = np.array([[sh_g.arg, sh_gs.arg] for sh_g, sh_gs in shifts])
-    f_vals = antiderivative_batch(f, args.ravel(), plan).reshape(args.shape)
+    f_vals = antiderivative_batch(f, args.ravel(), tol / 4.0).reshape(args.shape)
     values = tuple(
         complex(-sh_g.e * f_vals[k, 0] + sh_gs.e * f_vals[k, 1])
         for k, (sh_g, sh_gs) in enumerate(shifts)
@@ -214,8 +211,7 @@ def build_period_table(f: Eigenform, tol: float = 1e-12) -> PeriodTable:
 
 
 def lift_class_from_index(classes: P1Table, k: int) -> Mat2:
-    c, d = classes.reps[k]
-    return lift_class(P1Class(classes.q, c, d))
+    return lift_class(classes.q, *classes.reps[k])
 
 
 def _path_classes(r: Fraction, table: PeriodTable) -> list[int]:
@@ -225,12 +221,17 @@ def _path_classes(r: Fraction, table: PeriodTable) -> list[int]:
     return [table.index_of(g.c, g.d) for g in cf_decompose(Fraction(a, c))]
 
 
-def period_sum(r: Fraction, table: PeriodTable) -> complex:
-    """P(r) along the Manin path; exact 1-periodicity via a mod c reduction."""
+def _values_sum(ks: list[int], table: PeriodTable) -> complex:
+    """The period values of the classes ks, added in path order."""
     total = 0j
-    for k in _path_classes(r, table):
+    for k in ks:
         total += table.values[k]
     return total
+
+
+def period_sum(r: Fraction, table: PeriodTable) -> complex:
+    """P(r) along the Manin path; exact 1-periodicity via a mod c reduction."""
+    return _values_sum(_path_classes(r, table), table)
 
 
 def hecke_residual(r: Fraction, p: int, f: Eigenform, table: PeriodTable) -> float:
@@ -260,17 +261,18 @@ class SymbolValue:
 
 
 def symbol(r: Fraction, table: PeriodTable) -> SymbolValue:
-    """Both symbol components at the rational r, reduced into [0, 1); m_minus
-    is exact on the certified lattice, quantum times the path's integer sum."""
+    """Both symbol components at the rational r, reduced into [0, 1), from
+    one walk of the Manin path: m_minus is exact on the certified lattice,
+    quantum times the path's integer sum, and m_plus is period_sum's value."""
     c = r.denominator
     a = r.numerator % c
-    n = sum(table.lattice[k] for k in _path_classes(r, table))
+    ks = _path_classes(r, table)
     return SymbolValue(
         numer=a,
         denom=c,
         d=math.gcd(c, table.q),
-        m_minus=table.quantum * n,
-        m_plus=-2.0 * math.pi * period_sum(r, table).imag,
+        m_minus=table.quantum * sum(table.lattice[k] for k in ks),
+        m_plus=-2.0 * math.pi * _values_sum(ks, table).imag,
     )
 
 
@@ -300,11 +302,9 @@ def direct_symbol_oracle(
     y_shift = w_v.b
     if t is None:
         t = abs(big_d) / (c * v)
-    im_moebius = t * v / (big_d * big_d + (c * v * t) ** 2)
-    plan = TruncationPlan(tol=tol / 2.0, y_min=min(t, im_moebius), n_cap=f.n_max)
     z1 = (a * v * 1j * t + big_b) / (c * v * 1j * t + big_d)
     z2 = -y_shift / v + 1j * t
-    f1, f2 = antiderivative_batch(f, [z1, z2], plan)
+    f1, f2 = antiderivative_batch(f, [z1, z2], tol / 2.0)
     return complex(f1 - al_sign(f, v) * f2)
 
 

@@ -331,23 +331,20 @@ def weyl_report(spec: ScanSpec, rows: list[AggregateRow]) -> list[WeylEntry]:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Variance-law fits for one gcd class, in both sign conventions.
+    """Variance-law fits for one gcd class, in the real sign convention.
 
-    fixed_slope_shift_* pins the slope at the theoretical value and averages
-    the residual with phi(c) weights; slope/shift are the free weighted
-    least squares in log c.  Paper-convention values are the negations of
-    the real-convention ones (the paper symbol is i times the real one).
+    fixed_slope_shift_real pins the slope at the theoretical value and
+    averages the residual with phi(c) weights; slope/shift are the free
+    weighted least squares in log c.  Paper-convention values are their
+    negations (the paper symbol is i times the real one).
     """
 
     d: int
     n_rows: int
     weight: float
     fixed_slope_shift_real: float
-    fixed_slope_shift_paper: float
     slope_real: float
     shift_real: float
-    slope_paper: float
-    shift_paper: float
     residual_rms: float
 
 
@@ -371,17 +368,15 @@ def _fit_class(cs, phis, variances, slope_real: float) -> tuple[float, ...]:
     return fixed, slope, shift, rms
 
 
-def variance_fit(
-    rows: list[AggregateRow], slope_real: float, c_min: int = 2
-) -> dict[int, FitResult]:
+def variance_fit(rows: list[AggregateRow], slope_real: float) -> dict[int, FitResult]:
     """Per-gcd-class shift estimates against Var_real(c) = slope log c + D.
 
-    Uses rows with c >= c_min (log c = 0 makes c = 1 uninformative for the
-    free fit and its phi-weight is negligible for the fixed one).
+    Uses rows with c >= 2 (log c = 0 makes c = 1 uninformative for the free
+    fit and its phi-weight is negligible for the fixed one).
     """
     by_d: dict[int, list[AggregateRow]] = {}
     for row in rows:
-        if row.c >= c_min:
+        if row.c >= 2:
             by_d.setdefault(row.d, []).append(row)
     out = {}
     for d, group in sorted(by_d.items()):
@@ -396,15 +391,12 @@ def variance_fit(
             n_rows=len(group),
             weight=float(phis.sum()),
             fixed_slope_shift_real=fixed,
-            fixed_slope_shift_paper=-fixed,
             slope_real=slope,
             shift_real=shift,
-            slope_paper=-slope,
-            shift_paper=-shift,
             residual_rms=rms,
         )
     if not out:
-        raise ValueError("no rows left after the c_min cut")
+        raise ValueError("no rows with c >= 2 to fit")
     return out
 
 
@@ -444,12 +436,10 @@ def distribution_report(
     c_max: int = 4000,
     x0: Fraction = Fraction(0),
     x1: Fraction = Fraction(1),
-    k_max: int = 6,
-    bins: int = 100,
-    span: float = 5.0,
 ) -> DistributionReport:
     """Standardize the symbol values of one gcd class and compare them against
-    the standard normal: moments up to k_max, KS distance, histogram.
+    the standard normal: moments up to 6, KS distance, and a histogram of 100
+    bins on [-5, 5].
 
     The sample is read as atoms: each admissible c contributes its lattice
     integers n on the window with their counts w, at z = quantum n / sigma_c.
@@ -486,12 +476,12 @@ def distribution_report(
         # exact, so odd moments over a symmetric sample are exactly 0
         term = w.astype(np.float64)
         moments = []
-        for _ in range(k_max):
+        for _ in range(6):
             term = term * z
             moments.append(math.fsum(term.tolist()) / n_sample)
         return tuple(moments)
 
-    edges = np.linspace(-span, span, bins + 1)
+    edges = np.linspace(-5.0, 5.0, 101)
     hist, _ = np.histogram(z_shift, bins=edges, weights=w)
     return DistributionReport(
         d=d,
@@ -558,7 +548,7 @@ def write_fit_csv(
 ) -> None:
     head = ["d", "slope_real", "shift_real", "slope_paper", "shift_paper", "fixed_slope_shift"]
     cells = (
-        [d, r.slope_real, r.shift_real, r.slope_paper, r.shift_paper, r.fixed_slope_shift_paper]
+        [d, r.slope_real, r.shift_real, -r.slope_real, -r.shift_real, -r.fixed_slope_shift_real]
         for d, r in sorted(fits.items())
     )
     _write_csv(path, fingerprint, head, cells)

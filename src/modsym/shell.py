@@ -15,7 +15,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .eigenform import (
@@ -123,15 +123,7 @@ class RunConfig:
         return self.fixture if self.fixture else default_fixture_path()
 
     def scan_spec(self) -> ScanSpec:
-        return ScanSpec(
-            q=self.q,
-            m_max=self.m_max,
-            d_filter=self.d_filter,
-            x0=self.x0,
-            x1=self.x1,
-            k_max=self.k_max,
-            weyl_modes=self.weyl_modes,
-        )
+        return ScanSpec(**{field.name: getattr(self, field.name) for field in fields(ScanSpec)})
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +317,9 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     print(f"theory slope: paper {slope_paper:+.6f} / real {slope_real:+.6f}")
     for d, r in sorted(fits.items()):
         line = (
-            f"d={d}: fixed-slope shift (paper) {r.fixed_slope_shift_paper:+.4f}"
+            f"d={d}: fixed-slope shift (paper) {-r.fixed_slope_shift_real:+.4f}"
             f", free slope (real) {r.slope_real:+.5f}"
-            f", free shift (paper) {r.shift_paper:+.4f}"
+            f", free shift (paper) {-r.shift_real:+.4f}"
         )
         if l1p is not None:
             line += f", theory shift {shift_value(cfg.q, d, l1, l1p):+.4f}"
@@ -410,14 +402,7 @@ def cmd_weyl(cfg: RunConfig, args) -> int:
 def cmd_theory(cfg: RunConfig, args) -> int:
     l1, l1p = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
     f = _form(cfg) if args.petersson else None
-    tc = build_theory(
-        cfg.q,
-        l1,
-        l1p,
-        f=f,
-        with_petersson=args.petersson,
-        petersson_tol=args.petersson_tol,
-    )
+    tc = build_theory(cfg.q, l1, l1p, f=f, petersson_tol=args.petersson_tol)
     print(tc.as_json())
     return EXIT_OK
 
@@ -496,7 +481,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     worst = 0.0
     for d, r in fits.items():
         theory_paper = shift_value(cfg.q, d, l1, l1p)
-        worst = max(worst, abs(r.fixed_slope_shift_paper - theory_paper))
+        worst = max(worst, abs(-r.fixed_slope_shift_real - theory_paper))
     gate("variance_shifts", worst, 0.05)
 
     verdict = {

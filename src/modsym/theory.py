@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .eigenform import Eigenform, format_curve, parse_curve, terms_needed
 from .exactmath import divisors_squarefree, lazy_numpy, p1_table, squarefree_factors
@@ -280,23 +280,13 @@ class TheoryConstants:
     sym2_l_recovered: float | None = None
 
     def as_json(self) -> str:
-        payload = {
-            "q": self.q,
-            "vol": self.vol,
-            "sym2_l": self.sym2_l,
-            "sym2_l_prime": self.sym2_l_prime,
-            "slope_paper": self.slope_paper,
-            "slope_real": self.slope_real,
-            "shift_a": {str(d): v for d, v in self.shift_a.items()},
-            "shift_b": self.shift_b,
-            "shifts": None
-            if self.shifts is None
-            else {str(d): v for d, v in self.shifts.items()},
-            "zeta_prime_2": self.zeta_prime_2,
-            "petersson_norm_sq": self.petersson_norm_sq,
-            "petersson_mesh_error": self.petersson_mesh_error,
-            "sym2_l_recovered": self.sym2_l_recovered,
-        }
+        """Every field, with the divisor-keyed maps keyed by strings."""
+        payload = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, dict):
+                value = {str(d): v for d, v in value.items()}
+            payload[field.name] = value
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -305,9 +295,10 @@ def build_theory(
     sym2_l: float,
     sym2_l_prime: float | None,
     f: Eigenform | None = None,
-    with_petersson: bool = False,
     petersson_tol: float = 1e-5,
 ) -> TheoryConstants:
+    """The closed-form constants; given the eigenform f, also the Petersson
+    quadrature and the L-value it recovers."""
     slope_paper, slope_real = slope_from_L(q, sym2_l)
     coeffs = {d: shift_coefficients(q, d) for d in divisors_squarefree(q)}
     shifts = None
@@ -325,9 +316,7 @@ def build_theory(
         shifts=shifts,
         zeta_prime_2=ZETA_PRIME_2,
     )
-    if with_petersson:
-        if f is None:
-            raise ValueError("petersson quadrature needs the eigenform")
+    if f is not None:
         res = petersson_quadrature(f, tol=petersson_tol)
         out.petersson_norm_sq = res.value
         out.petersson_mesh_error = res.mesh_error

@@ -86,7 +86,7 @@ def test_scan_shifts_match_theory_at_m_10000(rows10k, slopes15):
     fits = variance_fit(rows10k, slope_real)
     misses = {}
     for d, target in SHIFT_TARGETS_SCAN.items():
-        got = fits[d].fixed_slope_shift_paper
+        got = -fits[d].fixed_slope_shift_real
         if abs(got - target) > 0.05:
             misses[d] = got
     if misses:
@@ -98,15 +98,15 @@ def test_scan_shifts_match_theory_at_m_10000(rows10k, slopes15):
             target = SHIFT_TARGETS_SCAN[d]
             assert abs(got - target) <= 0.10, f"d={d}: {got:+.4f}"
             assert abs(got - target) <= abs(
-                fits5k[d].fixed_slope_shift_paper - target
+                -fits5k[d].fixed_slope_shift_real - target
             ), f"d={d} is not improving with depth"
 
 
 def test_free_slope_matches_symmetric_square_prediction(rows10k, slopes15):
     _, slope_real = slopes15
     fit = variance_fit(rows10k, slope_real)[1]
-    assert fit.slope_paper == pytest.approx(SLOPE_PAPER, rel=0.05), (
-        f"free slope {fit.slope_paper:+.5f}"
+    assert -fit.slope_real == pytest.approx(SLOPE_PAPER, rel=0.05), (
+        f"free slope {-fit.slope_real:+.5f}"
     )
 
 

@@ -18,11 +18,11 @@ from modsym.eigenform import (
     Eigenform,
     TOL_FLOOR,
     TruncationError,
-    TruncationPlan,
     _series,
     al_sign,
     antiderivative_batch,
     build_eigenform,
+    certified_terms,
     count_points,
     form_values,
     hecke_extend,
@@ -203,15 +203,9 @@ def test_terms_needed_validation():
 
 
 def test_truncation_plan_refuses_short_store():
-    with pytest.raises(TruncationError):
-        TruncationPlan(tol=1e-12, y_min=1e-4, n_cap=1000)
-
-
-def test_truncation_plan_height_guard():
-    plan = TruncationPlan(tol=1e-10, y_min=0.5, n_cap=10000)
-    with pytest.raises(ValueError):
-        plan.terms(0.4)
-    assert plan.terms(1.0) <= plan.terms(0.5)
+    short = Eigenform(15, np.zeros(1001, dtype=np.int64), {})
+    with pytest.raises(TruncationError, match="only 1000 are available"):
+        certified_terms(short, 1e-4, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +222,14 @@ def test_antiderivative_reference_value(form15):
     for n in range(1, 201):
         an = int(form15.coeffs[n])
         ref += an / (2j * mpmath.pi * n) * mpmath.e ** (-2 * mpmath.pi * n)
-    plan = TruncationPlan(tol=1e-13, y_min=1.0, n_cap=form15.n_max)
-    got = antiderivative_batch(form15, [1j], plan)[0]
+    got = antiderivative_batch(form15, [1j], 1e-13)[0]
     assert abs(got - complex(ref)) < 1e-12
 
 
 def test_antiderivative_periodicity(form15):
-    plan = TruncationPlan(tol=1e-12, y_min=0.3, n_cap=form15.n_max)
     zs = np.array([0.17 + 0.4j, -0.6 + 1.1j])
-    a = antiderivative_batch(form15, zs, plan)
-    b = antiderivative_batch(form15, zs + 1.0, plan)
+    a = antiderivative_batch(form15, zs, 1e-12)
+    b = antiderivative_batch(form15, zs + 1.0, 1e-12)
     assert np.max(np.abs(a - b)) < 5e-12
 
 
@@ -254,7 +246,7 @@ def test_form_values_matches_direct_sum(form15):
 @pytest.mark.parametrize("n_terms", [7, 300, 5000, 9000])
 @pytest.mark.parametrize("kind", ["int", "float", "complex"])
 def test_series_blocks_match_the_one_pass_sum_bitwise(form15, n_terms, kind):
-    # one numpy pass over every point at once is the oracle: blocking, the
+    # the plain numpy expression over every point at once is the oracle: the
     # in-place exponential and the complex cast of the coefficients change
     # no bit of any value
     rng = random.Random(n_terms)

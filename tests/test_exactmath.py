@@ -16,7 +16,6 @@ from modsym.exactmath import (
     CapacityError,
     IDENTITY,
     Mat2,
-    P1Class,
     S_MAT,
     _crt_least_abs,
     atkin_lehner_matrix,
@@ -24,7 +23,6 @@ from modsym.exactmath import (
     divisors,
     divisors_squarefree,
     lift_class,
-    normalize_p1,
     p1_table,
     solve_gamma_tilde,
     squarefree_factors,
@@ -222,17 +220,42 @@ def test_p1_level_one_degenerate():
     assert table.index_of(0, 0) == 0
 
 
-def test_normalize_p1_matches_table():
-    table = p1_table(15)
-    assert normalize_p1(5, 8, 15) == P1Class(15, *table.rep_of(5, 8))
-
-
 def test_lift_class_properties():
     table = p1_table(15)
     for k, (c, d) in enumerate(table.reps):
-        m = lift_class(P1Class(15, c, d))
+        m = lift_class(15, c, d)
         assert m.det == 1
         assert table.index_of(m.c, m.d) == k
+
+
+def _egcd_lift(q: int, c0: int, d0: int) -> Mat2:
+    """The lift_class construction with its top row from the extended Euclid
+    algorithm: the same search for d, a Bezout top row, the same reduction."""
+    if q == 1 or c0 == 0:
+        return IDENTITY
+    t = 0
+    while math.gcd(c0, d0 + t * q) != 1:
+        t = -t if t > 0 else 1 - t  # offsets 0, 1, -1, 2, -2, ...
+    d1 = d0 + t * q
+    old_r, r, old_x, x, old_y, y = d1, c0, 1, 0, 0, 1
+    while r:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_x, x = x, old_x - quot * x
+        old_y, y = y, old_y - quot * y
+    x, y = old_x, -old_y
+    assert old_r == 1 and x * d1 - y * c0 == 1
+    m = (2 * x + c0) // (2 * c0)
+    return Mat2(x - m * c0, y - m * d1, c0, d1)
+
+
+@pytest.mark.parametrize("q", [6, 15, 57, 210])
+def test_lift_class_matches_the_extended_euclid_lift(q):
+    # lift_class takes its top row from a modular inverse; the final
+    # reduction makes the matrix independent of which solution of
+    # x*d - y*c = 1 it starts from, so it must equal the Bezout lift
+    for c, d in p1_table(q).reps:
+        assert lift_class(q, c, d) == _egcd_lift(q, c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +350,8 @@ def test_cf_decompose_chains_from_infinity_to_r(a, c):
 def test_normalize_p1_is_invariant_under_units(q, c, d, data):
     assume(math.gcd(math.gcd(c, d), q) == 1)
     lam = data.draw(st.integers(1, 10**4).filter(lambda u: math.gcd(u, q) == 1))
-    assert normalize_p1(lam * c, lam * d, q) == normalize_p1(c, d, q)
+    table = p1_table(q)
+    assert table.index_of(lam * c, lam * d) == table.index_of(c, d)
 
 
 @settings(deadline=None)
@@ -335,7 +359,8 @@ def test_normalize_p1_is_invariant_under_units(q, c, d, data):
 def test_lift_class_is_unimodular_over_its_class(q, data):
     table = p1_table(q)
     k = data.draw(st.integers(0, len(table) - 1))
-    m = lift_class(P1Class(q, *table.reps[k]))
+    m = lift_class(q, *table.reps[k])
+    assert m == _egcd_lift(q, *table.reps[k])
     assert m.det == 1
     assert table.index_of(m.c, m.d) == k
 

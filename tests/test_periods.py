@@ -17,19 +17,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modsym import eigenform
+from modsym import eigenform, periods
 from modsym.eigenform import (
     CacheFormatError,
     CurveSpec,
     Eigenform,
     TruncationError,
     build_eigenform,
+    certified_terms,
     form_values,
     lfun1,
     read_coeffs_cache,
     write_coeffs_cache,
 )
-from modsym.exactmath import Mat2, S_MAT, p1_table
+from modsym.exactmath import Mat2, S_MAT, cf_decompose, p1_table
 from modsym.periods import (
     ExpansionShift,
     build_period_table,
@@ -172,6 +173,22 @@ def test_symbol_class_fields(table15):
     assert (s.numer, s.denom, s.d) == (4, 21, 3)
 
 
+def test_symbol_walks_the_manin_path_once(table15, monkeypatch):
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return cf_decompose(r)
+
+    monkeypatch.setattr(periods, "cf_decompose", counted)
+    for r in (Fraction(0), Fraction(2, 5), Fraction(-3, 7), Fraction(4, 21), Fraction(355, 113)):
+        calls.clear()
+        s = symbol(r, table15)
+        assert len(calls) == 1
+        # the plus part keeps every bit of period_sum's value
+        assert s.m_plus == -2.0 * math.pi * period_sum(r, table15).imag
+
+
 # ---------------------------------------------------------------------------
 # Hecke identity
 
@@ -221,6 +238,15 @@ def test_direct_oracle_agrees_with_path_evaluation(form15, table15):
 def test_direct_oracle_refuses_short_store(form15_small):
     with pytest.raises(TruncationError):
         direct_symbol_oracle(Fraction(1, 23), form15_small)
+
+
+def test_table_build_refuses_short_store():
+    # the table's lowest point is at height 1/15, where tol/4 = 2.5e-13
+    # needs 84 coefficients; higher points never need more
+    f50 = build_eigenform(CurveSpec(1, 1, 1, -10, -10, q=15), n_max=50)
+    with pytest.raises(TruncationError, match="needs 84 coefficients but only 50"):
+        build_period_table(f50, tol=1e-12)
+    assert certified_terms(f50, 1.0, 1e-10) <= certified_terms(f50, 0.5, 1e-10)
 
 
 # ---------------------------------------------------------------------------

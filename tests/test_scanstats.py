@@ -8,6 +8,7 @@ synthetic data with known answers.
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -297,17 +298,16 @@ def test_variance_fit_recovers_synthetic_law():
     assert set(fits) == {1, 3, 5, 15}
     for d, fit in fits.items():
         assert fit.fixed_slope_shift_real == pytest.approx(shift, abs=1e-12)
-        assert fit.fixed_slope_shift_paper == pytest.approx(-shift, abs=1e-12)
+        assert -fit.fixed_slope_shift_real == pytest.approx(-shift, abs=1e-12)
         assert fit.slope_real == pytest.approx(slope, abs=1e-10)
         assert fit.shift_real == pytest.approx(shift, abs=1e-10)
-        assert fit.slope_paper == -fit.slope_real
         assert fit.residual_rms < 1e-12
 
 
 def test_variance_fit_degenerate_inputs():
     rows = _synthetic_rows(0.3, 0.1)
     with pytest.raises(ValueError):
-        variance_fit(rows, slope_real=0.3, c_min=1000)
+        variance_fit([replace(row, c=1, d=1) for row in rows], slope_real=0.3)
     # a single denominator cannot support the two-parameter free fit
     with pytest.raises(ValueError):
         variance_fit([rows[0]], slope_real=0.3)
@@ -489,7 +489,7 @@ def test_fit_and_weyl_and_dist_and_contig_csv(tmp_path, store15, slopes15):
     assert len(fit_lines) == 1 + len(fits)
     first = fit_lines[1].split(",")
     assert float(first[1]) == fits[1].slope_real
-    assert float(first[5]) == fits[1].fixed_slope_shift_paper
+    assert float(first[5]) == -fits[1].fixed_slope_shift_real
 
     entries = weyl_report(spec, rows)
     weyl_path = tmp_path / "weyl.csv"

@@ -360,6 +360,10 @@ def test_build_theory_without_derivative_has_no_shifts(lfix):
     assert json.loads(consts.as_json())["shifts"] is None
 
 
-def test_build_theory_petersson_requires_form(lfix):
-    with pytest.raises(ValueError):
-        build_theory(15, *lfix, with_petersson=True)
+def test_build_theory_runs_the_quadrature_exactly_when_given_the_form(lfix, form15_small):
+    assert build_theory(15, *lfix).petersson_norm_sq is None
+    consts = build_theory(15, *lfix, f=form15_small)
+    norm = petersson_quadrature(form15_small, tol=1e-5)
+    assert consts.petersson_norm_sq == norm.value
+    assert consts.petersson_mesh_error == norm.mesh_error
+    assert consts.sym2_l_recovered == sym2_l_from_petersson(form15_small, norm.value)
