@@ -2,16 +2,18 @@
 
 Evaluates the real symbol at every sample point a/c with c up to M in one
 streaming sweep of the continued-fraction tree over the certified integer
-class weights, and folds the lattice integers n into accumulators as the
-sweep goes: per-denominator counts of each n over all coprime residues and
-over a subinterval of [0,1), or, for the contiguous averages, integer sums
-of n per denominator and grid bin.  No point is stored, so memory is
-O(M * width + chunk).  Every report reads the lattice through those
-accumulators: the moment rows are exact integer sums over the counts, the
-distribution report works on the (c, n) atoms with their weights, and a
-scan followed by a report over the same window shares one sweep.  The Weyl
-sums read no symbol value: over the coprime residues of c they are
-Ramanujan sums, which the report evaluates exactly in integers.
+class weights over [0, 1/2] only (the real symbol is odd and 1-periodic, so
+a/c with value n gives -n at (c - a)/c), and folds the lattice integers n
+of both halves into accumulators as the sweep goes: per-denominator counts
+of each n over all coprime residues and over a subinterval of [0,1), or,
+for the contiguous averages, integer sums of n per denominator and grid
+bin.  No point is stored, so memory is O(M * width + chunk).  Every report
+reads the lattice through those accumulators: the moment rows are exact
+integer sums over the counts, the distribution report works on the (c, n)
+atoms with their weights, and a scan followed by a report over the same
+window shares one sweep.  The Weyl sums read no symbol value: over the
+coprime residues of c they are Ramanujan sums, which the report evaluates
+exactly in integers.
 """
 from __future__ import annotations
 
@@ -135,10 +137,13 @@ class SymbolStore:
     a node ends in (q_j, q_{j-1}, p_j, p_{j-1}, n_j), its children b >= 1
     with q = b q_j + q_{j-1} <= bound add the weight of the class
     (q : +-q_j), and a child with b >= 2 is the point p/q, so each point
-    costs O(1).  The sweep stores no point: it hands each chunk of points
-    (c, a, n) to its sinks.  The stack holds int32 nodes, about CHUNK per
-    level of the tree, so the working set grows with the chunk and the
-    depth of the tree, not with the number of points.
+    costs O(1).  The subtree of 1/1, the points in (1/2, 1), is not walked:
+    they are the images (c - a)/c of the points a/c in (0, 1/2), where the
+    odd symbol is -n.  The sweep stores no point: it hands each chunk of
+    points (c, a, n) to its sinks, then the chunk mirrored in place.  The
+    stack holds int32 nodes, about CHUNK per level of the tree, so the
+    working set grows with the chunk and the depth of the tree, not with
+    the number of points.
 
     counts(m, x0, x1) sinks the points into per-row counts of each n, over
     all coprime residues and over a window; the counts of the last sweep
@@ -179,16 +184,25 @@ class SymbolStore:
 
     def _compute(self, m: int, *sinks) -> None:
         """Sweep every point a/c with c <= m once, handing each chunk of
-        points to every sink as sink(c, a, n), three int32 arrays."""
+        points to every sink as sink(c, a, n), three int32 arrays.  The
+        arrays are reused for the mirrored chunk, so a sink may neither keep
+        nor modify them."""
         q = self.q
         step = self._step
         row_of = (np.arange(m + 1, dtype=np.int32) % q) * q  # u * q at u = c mod q
 
         def emit(point, qc, pc, nc):
             at = np.flatnonzero(point)
-            chunk = qc.take(at), pc.take(at), nc.take(at)
+            c, a, n = qc.take(at), pc.take(at), nc.take(at)
             for sink in sinks:
-                sink(*chunk)
+                sink(c, a, n)
+            if c.size and c.min() <= 2:  # 0/1 and 1/2 have no other image
+                keep = c > 2
+                c, a, n = c[keep], a[keep], n[keep]
+            np.subtract(c, a, out=a)
+            np.negative(n, out=n)
+            for sink in sinks:
+                sink(c, a, n)
 
         # 0/1, then stack entries (depth of the children, q_j, q_{j-1}, p_j, p_{j-1}, n_j)
         root = [np.array([v], dtype=np.int32) for v in (1, 0, 0, 1, self._first)]
@@ -218,32 +232,38 @@ class SymbolStore:
             pc = b * pp + pj1.take(parent)
             nc = nj.take(parent) + step.take(row_of.take(qc) + rq.take(parent))
             emit(b >= 2, qc, pc, nc)
-            stack.append((depth + 1, qc, qp, pc, pp, nc))
+            if depth == 1:  # the child 1/1 roots (1/2, 1), which emit mirrors
+                qc, qp, pc, pp, nc = (x[1:] for x in (qc, qp, pc, pp, nc))
+            if qc.size:
+                stack.append((depth + 1, qc, qp, pc, pp, nc))
 
 
-def _lattice_sums(atoms, k_max: int, quantum: float) -> tuple[int, list[float]]:
-    """Count of a row's atoms and its S_k = quantum^k sum n^k, k <= k_max,
-    with the sums over n taken in exact integers."""
-    ns, cs = (x.tolist() for x in atoms)
-    sums = [quantum**k * sum(c * n**k for n, c in zip(ns, cs)) for k in range(1, k_max + 1)]
-    return sum(cs), sums
+def _row_sums(counts: LatticeCounts, k_max: int, quantum: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's number of points, and its S_k = quantum^k sum n^k for
+    k = 1..k_max as column c of a k_max-row matrix: each sum over n is an
+    exact int64 sum, which S_k multiplies by quantum^k with one rounding."""
+    off = counts.off
+    if off**k_max * int(counts.counts.sum(axis=1).max()) >= 1 << 62:
+        raise OverflowError(f"moment sums of order {k_max} could overflow int64")
+    powers = np.arange(-off, off + 1, dtype=np.int64)[:, None] ** np.arange(k_max + 1)
+    sums = counts.counts @ powers
+    return sums[:, 0], np.array([[quantum**k] for k in range(1, k_max + 1)]) * sums[:, 1:].T
 
 
 def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
     """One AggregateRow per admissible denominator, in ascending c."""
     full, window = store.counts(spec.m_max, spec.x0, spec.x1)
-    rows = []
-    for c in range(1, spec.m_max + 1):
-        if not spec.wants(c):
-            continue
-        phi, sums = _lattice_sums(full.atoms(c), spec.k_max, store.quantum)
+    cs = [c for c in range(1, spec.m_max + 1) if spec.wants(c)]
+    # S_k by columns, zipped into one tuple per row: a list per row costs memory at large M
+    phi, s = (x[..., cs].tolist() for x in _row_sums(full, spec.k_max, store.quantum))
+    n_int, s_int = phi, s
+    if window is not full:
+        n_int, s_int = (x[..., cs].tolist() for x in _row_sums(window, spec.k_max, store.quantum))
+    for c, sums in zip(cs, zip(*s)):
         if not all(math.isfinite(v) for v in sums):
             raise OverflowError(f"moment accumulator overflowed at c={c}")
-        n_int, sums_int = phi, sums
-        if window is not full:
-            n_int, sums_int = _lattice_sums(window.atoms(c), spec.k_max, store.quantum)
-        rows.append(AggregateRow(c, math.gcd(c, spec.q), phi, tuple(sums), n_int, tuple(sums_int)))
-    return rows
+    ds = [math.gcd(c, spec.q) for c in cs]
+    return list(map(AggregateRow, cs, ds, phi, zip(*s), n_int, zip(*s_int)))
 
 
 # ---------------------------------------------------------------------------

@@ -502,3 +502,18 @@ def test_conductor_57_counts_match_the_expanded_symbols(
     label, x0, x1, tables57, counts_match_symbols
 ):
     counts_match_symbols(tables57[label], 200, x0, x1)
+
+
+@pytest.mark.parametrize(
+    "x0, x1",
+    [
+        (Fraction(1, 2), Fraction(1)),
+        (Fraction(0), Fraction(1, 2)),
+        (Fraction(1, 3), Fraction(2, 3)),
+        (Fraction(3, 5), Fraction(9, 10)),
+    ],
+    ids=str,
+)
+def test_conductor_57_counts_on_windows_about_one_half(x0, x1, tables57, counts_match_symbols):
+    # edges at 1/2, across it, and inside the half (1/2, 1) the sweep mirrors
+    counts_match_symbols(tables57["57a1"], 200, x0, x1)

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from modsym.periods import symbol
 from modsym.scanstats import (
     AggregateRow,
+    LatticeCounts,
     ScanSpec,
     SymbolStore,
+    _row_sums,
     contiguous_avg,
     distribution_report,
     scan,
@@ -127,6 +129,27 @@ def test_engine_is_exact_at_random_points(rows15, table15, c, data):
         assert dense[a] == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(c=st.integers(min_value=3, max_value=3000), data=st.data())
+def test_mirrored_half_is_exact_at_random_points(rows15, table15, c, data):
+    # a/c in (1/2, 1): the sweep reaches these only as mirror images
+    a = data.draw(st.integers(min_value=c // 2 + 1, max_value=c - 1))
+    dense = rows15.dense(c)
+    if math.gcd(a, c) == 1:
+        assert dense[a] == symbol(Fraction(a, c), table15).m_minus
+    else:
+        assert dense[a] == 0.0
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_dense_at_the_smallest_denominators(store15, table15, c):
+    dense = store15.dense(c)
+    assert dense.shape == (c,)
+    for a in range(c):
+        want = symbol(Fraction(a, c), table15).m_minus if math.gcd(a, c) == 1 else 0.0
+        assert dense[a] == want
+
+
 def test_engine_denominator_one(store15, table15):
     dense = store15.dense(1)
     assert dense.shape == (1,)
@@ -150,11 +173,26 @@ def test_symbol_values_live_on_a_lattice(rows15, table15):
 
 @pytest.mark.parametrize(
     "x0, x1",
-    [(Fraction(0), Fraction(1)), (Fraction(1, 10), Fraction(7, 20))],
-    ids=["full", "window"],
+    [
+        (Fraction(0), Fraction(1)),
+        (Fraction(1, 10), Fraction(7, 20)),
+        # an edge at 1/2, across 1/2, and inside the mirrored half (1/2, 1)
+        (Fraction(1, 2), Fraction(1)),
+        (Fraction(0), Fraction(1, 2)),
+        (Fraction(1, 3), Fraction(2, 3)),
+        (Fraction(3, 5), Fraction(9, 10)),
+    ],
+    ids=["full", "window", "1/2-1", "0-1/2", "1/3-2/3", "3/5-9/10"],
 )
 def test_counts_match_the_expanded_symbols(table15, counts_match_symbols, x0, x1):
     counts_match_symbols(table15, 300, x0, x1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_counts_at_the_smallest_bounds(table15, counts_match_symbols, m):
+    # at m = 2 the root's only child with children is 1/1, which is not walked
+    counts_match_symbols(table15, m, Fraction(0), Fraction(1))
+    counts_match_symbols(table15, m, Fraction(1, 2), Fraction(1))
 
 
 def test_counts_of_a_longer_sweep_serve_a_shorter_bound(table15, monkeypatch):
@@ -207,6 +245,31 @@ def test_row_against_manual_reduction(store15, table15):
     assert row.n_int == 2
     window_vals = [symbol(Fraction(a, 12), table15).m_minus for a in (5, 7)]
     assert row.s_int[0] == pytest.approx(sum(window_vals), abs=1e-12)
+
+
+def test_row_sums_are_the_exact_integer_sums(store15):
+    full, _ = store15.counts(10000)
+    # with quantum 1 every S_k is the int64 sum itself, compared in Python ints
+    phi, sums = _row_sums(full, 8, 1)
+    phi, sums = phi.tolist(), sums.T.tolist()
+    for c in range(1, 10001):
+        ns, counts = (x.tolist() for x in full.atoms(c))
+        assert phi[c] == sum(counts)
+        assert sums[c] == [sum(w * n**k for n, w in zip(ns, counts)) for k in range(1, 9)]
+
+
+def test_row_sums_refuse_what_int64_could_not_hold():
+    # off^8 * (points in a row) reaches 2^62 with 64 points at n = -2^7
+    counts = LatticeCounts(1)
+    counts.off = 1 << 7
+    counts.counts = np.zeros((2, 2 * counts.off + 1), dtype=np.int64)
+    counts.counts[1, 0] = 63
+    phi, sums = _row_sums(counts, 8, 1)
+    assert phi[1] == 63 and sums[:, 1].tolist() == [63 * (-128) ** k for k in range(1, 9)]
+    counts.counts[1, 0] = 64
+    with pytest.raises(OverflowError):
+        _row_sums(counts, 8, 1)
+    assert _row_sums(counts, 7, 1)[0][1] == 64
 
 
 def test_full_rows_have_vanishing_odd_moments_and_totient_counts(store15):
@@ -346,6 +409,22 @@ def test_contiguous_avg_on_an_unsorted_grid_with_repeats(store15, table15):
         )
         assert abs(value - direct / m_max) < 1e-12
     assert got[0] == got[5] and got[1] == got[4] and got[2] == got[7]
+
+
+def test_contiguous_avg_about_one_half(store15, table15):
+    # 1/2 is its own image and splits the walked half from the mirrored one
+    m_max = 40
+    xs = [Fraction(1, 2), Fraction(19, 40), Fraction(1, 2), Fraction(21, 40),
+          Fraction(1, 3), Fraction(2, 3), Fraction(21, 40), Fraction(1)]
+    got = contiguous_avg(store15, m_max, xs)
+    for x, value in zip(xs, got):
+        direct = sum(
+            symbol(Fraction(a, c), table15).m_minus / c
+            for c in range(1, m_max + 1)
+            for a in range(c * x.numerator // x.denominator + 1)
+        )
+        assert abs(value - direct / m_max) < 1e-12
+    assert got[0] == got[2] and got[3] == got[6]
 
 
 def test_contiguous_avg_validates_grid(store15):
