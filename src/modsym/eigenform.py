@@ -1,9 +1,11 @@
 """Newform data attached to a rational elliptic curve of squarefree conductor.
 
 Prime coefficients come from projective point counts (singular points
-included, so multiplicative primes give +-1 directly), the full coefficient
-array from the Hecke recursions, and the analytic side provides certified
-series lengths, the antiderivative of the form, and the central L-value.
+included, so multiplicative primes give +-1 directly): by baby-step
+giant-step in the group of points above a crossover prime, by the Legendre
+character sum below it and at bad primes.  The full coefficient array comes
+from the Hecke recursions, and the analytic side provides certified series
+lengths, the antiderivative of the form, and the central L-value.
 """
 from __future__ import annotations
 
@@ -89,13 +91,26 @@ class CurveSpec:
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
+# count_points finds a_p by baby-step giant-step above this prime, and by the
+# character sum at and below it, where the sum's O(p) numpy pass is no slower
+# than the O(p^(1/4)) group operations done in Python (both take about 40 us
+# per prime near p = 1000 on 15a1).
+_BSGS_MIN_P = 1000
+# Samples x = 0, 1, 2, ... after which _bsgs_trace gives up; at every good
+# prime in (229, 10^5] of 15a1, 57a1, 57b1, y^2 = x^3 + x + 1 and
+# y^2 = x^3 - x, 11 samples at most pinned a_p.
+_BSGS_ATTEMPTS = 16
+
+
 def count_points(curve: CurveSpec, p: int) -> int:
     """Trace a_p = p + 1 - #W(F_p), counting every projective point.
 
     Singular points are counted, so multiplicative primes yield +1 (split)
     or -1 (nonsplit) and additive primes yield 0.  p = 2, 3 are counted by
-    full enumeration; p > 3 through the Legendre character sum on the
-    completed-square quartic-free form 4x^3 + b2 x^2 + 2 b4 x + b6.
+    full enumeration.  At a prime p > _BSGS_MIN_P of good reduction a_p is
+    pinned by the orders of a few points (_bsgs_trace, O(p^(1/4)) group
+    operations); at every other prime, and when those points leave a_p
+    undecided, it is the Legendre character sum (_character_sum, O(p)).
     """
     if p < 2:
         raise ValueError("p must be a prime >= 2")
@@ -107,6 +122,16 @@ def count_points(curve: CurveSpec, p: int) -> int:
                 if (y * y + curve.a1 * x * y + curve.a3 * y) % p == rhs:
                     n_affine += 1
         return p + 1 - (n_affine + 1)
+    if p > _BSGS_MIN_P and curve.discriminant % p:
+        trace = _bsgs_trace(curve, p)
+        if trace is not None:
+            return trace
+    return _character_sum(curve, p)
+
+
+def _character_sum(curve: CurveSpec, p: int) -> int:
+    """a_p at a prime p > 3 as minus the sum of the Legendre character of
+    the completed-square quartic-free form 4x^3 + b2 x^2 + 2 b4 x + b6."""
     # In place, in two int64 arrays and two int8 ones: more or larger
     # temporaries, freed at the top of the heap, let glibc trim it, and the
     # next prime faults the pages back in (up to 10x the page faults).
@@ -128,6 +153,109 @@ def count_points(curve: CurveSpec, p: int) -> int:
     rhs += b6
     rhs %= p
     return -int(qr[rhs].sum())
+
+
+def _bsgs_trace(curve: CurveSpec, p: int) -> int | None:
+    """a_p at a prime p > 3 of good reduction by baby-step giant-step, or
+    None when _BSGS_ATTEMPTS samples leave more than one candidate.
+
+    On the short model y^2 = f(x) = x^3 + A x + B, A = -27 c4, B = -54 c6,
+    a sample x with d = f(x) != 0 gives the point (x d, d^2) of the twist
+    y^2 = x^3 + A d^2 x + B d^3, whose group has order p + 1 - chi(d) a_p
+    (chi the Legendre character), so no square root is taken.  The
+    candidates are the a_p whose order in the Hasse interval kills the
+    point, intersected over x = 0, 1, 2, ...  For p > 229 the curve or its
+    quadratic twist has a point that leaves one candidate (Mestre).
+    """
+    b2, b4 = curve.b2, curve.b4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * curve.b6
+    A, B = -27 * c4 % p, -54 * c6 % p
+    bound = math.isqrt(4 * p)
+    lo, hi = p + 1 - bound, p + 1 + bound
+    candidates = None
+    x = tried = 0
+    while tried < _BSGS_ATTEMPTS:
+        d = ((x * x + A) * x + B) % p
+        if d:
+            tried += 1
+            chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+            dd = d * d % p
+            orders = _orders_in(x * d % p, dd, A * dd % p, p, lo, hi)
+            found = {chi * (p + 1 - n) for n in orders}
+            candidates = found if candidates is None else candidates & found
+            if len(candidates) == 1:
+                return candidates.pop()
+        x += 1
+    return None
+
+
+def _ec_add(P, Q, a: int, p: int):
+    """P + Q on y^2 = x^3 + a x + b over F_p; a point is (x, y), or None for
+    the point at infinity O."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return (x3, (lam * (x1 - x3) - y1) % p)
+
+
+def _ec_mul(n: int, P, a: int, p: int):
+    """nP for n >= 0, by double-and-add."""
+    R = None
+    for bit in bin(n)[2:]:
+        R = _ec_add(R, R, a, p)
+        if bit == "1":
+            R = _ec_add(R, P, a, p)
+    return R
+
+
+def _orders_in(x1: int, y1: int, a: int, p: int, lo: int, hi: int):
+    """Every n in [lo, hi] with nP = O, P = (x1, y1), y1 != 0, on
+    y^2 = x^3 + a x + b over F_p.
+
+    Baby steps jP, j = 1..m, are keyed by x.  When one meets an earlier x
+    (jP = -iP) or has y = 0 (jP = -jP), the order of P is j + i or 2j, and
+    the answer is its multiples.  Otherwise the order exceeds 2m, and the
+    giant steps G = (2m+1)P visit centres c, each matching at most one baby
+    step: cP = jP gives n = c - j, and cP = -jP gives n = c + j.
+    """
+    m = math.isqrt((hi - lo) // 2)
+    P = R = (x1, y1)
+    baby = {}
+    for j in range(1, m + 1):  # R = jP, and it is not O
+        x, y = R
+        if x in baby or y == 0:
+            order = j + baby[x][0] if x in baby else 2 * j
+            break
+        baby[x] = (j, y)
+        mP, R = R, _ec_add(R, P, a, p)
+    else:
+        step = 2 * m + 1
+        G = _ec_add(mP, R, a, p)
+        if G is not None:
+            k = (lo + m) // step  # k step - m <= lo: the first centre covers lo
+            R = _ec_mul(k, G, a, p)
+            found = set()
+            for c in range(k * step, hi + m + 1, step):
+                if R is None:
+                    found.add(c)
+                elif R[0] in baby:
+                    j, yj = baby[R[0]]
+                    found.add(c - j if yj == R[1] else c + j)
+                R = _ec_add(R, G, a, p)
+            return [n for n in found if lo <= n <= hi]
+        order = step
+    return range(-(-lo // order) * order, hi + 1, order)
 
 
 def _smallest_prime_factors(n_max: int) -> list[int]:
@@ -289,13 +417,6 @@ def antiderivative_batch(f: Eigenform, zs, tol: float) -> np.ndarray:
     return _series(zs, f.coeffs[1 : n_terms + 1] / (2j * np.pi * ns))
 
 
-def form_values(f: Eigenform, zs, tol: float = 1e-10) -> np.ndarray:
-    """The form itself, f(z) = sum a(n) e(nz), certified to tol at each z."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-    n_terms = certified_terms(f, float(zs.imag.min()), tol)
-    return _series(zs, f.coeffs[1 : n_terms + 1].astype(np.float64))
-
-
 def lfun1(f: Eigenform, tol: float = 1e-12) -> float:
     """Central L-value via the exponentially convergent sign-folded series.
 
@@ -393,9 +514,21 @@ def write_coeffs_cache(path: str, f: Eigenform) -> None:
     write_cache(path, _COEFFS_MAGIC, _coeffs_identity(f.curve, f.n_max), body)
 
 
+def _spot_check_primes(q: int, n_max: int) -> list[int]:
+    """The three largest primes <= n_max that do not divide q."""
+    primes = []
+    for n in range(n_max, 1, -1):
+        if q % n and all(n % d for d in range(2, math.isqrt(n) + 1)):
+            primes.append(n)
+            if len(primes) == 3:
+                break
+    return primes
+
+
 def read_coeffs_cache(path: str, curve: CurveSpec, n_max: int) -> np.ndarray:
     """a(0..n_max) from a write_coeffs_cache file of this curve and length,
-    which must list n = 1..n_max once each, in order."""
+    which must list n = 1..n_max once each, in order, and whose a(p) at the
+    _spot_check_primes agree with count_points."""
     rows = read_cache(path, _COEFFS_MAGIC, _coeffs_identity(curve, n_max))
     coeffs = np.zeros(n_max + 1, dtype=np.int64)
     n = 0
@@ -405,6 +538,13 @@ def read_coeffs_cache(path: str, curve: CurveSpec, n_max: int) -> np.ndarray:
         coeffs[n] = int(a_s)
     if n != n_max:
         raise CacheFormatError(f"coefficient cache has {n} entries, not {n_max}")
+    for p in _spot_check_primes(curve.q, n_max):
+        counted = count_points(curve, p)
+        if coeffs[p] != counted:
+            raise CacheFormatError(
+                f"coefficient cache has a({p}) = {coeffs[p]}, but counting points "
+                f"gives {counted}"
+            )
     return coeffs
 
 

@@ -10,7 +10,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from modsym import eigenform
 from modsym.eigenform import (
     CacheFormatError,
     ConductorError,
@@ -18,13 +21,17 @@ from modsym.eigenform import (
     Eigenform,
     TOL_FLOOR,
     TruncationError,
+    _BSGS_MIN_P,
+    _bsgs_trace,
+    _character_sum,
+    _ec_add,
+    _orders_in,
     _series,
     al_sign,
     antiderivative_batch,
     build_eigenform,
     certified_terms,
     count_points,
-    form_values,
     hecke_extend,
     lfun1,
     load_or_build_eigenform,
@@ -109,6 +116,98 @@ def test_count_points_matches_the_one_expression_sum(curve, q):
         qr[0] = 0
         rhs = (((4 * x + spec.b2 % p) * x + (2 * spec.b4) % p) % p * x + spec.b6 % p) % p
         assert count_points(spec, p) == -int(qr[rhs].sum())
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _c4_c6(a1, a2, a3, a4, a6):
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+
+
+@pytest.mark.parametrize(
+    "curve,q", [(CURVE_15A1, 15), ((0, -1, 1, -2, 2), 57), ((0, 1, 1, 20, -32), 57)]
+)
+def test_count_points_matches_the_character_sum_to_2e4(curve, q):
+    # 15a1, 57a1 and 57b1 at every prime up to 2e4, on both sides of the
+    # crossover, bad primes included
+    spec = CurveSpec(*curve, q=q)
+    for p in range(5, 20001):
+        if _is_prime(p):
+            assert count_points(spec, p) == _character_sum(spec, p), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.tuples(*[st.integers(-20, 20)] * 5),
+    start=st.integers(_BSGS_MIN_P + 1, 200000),
+)
+def test_bsgs_matches_the_character_sum(a, start):
+    c4, c6 = _c4_c6(*a)
+    disc = (c4 ** 3 - c6 ** 2) // 1728
+    assume(disc != 0)
+    q = next((d for d in range(2, math.isqrt(abs(disc)) + 1) if disc % d == 0), abs(disc))
+    p = next(n for n in range(start, 2 * start) if _is_prime(n) and 6 * disc % n)
+    assume(p <= 200000)
+    spec = CurveSpec(*a, q=q)
+    trace = _bsgs_trace(spec, p)
+    assert trace == _character_sum(spec, p)
+    assert trace * trace <= 4 * p
+
+
+def test_bsgs_reads_a_p_off_the_twist(monkeypatch):
+    # the first sample x = 0 has d = f(0) = B, a non-residue mod 1009, so its
+    # point lies on the quadratic twist, whose order is p + 1 + a_p; that
+    # one sample alone must give a_p
+    spec = CurveSpec(*CURVE_15A1, q=15)
+    p = 1009
+    b = -54 * _c4_c6(*CURVE_15A1)[1] % p
+    assert pow(b, (p - 1) // 2, p) == p - 1
+    monkeypatch.setattr(eigenform, "_BSGS_ATTEMPTS", 1)
+    assert _bsgs_trace(spec, p) == _character_sum(spec, p) == 50
+
+
+def test_count_points_falls_back_on_the_character_sum(monkeypatch):
+    # y^2 = x^3 - x at p = 17957: its first eight samples all leave more
+    # than one candidate for a_p, the ninth pins it
+    spec = CurveSpec(0, 0, 0, -1, 0, q=2)
+    p = 17957
+    assert _bsgs_trace(spec, p) == -2
+    sums = []
+    monkeypatch.setattr(eigenform, "_BSGS_ATTEMPTS", 8)
+    monkeypatch.setattr(eigenform, "_character_sum", lambda *args: sums.append(p) or _character_sum(*args))
+    assert _bsgs_trace(spec, p) is None
+    assert count_points(spec, p) == -2
+    assert sums == [p]
+
+
+def test_orders_in_matches_the_order_of_every_point():
+    # each point's order by repeated addition, against baby-step giant-step
+    # over the Hasse interval: with m baby steps, orders up to 2m come from a
+    # baby step that meets an earlier one (or has y = 0 at order 2m), larger
+    # ones from the giant steps
+    seen = set()
+    for p in (37, 61, 113):
+        bound = math.isqrt(4 * p)
+        lo, hi = p + 1 - bound, p + 1 + bound
+        m = math.isqrt(bound)
+        for a, b in [(1, 1), (-1, 0), (2, 3), (-3, 7), (5, -2), (0, 11)]:
+            if (4 * a ** 3 + 27 * b * b) % p == 0:
+                continue
+            for x in range(p):
+                for y in range(1, p):
+                    if (y * y - x ** 3 - a * x - b) % p:
+                        continue
+                    order, R = 1, (x, y)
+                    while R is not None:
+                        R = _ec_add(R, (x, y), a % p, p)
+                        order += 1
+                    want = [n for n in range(lo, hi + 1) if n % order == 0]
+                    assert sorted(_orders_in(x, y, a % p, p, lo, hi)) == want
+                    seen.add("2m" if order == 2 * m else order > 2 * m)
+    assert seen == {"2m", True, False}
 
 
 def test_count_points_rejects_bad_p():
@@ -239,7 +338,8 @@ def test_form_values_matches_direct_sum(form15):
     direct = sum(
         int(form15.coeffs[n]) * np.exp(2j * np.pi * n * z) for n in range(1, n_terms)
     )
-    got = form_values(form15, [z], tol=1e-12)[0]
+    certified = certified_terms(form15, z.imag, 1e-12)
+    got = _series(np.array([z]), form15.coeffs[1 : certified + 1].astype(np.float64))[0]
     assert abs(got - direct) < 1e-12
 
 
@@ -253,15 +353,10 @@ def test_series_blocks_match_the_one_pass_sum_bitwise(form15, n_terms, kind):
     zs = np.array([complex(rng.uniform(-1, 1), rng.uniform(0.05, 2)) for _ in range(50)])
     ns = np.arange(1, n_terms + 1)
     coef = form15.coeffs[1 : n_terms + 1]
-    if kind != "int":  # as form_values and antiderivative_batch pass them
+    if kind != "int":  # as the form's series and antiderivative_batch pass them
         coef = coef.astype(np.float64) if kind == "float" else coef / (2j * np.pi * ns)
     want = np.sum(np.exp(2j * np.pi * zs[:, None] * ns) * coef, axis=1)
     assert _series(zs, coef).tolist() == want.tolist()
-
-
-def test_form_values_refuses_without_coefficients(form15_small):
-    with pytest.raises(TruncationError):
-        form_values(form15_small, [0.1 + 1e-3j], tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +465,26 @@ def test_duplicated_coefficient_line_is_rebuilt(tmp_path, caplog):
     assert "rebuilding" in caplog.text
     assert f.coeffs[11] == -4
     assert read_coeffs_cache(str(cache_file), spec, 60)[11] == -4
+
+
+def test_edited_prime_coefficient_is_rebuilt(tmp_path, caplog):
+    # the layout is intact, so only the recount at the three largest primes
+    # not dividing the level sees the edit
+    assert eigenform._spot_check_primes(15, 3000) == [2999, 2971, 2969]
+    assert eigenform._spot_check_primes(57, 20) == [17, 13, 11]
+    spec = CurveSpec(*CURVE_15A1, q=15)
+    cache_dir = tmp_path / "cache"
+    load_or_build_eigenform(spec, 3000, str(cache_dir))
+    cache_file = cache_dir / "coeffs-q15-N3000.txt"
+    fresh = cache_file.read_bytes()
+    lines = fresh.decode().splitlines()
+    assert lines[2999] == "2999 56"
+    lines[2999] = "2999 58"
+    cache_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError, match=r"a\(2999\) = 58"):
+        read_coeffs_cache(str(cache_file), spec, 3000)
+    with caplog.at_level("WARNING"):
+        f = load_or_build_eigenform(spec, 3000, str(cache_dir))
+    assert "rebuilding" in caplog.text
+    assert f.coeffs[2999] == 56
+    assert cache_file.read_bytes() == fresh
