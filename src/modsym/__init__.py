@@ -19,7 +19,6 @@ from .exactmath import (
     P1Table,
     cf_decompose,
     divisors_squarefree,
-    lift_class,
     p1_table,
     squarefree_factors,
 )

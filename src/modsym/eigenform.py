@@ -268,13 +268,14 @@ def _smallest_prime_factors(n_max: int) -> list[int]:
     return spf
 
 
-def hecke_extend(a_p: dict[int, int], q: int, n_max: int) -> np.ndarray:
+def hecke_extend(a_p: dict[int, int], q: int, spf: list[int]) -> np.ndarray:
     """Full coefficient array a(1..n_max) from prime traces via the recursions.
 
     a(p^{k+1}) = a(p) a(p^k) - p a(p^{k-1}) at good p, a(p^k) = a(p)^k at
-    p | q, multiplicative across coprime factors.
+    p | q, multiplicative across coprime factors.  spf is the table of
+    smallest prime factors up to n_max, which build_eigenform has sieved.
     """
-    spf = _smallest_prime_factors(n_max)
+    n_max = len(spf) - 1
     a = np.zeros(n_max + 1, dtype=np.int64)
     if n_max >= 1:
         a[1] = 1
@@ -340,7 +341,7 @@ def build_eigenform(curve: CurveSpec, n_max: int = 100000) -> Eigenform:
                 f"conductor mismatch: |a_{p}| exceeds the Hasse bound at a "
                 f"prime not dividing the declared level"
             )
-    coeffs = hecke_extend(traces, curve.q, n_max)
+    coeffs = hecke_extend(traces, curve.q, spf)
     signs = {p: -traces[p] for p in squarefree_factors(curve.q)}
     return Eigenform(curve.q, coeffs, signs, curve)
 

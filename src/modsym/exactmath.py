@@ -1,9 +1,9 @@
 """Exact integer arithmetic underneath the symbol engine.
 
-Unimodular 2x2 matrices, the Manin continued-fraction path decomposition,
-the projective line P^1(Z/q) with canonical representatives, and the
-CRT/Bezout solvers used by the cusp machinery.  Everything in this module
-is exact; floats never enter.  It also hands the numeric layers numpy
+Integer 2x2 matrices, the Manin continued-fraction path decomposition, the
+projective line P^1(Z/q) with canonical representatives, and the CRT solver
+and Atkin-Lehner matrices of the direct symbol oracle.  Everything in this
+module is exact; floats never enter.  It also hands the numeric layers numpy
 through lazy_numpy, so that the table-only path never loads it.
 """
 from __future__ import annotations
@@ -81,34 +81,6 @@ class Mat2:
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    def __matmul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
-    def inv_unimodular(self) -> "Mat2":
-        if self.det != 1:
-            raise ValueError("inverse is implemented for determinant 1 only")
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
-    def adjugate(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
-    def act(self, z):
-        """Moebius action (a z + b)/(c z + d); works on complex and Fraction."""
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-
-IDENTITY = Mat2(1, 0, 0, 1)
-# Path reversal, the matrix of the two-term relation.
-S_MAT = Mat2(0, -1, 1, 0)
-
 
 def cf_decompose(r: Fraction) -> list[Mat2]:
     """Manin path matrices for the geodesic from i*infinity to r.
@@ -183,41 +155,6 @@ def p1_table(q: int) -> P1Table:
     return P1Table(q)
 
 
-def _spiral():
-    yield 0
-    t = 1
-    while True:
-        yield t
-        yield -t
-        t += 1
-
-
-def lift_class(q: int, c0: int, d0: int) -> Mat2:
-    """A unimodular matrix whose bottom row reduces to the class (c0 : d0).
-
-    Search strategy (documented and deterministic): keep the canonical c,
-    adjust d by multiples of q with offsets 0, 1, -1, 2, ... until the
-    bottom row is coprime, complete it with x = d^-1 mod c, then reduce the
-    top row by the nearest multiple of the bottom row; that reduction gives
-    the same matrix for every x in the residue class.
-    """
-    if q == 1:
-        return IDENTITY
-    if c0 == 0:
-        # canonical rep of this orbit is (0, 1): the identity lifts it
-        return IDENTITY
-    for t in _spiral():
-        d1 = d0 + t * q
-        if math.gcd(c0, d1) == 1:
-            break
-    # top row (x, y) with x*d1 - y*c0 = 1
-    x = pow(d1, -1, c0)
-    y = (x * d1 - 1) // c0
-    # shift the top row by multiples of the bottom row to shrink it
-    m = (2 * x + c0) // (2 * c0)
-    return Mat2(x - m * c0, y - m * d1, c0, d1)
-
-
 def _crt_least_abs(r1: int, m1: int, r2: int, m2: int) -> int:
     """Least-absolute-value x with x = r1 (mod m1), x = r2 (mod m2).
 
@@ -236,31 +173,6 @@ def _crt_least_abs(r1: int, m1: int, r2: int, m2: int) -> int:
     if 2 * x > m:
         x -= m
     return x
-
-
-def solve_gamma_tilde(alpha: int, gamma: int, q: int) -> Mat2:
-    """Level-q unimodular matrix sending the cusp 1/d to alpha/gamma.
-
-    Here d = gcd(gamma, q).  The bottom-left entry is divisible by q, the
-    determinant is 1, and (1/d) maps exactly to alpha/gamma.  The free CRT
-    residue D is pinned to its least-absolute-value representative (ties
-    positive), which makes the construction canonical.
-    """
-    if gamma < 1:
-        raise ValueError("gamma must be positive")
-    if math.gcd(alpha, gamma) != 1:
-        raise ValueError("alpha/gamma must be in lowest terms")
-    d = math.gcd(gamma, q)
-    v = q // d
-    gamma_prime = gamma // d
-    a_inv = pow(alpha % gamma, -1, gamma) if gamma > 1 else 0
-    big_d = _crt_least_abs(gamma_prime % v if v > 1 else 0, v, a_inv, gamma)
-    big_b = (alpha * big_d - 1) // gamma
-    big_a = alpha - big_b * d
-    big_c = gamma - d * big_d
-    gt = Mat2(big_a, big_b, big_c, big_d)
-    assert gt.det == 1 and big_c % q == 0
-    return gt
 
 
 def atkin_lehner_matrix(v: int, q: int) -> Mat2:

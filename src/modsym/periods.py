@@ -1,10 +1,13 @@
-"""Period integrals and modular symbols via the cusp-expansion factorization.
+"""Period integrals and modular symbols via the cusp expansions of f.
 
-Every unimodular h factors as (level matrix) * (Atkin-Lehner normalizer) *
-(upper-triangular K)/sqrt(v), which turns the slashed form f|h into
-e * (k1/k2) * f((k1 w + m)/k2); vertical period integrals then reduce to two
-evaluations of the antiderivative per P^1(Z/q) class, giving a 2|P^1| table
-that evaluates any symbol through the Manin continued-fraction path.
+At squarefree level q every cusp is Atkin-Lehner equivalent to infinity, so
+f slashed by any unimodular h is an expansion at infinity,
+e * (1/v) * f((w + m)/v): v = q/gcd(c, q) is the width of the cusp h(infinity)
+and m = d/c mod v, both read off the bottom row (c, d) of h (cusp_shift).  At
+level 15 the widths are 1, 3, 5 and 15; at 57 they are 1, 3, 19 and 57.
+Vertical period integrals then reduce to two evaluations of the antiderivative
+per P^1(Z/q) class, giving a 2|P^1| table that evaluates any symbol through
+the Manin continued-fraction path.
 
 Sign conventions: P(r) is the period integral from i*infinity to r of f dz;
 the real symbol is m_minus(r) = 2 pi Re P(r), the plus symbol is
@@ -37,16 +40,12 @@ from .eigenform import (
     write_cache,
 )
 from .exactmath import (
-    Mat2,
     P1Table,
-    S_MAT,
     _crt_least_abs,
     atkin_lehner_matrix,
     cf_decompose,
     lazy_numpy,
-    lift_class,
     p1_table,
-    solve_gamma_tilde,
 )
 
 np = lazy_numpy()
@@ -54,50 +53,41 @@ np = lazy_numpy()
 
 @dataclass(frozen=True)
 class ExpansionShift:
-    """Data of f|h = e * (k1/k2) * f((k1 w + m)/k2) for unimodular h.
+    """Data of f|h = e * (1/v) * f((w + m)/v) for unimodular h.
 
-    e is the Atkin-Lehner sign at the width v = k1*k2 = q/d, d the gcd of
-    the lower-left entry with q, and 0 <= m < k2.  The split-at-i argument
-    is (k1*i + m)/k2, whose imaginary part k1/k2 is at least 1/q.
+    v = q/d is the width of the cusp h(infinity), d the gcd of the lower-left
+    entry with q, e the Atkin-Lehner sign at v, and 0 <= m < v.  The
+    split-at-i argument is (i + m)/v, whose imaginary part 1/v is at least 1/q.
     """
 
     e: int
-    k1: int
-    k2: int
     m: int
     d: int
     v: int
 
     @property
     def arg(self) -> complex:
-        return (self.k1 * 1j + self.m) / self.k2
+        return (1j + self.m) / self.v
 
 
-def cusp_shift(h: Mat2, q: int, f: Eigenform) -> ExpansionShift:
-    """Factor h through the cusp 1/d machinery and read off the shift data.
+def cusp_shift(c: int, d: int, q: int, f: Eigenform) -> ExpansionShift:
+    """The expansion data of f|h for any unimodular h with bottom row (c, d).
 
-    The scaling freedom in the width matrices is fixed by the canonical
-    choices inside solve_gamma_tilde and atkin_lehner_matrix, so the result
-    is deterministic.  h with lower-left 0 fixes infinity and shifts by an
-    integer, which the period-1 expansion absorbs: (e, k1, k2, m) = (1,1,1,0).
+    With g = gcd(c, q) and v = q/g, m = d * c^-1 mod v (m = 0 when v = 1):
+    q is squarefree, so no prime of v divides c, and c is a unit mod v.
+
+    Proof, for h = (a, b; c, d) and K = (v, -m; 0, 1).  h K =
+    (v a, b - m a; v c, d - m c) has determinant v, and v divides its
+    top-left entry.  q = g v divides its bottom-left entry, because g | c, and
+    v divides its bottom-right entry exactly when m = d/c (mod v).  So h K is
+    an Atkin-Lehner matrix W_v of level q, and f|h = f|W_v|K^-1 =
+    e_v * (1/v) * f((w + m)/v).  Only d mod v enters, so every lift of a
+    P^1(Z/q) class gives the same data.
     """
-    if h.det != 1:
-        raise ValueError("cusp_shift needs a determinant-1 matrix")
-    if h.c == 0:
-        return ExpansionShift(1, 1, 1, 0, q, 1)
-    if h.c < 0:
-        h = -h
-    gamma, alpha = h.c, h.a
-    d = math.gcd(gamma, q)
-    v = q // d
-    gt = solve_gamma_tilde(alpha, gamma, q)
-    w_v = atkin_lehner_matrix(v, q)
-    k = w_v.adjugate() @ gt.inv_unimodular() @ h
-    assert k.c == 0, "cusp factorization must be upper triangular"
-    if k.a < 0:
-        k = -k
-    assert k.a > 0 and k.d > 0 and k.a * k.d == v
-    return ExpansionShift(al_sign(f, v), k.a, k.d, k.b % k.d, d, v)
+    g = math.gcd(c, q)
+    v = q // g
+    m = d * pow(c, -1, v) % v if v > 1 else 0
+    return ExpansionShift(al_sign(f, v), m, g, v)
 
 
 @dataclass
@@ -105,7 +95,7 @@ class PeriodTable:
     """One period value per P^1(Z/q) class, certified to tol; plain tuples.
 
     values[k] is the complex integral of f dz along the unimodular path
-    g(0) -> g(infinity) for the canonical lift g of class k; it is a class
+    g(0) -> g(infinity) for any lift g of class k; it is a class
     function because f dz is level-q invariant.  residual_two/three record
     the worst two-term and three-term relation defects measured at build;
     curve is the Weierstrass model of the form the table was built from.
@@ -196,10 +186,8 @@ def build_period_table(f: Eigenform, tol: float = 1e-12) -> PeriodTable:
     """
     q = f.q
     classes = p1_table(q)
-    shifts = []
-    for k in range(len(classes)):
-        g = lift_class_from_index(classes, k)
-        shifts.append((cusp_shift(g, q, f), cusp_shift(g @ S_MAT, q, f)))
+    # a lift g of the class (c : d) has bottom row (c, d), and g S has (d, -c)
+    shifts = [(cusp_shift(c, d, q, f), cusp_shift(d, -c, q, f)) for c, d in classes.reps]
     args = np.array([[sh_g.arg, sh_gs.arg] for sh_g, sh_gs in shifts])
     f_vals = antiderivative_batch(f, args.ravel(), tol / 4.0).reshape(args.shape)
     values = tuple(
@@ -208,10 +196,6 @@ def build_period_table(f: Eigenform, tol: float = 1e-12) -> PeriodTable:
     )
     curve = f.curve.coefficients if f.curve is not None else None
     return _table_from_values(q, tol, classes, values, curve)
-
-
-def lift_class_from_index(classes: P1Table, k: int) -> Mat2:
-    return lift_class(classes.q, *classes.reps[k])
 
 
 def _path_classes(r: Fraction, table: PeriodTable) -> list[int]:

@@ -11,9 +11,9 @@ bin.  No point is stored, so memory is O(M * width + chunk).  Every report
 reads the lattice through those accumulators: the moment rows are exact
 integer sums over the counts, the distribution report works on the (c, n)
 atoms with their weights, and a scan followed by a report over the same
-window shares one sweep.  The Weyl sums read no symbol value: over the
-coprime residues of c they are Ramanujan sums, which the report evaluates
-exactly in integers.
+window shares one sweep.  The Weyl sums read no symbol value and run no
+sweep: over the coprime residues of c they are Ramanujan sums, which the
+report evaluates exactly in integers.
 """
 from __future__ import annotations
 
@@ -329,18 +329,21 @@ def _moebius_totient(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, phi
 
 
-def weyl_report(spec: ScanSpec, rows: list[AggregateRow]) -> list[WeylEntry]:
+def weyl_report(spec: ScanSpec) -> list[WeylEntry]:
     """Totals of e(n a/c) over every sampled point, per mode, with |total|/count.
 
-    Each row holds a full system of coprime residues a mod c, over which the
-    sum of e(n a/c) is the Ramanujan sum mu(c/g) phi(c)/phi(c/g) with
-    g = gcd(c, n) (von Sterneck).  The totals are therefore exact integers,
-    real, and even in n; the n=0 entry is the sample count.
+    The sample holds every coprime residue a mod c of each denominator c <= M
+    in the gcd class, over which the sum of e(n a/c) is the Ramanujan sum
+    mu(c/g) phi(c)/phi(c/g) with g = gcd(c, n) (von Sterneck).  So no symbol
+    value enters and no sweep runs; the totals are exact integers, real, and
+    even in n, and the n=0 entry is the sample count.
     """
-    cs = np.array([row.c for row in rows], dtype=np.int64)
-    phis = np.array([row.phi for row in rows], dtype=np.int64)
-    mu, phi = _moebius_totient(int(cs.max(initial=1)))
+    mu, phi = _moebius_totient(spec.m_max)
+    cs = np.array([c for c in range(1, spec.m_max + 1) if spec.wants(c)], dtype=np.int64)
+    phis = phi[cs]
     count = int(phis.sum())
+    if not count:
+        raise ValueError(f"no denominator c <= {spec.m_max} has gcd {spec.d_filter} with q")
     entries = []
     for n in spec.weyl_modes:
         m = cs // np.gcd(cs, n)

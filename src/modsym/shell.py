@@ -384,10 +384,7 @@ def cmd_contig(cfg: RunConfig, args) -> int:
 
 
 def cmd_weyl(cfg: RunConfig, args) -> int:
-    store = SymbolStore(_table(cfg))
-    spec = cfg.scan_spec()
-    rows = scan(spec, store)
-    entries = weyl_report(spec, rows)
+    entries = weyl_report(cfg.scan_spec())
     path = _out(cfg, "weyl.csv")
     write_weyl_csv(path, entries, cfg.fingerprint())
     for e in entries:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .eigenform import Eigenform, format_curve, parse_curve, terms_needed
 from .exactmath import divisors_squarefree, lazy_numpy, p1_table, squarefree_factors
-from .periods import cusp_shift, lift_class_from_index
+from .periods import cusp_shift
 
 np = lazy_numpy()
 
@@ -134,8 +134,9 @@ def _map_rule(rule, edges) -> tuple[np.ndarray, np.ndarray]:
     return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
-def _class_cutoff(coeff_abs: np.ndarray, ratio: float, tol_tail: float) -> float:
-    """Height above which the certified tail of a class integrand is below tol_tail."""
+def _class_cutoff(coeff_abs: np.ndarray, v: int, tol_tail: float) -> float:
+    """Height above which the certified tail of a width-v class integrand is below tol_tail."""
+    ratio = 1 / v
     y_floor = math.sqrt(3.0) / 2.0
     ns = np.arange(1, len(coeff_abs) + 1)
     big_c = float(np.sum(coeff_abs * np.exp(-2.0 * np.pi * (ns - 1) * ratio * y_floor)))
@@ -146,30 +147,30 @@ def _class_cutoff(coeff_abs: np.ndarray, ratio: float, tol_tail: float) -> float
 
 
 def _width_integral(f: Eigenform, width, ms, tol_tail: float, rule, x_panels) -> tuple[float, int]:
-    """Sum over the classes m of the width (k1, k2, cutoff) of the integrals over the
-    standard fundamental domain of (k1/k2)^2 |f((k1 w + m)/k2)|^2, and the columns cut short.
+    """Sum over the classes m of the width (v, cutoff) of the integrals over the
+    standard fundamental domain of (1/v)^2 |f((w + m)/v)|^2, and the columns cut short.
 
-    At an x-node all the classes' points have heights k1 y/k2, y on geometric panels from
+    At an x-node all the classes' points have heights y/v, y on geometric panels from
     sqrt(1 - x^2) to the cutoff, so their series are one real product D @ C, with
-    D[j, n] = exp(-2 pi n k1 y_j/k2) and C[n, c] = a(n) e(n (k1 x + m_c)/k2).
+    D[j, n] = exp(-2 pi n y_j/v) and C[n, c] = a(n) e(n (x + m_c)/v).
     """
-    k1, k2, cutoff = width
+    v, cutoff = width
     total, truncated = 0.0, 0
     for x, wx in zip(*x_panels):
         edges = [math.sqrt(max(1.0 - x * x, 0.0))]
         while edges[-1] < cutoff:
             edges.append(min(edges[-1] * 1.6, cutoff))
         ys, wys = _map_rule(rule, edges)
-        heights = k1 * ys / k2
+        heights = ys / v
         needed = terms_needed(float(heights.min()), tol_tail * 1e-3)
         truncated += len(ms) if needed > f.n_max else 0
         ns = np.arange(1, min(needed, f.n_max) + 1)
         decay = np.exp(np.multiply.outer(-2.0 * np.pi * heights, ns))
-        phase = np.exp(np.multiply.outer(2j * np.pi * ns, np.add(k1 * x, ms) / k2))
+        phase = np.exp(np.multiply.outer(2j * np.pi * ns, np.add(x, ms) / v))
         phase *= f.coeffs[1 : ns.size + 1, None]
         vals = decay @ phase.view(np.float64)  # re and im of each class, interleaved
         total += wx * float(wys @ (vals * vals).sum(axis=1))
-    return (k1 / k2) ** 2 * total, truncated
+    return (1 / v) ** 2 * total, truncated
 
 
 def petersson_quadrature(
@@ -178,7 +179,7 @@ def petersson_quadrature(
     """Petersson norm ||f||^2 over the level-q quotient, with mesh self-check.
 
     Sums, over the coset classes indexed by P^1(Z/q), the fundamental-domain
-    integrals of |f|g|^2 = (k1/k2)^2 |f((k1 w + m)/k2)|^2, one cusp width (k1, k2)
+    integrals of |f|g|^2 = (1/v)^2 |f((w + m)/v)|^2, one cusp width v
     at a time with a certified exponential cutoff per width; the whole quadrature
     is repeated with doubled node counts, each computing its Gauss-Legendre rule
     once, to estimate the mesh error.
@@ -187,14 +188,11 @@ def petersson_quadrature(
     classes = p1_table(q)
     tol_tail = tol / (2.0 * len(classes))
     coeff_abs = np.abs(f.coeffs[1:].astype(np.float64))
-    widths: dict[tuple, list[int]] = {}
-    for k in range(len(classes)):
-        sh = cusp_shift(lift_class_from_index(classes, k), q, f)
-        widths.setdefault((sh.k1, sh.k2), []).append(sh.m)
-    groups = [
-        ((k1, k2, _class_cutoff(coeff_abs, k1 / k2, tol_tail)), ms)
-        for (k1, k2), ms in widths.items()
-    ]
+    widths: dict[int, list[int]] = {}
+    for c, d in classes.reps:
+        sh = cusp_shift(c, d, q, f)
+        widths.setdefault(sh.v, []).append(sh.m)
+    groups = [((v, _class_cutoff(coeff_abs, v, tol_tail)), ms) for v, ms in widths.items()]
 
     def run(nodes: int) -> tuple[float, int]:
         rule = np.polynomial.legendre.leggauss(nodes)
@@ -207,7 +205,7 @@ def petersson_quadrature(
         value=fine,
         mesh_error=abs(fine - coarse),
         tol=tol,
-        max_cutoff=max(w[2] for w, _ in groups),
+        max_cutoff=max(w[1] for w, _ in groups),
         classes=len(classes),
         truncated=cut_coarse + cut_fine,
     )

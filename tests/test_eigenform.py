@@ -27,6 +27,7 @@ from modsym.eigenform import (
     _ec_add,
     _orders_in,
     _series,
+    _smallest_prime_factors,
     al_sign,
     antiderivative_batch,
     build_eigenform,
@@ -220,7 +221,7 @@ def test_count_points_rejects_bad_p():
 
 
 def test_hecke_extend_first_dozen():
-    a = hecke_extend(TRACES_15A1, 15, 12)
+    a = hecke_extend(TRACES_15A1, 15, _smallest_prime_factors(12))
     assert list(a[1:]) == FIRST_COEFFS_15A1
 
 

@@ -14,17 +14,13 @@ from hypothesis import strategies as st
 
 from modsym.exactmath import (
     CapacityError,
-    IDENTITY,
     Mat2,
-    S_MAT,
     _crt_least_abs,
     atkin_lehner_matrix,
     cf_decompose,
     divisors,
     divisors_squarefree,
-    lift_class,
     p1_table,
-    solve_gamma_tilde,
     squarefree_factors,
 )
 
@@ -73,34 +69,11 @@ def test_mat2_det_and_product():
     m = Mat2(2, 3, 1, 2)
     n = Mat2(1, -1, 4, 5)
     assert m.det == 1
-    prod = m @ n
+    prod = Mat2(
+        m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d, m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d
+    )
     assert (prod.a, prod.b, prod.c, prod.d) == (14, 13, 9, 9)
     assert prod.det == m.det * n.det
-
-
-def test_mat2_inverse_unimodular():
-    m = Mat2(2, 3, 1, 2)
-    inv = m.inv_unimodular()
-    assert m @ inv == IDENTITY
-    assert inv @ m == IDENTITY
-
-
-def test_mat2_inverse_rejects_other_determinants():
-    with pytest.raises(ValueError):
-        Mat2(2, 0, 0, 1).inv_unimodular()
-
-
-def test_mat2_adjugate_identity():
-    m = Mat2(3, 1, 15, 6)  # det 3
-    prod = m @ m.adjugate()
-    assert (prod.a, prod.b, prod.c, prod.d) == (3, 0, 0, 3)
-
-
-def test_mat2_moebius_action():
-    m = Mat2(1, 1, 1, 2)
-    assert m.act(Fraction(1, 3)) == Fraction(4, 7)
-    z = m.act(1j)
-    assert abs(z - (1 + 1j) / (2 + 1j)) < 1e-15
 
 
 def test_mat2_capacity_guard():
@@ -127,7 +100,7 @@ def test_cf_decompose_two_fifths_frozen():
 def test_cf_decompose_zero():
     mats = cf_decompose(Fraction(0, 1))
     assert len(mats) == 1
-    assert mats[0] == S_MAT
+    assert mats[0] == Mat2(0, -1, 1, 0)  # path reversal
 
 
 def _projectively_equal(p1, q1, p2, q2):
@@ -220,46 +193,8 @@ def test_p1_level_one_degenerate():
     assert table.index_of(0, 0) == 0
 
 
-def test_lift_class_properties():
-    table = p1_table(15)
-    for k, (c, d) in enumerate(table.reps):
-        m = lift_class(15, c, d)
-        assert m.det == 1
-        assert table.index_of(m.c, m.d) == k
-
-
-def _egcd_lift(q: int, c0: int, d0: int) -> Mat2:
-    """The lift_class construction with its top row from the extended Euclid
-    algorithm: the same search for d, a Bezout top row, the same reduction."""
-    if q == 1 or c0 == 0:
-        return IDENTITY
-    t = 0
-    while math.gcd(c0, d0 + t * q) != 1:
-        t = -t if t > 0 else 1 - t  # offsets 0, 1, -1, 2, -2, ...
-    d1 = d0 + t * q
-    old_r, r, old_x, x, old_y, y = d1, c0, 1, 0, 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    x, y = old_x, -old_y
-    assert old_r == 1 and x * d1 - y * c0 == 1
-    m = (2 * x + c0) // (2 * c0)
-    return Mat2(x - m * c0, y - m * d1, c0, d1)
-
-
-@pytest.mark.parametrize("q", [6, 15, 57, 210])
-def test_lift_class_matches_the_extended_euclid_lift(q):
-    # lift_class takes its top row from a modular inverse; the final
-    # reduction makes the matrix independent of which solution of
-    # x*d - y*c = 1 it starts from, so it must equal the Bezout lift
-    for c, d in p1_table(q).reps:
-        assert lift_class(q, c, d) == _egcd_lift(q, c, d)
-
-
 # ---------------------------------------------------------------------------
-# CRT and the cusp solvers
+# CRT and the Atkin-Lehner matrices
 
 
 def test_crt_least_abs():
@@ -267,38 +202,6 @@ def test_crt_least_abs():
     assert _crt_least_abs(2, 3, 4, 5) == -1  # 14 mod 15, folded
     assert _crt_least_abs(1, 15, 0, 1) == 1
     assert _crt_least_abs(1, 2, 0, 1) == 1  # tie 2x = m keeps the positive rep
-
-
-def test_solve_gamma_tilde_frozen_cases():
-    gt = solve_gamma_tilde(0, 1, 15)
-    assert (gt.a, gt.b, gt.c, gt.d) == (1, -1, 0, 1)
-    gt = solve_gamma_tilde(7, 1, 15)
-    assert (gt.a, gt.b, gt.c, gt.d) == (1, 6, 0, 1)
-    # alpha/gamma = 1/d for d | q: the cusp is already in place
-    assert solve_gamma_tilde(1, 3, 15) == IDENTITY
-    assert solve_gamma_tilde(1, 5, 15) == IDENTITY
-    assert solve_gamma_tilde(1, 15, 15) == IDENTITY
-
-
-def test_solve_gamma_tilde_properties():
-    rng = random.Random(23)
-    for _ in range(200):
-        gamma = rng.randrange(1, 120)
-        alpha = rng.randrange(-60, 60)
-        if math.gcd(alpha, gamma) != 1:
-            continue
-        gt = solve_gamma_tilde(alpha, gamma, 15)
-        assert gt.det == 1
-        assert gt.c % 15 == 0
-        d = math.gcd(gamma, 15)
-        assert gt.act(Fraction(1, d)) == Fraction(alpha, gamma)
-
-
-def test_solve_gamma_tilde_validation():
-    with pytest.raises(ValueError):
-        solve_gamma_tilde(2, 4, 15)  # not in lowest terms
-    with pytest.raises(ValueError):
-        solve_gamma_tilde(1, 0, 15)  # gamma must be positive
 
 
 def test_atkin_lehner_matrix_frozen():
@@ -352,17 +255,6 @@ def test_normalize_p1_is_invariant_under_units(q, c, d, data):
     lam = data.draw(st.integers(1, 10**4).filter(lambda u: math.gcd(u, q) == 1))
     table = p1_table(q)
     assert table.index_of(lam * c, lam * d) == table.index_of(c, d)
-
-
-@settings(deadline=None)
-@given(q=levels, data=st.data())
-def test_lift_class_is_unimodular_over_its_class(q, data):
-    table = p1_table(q)
-    k = data.draw(st.integers(0, len(table) - 1))
-    m = lift_class(q, *table.reps[k])
-    assert m == _egcd_lift(q, *table.reps[k])
-    assert m.det == 1
-    assert table.index_of(m.c, m.d) == k
 
 
 @settings(deadline=None)

@@ -1,9 +1,10 @@
 """Period table and symbol evaluation.
 
-The heavy consistency evidence lives here: the cusp-expansion factorization
-is checked against a direct slash-identity evaluation at a generic point for
-every class, the table relations are certified, and the Manin-path evaluator
-is cross-checked against a one-matrix direct oracle.
+The heavy consistency evidence lives here: the closed-form cusp data are
+checked as an exact Atkin-Lehner factorization and against a direct
+slash-identity evaluation at a generic point for every class, the table
+relations are certified, and the Manin-path evaluator is cross-checked
+against a one-matrix direct oracle.
 """
 import builtins
 import math
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modsym import eigenform, periods
@@ -30,7 +31,7 @@ from modsym.eigenform import (
     read_coeffs_cache,
     write_coeffs_cache,
 )
-from modsym.exactmath import Mat2, S_MAT, cf_decompose, p1_table
+from modsym.exactmath import Mat2, atkin_lehner_matrix, cf_decompose, p1_table, squarefree_factors
 from modsym.periods import (
     ExpansionShift,
     build_period_table,
@@ -39,7 +40,6 @@ from modsym.periods import (
     direct_symbol_oracle,
     hecke_residual,
     lattice_bound,
-    lift_class_from_index,
     period_sum,
     read_table_cache,
     symbol,
@@ -48,46 +48,87 @@ from modsym.periods import (
 from modsym.scanstats import SymbolStore
 
 T_MAT = Mat2(1, 1, 0, 1)
+T_INV = Mat2(1, -1, 0, 1)
 V_MAT = Mat2(1, 0, 15, 1)  # generator with lower-left divisible by the level
 
 
+def _mul(x: Mat2, y: Mat2) -> Mat2:
+    return Mat2(
+        x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d, x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d
+    )
+
+
+def _completion(c: int, d: int) -> Mat2:
+    """A unimodular (a, b; c, d) for coprime c and d."""
+    if c == 0:
+        return Mat2(d, 0, 0, d)  # d = +-1
+    a = pow(d, -1, abs(c))
+    return Mat2(a, (a * d - 1) // c, c, d)
+
+
 # ---------------------------------------------------------------------------
-# cusp-expansion factorization
+# cusp-expansion data
 
 
 def test_cusp_shift_frozen_at_path_reversal(form15):
-    sh = cusp_shift(S_MAT, 15, form15)
-    assert sh == ExpansionShift(e=-1, k1=1, k2=15, m=0, d=1, v=15)
+    # S = (0, -1; 1, 0) has bottom row (1, 0)
+    sh = cusp_shift(1, 0, 15, form15)
+    assert sh == ExpansionShift(e=-1, m=0, d=1, v=15)
     assert sh.arg == (1j + 0) / 15
 
 
 def test_cusp_shift_upper_triangular(form15):
-    sh = cusp_shift(Mat2(1, 5, 0, 1), 15, form15)
-    assert sh == ExpansionShift(e=1, k1=1, k2=1, m=0, d=15, v=1)
-
-
-def test_cusp_shift_rejects_other_determinants(form15):
-    with pytest.raises(ValueError):
-        cusp_shift(Mat2(2, 0, 0, 1), 15, form15)
+    # (1, 5; 0, 1) has bottom row (0, 1)
+    sh = cusp_shift(0, 1, 15, form15)
+    assert sh == ExpansionShift(e=1, m=0, d=15, v=1)
 
 
 def test_cusp_shift_sign_normalization(form15):
-    g = Mat2(2, 1, 7, 4)
-    assert cusp_shift(-g, 15, form15) == cusp_shift(g, 15, form15)
+    # -g for g = (2, 1; 7, 4)
+    assert cusp_shift(-7, -4, 15, form15) == cusp_shift(7, 4, 15, form15)
 
 
 def test_cusp_shift_is_class_function(form15):
     # left multiplication by level-15 elements must not change the shift data
     classes = p1_table(15)
     rng = random.Random(99)
-    for k in range(len(classes)):
-        g = lift_class_from_index(classes, k)
-        base = cusp_shift(g, 15, form15)
+    for c, d in classes.reps:
+        g = _completion(c, d)
+        base = cusp_shift(c, d, 15, form15)
         for _ in range(4):
-            gamma = T_MAT if rng.random() < 0.5 else T_MAT.inv_unimodular()
+            gamma = T_MAT if rng.random() < 0.5 else T_INV
             if rng.random() < 0.5:
-                gamma = gamma @ V_MAT
-            assert cusp_shift(gamma @ g, 15, form15) == base
+                gamma = _mul(gamma, V_MAT)
+            h = _mul(gamma, g)
+            assert cusp_shift(h.c, h.d, 15, form15) == base
+
+
+_SQUAREFREE = [q for q in range(1, 501) if all(q % (p * p) for p in range(2, 23))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from(_SQUAREFREE),
+    c=st.integers(-10**6, 10**6),
+    d=st.integers(-10**6, 10**6),
+)
+@example(q=15, c=1, d=0)
+@example(q=15, c=0, d=-1)
+@example(q=1, c=5, d=3)
+def test_cusp_shift_factors_through_atkin_lehner(q, c, d):
+    """h (v, -m; 0, 1) adj(W_v)/v lies in Gamma_0(q) for a completion h
+    of (c, d), so h (v, -m; 0, 1) = gamma W_v is an Atkin-Lehner matrix."""
+    assume(math.gcd(c, d) == 1)
+    f = Eigenform(q, np.zeros(2, dtype=np.int64), {p: -1 for p in squarefree_factors(q)})
+    sh = cusp_shift(c, d, q, f)
+    v = sh.v
+    assert (v, sh.d) == (q // math.gcd(c, q), math.gcd(c, q)) and 0 <= sh.m < v
+    assert sh.e == (-1) ** len(squarefree_factors(v))
+    w_v = atkin_lehner_matrix(v, q)
+    p = _mul(_mul(_completion(c, d), Mat2(v, -sh.m, 0, 1)), Mat2(w_v.d, -w_v.b, -w_v.c, w_v.a))
+    assert all(x % v == 0 for x in (p.a, p.b, p.c, p.d))
+    gamma = Mat2(p.a // v, p.b // v, p.c // v, p.d // v)
+    assert gamma.det == 1 and gamma.c % q == 0
 
 
 def _form_value(f, z, tol):
@@ -96,22 +137,30 @@ def _form_value(f, z, tol):
     return _series(np.array([z]), f.coeffs[1 : n_terms + 1].astype(np.float64))[0]
 
 
-def test_cusp_shift_slash_identity_every_class(form15):
-    """f|g read through the factorization equals the direct evaluation.
+@pytest.fixture(scope="module")
+def form57_slash():
+    """57a1 with enough coefficients for f(g(w)) at every class of level 57."""
+    return build_eigenform(CurveSpec(0, -1, 1, -2, 2, q=57), n_max=20000)
 
-    For each canonical lift g the claim is
-    e * (k1/k2) * f((k1 w + m)/k2) = (c w + d)^(-2) f(g(w)); both sides are
+
+def test_cusp_shift_slash_identity_every_class(form15, form57_slash):
+    """f|g read through the closed form equals the direct evaluation.
+
+    For a lift g of each class of 15a1 and of 57a1 the claim is
+    e * (1/v) * f((w + m)/v) = (c w + d)^(-2) f(g(w)); both sides are
     evaluated at a generic point to a certified tolerance.
     """
     w = 0.1 + 1.1j
-    classes = p1_table(15)
-    for k in range(len(classes)):
-        g = lift_class_from_index(classes, k)
-        sh = cusp_shift(g, 15, form15)
-        lhs = sh.e * (sh.k1 / sh.k2) * _form_value(form15, (sh.k1 * w + sh.m) / sh.k2, 1e-10)
-        gz = (g.a * w + g.b) / (g.c * w + g.d)
-        rhs = _form_value(form15, gz, 1e-10) / (g.c * w + g.d) ** 2
-        assert abs(lhs - rhs) <= 1e-6 * max(abs(rhs), 1e-3)
+    for f, n_classes in ((form15, 24), (form57_slash, 80)):
+        classes = p1_table(f.q)
+        assert len(classes) == n_classes
+        for c, d in classes.reps:
+            g = _completion(c, d)
+            sh = cusp_shift(c, d, f.q, f)
+            lhs = sh.e * (1 / sh.v) * _form_value(f, (w + sh.m) / sh.v, 1e-10)
+            gz = (g.a * w + g.b) / (g.c * w + g.d)
+            rhs = _form_value(f, gz, 1e-10) / (g.c * w + g.d) ** 2
+            assert abs(lhs - rhs) <= 1e-6 * max(abs(rhs), 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -288,15 +288,16 @@ def _weyl_oracle(c: int, n: int) -> complex:
 
 def test_weyl_accumulators_are_ramanujan_sums(store15):
     modes = (0, 1, 2, 3, 4, 5, -2)
-    for m_max, d_filter in ((150, "all"), (97, 5)):
+    for m_max, d_filter in ((150, "all"), (97, 5), (120, 3)):
         spec = ScanSpec(q=15, m_max=m_max, d_filter=d_filter, weyl_modes=modes)
         rows = scan(spec, store15)
-        for e in weyl_report(spec, rows):
+        for e in weyl_report(spec):
             oracle = sum((_weyl_oracle(row.c, e.n) for row in rows), start=0j)
             assert abs(e.total - oracle) < 1e-9
+            # the report sieves phi(c) itself; each scan row counts its points
             closed = sum(
                 _moebius(row.c // math.gcd(row.c, e.n))
-                * _totient(row.c)
+                * row.phi
                 // _totient(row.c // math.gcd(row.c, e.n))
                 for row in rows
             )
@@ -316,7 +317,7 @@ def test_weyl_hand_value():
 def test_negative_weyl_mode_is_conjugate(store15):
     spec = ScanSpec(q=15, m_max=40, weyl_modes=(2, -2))
     rows = scan(spec, store15)
-    plus, minus = weyl_report(spec, rows)
+    plus, minus = weyl_report(spec)
     assert (plus.n, minus.n) == (2, -2)
     assert minus.total == plus.total.conjugate()
     assert plus.total.imag == 0.0
@@ -327,7 +328,7 @@ def test_negative_weyl_mode_is_conjugate(store15):
 def test_weyl_report_zero_mode_counts_sample(store15):
     spec = ScanSpec(q=15, m_max=100, d_filter=1, weyl_modes=(0, 1))
     rows = scan(spec, store15)
-    entries = weyl_report(spec, rows)
+    entries = weyl_report(spec)
     assert entries[0].total == sum(row.phi for row in rows)
     assert entries[0].ratio == 1.0
     assert entries[1].ratio < 1.0
@@ -570,7 +571,7 @@ def test_fit_and_weyl_and_dist_and_contig_csv(tmp_path, store15, slopes15):
     assert float(first[1]) == fits[1].slope_real
     assert float(first[5]) == -fits[1].fixed_slope_shift_real
 
-    entries = weyl_report(spec, rows)
+    entries = weyl_report(spec)
     weyl_path = tmp_path / "weyl.csv"
     write_weyl_csv(str(weyl_path), entries, fingerprint="beef02")
     weyl_lines = weyl_path.read_text().splitlines()

@@ -427,6 +427,17 @@ def test_weyl_command_lists_modes(cli, tmp_path, capsys):
     assert (out / "weyl.csv").exists()
 
 
+def test_weyl_command_reads_and_writes_no_cache(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = ["--n-max", N_MAX, "--cache-dir", str(cache), "--out-dir", str(tmp_path / "out")]
+    assert main(["weyl", "--M", "100", *argv]) == EXIT_OK
+    assert list(cache.iterdir()) == []
+    assert (tmp_path / "out" / "weyl.csv").exists()
+    # no c <= 10 has gcd 15 with the level: an empty sample is refused, not divided by
+    assert main(["weyl", "--M", "10", "--d", "15", *argv]) == EXIT_VALIDATION
+
+
 # ---------------------------------------------------------------------------
 # theory and verify
 

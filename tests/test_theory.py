@@ -14,7 +14,7 @@ import pytest
 from modsym import theory
 from modsym.eigenform import CurveSpec, _series, build_eigenform, terms_needed
 from modsym.exactmath import p1_table
-from modsym.periods import cusp_shift, lift_class_from_index
+from modsym.periods import cusp_shift
 from modsym.theory import (
     ZETA_PRIME_2,
     build_theory,
@@ -216,8 +216,8 @@ def _per_class_quadrature(f, tol, n_leg):
     classes = p1_table(f.q)
     tol_tail = tol / (2.0 * len(classes))
     coeff_abs = np.abs(f.coeffs[1:].astype(np.float64))
-    shifts = [cusp_shift(lift_class_from_index(classes, k), f.q, f) for k in range(len(classes))]
-    cutoffs = [theory._class_cutoff(coeff_abs, sh.k1 / sh.k2, tol_tail) for sh in shifts]
+    shifts = [cusp_shift(c, d, f.q, f) for c, d in classes.reps]
+    cutoffs = [theory._class_cutoff(coeff_abs, sh.v, tol_tail) for sh in shifts]
     passes, truncated, lengths = [], 0, {}
     for nodes in (n_leg, 2 * n_leg):
         rule = np.polynomial.legendre.leggauss(nodes)
@@ -230,14 +230,14 @@ def _per_class_quadrature(f, tol, n_leg):
                 while edges[-1] < cutoff:
                     edges.append(min(edges[-1] * 1.6, cutoff))
                 ys, wys = theory._map_rule(rule, edges)
-                zs = (sh.k1 * (x + 1j * ys) + sh.m) / sh.k2
+                zs = (x + 1j * ys + sh.m) / sh.v
                 n_terms = terms_needed(float(zs.imag.min()), tol_tail * 1e-3)
                 truncated += n_terms > f.n_max
                 n_terms = min(n_terms, f.n_max)
                 lengths.setdefault((nodes, k), []).append(n_terms)
                 vals = _series(zs, f.coeffs[1 : n_terms + 1])
                 total += wx * float(np.sum(wys * np.abs(vals) ** 2))
-            passes[-1] += (sh.k1 / sh.k2) ** 2 * total
+            passes[-1] += (1 / sh.v) ** 2 * total
     coarse, fine = passes
     return fine, abs(fine - coarse), max(cutoffs), len(classes), truncated, shifts, lengths
 
@@ -256,7 +256,7 @@ def test_width_kernel_matches_the_per_class_oracle(form, tol, n_leg, request, mo
     width_integral, needed = theory._width_integral, theory.terms_needed
 
     def recording(f, width, ms, tol_tail, rule, x_panels):
-        cols = seen.setdefault((len(rule[0]), width[:2]), [])
+        cols = seen.setdefault((len(rule[0]), width[0]), [])
 
         def counted(y, tail_tol):
             n = needed(y, tail_tol)
@@ -271,9 +271,9 @@ def test_width_kernel_matches_the_per_class_oracle(form, tol, n_leg, request, mo
     assert got.value == pytest.approx(value, rel=1e-13)
     assert got.mesh_error == pytest.approx(mesh, abs=1e-13 * value)
     assert (got.max_cutoff, got.classes, got.truncated) == (max_cutoff, classes, truncated)
-    assert set(seen) == {(nodes, (shifts[k].k1, shifts[k].k2)) for nodes, k in lengths}
+    assert set(seen) == {(nodes, shifts[k].v) for nodes, k in lengths}
     for (nodes, k), cols in lengths.items():
-        assert seen[nodes, (shifts[k].k1, shifts[k].k2)] == cols
+        assert seen[nodes, shifts[k].v] == cols
     if form == "form15":
         assert request.getfixturevalue("petersson15") == got
     if form == "form57_short":
@@ -281,17 +281,17 @@ def test_width_kernel_matches_the_per_class_oracle(form, tol, n_leg, request, mo
 
 
 def test_petersson_cutoff_runs_once_per_cusp_width(form15_small, monkeypatch):
-    ratios = []
+    widths = []
     class_cutoff = theory._class_cutoff
 
-    def counting(coeff_abs, ratio, tol_tail):
-        ratios.append(ratio)
-        return class_cutoff(coeff_abs, ratio, tol_tail)
+    def counting(coeff_abs, v, tol_tail):
+        widths.append(v)
+        return class_cutoff(coeff_abs, v, tol_tail)
 
     monkeypatch.setattr(theory, "_class_cutoff", counting)
     petersson_quadrature(form15_small, tol=1e-3, n_leg=4)
-    # the 24 classes of level 15 have widths k1/k2 = 1, 1/3, 1/5 and 1/15
-    assert sorted(ratios) == [1 / 15, 1 / 5, 1 / 3, 1.0]
+    # the 24 classes of level 15 have widths v = 1, 3, 5 and 15
+    assert sorted(widths) == [1, 3, 5, 15]
 
 
 # ---------------------------------------------------------------------------
