@@ -14,8 +14,6 @@ from .eigenform import (
     load_or_build_eigenform,
 )
 from .exactmath import (
-    CapacityError,
-    Mat2,
     P1Table,
     cf_decompose,
     divisors_squarefree,

@@ -1,26 +1,19 @@
 """Exact integer arithmetic underneath the symbol engine.
 
-Integer 2x2 matrices, the Manin continued-fraction path decomposition, the
-projective line P^1(Z/q) with canonical representatives, and the CRT solver
-and Atkin-Lehner matrices of the direct symbol oracle.  Everything in this
-module is exact; floats never enter.  It also hands the numeric layers numpy
-through lazy_numpy, so that the table-only path never loads it.
+The Manin continued-fraction path decomposition, the projective line
+P^1(Z/q) with canonical representatives, and the CRT solver and
+Atkin-Lehner matrices of the direct symbol oracle.  Matrices are (a, b, c, d)
+tuples of Python ints, exact at any size; floats never enter, and modulus 1
+needs no special case (pow(x, -1, 1) is 0).  It also hands the numeric
+layers numpy through lazy_numpy, so that the table-only path never loads it.
 """
 from __future__ import annotations
 
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-CAPACITY_BITS = 128
-_CAP = 1 << (CAPACITY_BITS - 1)
-
-
-class CapacityError(OverflowError):
-    """A matrix entry exceeded the declared integer capacity."""
 
 
 def squarefree_factors(q: int) -> list[int]:
@@ -42,48 +35,16 @@ def squarefree_factors(q: int) -> list[int]:
     return factors
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n in increasing order."""
-    if n < 1:
-        raise ValueError(f"positive integer required, got {n}")
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k * k != n:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
-
-
 def divisors_squarefree(q: int) -> list[int]:
-    """All divisors of squarefree q, sorted increasing."""
-    squarefree_factors(q)  # raises unless q is squarefree
-    return divisors(q)
+    """Divisors of squarefree q, increasing: the subset products of its primes."""
+    divs = [1]
+    for p in squarefree_factors(q):
+        divs += [k * p for k in divs]
+    return sorted(divs)
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Integer 2x2 matrix (a, b; c, d) with an explicit capacity guard."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        for x in (self.a, self.b, self.c, self.d):
-            if not -_CAP < x < _CAP:
-                raise CapacityError(f"entry {x} exceeds {CAPACITY_BITS}-bit capacity")
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-
-def cf_decompose(r: Fraction) -> list[Mat2]:
-    """Manin path matrices for the geodesic from i*infinity to r.
+def cf_decompose(r: Fraction) -> list[tuple[int, int, int, int]]:
+    """Manin path matrices (a, b, c, d) for the geodesic from i*infinity to r.
 
     Returns unimodular g_0 .. g_n built from the convergents p_j/q_j of r,
     g_j = (p_j, s*p_{j-1}; q_j, s*q_{j-1}) with s = (-1)^(j-1), so that the
@@ -96,7 +57,7 @@ def cf_decompose(r: Fraction) -> list[Mat2]:
     p_prev, q_prev = 1, 0
     p_cur, q_cur = b, 1
     sign = -1
-    mats = [Mat2(p_cur, sign * p_prev, q_cur, sign * q_prev)]
+    mats = [(p_cur, sign * p_prev, q_cur, sign * q_prev)]
     n_, d_ = c, a - b * c
     while d_ > 0:
         b = n_ // d_
@@ -104,7 +65,7 @@ def cf_decompose(r: Fraction) -> list[Mat2]:
         p_prev, p_cur = p_cur, b * p_cur + p_prev
         q_prev, q_cur = q_cur, b * q_cur + q_prev
         sign = -sign
-        mats.append(Mat2(p_cur, sign * p_prev, q_cur, sign * q_prev))
+        mats.append((p_cur, sign * p_prev, q_cur, sign * q_prev))
     return mats
 
 
@@ -119,11 +80,7 @@ class P1Table:
     def __init__(self, q: int):
         squarefree_factors(q)
         self.q = q
-        if q == 1:
-            self.flat = [0]
-            self.reps = [(0, 0)]
-            return
-        units = [u for u in range(1, q) if math.gcd(u, q) == 1]
+        units = [u for u in range(q) if math.gcd(u, q) == 1]
         flat = [-1] * (q * q)
         reps: list[tuple[int, int]] = []
         for u in range(q):
@@ -142,8 +99,6 @@ class P1Table:
 
     def index_of(self, c: int, d: int) -> int:
         q = self.q
-        if q == 1:
-            return 0
         k = self.flat[(c % q) * q + (d % q)]
         if k < 0:
             raise ValueError(f"({c}:{d}) is not a point of P^1(Z/{q}): gcd(c,d,q) > 1")
@@ -162,20 +117,11 @@ def _crt_least_abs(r1: int, m1: int, r2: int, m2: int) -> int:
     positive representative.
     """
     m = m1 * m2
-    if m1 == 1:
-        x = r2 % m2 if m2 > 1 else 0
-    elif m2 == 1:
-        x = r1 % m1
-    else:
-        inv21 = pow(m2 % m1, -1, m1)
-        inv12 = pow(m1 % m2, -1, m2)
-        x = (r1 * m2 * inv21 + r2 * m1 * inv12) % m
-    if 2 * x > m:
-        x -= m
-    return x
+    x = (r1 * m2 * pow(m2, -1, m1) + r2 * m1 * pow(m1, -1, m2)) % m
+    return x - m if 2 * x > m else x
 
 
-def atkin_lehner_matrix(v: int, q: int) -> Mat2:
+def atkin_lehner_matrix(v: int, q: int) -> tuple[int, int, int, int]:
     """Determinant-v normalizer (v, y; q, v*w) of level q, for v | q squarefree.
 
     Canonical choice: w is the inverse of v modulo d = q/v taken in [0, d),
@@ -185,11 +131,10 @@ def atkin_lehner_matrix(v: int, q: int) -> Mat2:
         raise ValueError(f"{v} does not divide {q}")
     squarefree_factors(q)
     d = q // v
-    w = pow(v % d, -1, d) if d > 1 else 0
+    w = pow(v, -1, d)
     y = (v * w - 1) // d
-    mat = Mat2(v, y, q, v * w)
-    assert mat.det == v
-    return mat
+    assert v * v * w - y * q == v
+    return (v, y, q, v * w)
 
 
 def lazy_numpy():

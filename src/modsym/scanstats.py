@@ -66,9 +66,9 @@ class ScanSpec:
             raise ValueError("interval must satisfy 0 <= x0 < x1 <= 1")
         if not 1 <= self.k_max <= 8:
             raise ValueError("moment depth must be between 1 and 8")
-        if self.d_filter != "all":
-            if not isinstance(self.d_filter, int) or self.q % self.d_filter:
-                raise ValueError(f"d_filter {self.d_filter!r} does not divide {self.q}")
+        d = self.d_filter
+        if d != "all" and (not isinstance(d, int) or d < 1 or self.q % d):
+            raise ValueError(f"d_filter {d!r} is not a positive divisor of {self.q}")
 
     def wants(self, c: int) -> bool:
         return self.d_filter == "all" or math.gcd(c, self.q) == self.d_filter
@@ -469,11 +469,13 @@ def distribution_report(
     Moments are sum w z^k / N, the histogram counts weights, and the KS
     distance is exact over the sorted atoms.
     """
+    if c_min < 1:
+        raise ValueError(f"c_min must be at least 1, got {c_min}")
     q = store.q
     _, window = store.counts(c_max, x0, x1)
     half_log_class = 0.5 * math.log(q / d)
     zs_shift, zs_slope, ws = [], [], []
-    for c in range(max(c_min, 1), c_max + 1):
+    for c in range(c_min, c_max + 1):
         if math.gcd(c, q) != d:
             continue
         var_slope = slope_real * (math.log(c) + half_log_class)

@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 from fractions import Fraction
 
 from .eigenform import (
@@ -286,12 +287,15 @@ def cmd_symbol(cfg: RunConfig, args) -> int:
     s = symbol(Fraction(a, c), table)
     if s.numer != a:
         print(f"note: {a}/{c} folded into [0, 1) as {s.numer}/{s.denom}")
-    scaled = s.denom * math.sqrt(cfg.q / s.d)
+    try:
+        scaled = f"{s.denom * math.sqrt(cfg.q / s.d):.15g}"
+    except OverflowError:  # c past the float range
+        scaled = f"{s.denom * Decimal(cfg.q // s.d).sqrt():.15g}"
     print(f"r = {s.numer}/{s.denom}")
     print(f"m_minus(r) = {s.m_minus:.15g}")
     print(f"m_plus(r)  = {s.m_plus:.15g}")
     print(f"d = gcd(c, q) = {s.d}")
-    print(f"scaled denominator c(r) = c*sqrt(q/d) = {scaled:.15g}")
+    print(f"scaled denominator c(r) = c*sqrt(q/d) = {scaled}")
     if args.paper_sign:
         print(f"paper-sign value = i*m_minus = (0, {s.m_minus:.15g})")
     return EXIT_OK
@@ -364,9 +368,11 @@ def cmd_dist(cfg: RunConfig, args) -> int:
 
 
 def cmd_contig(cfg: RunConfig, args) -> int:
+    n_grid = args.grid
+    if n_grid < 2:
+        raise ValueError(f"contig needs --grid of at least 2, got {n_grid}")
     store = SymbolStore(_table(cfg))
     f = _form(cfg)
-    n_grid = args.grid
     xs = [Fraction(j, n_grid - 1) for j in range(n_grid)]
     a_m = contiguous_avg(store, cfg.m_max, xs)
     limit = ghat(f, [float(x) for x in xs])

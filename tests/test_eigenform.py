@@ -368,6 +368,15 @@ def test_lfun1_frozen(form15):
     assert lfun1(form15) == pytest.approx(0.350150760583576, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-8])
+def test_lfun1_matches_the_closed_form_sum(form15, tol):
+    # the sign-folded sum (1 - e_q) sum a(n)/n e^{-2 pi n / sqrt(q)}, e_q = -1,
+    # summed directly to 200 terms, far past its last double-precision digit
+    ns = np.arange(1, 201)
+    terms = form15.coeffs[1:201] / ns * np.exp(-2.0 * np.pi * ns / math.sqrt(form15.q))
+    assert abs(lfun1(form15, tol) - 2.0 * float(np.sum(terms))) < max(tol, 1e-13)
+
+
 def test_lfun1_tolerance_refusal():
     # a two-coefficient store with functional sign -1 cannot meet any
     # practical tolerance, so the evaluation must refuse rather than guess

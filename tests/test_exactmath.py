@@ -1,4 +1,4 @@
-"""Exact-arithmetic layer: matrices, path decomposition, P^1(Z/q), solvers.
+"""Exact-arithmetic layer: path decomposition, P^1(Z/q), solvers.
 
 Every oracle here is hand-computed or a closed-form identity; no floats.
 The last section checks the same identities as hypothesis properties over
@@ -9,16 +9,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modsym.exactmath import (
-    CapacityError,
-    Mat2,
     _crt_least_abs,
     atkin_lehner_matrix,
     cf_decompose,
-    divisors,
     divisors_squarefree,
     p1_table,
     squarefree_factors,
@@ -50,9 +47,14 @@ def test_squarefree_factors_rejects_nonpositive(bad):
 
 def test_divisors_match_brute_force():
     for n in range(1, 501):
-        assert divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
+        brute = [k for k in range(1, n + 1) if n % k == 0]
+        if all(n % (k * k) for k in range(2, 23)):
+            assert divisors_squarefree(n) == brute
+        else:
+            with pytest.raises(ValueError):
+                divisors_squarefree(n)
     with pytest.raises(ValueError):
-        divisors(0)
+        divisors_squarefree(0)
 
 
 def test_divisors_squarefree():
@@ -62,35 +64,12 @@ def test_divisors_squarefree():
 
 
 # ---------------------------------------------------------------------------
-# Mat2
-
-
-def test_mat2_det_and_product():
-    m = Mat2(2, 3, 1, 2)
-    n = Mat2(1, -1, 4, 5)
-    assert m.det == 1
-    prod = Mat2(
-        m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d, m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d
-    )
-    assert (prod.a, prod.b, prod.c, prod.d) == (14, 13, 9, 9)
-    assert prod.det == m.det * n.det
-
-
-def test_mat2_capacity_guard():
-    big = 1 << 127
-    with pytest.raises(CapacityError):
-        Mat2(big, 0, 0, 1)
-    Mat2(big - 1, 0, 0, 1)  # one below the cap is allowed
-
-
-# ---------------------------------------------------------------------------
 # continued-fraction path decomposition
 
 
 def test_cf_decompose_two_fifths_frozen():
     # Convergents of 2/5 are 0/1, 1/2, 2/5; hand-assembled path matrices.
-    mats = cf_decompose(Fraction(2, 5))
-    assert [(m.a, m.b, m.c, m.d) for m in mats] == [
+    assert cf_decompose(Fraction(2, 5)) == [
         (0, -1, 1, 0),
         (1, 0, 2, 1),
         (2, -1, 5, -2),
@@ -98,13 +77,16 @@ def test_cf_decompose_two_fifths_frozen():
 
 
 def test_cf_decompose_zero():
-    mats = cf_decompose(Fraction(0, 1))
-    assert len(mats) == 1
-    assert mats[0] == Mat2(0, -1, 1, 0)  # path reversal
+    assert cf_decompose(Fraction(0, 1)) == [(0, -1, 1, 0)]  # path reversal
 
 
 def _projectively_equal(p1, q1, p2, q2):
     return p1 * q2 == p2 * q1
+
+
+def _det(m):
+    a, b, c, d = m
+    return a * d - b * c
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -117,14 +99,16 @@ def test_cf_decompose_path_invariants(seed):
             continue
         mats = cf_decompose(Fraction(a, c))
         # every step is unimodular
-        assert all(m.det == 1 for m in mats)
+        assert all(_det(m) == 1 for m in mats)
         # the first segment starts at infinity = (1 : 0)
-        assert mats[0].d == 0 and abs(mats[0].b) == 1
+        _, b0, _, d0 = mats[0]
+        assert d0 == 0 and abs(b0) == 1
         # consecutive segments share endpoints: g_j(inf) = g_{j+1}(0)
-        for m, n in zip(mats, mats[1:]):
-            assert _projectively_equal(m.a, m.c, n.b, n.d)
+        for (m_a, _, m_c, _), (_, n_b, _, n_d) in zip(mats, mats[1:]):
+            assert _projectively_equal(m_a, m_c, n_b, n_d)
         # the last segment ends at a/c exactly
-        assert mats[-1].a * c == a * mats[-1].c
+        last_a, _, last_c, _ = mats[-1]
+        assert last_a * c == a * last_c
         # path length is logarithmic in the denominator
         assert len(mats) <= 3 + math.ceil(2.1 * math.log(c))
 
@@ -205,22 +189,18 @@ def test_crt_least_abs():
 
 
 def test_atkin_lehner_matrix_frozen():
-    m = atkin_lehner_matrix(15, 15)
-    assert (m.a, m.b, m.c, m.d) == (15, -1, 15, 0)
-    m = atkin_lehner_matrix(1, 15)
-    assert (m.a, m.b, m.c, m.d) == (1, 0, 15, 1)
-    m = atkin_lehner_matrix(3, 15)
-    assert (m.a, m.b, m.c, m.d) == (3, 1, 15, 6)
-    m = atkin_lehner_matrix(5, 15)
-    assert (m.a, m.b, m.c, m.d) == (5, 3, 15, 10)
+    assert atkin_lehner_matrix(15, 15) == (15, -1, 15, 0)
+    assert atkin_lehner_matrix(1, 15) == (1, 0, 15, 1)
+    assert atkin_lehner_matrix(3, 15) == (3, 1, 15, 6)
+    assert atkin_lehner_matrix(5, 15) == (5, 3, 15, 10)
 
 
 def test_atkin_lehner_matrix_properties():
     for v in (1, 3, 5, 15):
         m = atkin_lehner_matrix(v, 15)
-        assert m.det == v
-        assert m.c == 15
-        assert m.a == v
+        assert _det(m) == v
+        assert m[2] == 15
+        assert m[0] == v
 
 
 def test_atkin_lehner_matrix_rejects_non_divisor():
@@ -237,15 +217,18 @@ levels = st.sampled_from(_LEVELS)
 
 @settings(max_examples=200, deadline=None)
 @given(a=st.integers(-10**6, 10**6), c=st.integers(1, 10**6))
+@example(a=3**80, c=(1 << 130) + 1)  # entries past any fixed-width integer
 def test_cf_decompose_chains_from_infinity_to_r(a, c):
     r = Fraction(a, c)
     mats = cf_decompose(r)
-    assert all(m.det == 1 for m in mats)
+    assert all(_det(m) == 1 for m in mats)
     # g_0(0) = 1/0, g_j(0) = g_{j-1}(inf), and the last g(inf) is r
-    assert _projectively_equal(mats[0].b, mats[0].d, 1, 0)
-    for prev, cur in zip(mats, mats[1:]):
-        assert _projectively_equal(cur.b, cur.d, prev.a, prev.c)
-    assert _projectively_equal(mats[-1].a, mats[-1].c, r.numerator, r.denominator)
+    _, b0, _, d0 = mats[0]
+    assert _projectively_equal(b0, d0, 1, 0)
+    for (p_a, _, p_c, _), (_, c_b, _, c_d) in zip(mats, mats[1:]):
+        assert _projectively_equal(c_b, c_d, p_a, p_c)
+    last_a, _, last_c, _ = mats[-1]
+    assert _projectively_equal(last_a, last_c, r.numerator, r.denominator)
 
 
 @settings(deadline=None)

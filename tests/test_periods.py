@@ -31,7 +31,7 @@ from modsym.eigenform import (
     read_coeffs_cache,
     write_coeffs_cache,
 )
-from modsym.exactmath import Mat2, atkin_lehner_matrix, cf_decompose, p1_table, squarefree_factors
+from modsym.exactmath import atkin_lehner_matrix, cf_decompose, p1_table, squarefree_factors
 from modsym.periods import (
     ExpansionShift,
     build_period_table,
@@ -47,23 +47,24 @@ from modsym.periods import (
 )
 from modsym.scanstats import SymbolStore
 
-T_MAT = Mat2(1, 1, 0, 1)
-T_INV = Mat2(1, -1, 0, 1)
-V_MAT = Mat2(1, 0, 15, 1)  # generator with lower-left divisible by the level
+# integer 2x2 matrices as (a, b, c, d) tuples
+T_MAT = (1, 1, 0, 1)
+T_INV = (1, -1, 0, 1)
+V_MAT = (1, 0, 15, 1)  # generator with lower-left divisible by the level
 
 
-def _mul(x: Mat2, y: Mat2) -> Mat2:
-    return Mat2(
-        x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d, x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d
-    )
+def _mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _completion(c: int, d: int) -> Mat2:
+def _completion(c: int, d: int):
     """A unimodular (a, b; c, d) for coprime c and d."""
     if c == 0:
-        return Mat2(d, 0, 0, d)  # d = +-1
+        return (d, 0, 0, d)  # d = +-1
     a = pow(d, -1, abs(c))
-    return Mat2(a, (a * d - 1) // c, c, d)
+    return (a, (a * d - 1) // c, c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +100,8 @@ def test_cusp_shift_is_class_function(form15):
             gamma = T_MAT if rng.random() < 0.5 else T_INV
             if rng.random() < 0.5:
                 gamma = _mul(gamma, V_MAT)
-            h = _mul(gamma, g)
-            assert cusp_shift(h.c, h.d, 15, form15) == base
+            _, _, h_c, h_d = _mul(gamma, g)
+            assert cusp_shift(h_c, h_d, 15, form15) == base
 
 
 _SQUAREFREE = [q for q in range(1, 501) if all(q % (p * p) for p in range(2, 23))]
@@ -124,11 +125,11 @@ def test_cusp_shift_factors_through_atkin_lehner(q, c, d):
     v = sh.v
     assert (v, sh.d) == (q // math.gcd(c, q), math.gcd(c, q)) and 0 <= sh.m < v
     assert sh.e == (-1) ** len(squarefree_factors(v))
-    w_v = atkin_lehner_matrix(v, q)
-    p = _mul(_mul(_completion(c, d), Mat2(v, -sh.m, 0, 1)), Mat2(w_v.d, -w_v.b, -w_v.c, w_v.a))
-    assert all(x % v == 0 for x in (p.a, p.b, p.c, p.d))
-    gamma = Mat2(p.a // v, p.b // v, p.c // v, p.d // v)
-    assert gamma.det == 1 and gamma.c % q == 0
+    w_a, w_b, w_c, w_d = atkin_lehner_matrix(v, q)
+    p = _mul(_mul(_completion(c, d), (v, -sh.m, 0, 1)), (w_d, -w_b, -w_c, w_a))
+    assert all(x % v == 0 for x in p)
+    g_a, g_b, g_c, g_d = (x // v for x in p)
+    assert g_a * g_d - g_b * g_c == 1 and g_c % q == 0
 
 
 def _form_value(f, z, tol):
@@ -155,11 +156,11 @@ def test_cusp_shift_slash_identity_every_class(form15, form57_slash):
         classes = p1_table(f.q)
         assert len(classes) == n_classes
         for c, d in classes.reps:
-            g = _completion(c, d)
+            g_a, g_b, _, _ = _completion(c, d)
             sh = cusp_shift(c, d, f.q, f)
             lhs = sh.e * (1 / sh.v) * _form_value(f, (w + sh.m) / sh.v, 1e-10)
-            gz = (g.a * w + g.b) / (g.c * w + g.d)
-            rhs = _form_value(f, gz, 1e-10) / (g.c * w + g.d) ** 2
+            gz = (g_a * w + g_b) / (c * w + d)
+            rhs = _form_value(f, gz, 1e-10) / (c * w + d) ** 2
             assert abs(lhs - rhs) <= 1e-6 * max(abs(rhs), 1e-3)
 
 
@@ -257,6 +258,18 @@ def test_hecke_identity_random_arguments(p, form15, table15):
             continue
         worst = max(worst, hecke_residual(Fraction(a, c), p, form15, table15))
     assert worst < 1e-8
+
+
+C_130 = (1 << 130) + 1  # a denominator past any fixed-width integer
+
+
+@pytest.mark.parametrize("a", [1, 3**80 % C_130])
+def test_symbol_at_a_130_bit_denominator(a, form15, table15):
+    r = Fraction(a, C_130)
+    for p in (2, 7):
+        assert hecke_residual(r, p, form15, table15) < 1e-10
+    # the real symbol is odd, and exact on the lattice
+    assert symbol(r, table15).m_minus + symbol(1 - r, table15).m_minus == 0.0
 
 
 def test_hecke_residual_rejects_level_primes(form15, table15):

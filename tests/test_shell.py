@@ -192,6 +192,21 @@ def test_symbol_command_prints_frozen_values(cli, capsys):
     assert "paper-sign value" in out
 
 
+@pytest.mark.parametrize(
+    "c, scaled",
+    [((1 << 130) + 1, "2.35754539370744e+39"), (10**400 + 1, "3.87298334620742e+400")],
+    ids=["2^130+1", "10^400+1"],  # the second is past the float range
+)
+def test_symbol_command_takes_any_denominator(cli, capsys, c, scaled):
+    run, _, _ = cli
+    assert run("symbol", "1", str(c)) == EXIT_OK
+    out = capsys.readouterr().out
+    m_minus = float(out.split("m_minus(r) = ")[1].splitlines()[0])
+    n = m_minus / 0.798121111065892
+    assert abs(n - round(n)) < 1e-9
+    assert f"c*sqrt(q/d) = {scaled}" in out
+
+
 def test_symbol_command_reduces_and_folds(cli, capsys):
     run, _, _ = cli
     assert run("symbol", "4", "10") == EXIT_OK
@@ -216,6 +231,22 @@ def test_validation_exit_codes(cli):
     assert run("table", "--q", "9") == EXIT_VALIDATION  # level not squarefree
     assert run("table", "--tol", "1e-16") == EXIT_VALIDATION  # below float floor
     assert run("scan", "--M", "40", "--interval", "0.5:0.2") == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--M", "10", "--d", "0"),
+        ("scan", "--M", "10", "--d", "-3"),
+        ("contig", "--M", "10", "--grid", "1"),
+        ("contig", "--M", "10", "--grid", "0"),
+        ("dist", "--M", "10", "--d", "1", "--c-min", "0"),
+    ],
+)
+def test_bad_input_exits_2_with_an_error_line(cli, capsys, argv):
+    run, _, _ = cli
+    assert run(*argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_tampered_table_cache_trips_the_gate(cli, tmp_path, capsys):
