@@ -7,7 +7,11 @@ a/c with value n gives -n at (c - a)/c), and folds the lattice integers n
 of both halves into accumulators as the sweep goes: per-denominator counts
 of each n over all coprime residues and over a subinterval of [0,1), or,
 for the contiguous averages, integer sums of n per denominator and grid
-bin.  No point is stored, so memory is O(M * width + chunk).  Every report
+bin.  No point is stored, so memory is O(M * width + chunk).  From
+M = FORK_MIN on, the sweep is dealt to forked worker processes, one per
+usable CPU up to MAX_WORKERS; each folds its share into accumulators of its
+own, and the parent adds their integer counts to its own, so every output
+is the one a single process gives.  Every report
 reads the lattice through those accumulators: the moment rows are exact
 integer sums over the counts, the distribution report works on the (c, n)
 atoms with their weights, and a scan followed by a report over the same
@@ -18,6 +22,9 @@ report evaluates exactly in integers.
 from __future__ import annotations
 
 import math
+import os
+import traceback
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,6 +95,14 @@ class AggregateRow:
 
 
 CHUNK = 1 << 16  # most tree children the sweep expands in one numpy pass
+FORK_MIN = 1500  # the smallest bound whose sweep is dealt to worker processes
+MAX_WORKERS = 4  # so a large host does not fork dozens of 40 MB processes
+# The tree level whose nodes the workers share out.  The two levels above it,
+# which every worker walks, hold 0.4% of the nodes at m = 7000 and 1.6% at
+# m = 1500; the largest share of points is 0.502 of them with 2 workers,
+# 0.335 with 3 and 0.258 with 4 at m = 7000, and 0.507, 0.339 and 0.257 at
+# m = 1500.
+DEAL_DEPTH = 3
 
 
 class LatticeCounts:
@@ -109,12 +124,21 @@ class LatticeCounts:
             c, n = c[keep], n[keep]
         if not n.size:
             return
-        top = max(-int(n.min()), int(n.max()))
+        self._widen(max(-int(n.min()), int(n.max())))
+        np.add.at(self.counts.reshape(-1), c * self.counts.shape[1] + (n + self.off), 1)
+
+    def _widen(self, top: int) -> None:
         if top > self.off:
             wide = np.zeros((len(self.counts), 2 * top + 1), dtype=np.int64)
             wide[:, top - self.off : top + self.off + 1] = self.counts
             self.counts, self.off = wide, top
-        np.add.at(self.counts.reshape(-1), c * self.counts.shape[1] + (n + self.off), 1)
+
+    def merge(self, flat: np.ndarray) -> None:
+        """Add the counts of another sweep over the same rows, flattened."""
+        other = flat.reshape(len(self.counts), -1)
+        top = other.shape[1] // 2
+        self._widen(top)
+        self.counts[:, self.off - top : self.off + top + 1] += other
 
     def atoms(self, c: int) -> tuple[np.ndarray, np.ndarray]:
         """The lattice integers n of row c, ascending, and their counts."""
@@ -147,8 +171,11 @@ class SymbolStore:
 
     counts(m, x0, x1) sinks the points into per-row counts of each n, over
     all coprime residues and over a window; the counts of the last sweep
-    serve any smaller bound with the same window.  dense(c) sweeps to c and
-    keeps row c: the per-point oracle.
+    serve any smaller bound with the same window.  Its sweep, like the one
+    of contiguous_avg, is dealt to worker processes (_sweep): every worker
+    walks the top DEAL_DEPTH - 1 levels of the tree and emits its share of
+    their points, then walks its run of the nodes below.  dense(c) sweeps
+    to c in this process and keeps row c: the per-point oracle.
     """
 
     def __init__(self, table: PeriodTable):
@@ -167,7 +194,7 @@ class SymbolStore:
         if self._last is None or self._last[0] < m or self._last[1:3] != (x0, x1):
             full = LatticeCounts(m)
             window = full if (x0, x1) == (0, 1) else LatticeCounts(m, x0, x1)
-            self._compute(m, *((full,) if window is full else (full, window)))
+            self._sweep(m, *((full,) if window is full else (full, window)))
             self._last = (m, x0, x1, full, window)
         return self._last[3:]
 
@@ -182,17 +209,78 @@ class SymbolStore:
         self._compute(c, keep)
         return out
 
-    def _compute(self, m: int, *sinks) -> None:
+    def _sweep(self, m: int, *sinks) -> None:
+        """self._compute(m, *sinks), dealt to _workers(m) processes.
+
+        Each sink holds an int64 array .counts and merges another worker's
+        flattened counts with merge(flat).  A forked child walks its share
+        into its copies of the sinks, writes their counts down a pipe as raw
+        int64 and leaves through os._exit; this process walks share 0 and
+        adds the children's counts to its own.  The counts are integer sums,
+        so the merged ones are the serial ones.  A child that fails makes
+        this call raise, and every child is reaped whatever happens."""
+        w = _workers(m)
+        if w == 1:
+            self._compute(m, *sinks)
+            return
+        pids, fds = [], []  # a pid is None once reaped
+        try:
+            for i in range(1, w):
+                fd, out = os.pipe()
+                with warnings.catch_warnings():
+                    # 3.12 warns that a fork beside numpy's threads may hang the
+                    # child; the child only runs numpy's loops and exits
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    os.close(fd)
+                    _child(lambda: self._compute(m, *sinks, part=(i, w)), sinks, out)
+                os.close(out)
+                pids.append(pid)
+                fds.append(fd)
+            self._compute(m, *sinks, part=(0, w))
+            for i in range(1, w):
+                with open(fds[i - 1], "rb", closefd=False) as fh:
+                    data = fh.read()
+                status = os.waitpid(pids[i - 1], 0)[1]
+                pids[i - 1] = None
+                if status:
+                    code = os.waitstatus_to_exitcode(status)
+                    raise RuntimeError(f"sweep worker {i} of {w} failed (exit code {code})")
+                flat = np.frombuffer(data, dtype=np.int64)
+                for sink in sinks:
+                    size = int(flat[0])
+                    sink.merge(flat[1 : size + 1])
+                    flat = flat[size + 1 :]
+        finally:
+            for pid, fd in zip(pids, fds):
+                if pid is not None:  # only when the sweep failed
+                    from signal import SIGKILL
+
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+                os.close(fd)
+
+    def _compute(self, m: int, *sinks, part: tuple[int, int] = (0, 1)) -> None:
         """Sweep every point a/c with c <= m once, handing each chunk of
         points to every sink as sink(c, a, n), three int32 arrays.  The
         arrays are reused for the mirrored chunk, so a sink may neither keep
-        nor modify them."""
+        nor modify them.
+
+        part = (i, w) walks worker i's share of w workers.  Every worker
+        walks the levels above DEAL_DEPTH alike and emits every w-th of their
+        points, from the i-th on.  Each array of nodes entering DEAL_DEPTH
+        is cut into w runs of about equal subtree weight, and worker i walks
+        the i-th run and all below it."""
         q = self.q
         step = self._step
         row_of = (np.arange(m + 1, dtype=np.int32) % q) * q  # u * q at u = c mod q
+        i, w = part
 
-        def emit(point, qc, pc, nc):
+        def emit(point, qc, pc, nc, shared):
             at = np.flatnonzero(point)
+            if shared:
+                at = at[i::w]
             c, a, n = qc.take(at), pc.take(at), nc.take(at)
             for sink in sinks:
                 sink(c, a, n)
@@ -206,7 +294,7 @@ class SymbolStore:
 
         # 0/1, then stack entries (depth of the children, q_j, q_{j-1}, p_j, p_{j-1}, n_j)
         root = [np.array([v], dtype=np.int32) for v in (1, 0, 0, 1, self._first)]
-        emit(np.array([True]), root[0], root[2], root[4])
+        emit(np.array([True]), root[0], root[2], root[4], w > 1)
         stack = [(1, *root)]
         while stack:
             depth, *node = stack.pop()
@@ -219,9 +307,10 @@ class SymbolStore:
                 h = qj.size // 2
                 stack += [(depth, *(x[h:] for x in node)), (depth, *(x[:h] for x in node))]
                 continue
+            shared = w > 1 and depth < DEAL_DEPTH
             rq = (qj if depth % 2 else -qj) % q
             qc = kids * qj + qj1  # the last child, b = kids, is a leaf
-            emit(kids >= 2, qc, kids * pj + pj1, nj + step.take(row_of.take(qc) + rq))
+            emit(kids >= 2, qc, kids * pj + pj1, nj + step.take(row_of.take(qc) + rq), shared)
             if total == 0:
                 continue
             parent = np.repeat(np.arange(qj.size, dtype=np.int32), grow)
@@ -231,11 +320,59 @@ class SymbolStore:
             qc = b * qp + qj1.take(parent)
             pc = b * pp + pj1.take(parent)
             nc = nj.take(parent) + step.take(row_of.take(qc) + rq.take(parent))
-            emit(b >= 2, qc, pc, nc)
+            emit(b >= 2, qc, pc, nc, shared)
             if depth == 1:  # the child 1/1 roots (1/2, 1), which emit mirrors
                 qc, qp, pc, pp, nc = (x[1:] for x in (qc, qp, pc, pp, nc))
+            if shared and depth + 1 == DEAL_DEPTH and qc.size:
+                mine = _runs(qc, qp, w) == i
+                qc, qp, pc, pp, nc = (x[mine] for x in (qc, qp, pc, pp, nc))
             if qc.size:
                 stack.append((depth + 1, qc, qp, pc, pp, nc))
+
+
+def _workers(m: int) -> int:
+    """How many processes sweep to m: one per CPU this process may use, at
+    most MAX_WORKERS, and one below FORK_MIN or without os.fork.
+
+    A fork with the copy-on-write faults it sets off costs 3-4 ms.  On a
+    2-core Xeon, a sweep into one LatticeCounts took, in one process and in
+    two: 2.4 ms and 5.9 ms to m = 600, 6.1 and 6.0 ms to m = 1000, 13.1 and
+    9.8 ms to m = 1500, 51 and 30 ms to m = 3000, 272 and 148 ms to
+    m = 7000.  So the fork pays from about m = 1000, and FORK_MIN leaves a
+    margin."""
+    if m < FORK_MIN or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
+
+
+def _runs(q: np.ndarray, qp: np.ndarray, w: int) -> np.ndarray:
+    """Cut the nodes (q, q') into w consecutive runs of about equal weight,
+    a node weighing the width 1/(q (q + q')) of the interval its subtree
+    fills, and give each node the index of its run."""
+    qf = q.astype(np.float64)
+    weight = 1.0 / (qf * (qf + qp))
+    ends = np.cumsum(weight)
+    return ((ends - weight / 2) * (w / ends[-1])).astype(np.int64)
+
+
+def _child(walk, sinks, out: int) -> None:
+    """The body of a forked sweep worker: walk, write every sink's counts
+    to the fd out as int64 (its size, then the flat counts), and leave
+    through os._exit, which runs no atexit handler and flushes no
+    inherited stdio.  A failure exits 1, printing the traceback of an
+    exception but not of an interrupt."""
+    code = 1
+    try:
+        walk()
+        with open(out, "wb") as fh:
+            for sink in sinks:
+                fh.write(np.int64(sink.counts.size).tobytes())
+                fh.write(sink.counts.data)
+        code = 0
+    except Exception:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
 
 
 def _row_sums(counts: LatticeCounts, k_max: int, quantum: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,6 +407,23 @@ def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
 # Reports on top of the rows
 
 
+class _BinSums:
+    """The sums of n per row c <= m and grid bin: counts[c, j] over the
+    points a/c with exactly j grid points below them.  A sink of the sweep."""
+
+    def __init__(self, m: int, grid: np.ndarray):
+        self.grid = grid
+        self.counts = np.zeros((m + 1, len(grid) + 1), dtype=np.int64)
+
+    def __call__(self, c: np.ndarray, a: np.ndarray, n: np.ndarray) -> None:
+        # a/c <= x_j exactly for the grid points from #{j : x_j < a/c} on
+        at = c * self.counts.shape[1] + np.searchsorted(self.grid, a / c)
+        np.add.at(self.counts.reshape(-1), at, n.astype(np.int64))
+
+    def merge(self, flat: np.ndarray) -> None:
+        self.counts += flat.reshape(self.counts.shape)
+
+
 def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.ndarray:
     """Average of the contiguous sums G_c(x) = (1/c) sum_{0<=a<=floor(cx)} of
     the symbol at a/c, over all denominators c <= M; real convention.
@@ -291,17 +445,10 @@ def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.nda
     # comparison of a/c with x is exact below this bound
     if m_max * max((x.denominator for x in grid), default=1) >= 1 << 52:
         raise ValueError("grid denominators too large for this M")
-    grid_f = np.array([float(x) for x in grid])
-    width = len(grid) + 1
-    by_bin = np.zeros((m_max + 1) * width, dtype=np.int64)
-
-    def bin_sums(c, a, n):
-        # a/c <= x_j exactly for the grid points from #{j : x_j < a/c} on
-        np.add.at(by_bin, c * width + np.searchsorted(grid_f, a / c), n.astype(np.int64))
-
-    store._compute(m_max, bin_sums)
+    bins = _BinSums(m_max, np.array([float(x) for x in grid]))
+    store._sweep(m_max, bins)
     at = {x: j for j, x in enumerate(grid)}
-    sums = np.cumsum(by_bin.reshape(m_max + 1, width), axis=1)[:, [at[x] for x in xs]]
+    sums = np.cumsum(bins.counts, axis=1)[:, [at[x] for x in xs]]
     harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, m_max + 1))))
     out = np.zeros(len(xs))
     for c in range(1, m_max + 1):
@@ -548,15 +695,19 @@ def _cell(v) -> str:
     return str(v) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
 
 
-def _write_csv(path: str, fingerprint: str | None, head: list[str], rows) -> None:
+def _write_csv(path: str, fingerprint: str | None, head: list[str], rows, line=None) -> None:
     """The fingerprint comment, the header, and one line per row of cells:
-    integers print as they are, every other cell as a 17-digit float."""
+    integers print as they are, every other cell as a 17-digit float.  A
+    writer whose cell types are fixed passes them as the format string line."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         if fingerprint:
             fh.write(f"# fingerprint={fingerprint}\n")
         fh.write(",".join(head) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            if line:
+                fh.write(line.format(*row))
+            else:
+                fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def write_aggregates_csv(
@@ -564,8 +715,10 @@ def write_aggregates_csv(
 ) -> None:
     ks = range(1, spec.k_max + 1)
     head = ["c", "d", "phi", *(f"S{k}" for k in ks), "I_count", *(f"I_S{k}" for k in ks)]
+    sums = ["{:.17g}"] * spec.k_max
+    line = ",".join(["{}", "{}", "{}", *sums, "{}", *sums]) + "\n"
     cells = ([r.c, r.d, r.phi, *r.s, r.n_int, *r.s_int] for r in rows)
-    _write_csv(path, fingerprint, head, cells)
+    _write_csv(path, fingerprint, head, cells, line)
 
 
 def write_fit_csv(

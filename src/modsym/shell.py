@@ -335,6 +335,8 @@ def cmd_fit(cfg: RunConfig, args) -> int:
 def cmd_dist(cfg: RunConfig, args) -> int:
     if cfg.d_filter == "all":
         raise ValueError("dist needs a single gcd class: pass --d")
+    if args.c_min < 1:  # before the table load and the sweep
+        raise ValueError(f"c_min must be at least 1, got {args.c_min}")
     l1, _ = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
     store = SymbolStore(_table(cfg))
     _, slope_real = slope_from_L(cfg.q, l1)

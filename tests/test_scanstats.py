@@ -6,6 +6,7 @@ classical closed form for them over coprime residues, and the fits to
 synthetic data with known answers.
 """
 import math
+import os
 import random
 import tracemalloc
 from dataclasses import replace
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from modsym.periods import symbol
 from modsym.scanstats import (
+    FORK_MIN,
     AggregateRow,
     LatticeCounts,
     ScanSpec,
@@ -215,10 +217,12 @@ def test_counts_of_a_longer_sweep_serve_a_shorter_bound(table15, monkeypatch):
         assert all(np.array_equal(x, y) for x, y in zip(full.atoms(c), short.atoms(c)))
 
 
-def test_scan_memory_is_bounded_by_the_chunk(table15):
+def test_scan_memory_is_bounded_by_the_chunk(table15, monkeypatch):
     """The sweep to M = 6000 (1.1e7 points) keeps no table: the former
     table of M^2/2 int8 values alone was 18 MB.  Measured peaks of this
-    scan: 12.2 MB streaming, 87.4 MB with the table."""
+    scan: 12.2 MB streaming, 87.4 MB with the table.  One CPU keeps the
+    whole walk in this process, where tracemalloc sees it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     store = SymbolStore(table15)
     tracemalloc.start()
     try:
@@ -227,6 +231,113 @@ def test_scan_memory_is_bounded_by_the_chunk(table15):
     finally:
         tracemalloc.stop()
     assert peak < 25e6
+
+
+# ---------------------------------------------------------------------------
+# the sweep dealt to worker processes
+
+WINDOWS = [
+    (Fraction(0), Fraction(1)),
+    (Fraction(1, 10), Fraction(7, 20)),
+    (Fraction(0), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1)),
+    (Fraction(3, 5), Fraction(9, 10)),
+]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(w) makes w CPUs usable; the pids of the forks made are listed."""
+    forks = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+
+    def use(w):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
+        return forks
+
+    return use
+
+
+def _serial_counts(table, m, x0, x1):
+    full, window = LatticeCounts(m), LatticeCounts(m, x0, x1)
+    SymbolStore(table)._compute(m, full, window)
+    return full, window
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 40, FORK_MIN - 1, FORK_MIN])
+def test_worker_shares_add_up_to_the_sweep(table15, w, m):
+    # every point is emitted by exactly one share, at every bound
+    store = SymbolStore(table15)
+    x0, x1 = Fraction(1, 10), Fraction(7, 20)
+    full, window = LatticeCounts(m), LatticeCounts(m, x0, x1)
+    for i in range(w):
+        part = LatticeCounts(m), LatticeCounts(m, x0, x1)
+        store._compute(m, *part, part=(i, w))
+        full.merge(part[0].counts.reshape(-1))
+        window.merge(part[1].counts.reshape(-1))
+    for got, want in zip((full, window), _serial_counts(table15, m, x0, x1)):
+        assert np.array_equal(got.counts, want.counts)
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("m", [FORK_MIN - 1, FORK_MIN])
+@pytest.mark.parametrize("x0, x1", WINDOWS, ids=["full", "1/10-7/20", "0-1/2", "1/2-1", "3/5-9/10"])
+def test_forked_counts_equal_the_serial_sweep(table15, cpus, w, m, x0, x1):
+    forks = cpus(w)
+    full, window = SymbolStore(table15).counts(m, x0, x1)
+    assert len(forks) == (w - 1 if m >= FORK_MIN else 0)
+    for got, want in zip((full, window), _serial_counts(table15, m, x0, x1)):
+        assert np.array_equal(got.counts, want.counts)
+
+
+def test_forked_contiguous_avg_equals_the_serial_one(table15, cpus):
+    xs = [Fraction(j, 20) for j in range(21)]
+    cpus(1)
+    serial = contiguous_avg(SymbolStore(table15), FORK_MIN, xs)
+    for w in (2, 3):
+        forks = cpus(w)
+        forks.clear()
+        assert np.array_equal(contiguous_avg(SymbolStore(table15), FORK_MIN, xs), serial)
+        assert len(forks) == w - 1
+
+
+def test_a_failing_worker_fails_the_sweep_and_leaves_no_child(table15, cpus, capfd):
+    cpus(3)
+    home = os.getpid()
+
+    def breaks_in_children(c, a, n):
+        if os.getpid() != home:
+            raise ZeroDivisionError("worker sink")
+
+    with pytest.raises(RuntimeError, match="sweep worker 1 of 3 failed"):
+        SymbolStore(table15)._sweep(FORK_MIN, breaks_in_children)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "ZeroDivisionError: worker sink" in capfd.readouterr().err
+
+
+def test_a_failing_parent_reaps_its_workers(table15, cpus):
+    forks = cpus(3)
+    home = os.getpid()
+
+    def breaks_at_home(c, a, n):
+        if os.getpid() == home:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        SymbolStore(table15)._sweep(FORK_MIN, breaks_at_home)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,15 @@ def test_dist_command_sweeps_once(cli, tmp_path, monkeypatch):
     assert sweeps == [300]
 
 
+def test_dist_refuses_c_min_before_the_sweep(cli, monkeypatch, capsys):
+    sweeps = []
+    monkeypatch.setattr(SymbolStore, "_compute", lambda self, m, *sinks, **kw: sweeps.append(m))
+    run, _, _ = cli
+    assert run("dist", "--M", "4000", "--d", "1", "--c-min", "0") == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: c_min must be at least 1")
+    assert sweeps == []
+
+
 def test_contig_command_reports_sup_deviation(cli, tmp_path, capsys):
     run, _, _ = cli
     out = tmp_path / "contig"
@@ -570,17 +579,19 @@ def test_warm_table_commands_run_without_loading_numpy(command, cli, capsys):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     argv = [*command, "--n-max", N_MAX, "--cache-dir", str(cache), "--out-dir", str(out)]
-    # the lazy top-level entry may be there; any submodule means numpy loaded
+    # the lazy top-level entry may be there; any submodule means numpy loaded;
+    # nor may pickle or multiprocessing load, which only a sweep could use
     probe = (
         "import sys; from modsym.shell import main; rc = main(sys.argv[1:]); "
-        "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.')))"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.')), "
+        "[m for m in ('pickle', 'multiprocessing') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe, *argv],
         env=env, capture_output=True, text=True, check=True,
     )
     *lines, last = done.stdout.splitlines()
-    assert last == "0 []"
+    assert last == "0 [] []"
     assert lines == expect.splitlines()
 
 
