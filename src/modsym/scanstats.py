@@ -34,25 +34,6 @@ from .periods import PeriodTable
 
 np = lazy_numpy()
 
-__all__ = [
-    "ScanSpec",
-    "AggregateRow",
-    "SymbolStore",
-    "scan",
-    "contiguous_avg",
-    "weyl_report",
-    "WeylEntry",
-    "variance_fit",
-    "FitResult",
-    "distribution_report",
-    "DistributionReport",
-    "write_aggregates_csv",
-    "write_fit_csv",
-    "write_dist_csv",
-    "write_weyl_csv",
-    "write_contig_csv",
-]
-
 
 @dataclass(frozen=True)
 class ScanSpec:

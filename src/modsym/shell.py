@@ -15,13 +15,11 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
 from .eigenform import (
-    CacheFormatError,
-    ConductorError,
     CurveSpec,
     Eigenform,
     TruncationError,
@@ -79,22 +77,19 @@ class GateFailure(RuntimeError):
     """A consistency gate tripped; the command exits with code 3."""
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(ScanSpec):
+    """A ScanSpec plus the curve, the table tolerance, sampling and paths."""
+
     q: int = 15
+    m_max: int = 10000
     curve: tuple[int, int, int, int, int] = (1, 1, 1, -10, -10)
     label: str = "15.a1"
-    m_max: int = 10000
-    d_filter: int | str = "all"
-    x0: Fraction = Fraction(0)
-    x1: Fraction = Fraction(1)
-    k_max: int = 4
-    weyl_modes: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
     tol: float = 1e-12
     n_max: int = 100000
     seed: int = 1729
     cache_dir: str = ".modsym-cache"
-    fixture: str | None = None
+    fixture: str = default_fixture_path()
     out_dir: str = "."
 
     def fingerprint(self) -> str:
@@ -120,12 +115,6 @@ class RunConfig:
         )
         return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
 
-    def fixture_path(self) -> str:
-        return self.fixture if self.fixture else default_fixture_path()
-
-    def scan_spec(self) -> ScanSpec:
-        return ScanSpec(**{field.name: getattr(self, field.name) for field in fields(ScanSpec)})
-
 
 # ---------------------------------------------------------------------------
 # Configuration parsing
@@ -135,7 +124,10 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
     lo, _, hi = text.partition(":")
     if not hi:
         raise ValueError("interval must look like x0:x1, e.g. 0.1:0.35")
-    return Fraction(lo), Fraction(hi)
+    try:
+        return Fraction(lo), Fraction(hi)
+    except ZeroDivisionError:
+        raise ValueError(f"interval {text!r} has a zero denominator") from None
 
 
 def _parse_d(text: str) -> int | str:
@@ -198,10 +190,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         text = getattr(args, key, None)
         if text is not None:
             updates.update(_convert(key, text))
-    cfg = replace(RunConfig(), **updates)
+    cfg = RunConfig(**updates)
     # fail fast on anything the modules would reject later
     CurveSpec(*cfg.curve, q=cfg.q)
-    cfg.scan_spec()
+    if not 0 < cfg.tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {cfg.tol!r}")
     return cfg
 
 
@@ -303,18 +296,18 @@ def cmd_symbol(cfg: RunConfig, args) -> int:
 
 def cmd_scan(cfg: RunConfig, args) -> int:
     store = SymbolStore(_table(cfg))
-    rows = scan(cfg.scan_spec(), store)
+    rows = scan(cfg, store)
     path = _out(cfg, "aggregates.csv")
-    write_aggregates_csv(path, cfg.scan_spec(), rows, cfg.fingerprint())
+    write_aggregates_csv(path, cfg, rows, cfg.fingerprint())
     print(f"{len(rows)} rows -> {path}")
     return EXIT_OK
 
 
 def cmd_fit(cfg: RunConfig, args) -> int:
-    l1, l1p = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
+    l1, l1p = load_lvalue_fixture(cfg.fixture, cfg.curve)
     store = SymbolStore(_table(cfg))
     slope_paper, slope_real = slope_from_L(cfg.q, l1)
-    rows = scan(cfg.scan_spec(), store)
+    rows = scan(cfg, store)
     fits = variance_fit(rows, slope_real)
     path = _out(cfg, "fit.csv")
     write_fit_csv(path, fits, cfg.fingerprint())
@@ -337,10 +330,10 @@ def cmd_dist(cfg: RunConfig, args) -> int:
         raise ValueError("dist needs a single gcd class: pass --d")
     if args.c_min < 1:  # before the table load and the sweep
         raise ValueError(f"c_min must be at least 1, got {args.c_min}")
-    l1, _ = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
+    l1, _ = load_lvalue_fixture(cfg.fixture, cfg.curve)
     store = SymbolStore(_table(cfg))
     _, slope_real = slope_from_L(cfg.q, l1)
-    rows = scan(cfg.scan_spec(), store)
+    rows = scan(cfg, store)
     shift_real = variance_fit(rows, slope_real)[cfg.d_filter].fixed_slope_shift_real
     report = distribution_report(
         store,
@@ -392,7 +385,7 @@ def cmd_contig(cfg: RunConfig, args) -> int:
 
 
 def cmd_weyl(cfg: RunConfig, args) -> int:
-    entries = weyl_report(cfg.scan_spec())
+    entries = weyl_report(cfg)
     path = _out(cfg, "weyl.csv")
     write_weyl_csv(path, entries, cfg.fingerprint())
     for e in entries:
@@ -405,7 +398,7 @@ def cmd_weyl(cfg: RunConfig, args) -> int:
 
 
 def cmd_theory(cfg: RunConfig, args) -> int:
-    l1, l1p = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
+    l1, l1p = load_lvalue_fixture(cfg.fixture, cfg.curve)
     f = _form(cfg) if args.petersson else None
     tc = build_theory(cfg.q, l1, l1p, f=f, petersson_tol=args.petersson_tol)
     print(tc.as_json())
@@ -426,7 +419,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             }
         )
 
-    l1, l1p = load_lvalue_fixture(cfg.fixture_path(), cfg.curve)
+    l1, l1p = load_lvalue_fixture(cfg.fixture, cfg.curve)
     table = _table(cfg)
     f = _form(cfg)
     gate("relation_two_term", table.residual_two, 2.0 * cfg.tol)
@@ -480,8 +473,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if l1p is None:
         raise ValueError("verify needs a fixture with the derivative value")
     _, slope_real = slope_from_L(cfg.q, l1)
-    spec = replace(cfg, d_filter="all", k_max=2).scan_spec()
-    rows = scan(spec, SymbolStore(table))
+    rows = scan(replace(cfg, d_filter="all", k_max=2), SymbolStore(table))
     fits = variance_fit(rows, slope_real)
     worst = 0.0
     for d, r in fits.items():
@@ -507,6 +499,20 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # Argument parsing and entry point
 
 
+_COMMANDS = {
+    "coeffs": (cmd_coeffs, "build the coefficient cache"),
+    "table": (cmd_table, "build the period table"),
+    "symbol": (cmd_symbol, "evaluate one symbol"),
+    "scan": (cmd_scan, "moment aggregates CSV"),
+    "fit": (cmd_fit, "variance fits CSV"),
+    "dist": (cmd_dist, "distribution report CSV"),
+    "contig": (cmd_contig, "contiguous averages CSV"),
+    "weyl": (cmd_weyl, "Weyl sum report CSV"),
+    "theory": (cmd_theory, "constants as JSON"),
+    "verify": (cmd_verify, "run every consistency gate"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
@@ -525,58 +531,30 @@ def build_parser() -> argparse.ArgumentParser:
         "of squarefree conductor",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("coeffs", parents=[common], help="build the coefficient cache")
-    sub.add_parser("table", parents=[common], help="build the period table")
-    p_symbol = sub.add_parser("symbol", parents=[common], help="evaluate one symbol")
-    p_symbol.add_argument("a", type=int)
-    p_symbol.add_argument("c", type=int)
-    sub.add_parser("scan", parents=[common], help="moment aggregates CSV")
-    sub.add_parser("fit", parents=[common], help="variance fits CSV")
-    p_dist = sub.add_parser("dist", parents=[common], help="distribution report CSV")
-    p_dist.add_argument("--c-min", dest="c_min", type=int, default=1)
-    p_contig = sub.add_parser(
-        "contig", parents=[common], help="contiguous averages CSV"
-    )
-    p_contig.add_argument("--grid", type=int, default=101)
-    sub.add_parser("weyl", parents=[common], help="Weyl sum report CSV")
-    p_theory = sub.add_parser("theory", parents=[common], help="constants as JSON")
-    p_theory.add_argument("--petersson", action="store_true")
-    p_theory.add_argument(
+    parsers = {
+        name: sub.add_parser(name, parents=[common], help=text)
+        for name, (_, text) in _COMMANDS.items()
+    }
+    parsers["symbol"].add_argument("a", type=int)
+    parsers["symbol"].add_argument("c", type=int)
+    parsers["dist"].add_argument("--c-min", dest="c_min", type=int, default=1)
+    parsers["contig"].add_argument("--grid", type=int, default=101)
+    parsers["theory"].add_argument("--petersson", action="store_true")
+    parsers["theory"].add_argument(
         "--petersson-tol", dest="petersson_tol", type=float, default=1e-5
     )
-    sub.add_parser("verify", parents=[common], help="run every consistency gate")
     return parser
-
-
-_COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "table": cmd_table,
-    "symbol": cmd_symbol,
-    "scan": cmd_scan,
-    "fit": cmd_fit,
-    "dist": cmd_dist,
-    "contig": cmd_contig,
-    "weyl": cmd_weyl,
-    "theory": cmd_theory,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except GateFailure as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (
-        ValueError,
-        TruncationError,
-        CacheFormatError,
-        ConductorError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -184,6 +184,8 @@ def petersson_quadrature(
     is repeated with doubled node counts, each computing its Gauss-Legendre rule
     once, to estimate the mesh error.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"petersson tol must be positive and finite, got {tol!r}")
     q = f.q
     classes = p1_table(q)
     tol_tail = tol / (2.0 * len(classes))

@@ -134,6 +134,12 @@ def test_removed_knobs_are_rejected(tmp_path):
     assert main(["scan", "--config", str(cfg_path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("change", [{"m_max": 0}, {"d_filter": 4}])
+def test_run_config_validates_at_construction(change):
+    with pytest.raises(ValueError):
+        RunConfig(**change)
+
+
 def test_interval_parse_requires_colon():
     args = build_parser().parse_args(["scan", "--interval", "0.5"])
     with pytest.raises(ValueError):
@@ -241,12 +247,22 @@ def test_validation_exit_codes(cli):
         ("contig", "--M", "10", "--grid", "1"),
         ("contig", "--M", "10", "--grid", "0"),
         ("dist", "--M", "10", "--d", "1", "--c-min", "0"),
+        ("scan", "--M", "10", "--interval", "1/0:1"),
+        ("scan", "--M", "10", "--interval", "1/2:1/0"),
+        ("table", "--tol", "nan"),
+        ("table", "--tol", "inf"),
+        ("theory", "--petersson", "--petersson-tol", "0"),
+        ("theory", "--petersson", "--petersson-tol", "-1"),
+        ("theory", "--petersson", "--petersson-tol", "inf"),
+        ("theory", "--petersson", "--petersson-tol", "nan"),
     ],
 )
 def test_bad_input_exits_2_with_an_error_line(cli, capsys, argv):
     run, _, _ = cli
     assert run(*argv) == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert argv[-1] in err  # the message names the refused value
 
 
 def test_tampered_table_cache_trips_the_gate(cli, tmp_path, capsys):
