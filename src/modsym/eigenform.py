@@ -315,6 +315,13 @@ def al_sign(f: Eigenform, v: int) -> int:
     return e
 
 
+def check_n_max(q: int, n_max: int) -> None:
+    """Refuse an n_max below a prime p of q: a_p gives the involution sign there."""
+    top = max(squarefree_factors(q))
+    if n_max < top:
+        raise ValueError(f"n_max {n_max} stops short of the prime {top} of the level {q}")
+
+
 def build_eigenform(curve: CurveSpec, n_max: int = 100000) -> Eigenform:
     """Count points at every prime up to n_max and extend multiplicatively.
 
@@ -322,15 +329,14 @@ def build_eigenform(curve: CurveSpec, n_max: int = 100000) -> Eigenform:
     level: a_p must be +-1 at p | q (additive reduction or a unit-distance
     miss both mean the conductor is not the declared q).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    check_n_max(curve.q, n_max)
     spf = _smallest_prime_factors(n_max)
     primes = [p for p in range(2, n_max + 1) if spf[p] == p]
     traces: dict[int, int] = {}
     for p in primes:
         traces[p] = count_points(curve, p)
     for p in squarefree_factors(curve.q):
-        if p <= n_max and traces[p] not in (1, -1):
+        if traces[p] not in (1, -1):
             raise ConductorError(
                 f"conductor mismatch: a_{p} = {traces[p]} at p | q "
                 f"(expected +-1 for multiplicative reduction)"
@@ -546,6 +552,7 @@ def load_or_build_eigenform(curve: CurveSpec, n_max: int, cache_dir: str) -> Eig
     """Eigenform with cache-backed coefficients; a missing cache is built, and
     a corrupt one, or one written for another level, length or curve, is
     rebuilt with a warning."""
+    check_n_max(curve.q, n_max)
     os.makedirs(cache_dir, exist_ok=True)
     path = coeffs_cache_path(cache_dir, curve.q, n_max)
     coeffs = read_usable(path, "coefficient", read_coeffs_cache, curve, n_max)

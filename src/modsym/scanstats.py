@@ -201,9 +201,6 @@ class SymbolStore:
         so the merged ones are the serial ones.  A child that fails makes
         this call raise, and every child is reaped whatever happens."""
         w = _workers(m)
-        if w == 1:
-            self._compute(m, *sinks)
-            return
         pids, fds = [], []  # a pid is None once reaped
         try:
             for i in range(1, w):
@@ -389,25 +386,27 @@ def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
 
 
 class _BinSums:
-    """The sums of n per row c <= m and grid bin: counts[c, j] over the
-    points a/c with exactly j grid points below them.  A sink of the sweep."""
+    """The sums of n per row c <= m and bin j: counts[c, j] over the points
+    a/c with exactly j of the grid points i/g below them.  A sink of the
+    sweep."""
 
-    def __init__(self, m: int, grid: np.ndarray):
-        self.grid = grid
-        self.counts = np.zeros((m + 1, len(grid) + 1), dtype=np.int64)
+    def __init__(self, m: int, g: int):
+        self.g = np.int64(g)
+        self.counts = np.zeros((m + 1, g + 1), dtype=np.int64)
 
     def __call__(self, c: np.ndarray, a: np.ndarray, n: np.ndarray) -> None:
-        # a/c <= x_j exactly for the grid points from #{j : x_j < a/c} on
-        at = c * self.counts.shape[1] + np.searchsorted(self.grid, a / c)
+        # i/g < a/c exactly for i < a g / c, so the bin is ceil(a g / c)
+        at = c * (self.g + 1) - (-a * self.g // c)
         np.add.at(self.counts.reshape(-1), at, n.astype(np.int64))
 
     def merge(self, flat: np.ndarray) -> None:
         self.counts += flat.reshape(self.counts.shape)
 
 
-def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.ndarray:
+def contiguous_avg(store: SymbolStore, m_max: int, n_grid: int) -> np.ndarray:
     """Average of the contiguous sums G_c(x) = (1/c) sum_{0<=a<=floor(cx)} of
-    the symbol at a/c, over all denominators c <= M; real convention.
+    the symbol at a/c, over all denominators c <= M, at the n_grid points
+    x_j = j/g, g = n_grid - 1; real convention.
 
     An unreduced a/c is its reduced fraction a'/c' with c' | c, and a = c is
     1/1, which carries the value of 0/1: 0, as the real symbol is odd.
@@ -415,23 +414,17 @@ def contiguous_avg(store: SymbolStore, m_max: int, xs: list[Fraction]) -> np.nda
         A_M(x) = (quantum/M) sum_{a'/c' <= x, c' <= M} n(a'/c') H(floor(M/c'))/c'
     with H the harmonic numbers, so only the reduced points are read.  One
     sweep sums n per (c', bin), a point's bin being the number of grid points
-    below it; the prefix over the bins is the partial sum over a'/c' <= x,
+    below it; the prefix over the bins is the partial sum over a'/c' <= x_j,
     an exact integer on the symbol lattice.
     """
-    for x in xs:
-        if not 0 <= x <= 1:
-            raise ValueError("grid points must lie in [0, 1]")
-    grid = sorted(set(xs))
-    # distinct a/c and x differ by at least 1/(c den(x)), so the float
-    # comparison of a/c with x is exact below this bound
-    if m_max * max((x.denominator for x in grid), default=1) >= 1 << 52:
-        raise ValueError("grid denominators too large for this M")
-    bins = _BinSums(m_max, np.array([float(x) for x in grid]))
+    g = n_grid - 1
+    if m_max * g >= 1 << 62:  # a g and c (g + 1) stay exact in int64
+        raise ValueError(f"a grid of {n_grid} points is too fine for M = {m_max}")
+    bins = _BinSums(m_max, g)
     store._sweep(m_max, bins)
-    at = {x: j for j, x in enumerate(grid)}
-    sums = np.cumsum(bins.counts, axis=1)[:, [at[x] for x in xs]]
+    sums = np.cumsum(bins.counts, axis=1, out=bins.counts)
     harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, m_max + 1))))
-    out = np.zeros(len(xs))
+    out = np.zeros(n_grid)
     for c in range(1, m_max + 1):
         out += harmonic[m_max // c] / c * sums[c]
     return store.quantum * out / m_max
@@ -491,8 +484,6 @@ class FitResult:
     """
 
     d: int
-    n_rows: int
-    weight: float
     fixed_slope_shift_real: float
     slope_real: float
     shift_real: float
@@ -539,8 +530,6 @@ def variance_fit(rows: list[AggregateRow], slope_real: float) -> dict[int, FitRe
         fixed, slope, shift, rms = _fit_class(cs, phis, variances, slope_real)
         out[d] = FitResult(
             d=d,
-            n_rows=len(group),
-            weight=float(phis.sum()),
             fixed_slope_shift_real=fixed,
             slope_real=slope,
             shift_real=shift,
@@ -563,13 +552,7 @@ class DistributionReport:
     the exact one-sample sup distance to the standard normal CDF.
     """
 
-    d: int
-    c_min: int
-    c_max: int
-    x0: Fraction
-    x1: Fraction
     n_sample: int
-    shift_used: float
     moments_shift: tuple[float, ...]
     moments_slope: tuple[float, ...]
     ks_shift: float
@@ -579,18 +562,12 @@ class DistributionReport:
 
 
 def distribution_report(
-    store: SymbolStore,
-    slope_real: float,
-    shift_real: float,
-    d: int = 1,
-    c_min: int = 1,
-    c_max: int = 4000,
-    x0: Fraction = Fraction(0),
-    x1: Fraction = Fraction(1),
+    spec: ScanSpec, store: SymbolStore, slope_real: float, shift_real: float, c_min: int = 1
 ) -> DistributionReport:
-    """Standardize the symbol values of one gcd class and compare them against
-    the standard normal: moments up to 6, KS distance, and a histogram of 100
-    bins on [-5, 5].
+    """Standardize the symbol values of the gcd class spec.d_filter, a single
+    divisor of q, on the window [spec.x0, spec.x1) over c_min <= c <= spec.m_max,
+    and compare them against the standard normal: moments up to 6, KS
+    distance, and a histogram of 100 bins on [-5, 5].
 
     The sample is read as atoms: each admissible c contributes its lattice
     integers n on the window with their counts w, at z = quantum n / sigma_c.
@@ -599,12 +576,11 @@ def distribution_report(
     """
     if c_min < 1:
         raise ValueError(f"c_min must be at least 1, got {c_min}")
-    q = store.q
-    _, window = store.counts(c_max, x0, x1)
-    half_log_class = 0.5 * math.log(q / d)
+    _, window = store.counts(spec.m_max, spec.x0, spec.x1)
+    half_log_class = 0.5 * math.log(spec.q / spec.d_filter)
     zs_shift, zs_slope, ws = [], [], []
-    for c in range(c_min, c_max + 1):
-        if math.gcd(c, q) != d:
+    for c in range(c_min, spec.m_max + 1):
+        if not spec.wants(c):
             continue
         var_slope = slope_real * (math.log(c) + half_log_class)
         var_shift = slope_real * math.log(c) + shift_real
@@ -637,13 +613,7 @@ def distribution_report(
     edges = np.linspace(-5.0, 5.0, 101)
     hist, _ = np.histogram(z_shift, bins=edges, weights=w)
     return DistributionReport(
-        d=d,
-        c_min=c_min,
-        c_max=c_max,
-        x0=x0,
-        x1=x1,
         n_sample=n_sample,
-        shift_used=shift_real,
         moments_shift=raw_moments(z_shift),
         moments_slope=raw_moments(z_slope),
         ks_shift=_ks_distance(z_shift, w),
@@ -672,23 +642,15 @@ def _ks_distance(z: np.ndarray, w: np.ndarray) -> float:
 # CSV writers (floats with 17 significant digits throughout)
 
 
-def _cell(v) -> str:
-    return str(v) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
-
-
-def _write_csv(path: str, fingerprint: str | None, head: list[str], rows, line=None) -> None:
-    """The fingerprint comment, the header, and one line per row of cells:
-    integers print as they are, every other cell as a 17-digit float.  A
-    writer whose cell types are fixed passes them as the format string line."""
+def _write_csv(path: str, fingerprint: str | None, head: list[str], line: str, rows) -> None:
+    """The fingerprint comment, the header, and each row of cells formatted
+    by the string line."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         if fingerprint:
             fh.write(f"# fingerprint={fingerprint}\n")
         fh.write(",".join(head) + "\n")
         for row in rows:
-            if line:
-                fh.write(line.format(*row))
-            else:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
+            fh.write(line.format(*row))
 
 
 def write_aggregates_csv(
@@ -699,7 +661,7 @@ def write_aggregates_csv(
     sums = ["{:.17g}"] * spec.k_max
     line = ",".join(["{}", "{}", "{}", *sums, "{}", *sums]) + "\n"
     cells = ([r.c, r.d, r.phi, *r.s, r.n_int, *r.s_int] for r in rows)
-    _write_csv(path, fingerprint, head, cells, line)
+    _write_csv(path, fingerprint, head, line, cells)
 
 
 def write_fit_csv(
@@ -710,7 +672,7 @@ def write_fit_csv(
         [d, r.slope_real, r.shift_real, -r.slope_real, -r.shift_real, -r.fixed_slope_shift_real]
         for d, r in sorted(fits.items())
     )
-    _write_csv(path, fingerprint, head, cells)
+    _write_csv(path, fingerprint, head, "{}" + ",{:.17g}" * 5 + "\n", cells)
 
 
 def write_dist_csv(
@@ -719,21 +681,23 @@ def write_dist_csv(
     edges = report.hist_edges
     phi = [_normal_cdf(x) for x in edges[1:].tolist()]
     cells = zip(edges[:-1], edges[1:], report.hist_counts, phi)
-    _write_csv(path, fingerprint, ["bin_lo", "bin_hi", "count", "phi_cdf"], cells)
+    head = ["bin_lo", "bin_hi", "count", "phi_cdf"]
+    _write_csv(path, fingerprint, head, "{:.17g},{:.17g},{},{:.17g}\n", cells)
 
 
 def write_weyl_csv(
     path: str, entries: list[WeylEntry], fingerprint: str | None = None
 ) -> None:
     cells = ([e.n, e.total.real, e.total.imag, e.ratio] for e in entries)
-    _write_csv(path, fingerprint, ["n", "re", "im", "ratio"], cells)
+    _write_csv(path, fingerprint, ["n", "re", "im", "ratio"], "{}" + ",{:.17g}" * 3 + "\n", cells)
 
 
 def write_contig_csv(
     path: str,
-    xs: list[Fraction],
+    xs: list[float],
     a_m: np.ndarray,
     ghat_vals: np.ndarray,
     fingerprint: str | None = None,
 ) -> None:
-    _write_csv(path, fingerprint, ["x", "A_M_real", "ghat"], zip(xs, a_m, ghat_vals))
+    cells = zip(xs, a_m, ghat_vals)
+    _write_csv(path, fingerprint, ["x", "A_M_real", "ghat"], "{:.17g},{:.17g},{:.17g}\n", cells)

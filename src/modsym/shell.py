@@ -23,6 +23,7 @@ from .eigenform import (
     CurveSpec,
     Eigenform,
     TruncationError,
+    check_n_max,
     coeffs_cache_path,
     lfun1,
     load_or_build_eigenform,
@@ -193,6 +194,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**updates)
     # fail fast on anything the modules would reject later
     CurveSpec(*cfg.curve, q=cfg.q)
+    check_n_max(cfg.q, cfg.n_max)  # even where a warm table cache needs no coefficient
     if not 0 < cfg.tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {cfg.tol!r}")
     return cfg
@@ -335,21 +337,12 @@ def cmd_dist(cfg: RunConfig, args) -> int:
     _, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg, store)
     shift_real = variance_fit(rows, slope_real)[cfg.d_filter].fixed_slope_shift_real
-    report = distribution_report(
-        store,
-        slope_real,
-        shift_real,
-        d=cfg.d_filter,
-        c_min=args.c_min,
-        c_max=cfg.m_max,
-        x0=cfg.x0,
-        x1=cfg.x1,
-    )
+    report = distribution_report(cfg, store, slope_real, shift_real, args.c_min)
     path = _out(cfg, "dist.csv")
     write_dist_csv(path, report, cfg.fingerprint())
     print(
-        f"sample: {report.n_sample} values, d={report.d}, "
-        f"c in [{report.c_min},{report.c_max}], I=[{report.x0},{report.x1})"
+        f"sample: {report.n_sample} values, d={cfg.d_filter}, "
+        f"c in [{args.c_min},{cfg.m_max}], I=[{cfg.x0},{cfg.x1})"
     )
     print(f"shift normalization uses fitted D = {shift_real:+.5f} (real)")
     for name, mts, ks in [
@@ -364,13 +357,13 @@ def cmd_dist(cfg: RunConfig, args) -> int:
 
 def cmd_contig(cfg: RunConfig, args) -> int:
     n_grid = args.grid
-    if n_grid < 2:
-        raise ValueError(f"contig needs --grid of at least 2, got {n_grid}")
+    if n_grid < 3:  # at the ends 0 and 1 both A_M and the limit vanish
+        raise ValueError(f"contig needs --grid of at least 3, got {n_grid}")
     store = SymbolStore(_table(cfg))
     f = _form(cfg)
-    xs = [Fraction(j, n_grid - 1) for j in range(n_grid)]
-    a_m = contiguous_avg(store, cfg.m_max, xs)
-    limit = ghat(f, [float(x) for x in xs])
+    xs = [j / (n_grid - 1) for j in range(n_grid)]
+    a_m = contiguous_avg(store, cfg.m_max, n_grid)
+    limit = ghat(f, xs)
     path = _out(cfg, "contig.csv")
     write_contig_csv(path, xs, a_m, limit, cfg.fingerprint())
     sup_dev = float(max(abs(a_m - limit)))
@@ -399,8 +392,11 @@ def cmd_weyl(cfg: RunConfig, args) -> int:
 
 def cmd_theory(cfg: RunConfig, args) -> int:
     l1, l1p = load_lvalue_fixture(cfg.fixture, cfg.curve)
+    tol = args.petersson_tol
+    if args.petersson and not 0 < tol < math.inf:  # before any coefficient is built
+        raise ValueError(f"petersson tol must be positive and finite, got {tol!r}")
     f = _form(cfg) if args.petersson else None
-    tc = build_theory(cfg.q, l1, l1p, f=f, petersson_tol=args.petersson_tol)
+    tc = build_theory(cfg.q, l1, l1p, f=f, petersson_tol=tol)
     print(tc.as_json())
     return EXIT_OK
 
@@ -518,12 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file")
     for key, (_, _, text) in _CONFIG_KEYS.items():
         common.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
-    common.add_argument(
-        "--paper-sign",
-        dest="paper_sign",
-        action="store_true",
-        help="also print paper-convention values",
-    )
 
     parser = argparse.ArgumentParser(
         prog="modsym",
@@ -537,6 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     }
     parsers["symbol"].add_argument("a", type=int)
     parsers["symbol"].add_argument("c", type=int)
+    parsers["symbol"].add_argument(
+        "--paper-sign", action="store_true", help="also print paper-convention values"
+    )
     parsers["dist"].add_argument("--c-min", dest="c_min", type=int, default=1)
     parsers["contig"].add_argument("--grid", type=int, default=101)
     parsers["theory"].add_argument("--petersson", action="store_true")

@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .eigenform import Eigenform, format_curve, parse_curve, terms_needed
+from .eigenform import Eigenform, TruncationError, format_curve, parse_curve, terms_needed
 from .exactmath import divisors_squarefree, lazy_numpy, p1_table, squarefree_factors
 from .periods import cusp_shift
 
@@ -318,6 +318,11 @@ def build_theory(
     )
     if f is not None:
         res = petersson_quadrature(f, tol=petersson_tol)
+        if res.truncated:
+            raise TruncationError(
+                f"the Petersson quadrature cut {res.truncated} (class, x-node) columns "
+                f"short of their certified length at N = {f.n_max}; raise --n-max"
+            )
         out.petersson_norm_sq = res.value
         out.petersson_mesh_error = res.mesh_error
         out.sym2_l_recovered = sym2_l_from_petersson(f, res.value)

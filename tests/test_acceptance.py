@@ -51,24 +51,15 @@ def theory_shift_real(lfix):
 @pytest.fixture(scope="module")
 def dist_full(store15, slopes15, theory_shift_real):
     _, slope_real = slopes15
-    return distribution_report(
-        store15, slope_real, theory_shift_real, d=1, c_min=1, c_max=4000
-    )
+    spec = ScanSpec(q=15, m_max=4000, d_filter=1)
+    return distribution_report(spec, store15, slope_real, theory_shift_real)
 
 
 @pytest.fixture(scope="module")
 def dist_restricted(store15, slopes15, theory_shift_real):
     _, slope_real = slopes15
-    return distribution_report(
-        store15,
-        slope_real,
-        theory_shift_real,
-        d=1,
-        c_min=1,
-        c_max=4000,
-        x0=Fraction(1, 10),
-        x1=Fraction(7, 20),
-    )
+    spec = ScanSpec(q=15, m_max=4000, d_filter=1, x0=Fraction(1, 10), x1=Fraction(7, 20))
+    return distribution_report(spec, store15, slope_real, theory_shift_real)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +106,8 @@ def test_free_slope_matches_symmetric_square_prediction(rows10k, slopes15):
 
 
 def test_contiguous_averages_near_limit_profile(store15, form15):
-    xs = [Fraction(j, 100) for j in range(101)]
-    a_m = contiguous_avg(store15, 2000, xs)
-    limit = ghat(form15, [float(x) for x in xs])
+    a_m = contiguous_avg(store15, 2000, 101)
+    limit = ghat(form15, [j / 100 for j in range(101)])
     sup_dev = float(np.max(np.abs(a_m - limit)))
     sup_limit = float(np.max(np.abs(limit)))
     assert sup_dev <= 0.05 * sup_limit, (

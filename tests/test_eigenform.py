@@ -449,6 +449,20 @@ def test_load_or_build_uses_cache(tmp_path):
     assert f2.al_signs == {3: 1, 5: -1}
 
 
+def test_n_max_below_a_level_prime_is_refused(tmp_path):
+    # a(5) gives the involution sign of 15a1 at 5; a hand-made cache of
+    # a(1..3) reads cleanly, so the refusal has to come before the read
+    spec = CurveSpec(*CURVE_15A1, q=15)
+    path = eigenform.coeffs_cache_path(str(tmp_path), 15, 3)
+    identity = eigenform._coeffs_identity(spec, 3)
+    eigenform.write_cache(path, eigenform._COEFFS_MAGIC, identity, ["1 1", "2 -1", "3 -1"])
+    assert read_coeffs_cache(path, spec, 3).tolist() == [0, 1, -1, -1]
+    with pytest.raises(ValueError, match="n_max 3 stops short of the prime 5 of the level 15"):
+        load_or_build_eigenform(spec, 3, str(tmp_path))
+    with pytest.raises(ValueError, match="n_max 4 stops short of the prime 5 of the level 15"):
+        build_eigenform(spec, 4)
+
+
 def test_coeffs_cache_rejects_another_identity(tmp_path, form15_small):
     path = tmp_path / "coeffs.txt"
     write_coeffs_cache(str(path), form15_small)

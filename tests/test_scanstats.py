@@ -201,9 +201,9 @@ def test_counts_of_a_longer_sweep_serve_a_shorter_bound(table15, monkeypatch):
     sweeps = []
     compute = SymbolStore._compute
 
-    def counting(self, m, *sinks):
+    def counting(self, m, *sinks, **kw):
         sweeps.append(m)
-        compute(self, m, *sinks)
+        compute(self, m, *sinks, **kw)
 
     monkeypatch.setattr(SymbolStore, "_compute", counting)
     store = SymbolStore(table15)
@@ -300,13 +300,12 @@ def test_forked_counts_equal_the_serial_sweep(table15, cpus, w, m, x0, x1):
 
 
 def test_forked_contiguous_avg_equals_the_serial_one(table15, cpus):
-    xs = [Fraction(j, 20) for j in range(21)]
     cpus(1)
-    serial = contiguous_avg(SymbolStore(table15), FORK_MIN, xs)
+    serial = contiguous_avg(SymbolStore(table15), FORK_MIN, 21)
     for w in (2, 3):
         forks = cpus(w)
         forks.clear()
-        assert np.array_equal(contiguous_avg(SymbolStore(table15), FORK_MIN, xs), serial)
+        assert np.array_equal(contiguous_avg(SymbolStore(table15), FORK_MIN, 21), serial)
         assert len(forks) == w - 1
 
 
@@ -492,62 +491,43 @@ def test_variance_fit_degenerate_inputs():
 # contiguous averages
 
 
+def _direct_avg(table, m_max, g):
+    """(1/M) sum_{c <= M} (1/c) sum_{0 <= a <= floor(c j/g)} m_minus(a/c) at
+    every j = 0..g, unreduced fractions included, one symbol at a time."""
+    rows = {
+        c: [symbol(Fraction(a, c), table).m_minus for a in range(c + 1)]
+        for c in range(1, m_max + 1)
+    }
+    return [
+        sum(rows[c][a] / c for c in rows for a in range(c * j // g + 1)) / m_max
+        for j in range(g + 1)
+    ]
+
+
 def test_contiguous_avg_matches_direct_sum(store15, table15):
-    m_max = 6
-    xs = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)]
-    got = contiguous_avg(store15, m_max, xs)
-    expect = np.zeros(len(xs))
-    for i, x in enumerate(xs):
-        acc = 0.0
-        for c in range(1, m_max + 1):
-            k = (c * x.numerator) // x.denominator
-            acc += (
-                sum(symbol(Fraction(a, c), table15).m_minus for a in range(k + 1)) / c
-            )
-        expect[i] = acc / m_max
-    assert np.max(np.abs(got - expect)) < 1e-12
+    # x = 0, 1/3, 1/2, 9/10 and 1 among the grid points j/30
+    got = contiguous_avg(store15, 6, 31)
+    assert np.max(np.abs(got - _direct_avg(table15, 6, 30))) < 1e-12
 
 
-def test_contiguous_avg_on_an_unsorted_grid_with_repeats(store15, table15):
-    m_max = 9
-    xs = [Fraction(1), Fraction(2, 7), Fraction(0), Fraction(1, 2), Fraction(2, 7),
-          Fraction(1), Fraction(4, 9), Fraction(0)]
-    got = contiguous_avg(store15, m_max, xs)
-    for x, value in zip(xs, got):
-        direct = sum(
-            symbol(Fraction(a, c), table15).m_minus / c
-            for c in range(1, m_max + 1)
-            for a in range(c * x.numerator // x.denominator + 1)
-        )
-        assert abs(value - direct / m_max) < 1e-12
-    assert got[0] == got[5] and got[1] == got[4] and got[2] == got[7]
+def test_contiguous_avg_at_sevenths_and_ninths(store15, table15):
+    # x = 2/7, 4/9 and 1/2 among the grid points j/126, each a/c <= 9 on or off them
+    got = contiguous_avg(store15, 9, 127)
+    for value, direct in zip(got, _direct_avg(table15, 9, 126)):
+        assert abs(value - direct) < 1e-12
 
 
 def test_contiguous_avg_about_one_half(store15, table15):
-    # 1/2 is its own image and splits the walked half from the mirrored one
-    m_max = 40
-    xs = [Fraction(1, 2), Fraction(19, 40), Fraction(1, 2), Fraction(21, 40),
-          Fraction(1, 3), Fraction(2, 3), Fraction(21, 40), Fraction(1)]
-    got = contiguous_avg(store15, m_max, xs)
-    for x, value in zip(xs, got):
-        direct = sum(
-            symbol(Fraction(a, c), table15).m_minus / c
-            for c in range(1, m_max + 1)
-            for a in range(c * x.numerator // x.denominator + 1)
-        )
-        assert abs(value - direct / m_max) < 1e-12
-    assert got[0] == got[2] and got[3] == got[6]
-
-
-def test_contiguous_avg_validates_grid(store15):
-    with pytest.raises(ValueError):
-        contiguous_avg(store15, 5, [Fraction(3, 2)])
+    # 1/2 is its own image and splits the walked half from the mirrored one;
+    # the grid points j/120 hold 1/3, 19/40, 1/2, 21/40, 2/3 and 1
+    got = contiguous_avg(store15, 40, 121)
+    for value, direct in zip(got, _direct_avg(table15, 40, 120)):
+        assert abs(value - direct) < 1e-12
 
 
 def test_contiguous_avg_approaches_limit_profile(store15, form15):
-    xs = [Fraction(k, 20) for k in range(21)]
-    a_m = contiguous_avg(store15, 600, xs)
-    target = ghat(form15, [float(x) for x in xs])
+    a_m = contiguous_avg(store15, 600, 21)
+    target = ghat(form15, [k / 20 for k in range(21)])
     sup_target = float(np.max(np.abs(target)))
     assert float(np.max(np.abs(a_m - target))) < 0.05 * sup_target
 
@@ -558,12 +538,9 @@ def test_contiguous_avg_approaches_limit_profile(store15, form15):
 
 def test_distribution_report_structure(store15, slopes15):
     _, slope_real = slopes15
-    rep = distribution_report(
-        store15, slope_real, shift_real=0.440048, d=1, c_min=1, c_max=10
-    )
+    rep = distribution_report(ScanSpec(q=15, m_max=10, d_filter=1), store15, slope_real, 0.440048)
     # admissible denominators 1, 2, 4, 7, 8 contribute phi = 1+1+2+6+4
     assert rep.n_sample == 14
-    assert rep.c_min == 1 and rep.c_max == 10
     assert len(rep.moments_shift) == 6 and len(rep.moments_slope) == 6
     assert 0.0 <= rep.ks_shift <= 1.0 and 0.0 <= rep.ks_slope <= 1.0
     assert rep.hist_edges.size == rep.hist_counts.size + 1
@@ -603,9 +580,8 @@ def _expanded_report(rows, slope_real, shift_real, m_max, x0, x1):
 )
 def test_atom_report_matches_the_expanded_sample(store15, rows15, slopes15, x0, x1):
     _, slope_real = slopes15
-    rep = distribution_report(
-        store15, slope_real, 0.440048, d=1, c_max=300, x0=x0, x1=x1
-    )
+    spec = ScanSpec(q=15, m_max=300, d_filter=1, x0=x0, x1=x1)
+    rep = distribution_report(spec, store15, slope_real, 0.440048)
     n, hist, shift, slope = _expanded_report(rows15, slope_real, 0.440048, 300, x0, x1)
     assert rep.n_sample == n
     assert np.array_equal(rep.hist_counts, hist)
@@ -623,20 +599,13 @@ def test_atom_report_matches_the_expanded_sample(store15, rows15, slopes15, x0, 
 def test_distribution_report_rejects_nonpositive_variance(store15, slopes15):
     _, slope_real = slopes15
     with pytest.raises(ValueError):
-        distribution_report(store15, slope_real, shift_real=-0.5, d=1, c_max=10)
+        distribution_report(ScanSpec(q=15, m_max=10, d_filter=1), store15, slope_real, -0.5)
 
 
 def test_distribution_report_interval_restriction(store15, slopes15):
     _, slope_real = slopes15
-    rep = distribution_report(
-        store15,
-        slope_real,
-        shift_real=0.440048,
-        d=1,
-        c_max=10,
-        x0=Fraction(1, 10),
-        x1=Fraction(7, 20),
-    )
+    spec = ScanSpec(q=15, m_max=10, d_filter=1, x0=Fraction(1, 10), x1=Fraction(7, 20))
+    rep = distribution_report(spec, store15, slope_real, 0.440048)
     # window [0.1, 0.35): kept residues are ceil(c/10) <= a < ceil(7c/20)
     expect = 0
     for c in (1, 2, 4, 7, 8):
@@ -690,7 +659,7 @@ def test_fit_and_weyl_and_dist_and_contig_csv(tmp_path, store15, slopes15):
     assert weyl_lines[1] == "n,re,im,ratio"
     assert float(weyl_lines[2].split(",")[1]) == entries[0].total.real
 
-    rep = distribution_report(store15, slope_real, 0.440048, d=1, c_max=60)
+    rep = distribution_report(ScanSpec(q=15, m_max=60, d_filter=1), store15, slope_real, 0.440048)
     dist_path = tmp_path / "dist.csv"
     write_dist_csv(str(dist_path), rep)
     dist_lines = dist_path.read_text().splitlines()
@@ -700,8 +669,8 @@ def test_fit_and_weyl_and_dist_and_contig_csv(tmp_path, store15, slopes15):
         rep.hist_counts.sum()
     )
 
-    xs = [Fraction(k, 4) for k in range(5)]
-    a_m = contiguous_avg(store15, 40, xs)
+    xs = [k / 4 for k in range(5)]
+    a_m = contiguous_avg(store15, 40, 5)
     gh = np.zeros(len(xs))
     contig_path = tmp_path / "contig.csv"
     write_contig_csv(str(contig_path), xs, a_m, gh)

@@ -103,7 +103,7 @@ def test_config_rejects_malformed_lines(tmp_path):
 def test_config_keys_and_flags_correspond_one_to_one():
     parser = build_parser()
     dests = set(vars(parser.parse_args(["scan"])))
-    assert dests - {"command", "config", "paper_sign"} == set(_CONFIG_KEYS)
+    assert dests - {"command", "config"} == set(_CONFIG_KEYS)
     for key in _CONFIG_KEYS:
         flag = "--" + key.replace("_", "-")
         assert getattr(parser.parse_args(["scan", flag, "7"]), key) == "7"
@@ -246,6 +246,7 @@ def test_validation_exit_codes(cli):
         ("scan", "--M", "10", "--d", "-3"),
         ("contig", "--M", "10", "--grid", "1"),
         ("contig", "--M", "10", "--grid", "0"),
+        ("contig", "--M", "10", "--grid", "2"),
         ("dist", "--M", "10", "--d", "1", "--c-min", "0"),
         ("scan", "--M", "10", "--interval", "1/0:1"),
         ("scan", "--M", "10", "--interval", "1/2:1/0"),
@@ -263,6 +264,41 @@ def test_bad_input_exits_2_with_an_error_line(cli, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert argv[-1] in err  # the message names the refused value
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("coeffs", "--n-max", "3"), ("n_max 3", "prime 5")),
+        (("table", "--curve", "0,-1,1,-2,2", "--q", "57", "--n-max", "10"), ("n_max 10", "prime 19")),
+        (("theory", "--petersson", "--petersson-tol", "0"), ("got 0.0",)),
+    ],
+)
+def test_bad_input_is_refused_before_any_cache_is_built(tmp_path, capsys, argv, named):
+    # run without the cli helper, whose own --n-max would override the one here
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    assert main([*argv, "--cache-dir", str(cache), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(text in err for text in named)
+    assert list(cache.iterdir()) == []
+
+
+def test_short_n_max_is_refused_on_a_warm_table_cache(cli, capsys):
+    # these commands read no coefficient when the table cache is warm
+    _, cache, out = cli
+    for command in (["table"], ["symbol", "2", "5"], ["scan", "--M", "50"]):
+        argv = [*command, "--n-max", "3", "--cache-dir", str(cache), "--out-dir", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: n_max 3 stops short of the prime 5")
+
+
+def test_theory_refuses_a_quadrature_cut_short_of_its_certificate(tmp_path, capsys):
+    argv = ["theory", "--petersson", "--n-max", "50", "--cache-dir", str(tmp_path)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: the Petersson quadrature cut ")
+    assert err.rstrip().endswith("raise --n-max")
 
 
 def test_tampered_table_cache_trips_the_gate(cli, tmp_path, capsys):
@@ -444,9 +480,9 @@ def test_dist_command_sweeps_once(cli, tmp_path, monkeypatch):
     sweeps = []
     compute = SymbolStore._compute
 
-    def counting(self, m, *sinks):
+    def counting(self, m, *sinks, **kw):
         sweeps.append(m)
-        compute(self, m, *sinks)
+        compute(self, m, *sinks, **kw)
 
     monkeypatch.setattr(SymbolStore, "_compute", counting)
     run, _, _ = cli
