@@ -55,14 +55,13 @@ np = lazy_numpy()
 class ExpansionShift:
     """Data of f|h = e * (1/v) * f((w + m)/v) for unimodular h.
 
-    v = q/d is the width of the cusp h(infinity), d the gcd of the lower-left
-    entry with q, e the Atkin-Lehner sign at v, and 0 <= m < v.  The
+    v = q/gcd(c, q) is the width of the cusp h(infinity) for the lower-left
+    entry c of h, e the Atkin-Lehner sign at v, and 0 <= m < v.  The
     split-at-i argument is (i + m)/v, whose imaginary part 1/v is at least 1/q.
     """
 
     e: int
     m: int
-    d: int
     v: int
 
     @property
@@ -84,10 +83,9 @@ def cusp_shift(c: int, d: int, q: int, f: Eigenform) -> ExpansionShift:
     e_v * (1/v) * f((w + m)/v).  Only d mod v enters, so every lift of a
     P^1(Z/q) class gives the same data.
     """
-    g = math.gcd(c, q)
-    v = q // g
+    v = q // math.gcd(c, q)
     m = d * pow(c, -1, v) % v
-    return ExpansionShift(al_sign(f, v), m, g, v)
+    return ExpansionShift(al_sign(f, v), m, v)
 
 
 @dataclass
@@ -115,13 +113,8 @@ class PeriodTable:
     lattice: tuple[int, ...]
     lattice_residual: float
 
-    def index_of(self, c: int, d: int) -> int:
-        return self.classes.index_of(c, d)
 
-
-def _relation_residuals(
-    q: int, classes: P1Table, values: tuple[complex, ...]
-) -> tuple[float, float]:
+def _relation_residuals(classes: P1Table, values: tuple[complex, ...]) -> tuple[float, float]:
     # At build time the two-term defect is structurally zero: the expansion
     # shift depends only on the class, so the S-partner reuses the same two
     # antiderivative values with opposite signs (path reversal).  It still
@@ -172,7 +165,7 @@ def _table_from_values(
     q: int, tol: float, classes: P1Table, values: tuple[complex, ...],
     curve: tuple[int, int, int, int, int] | None,
 ) -> PeriodTable:
-    r2, r3 = _relation_residuals(q, classes, values)
+    r2, r3 = _relation_residuals(classes, values)
     quantum, lattice, residual = certify_lattice(
         [2.0 * math.pi * w.real for w in values], lattice_bound(tol)
     )
@@ -205,7 +198,7 @@ def _path_classes(r: Fraction, table: PeriodTable) -> list[int]:
     """Classes along the Manin path of r, reduced mod 1 (exact periodicity)."""
     c = r.denominator
     a = r.numerator % c
-    return [table.index_of(c_j, d_j) for _, _, c_j, d_j in cf_decompose(Fraction(a, c))]
+    return [table.classes.index_of(c_j, d_j) for _, _, c_j, d_j in cf_decompose(Fraction(a, c))]
 
 
 def _values_sum(ks: list[int], table: PeriodTable) -> complex:
@@ -263,17 +256,16 @@ def symbol(r: Fraction, table: PeriodTable) -> SymbolValue:
     )
 
 
-def direct_symbol_oracle(
-    r: Fraction, f: Eigenform, t: float | None = None, tol: float = 1e-10
-) -> complex:
+def direct_symbol_oracle(r: Fraction, f: Eigenform) -> complex:
     """Independent evaluation of P(r) from a single scaled coset matrix.
 
     Builds the determinant-1 real matrix M = (a sqrt(v), B/sqrt(v);
     c sqrt(v), D/sqrt(v)) carrying i*infinity to r inside the coset of the
     width-v cusp scaling, splits the path at M(it), and evaluates
-    P(r) = F(M(it)) - e_v F(it - y/v).  Default t maximizes the smaller of
-    the two evaluation heights; refuses with TruncationError when the
-    certified truncation at that height exceeds the available coefficients.
+    P(r) = F(M(it)) - e_v F(it - y/v) to within 1e-10.  The height
+    t = |D|/(c v) maximizes the smaller of the two evaluation heights;
+    refuses with TruncationError when the certified truncation at that
+    height exceeds the available coefficients.
     """
     q = f.q
     c = r.denominator
@@ -286,11 +278,10 @@ def direct_symbol_oracle(
     big_b = (a * big_d - 1) // c
     assert a * big_d - big_b * c == 1
     _, y_shift, _, _ = atkin_lehner_matrix(v, q)
-    if t is None:
-        t = abs(big_d) / (c * v)
+    t = abs(big_d) / (c * v)
     z1 = (a * v * 1j * t + big_b) / (c * v * 1j * t + big_d)
     z2 = -y_shift / v + 1j * t
-    f1, f2 = antiderivative_batch(f, [z1, z2], tol / 2.0)
+    f1, f2 = antiderivative_batch(f, [z1, z2], 1e-10 / 2.0)
     return complex(f1 - al_sign(f, v) * f2)
 
 

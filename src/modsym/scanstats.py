@@ -37,14 +37,13 @@ np = lazy_numpy()
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """What to sample: denominator bound, gcd class, interval, moment depth."""
+    """What to sample: denominator bound, gcd class, interval, Weyl modes."""
 
     q: int
     m_max: int
     d_filter: int | str = "all"
     x0: Fraction = Fraction(0)
     x1: Fraction = Fraction(1)
-    k_max: int = 4
     weyl_modes: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class ScanSpec:
             raise ValueError("m_max must be at least 1")
         if not (0 <= self.x0 < self.x1 <= 1):
             raise ValueError("interval must satisfy 0 <= x0 < x1 <= 1")
-        if not 1 <= self.k_max <= 8:
-            raise ValueError("moment depth must be between 1 and 8")
         d = self.d_filter
         if d != "all" and (not isinstance(d, int) or d < 1 or self.q % d):
             raise ValueError(f"d_filter {d!r} is not a positive divisor of {self.q}")
@@ -75,6 +72,7 @@ class AggregateRow:
     s_int: tuple[float, ...]
 
 
+MOMENTS = 4  # the moment sums S_1 .. S_MOMENTS a scan row carries
 CHUNK = 1 << 16  # most tree children the sweep expands in one numpy pass
 FORK_MIN = 1500  # the smallest bound whose sweep is dealt to worker processes
 MAX_WORKERS = 4  # so a large host does not fork dozens of 40 MB processes
@@ -164,7 +162,7 @@ class SymbolStore:
         self.quantum = table.quantum
         # weight of the class (u : v) at u * q + v
         self._step = np.asarray(table.lattice, dtype=np.int32)[np.asarray(table.classes.flat)]
-        self._first = int(table.lattice[table.index_of(1, 0)])
+        self._first = int(table.lattice[table.classes.index_of(1, 0)])
         self._last = None
 
     def counts(
@@ -370,10 +368,10 @@ def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
     full, window = store.counts(spec.m_max, spec.x0, spec.x1)
     cs = [c for c in range(1, spec.m_max + 1) if spec.wants(c)]
     # S_k by columns, zipped into one tuple per row: a list per row costs memory at large M
-    phi, s = (x[..., cs].tolist() for x in _row_sums(full, spec.k_max, store.quantum))
+    phi, s = (x[..., cs].tolist() for x in _row_sums(full, MOMENTS, store.quantum))
     n_int, s_int = phi, s
     if window is not full:
-        n_int, s_int = (x[..., cs].tolist() for x in _row_sums(window, spec.k_max, store.quantum))
+        n_int, s_int = (x[..., cs].tolist() for x in _row_sums(window, MOMENTS, store.quantum))
     for c, sums in zip(cs, zip(*s)):
         if not all(math.isfinite(v) for v in sums):
             raise OverflowError(f"moment accumulator overflowed at c={c}")
@@ -483,7 +481,6 @@ class FitResult:
     negations (the paper symbol is i times the real one).
     """
 
-    d: int
     fixed_slope_shift_real: float
     slope_real: float
     shift_real: float
@@ -529,7 +526,6 @@ def variance_fit(rows: list[AggregateRow], slope_real: float) -> dict[int, FitRe
         variances = s2 / phis - (s1 / phis) ** 2
         fixed, slope, shift, rms = _fit_class(cs, phis, variances, slope_real)
         out[d] = FitResult(
-            d=d,
             fixed_slope_shift_real=fixed,
             slope_real=slope,
             shift_real=shift,
@@ -574,6 +570,8 @@ def distribution_report(
     Moments are sum w z^k / N, the histogram counts weights, and the KS
     distance is exact over the sorted atoms.
     """
+    if spec.d_filter == "all":
+        raise ValueError("the distribution report needs a single gcd class, not 'all'")
     if c_min < 1:
         raise ValueError(f"c_min must be at least 1, got {c_min}")
     _, window = store.counts(spec.m_max, spec.x0, spec.x1)
@@ -642,31 +640,26 @@ def _ks_distance(z: np.ndarray, w: np.ndarray) -> float:
 # CSV writers (floats with 17 significant digits throughout)
 
 
-def _write_csv(path: str, fingerprint: str | None, head: list[str], line: str, rows) -> None:
+def _write_csv(path: str, fingerprint: str, head: list[str], line: str, rows) -> None:
     """The fingerprint comment, the header, and each row of cells formatted
     by the string line."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        if fingerprint:
-            fh.write(f"# fingerprint={fingerprint}\n")
+        fh.write(f"# fingerprint={fingerprint}\n")
         fh.write(",".join(head) + "\n")
         for row in rows:
             fh.write(line.format(*row))
 
 
-def write_aggregates_csv(
-    path: str, spec: ScanSpec, rows: list[AggregateRow], fingerprint: str | None = None
-) -> None:
-    ks = range(1, spec.k_max + 1)
+def write_aggregates_csv(path: str, rows: list[AggregateRow], fingerprint: str) -> None:
+    ks = range(1, MOMENTS + 1)
     head = ["c", "d", "phi", *(f"S{k}" for k in ks), "I_count", *(f"I_S{k}" for k in ks)]
-    sums = ["{:.17g}"] * spec.k_max
+    sums = ["{:.17g}"] * MOMENTS
     line = ",".join(["{}", "{}", "{}", *sums, "{}", *sums]) + "\n"
     cells = ([r.c, r.d, r.phi, *r.s, r.n_int, *r.s_int] for r in rows)
     _write_csv(path, fingerprint, head, line, cells)
 
 
-def write_fit_csv(
-    path: str, fits: dict[int, FitResult], fingerprint: str | None = None
-) -> None:
+def write_fit_csv(path: str, fits: dict[int, FitResult], fingerprint: str) -> None:
     head = ["d", "slope_real", "shift_real", "slope_paper", "shift_paper", "fixed_slope_shift"]
     cells = (
         [d, r.slope_real, r.shift_real, -r.slope_real, -r.shift_real, -r.fixed_slope_shift_real]
@@ -675,9 +668,7 @@ def write_fit_csv(
     _write_csv(path, fingerprint, head, "{}" + ",{:.17g}" * 5 + "\n", cells)
 
 
-def write_dist_csv(
-    path: str, report: DistributionReport, fingerprint: str | None = None
-) -> None:
+def write_dist_csv(path: str, report: DistributionReport, fingerprint: str) -> None:
     edges = report.hist_edges
     phi = [_normal_cdf(x) for x in edges[1:].tolist()]
     cells = zip(edges[:-1], edges[1:], report.hist_counts, phi)
@@ -685,9 +676,7 @@ def write_dist_csv(
     _write_csv(path, fingerprint, head, "{:.17g},{:.17g},{},{:.17g}\n", cells)
 
 
-def write_weyl_csv(
-    path: str, entries: list[WeylEntry], fingerprint: str | None = None
-) -> None:
+def write_weyl_csv(path: str, entries: list[WeylEntry], fingerprint: str) -> None:
     cells = ([e.n, e.total.real, e.total.imag, e.ratio] for e in entries)
     _write_csv(path, fingerprint, ["n", "re", "im", "ratio"], "{}" + ",{:.17g}" * 3 + "\n", cells)
 
@@ -697,7 +686,7 @@ def write_contig_csv(
     xs: list[float],
     a_m: np.ndarray,
     ghat_vals: np.ndarray,
-    fingerprint: str | None = None,
+    fingerprint: str,
 ) -> None:
     cells = zip(xs, a_m, ghat_vals)
     _write_csv(path, fingerprint, ["x", "A_M_real", "ghat"], "{:.17g},{:.17g},{:.17g}\n", cells)

@@ -72,6 +72,7 @@ EXIT_GATE = 3
 
 ORACLE_CHECKS = 10  # certified direct-oracle comparisons the verify gate needs
 ORACLE_DRAWS = 1000  # most points a/c drawn for them
+PETERSSON_TOL = 1e-5  # the Petersson quadrature's tolerance, which its mesh gate holds it to
 
 
 class GateFailure(RuntimeError):
@@ -107,7 +108,7 @@ class RunConfig(ScanSpec):
                 str(self.d_filter),
                 str(self.x0),
                 str(self.x1),
-                self.k_max,
+                4,  # the moment depth scanstats.MOMENTS, which keeps every digest unchanged
                 self.weyl_modes,
                 self.tol,
                 self.n_max,
@@ -150,7 +151,6 @@ _CONFIG_KEYS = {
     "M": ("m_max", int, "max denominator"),
     "d": ("d_filter", _parse_d, "gcd class with q, or 'all'"),
     "interval": (("x0", "x1"), _parse_interval, "x0:x1 subinterval of [0,1)"),
-    "k_max": ("k_max", int, "moment depth"),
     "weyl": ("weyl_modes", _parse_weyl, "comma-separated Weyl modes"),
     "tol": ("tol", float, "period-table tolerance"),
     "n_max": ("n_max", int, "coefficient count"),
@@ -300,7 +300,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     store = SymbolStore(_table(cfg))
     rows = scan(cfg, store)
     path = _out(cfg, "aggregates.csv")
-    write_aggregates_csv(path, cfg, rows, cfg.fingerprint())
+    write_aggregates_csv(path, rows, cfg.fingerprint())
     print(f"{len(rows)} rows -> {path}")
     return EXIT_OK
 
@@ -392,11 +392,8 @@ def cmd_weyl(cfg: RunConfig, args) -> int:
 
 def cmd_theory(cfg: RunConfig, args) -> int:
     l1, l1p = load_lvalue_fixture(cfg.fixture, cfg.curve)
-    tol = args.petersson_tol
-    if args.petersson and not 0 < tol < math.inf:  # before any coefficient is built
-        raise ValueError(f"petersson tol must be positive and finite, got {tol!r}")
     f = _form(cfg) if args.petersson else None
-    tc = build_theory(cfg.q, l1, l1p, f=f, petersson_tol=tol)
+    tc = build_theory(cfg.q, l1, l1p, f=f)
     print(tc.as_json())
     return EXIT_OK
 
@@ -416,6 +413,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         )
 
     l1, l1p = load_lvalue_fixture(cfg.fixture, cfg.curve)
+    if l1p is None:  # before any cache is built
+        raise ValueError("verify needs a fixture with the derivative value")
     table = _table(cfg)
     f = _form(cfg)
     gate("relation_two_term", table.residual_two, 2.0 * cfg.tol)
@@ -427,10 +426,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     gate("value_at_zero_plus", abs(-2.0 * math.pi * p0.imag - l_at_1), 1e-8)
     gate("value_at_zero_minus", abs(2.0 * math.pi * p0.real), 1e-8)
 
-    norm = petersson_quadrature(f, tol=1e-5)
+    norm = petersson_quadrature(f, tol=PETERSSON_TOL)
     recovered = sym2_l_from_petersson(f, norm.value)
     gate("fixture_sym2_recovery", abs(recovered - l1) / l1, 1e-3)
-    gate("petersson_mesh", norm.mesh_error, norm.tol)
+    gate("petersson_mesh", norm.mesh_error, PETERSSON_TOL)
     gate("petersson_truncation", norm.truncated, 0)
 
     rng = random.Random(cfg.seed)
@@ -466,10 +465,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         )
     gate("dual_algorithm", worst, 1e-8)
 
-    if l1p is None:
-        raise ValueError("verify needs a fixture with the derivative value")
     _, slope_real = slope_from_L(cfg.q, l1)
-    rows = scan(replace(cfg, d_filter="all", k_max=2), SymbolStore(table))
+    rows = scan(replace(cfg, d_filter="all"), SymbolStore(table))
     fits = variance_fit(rows, slope_real)
     worst = 0.0
     for d, r in fits.items():
@@ -533,9 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     parsers["dist"].add_argument("--c-min", dest="c_min", type=int, default=1)
     parsers["contig"].add_argument("--grid", type=int, default=101)
     parsers["theory"].add_argument("--petersson", action="store_true")
-    parsers["theory"].add_argument(
-        "--petersson-tol", dest="petersson_tol", type=float, default=1e-5
-    )
     return parser
 
 

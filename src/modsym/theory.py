@@ -96,18 +96,19 @@ def ghat(f: Eigenform, xs, n_terms: int | None = None) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     n = f.n_max if n_terms is None else min(n_terms, f.n_max)
     out = np.zeros(xs.shape)
-    step = 1 << 14
+    step = 1 << 14  # the block along n fixes the order of the pairwise sums
+    rows = 8  # grid points per 1 MB temporary: a grid-wide one set the peak RSS of `contig`
     for lo in range(1, n + 1, step):
         hi = min(lo + step - 1, n)
         ns = np.arange(lo, hi + 1, dtype=np.float64)
         w = f.coeffs[lo : hi + 1] / (ns * ns)
-        # in place: one grid-by-block temporary, the largest array of `contig`
-        terms = np.outer(xs, ns)
-        terms *= 2.0 * np.pi
-        np.cos(terms, out=terms)
-        np.subtract(1.0, terms, out=terms)
-        terms *= w
-        out += terms.sum(axis=1)
+        for j in range(0, xs.size, rows):
+            terms = np.outer(xs[j : j + rows], ns)
+            terms *= 2.0 * np.pi
+            np.cos(terms, out=terms)
+            np.subtract(1.0, terms, out=terms)
+            terms *= w
+            out[j : j + rows] += terms.sum(axis=1)
     return out / (2.0 * np.pi)
 
 
@@ -119,9 +120,7 @@ def ghat(f: Eigenform, xs, n_terms: int | None = None) -> np.ndarray:
 class PeterssonResult:
     value: float
     mesh_error: float
-    tol: float
     max_cutoff: float
-    classes: int
     truncated: int  # (class, x-node) columns of both passes cut short of the certified length
 
 
@@ -206,9 +205,7 @@ def petersson_quadrature(
     return PeterssonResult(
         value=fine,
         mesh_error=abs(fine - coarse),
-        tol=tol,
         max_cutoff=max(w[1] for w, _ in groups),
-        classes=len(classes),
         truncated=cut_coarse + cut_fine,
     )
 
@@ -295,10 +292,9 @@ def build_theory(
     sym2_l: float,
     sym2_l_prime: float | None,
     f: Eigenform | None = None,
-    petersson_tol: float = 1e-5,
 ) -> TheoryConstants:
     """The closed-form constants; given the eigenform f, also the Petersson
-    quadrature and the L-value it recovers."""
+    quadrature at its default tolerance and the L-value it recovers."""
     slope_paper, slope_real = slope_from_L(q, sym2_l)
     coeffs = {d: shift_coefficients(q, d) for d in divisors_squarefree(q)}
     shifts = None
@@ -317,7 +313,7 @@ def build_theory(
         zeta_prime_2=ZETA_PRIME_2,
     )
     if f is not None:
-        res = petersson_quadrature(f, tol=petersson_tol)
+        res = petersson_quadrature(f)
         if res.truncated:
             raise TruncationError(
                 f"the Petersson quadrature cut {res.truncated} (class, x-node) columns "

@@ -131,5 +131,5 @@ def petersson15(form15):
 
 @pytest.fixture(scope="session")
 def rows10k(store15):
-    """Full all-class scan to M = 10^4 with the default moment depth."""
+    """Full all-class scan to M = 10^4."""
     return scan(ScanSpec(q=Q, m_max=10000), store15)

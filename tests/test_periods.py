@@ -74,14 +74,14 @@ def _completion(c: int, d: int):
 def test_cusp_shift_frozen_at_path_reversal(form15):
     # S = (0, -1; 1, 0) has bottom row (1, 0)
     sh = cusp_shift(1, 0, 15, form15)
-    assert sh == ExpansionShift(e=-1, m=0, d=1, v=15)
+    assert sh == ExpansionShift(e=-1, m=0, v=15)
     assert sh.arg == (1j + 0) / 15
 
 
 def test_cusp_shift_upper_triangular(form15):
     # (1, 5; 0, 1) has bottom row (0, 1)
     sh = cusp_shift(0, 1, 15, form15)
-    assert sh == ExpansionShift(e=1, m=0, d=15, v=1)
+    assert sh == ExpansionShift(e=1, m=0, v=1)
 
 
 def test_cusp_shift_sign_normalization(form15):
@@ -123,7 +123,7 @@ def test_cusp_shift_factors_through_atkin_lehner(q, c, d):
     f = Eigenform(q, np.zeros(2, dtype=np.int64), {p: -1 for p in squarefree_factors(q)})
     sh = cusp_shift(c, d, q, f)
     v = sh.v
-    assert (v, sh.d) == (q // math.gcd(c, q), math.gcd(c, q)) and 0 <= sh.m < v
+    assert v == q // math.gcd(c, q) and 0 <= sh.m < v
     assert sh.e == (-1) ** len(squarefree_factors(v))
     w_a, w_b, w_c, w_d = atkin_lehner_matrix(v, q)
     p = _mul(_mul(_completion(c, d), (v, -sh.m, 0, 1)), (w_d, -w_b, -w_c, w_a))
@@ -543,7 +543,7 @@ def test_conductor_57_lattices_are_certified(label, tables57):
     assert table.lattice_residual <= lattice_bound(table.tol)
     # the path of 0/1 is the class (1 : 0), where the odd symbol vanishes;
     # contiguous_avg relies on it for the term 1/1
-    assert table.lattice[table.index_of(1, 0)] == 0
+    assert table.lattice[table.classes.index_of(1, 0)] == 0
 
 
 def test_conductor_57_engine_matches_symbols(tables57, collected_rows):

@@ -82,8 +82,6 @@ def test_spec_validation():
         ScanSpec(q=15, m_max=10, d_filter=4)
     with pytest.raises(ValueError):
         ScanSpec(q=15, m_max=10, x0=Fraction(1, 2), x1=Fraction(1, 3))
-    with pytest.raises(ValueError):
-        ScanSpec(q=15, m_max=10, k_max=9)
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +600,12 @@ def test_distribution_report_rejects_nonpositive_variance(store15, slopes15):
         distribution_report(ScanSpec(q=15, m_max=10, d_filter=1), store15, slope_real, -0.5)
 
 
+def test_distribution_report_refuses_the_all_class(store15, slopes15):
+    _, slope_real = slopes15
+    with pytest.raises(ValueError, match="single gcd class"):
+        distribution_report(ScanSpec(q=15, m_max=10), store15, slope_real, 0.440048)
+
+
 def test_distribution_report_interval_restriction(store15, slopes15):
     _, slope_real = slopes15
     spec = ScanSpec(q=15, m_max=10, d_filter=1, x0=Fraction(1, 10), x1=Fraction(7, 20))
@@ -625,7 +629,7 @@ def test_aggregates_csv_round_trip(tmp_path, store15):
     spec = ScanSpec(q=15, m_max=20)
     rows = scan(spec, store15)
     path = tmp_path / "agg.csv"
-    write_aggregates_csv(str(path), spec, rows, fingerprint="cafe01")
+    write_aggregates_csv(str(path), rows, fingerprint="cafe01")
     lines = path.read_text().splitlines()
     assert lines[0] == "# fingerprint=cafe01"
     assert lines[1].split(",")[:3] == ["c", "d", "phi"]
@@ -643,11 +647,12 @@ def test_fit_and_weyl_and_dist_and_contig_csv(tmp_path, store15, slopes15):
 
     fits = variance_fit(rows, slope_real)
     fit_path = tmp_path / "fit.csv"
-    write_fit_csv(str(fit_path), fits)
+    write_fit_csv(str(fit_path), fits, fingerprint="f17001")
     fit_lines = fit_path.read_text().splitlines()
-    assert fit_lines[0].startswith("d,slope_real")
-    assert len(fit_lines) == 1 + len(fits)
-    first = fit_lines[1].split(",")
+    assert fit_lines[0] == "# fingerprint=f17001"
+    assert fit_lines[1].startswith("d,slope_real")
+    assert len(fit_lines) == 2 + len(fits)
+    first = fit_lines[2].split(",")
     assert float(first[1]) == fits[1].slope_real
     assert float(first[5]) == -fits[1].fixed_slope_shift_real
 
@@ -661,11 +666,12 @@ def test_fit_and_weyl_and_dist_and_contig_csv(tmp_path, store15, slopes15):
 
     rep = distribution_report(ScanSpec(q=15, m_max=60, d_filter=1), store15, slope_real, 0.440048)
     dist_path = tmp_path / "dist.csv"
-    write_dist_csv(str(dist_path), rep)
+    write_dist_csv(str(dist_path), rep, fingerprint="d15703")
     dist_lines = dist_path.read_text().splitlines()
-    assert dist_lines[0] == "bin_lo,bin_hi,count,phi_cdf"
-    assert len(dist_lines) == 1 + rep.hist_counts.size
-    assert sum(int(l.split(",")[2]) for l in dist_lines[1:]) == int(
+    assert dist_lines[0] == "# fingerprint=d15703"
+    assert dist_lines[1] == "bin_lo,bin_hi,count,phi_cdf"
+    assert len(dist_lines) == 2 + rep.hist_counts.size
+    assert sum(int(l.split(",")[2]) for l in dist_lines[2:]) == int(
         rep.hist_counts.sum()
     )
 
@@ -673,7 +679,8 @@ def test_fit_and_weyl_and_dist_and_contig_csv(tmp_path, store15, slopes15):
     a_m = contiguous_avg(store15, 40, 5)
     gh = np.zeros(len(xs))
     contig_path = tmp_path / "contig.csv"
-    write_contig_csv(str(contig_path), xs, a_m, gh)
+    write_contig_csv(str(contig_path), xs, a_m, gh, fingerprint="c0a704")
     contig_lines = contig_path.read_text().splitlines()
-    assert contig_lines[0] == "x,A_M_real,ghat"
-    assert float(contig_lines[2].split(",")[1]) == a_m[1]
+    assert contig_lines[0] == "# fingerprint=c0a704"
+    assert contig_lines[1] == "x,A_M_real,ghat"
+    assert float(contig_lines[3].split(",")[1]) == a_m[1]
