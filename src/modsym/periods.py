@@ -50,6 +50,8 @@ from .exactmath import (
 
 np = lazy_numpy()
 
+TABLE_TOL = 1e-12  # the period table's tolerance, to which every class value is certified
+
 
 @dataclass(frozen=True)
 class ExpansionShift:
@@ -172,7 +174,7 @@ def _table_from_values(
     return PeriodTable(q, tol, classes, values, r2, r3, curve, quantum, lattice, residual)
 
 
-def build_period_table(f: Eigenform, tol: float = 1e-12) -> PeriodTable:
+def build_period_table(f: Eigenform, tol: float = TABLE_TOL) -> PeriodTable:
     """Evaluate the period of every class from two antiderivative values.
 
     Splitting the path at height i gives

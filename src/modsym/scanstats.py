@@ -37,14 +37,13 @@ np = lazy_numpy()
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """What to sample: denominator bound, gcd class, interval, Weyl modes."""
+    """What to sample: denominator bound, gcd class, interval."""
 
     q: int
     m_max: int
     d_filter: int | str = "all"
     x0: Fraction = Fraction(0)
     x1: Fraction = Fraction(1)
-    weyl_modes: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
 
     def __post_init__(self):
         if self.m_max < 1:
@@ -73,6 +72,7 @@ class AggregateRow:
 
 
 MOMENTS = 4  # the moment sums S_1 .. S_MOMENTS a scan row carries
+WEYL_MODES = (0, 1, 2, 3, 4, 5)  # the modes n of the Weyl sums weyl_report totals
 CHUNK = 1 << 16  # most tree children the sweep expands in one numpy pass
 FORK_MIN = 1500  # the smallest bound whose sweep is dealt to worker processes
 MAX_WORKERS = 4  # so a large host does not fork dozens of 40 MB processes
@@ -464,7 +464,7 @@ def weyl_report(spec: ScanSpec) -> list[WeylEntry]:
     if not count:
         raise ValueError(f"no denominator c <= {spec.m_max} has gcd {spec.d_filter} with q")
     entries = []
-    for n in spec.weyl_modes:
+    for n in WEYL_MODES:
         m = cs // np.gcd(cs, n)
         total = complex(int(np.sum(mu[m] * (phis // phi[m]))))
         entries.append(WeylEntry(n=n, total=total, ratio=abs(total) / count))

@@ -1,10 +1,9 @@
 """Command-line front end: configuration, caching, and report emission.
 
-Configuration is a flat key=value file plus CLI flag overrides, both
-parsed through one key table; every result-affecting field feeds a sha256
-fingerprint that is embedded in each CSV report, so outputs are traceable
-to the exact run parameters.  Exit codes: 0 success, 2 validation error,
-3 gate failure.
+Configuration is CLI flags over defaults, parsed through one key table;
+every result-affecting field feeds a sha256 fingerprint that is embedded
+in each CSV report, so outputs are traceable to the exact run parameters.
+Exit codes: 0 success, 2 validation error, 3 gate failure.
 """
 from __future__ import annotations
 
@@ -31,6 +30,7 @@ from .eigenform import (
     read_usable,
 )
 from .periods import (
+    TABLE_TOL,
     PeriodTable,
     build_period_table,
     direct_symbol_oracle,
@@ -42,6 +42,7 @@ from .periods import (
     write_table_cache,
 )
 from .scanstats import (
+    WEYL_MODES,
     ScanSpec,
     SymbolStore,
     contiguous_avg,
@@ -56,6 +57,7 @@ from .scanstats import (
     write_weyl_csv,
 )
 from .theory import (
+    PETERSSON_TOL,
     build_theory,
     default_fixture_path,
     ghat,
@@ -72,7 +74,6 @@ EXIT_GATE = 3
 
 ORACLE_CHECKS = 10  # certified direct-oracle comparisons the verify gate needs
 ORACLE_DRAWS = 1000  # most points a/c drawn for them
-PETERSSON_TOL = 1e-5  # the Petersson quadrature's tolerance, which its mesh gate holds it to
 
 
 class GateFailure(RuntimeError):
@@ -81,13 +82,11 @@ class GateFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig(ScanSpec):
-    """A ScanSpec plus the curve, the table tolerance, sampling and paths."""
+    """A ScanSpec plus the curve, the coefficient count, the sampling seed and paths."""
 
     q: int = 15
     m_max: int = 10000
     curve: tuple[int, int, int, int, int] = (1, 1, 1, -10, -10)
-    label: str = "15.a1"
-    tol: float = 1e-12
     n_max: int = 100000
     seed: int = 1729
     cache_dir: str = ".modsym-cache"
@@ -99,18 +98,20 @@ class RunConfig(ScanSpec):
 
         The path fields (cache_dir, fixture, out_dir) are excluded.
         """
+        # the label "15.a1", the moment depth 4, the Weyl modes and the table
+        # tolerance are constants, hashed where they stood so no digest changes
         payload = repr(
             (
                 self.q,
                 self.curve,
-                self.label,
+                "15.a1",
                 self.m_max,
                 str(self.d_filter),
                 str(self.x0),
                 str(self.x1),
-                4,  # the moment depth scanstats.MOMENTS, which keeps every digest unchanged
-                self.weyl_modes,
-                self.tol,
+                4,
+                WEYL_MODES,
+                TABLE_TOL,
                 self.n_max,
                 self.seed,
             )
@@ -136,23 +137,14 @@ def _parse_d(text: str) -> int | str:
     return "all" if text == "all" else int(text)
 
 
-def _parse_weyl(text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
-    return tuple(int(p) for p in text.split(","))
-
-
-# Config-file key -> (RunConfig field(s), converter, help).  Each key is also
-# the CLI flag --<key with '-' for '_'>, whose argparse dest is the key.
+# Key -> (RunConfig field(s), converter, help).  Each key is the CLI flag
+# --<key with '-' for '_'>, whose argparse dest is the key.
 _CONFIG_KEYS = {
     "q": ("q", int, "level (squarefree)"),
     "curve": ("curve", parse_curve, "a1,a2,a3,a4,a6"),
-    "label": ("label", str, "display label for the curve"),
     "M": ("m_max", int, "max denominator"),
     "d": ("d_filter", _parse_d, "gcd class with q, or 'all'"),
     "interval": (("x0", "x1"), _parse_interval, "x0:x1 subinterval of [0,1)"),
-    "weyl": ("weyl_modes", _parse_weyl, "comma-separated Weyl modes"),
-    "tol": ("tol", float, "period-table tolerance"),
     "n_max": ("n_max", int, "coefficient count"),
     "seed": ("seed", int, "seed for sampled checks"),
     "cache_dir": ("cache_dir", str, "cache directory"),
@@ -162,31 +154,15 @@ _CONFIG_KEYS = {
 
 
 def _convert(key: str, text: str) -> dict:
-    """RunConfig updates for one config key given as text."""
+    """RunConfig updates for one flag given as text."""
     field, conv, _ = _CONFIG_KEYS[key]
     value = conv(text)
     return dict(zip(field, value)) if isinstance(field, tuple) else {field: value}
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' starts a comment; unknown keys are errors."""
-    updates: dict = {}
-    with open(path, encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            key = key.strip()
-            if not eq or key not in _CONFIG_KEYS:
-                raise ValueError(f"bad config line: {raw.strip()!r}")
-            updates.update(_convert(key, value.strip()))
-    return updates
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config-file values, then CLI flags."""
-    updates = load_config_file(args.config) if args.config else {}
+    """Defaults, then CLI flags."""
+    updates: dict = {}
     for key in _CONFIG_KEYS:
         text = getattr(args, key, None)
         if text is not None:
@@ -195,8 +171,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     # fail fast on anything the modules would reject later
     CurveSpec(*cfg.curve, q=cfg.q)
     check_n_max(cfg.q, cfg.n_max)  # even where a warm table cache needs no coefficient
-    if not 0 < cfg.tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {cfg.tol!r}")
     return cfg
 
 
@@ -210,7 +184,7 @@ def _form(cfg: RunConfig) -> Eigenform:
 
 
 def _table_cache_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.cache_dir, f"table-q{cfg.q}-tol{cfg.tol!r}.txt")
+    return os.path.join(cfg.cache_dir, f"table-q{cfg.q}-tol{TABLE_TOL!r}.txt")
 
 
 def _table(cfg: RunConfig) -> PeriodTable:
@@ -218,17 +192,17 @@ def _table(cfg: RunConfig) -> PeriodTable:
     residuals at 10 tol and the symbol lattice at 2 pi * 10 tol.  The
     eigenform is loaded or built only when the table must be built."""
     path = _table_cache_path(cfg)
-    table = read_usable(path, "period table", read_table_cache, cfg.q, cfg.tol, cfg.curve)
+    table = read_usable(path, "period table", read_table_cache, cfg.q, TABLE_TOL, cfg.curve)
     fresh = table is None
     if fresh:
-        table = build_period_table(_form(cfg), cfg.tol)
+        table = build_period_table(_form(cfg), TABLE_TOL)
     worst = max(table.residual_two, table.residual_three)
-    if worst > 10.0 * cfg.tol:
+    if worst > 10.0 * TABLE_TOL:
         raise GateFailure(
             f"period-table relation residual {worst:.3g} exceeds 10*tol; "
             "refusing to persist or use the table"
         )
-    if table.lattice_residual > lattice_bound(cfg.tol):
+    if table.lattice_residual > lattice_bound(TABLE_TOL):
         raise GateFailure(
             f"symbol lattice residual {table.lattice_residual:.3g} exceeds "
             "2*pi*10*tol; refusing to persist or use the table"
@@ -260,7 +234,7 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
 
 def cmd_table(cfg: RunConfig, args) -> int:
     table = _table(cfg)
-    print(f"period table: {len(table.classes)} classes at tol {cfg.tol:g}")
+    print(f"period table: {len(table.classes)} classes at tol {TABLE_TOL:g}")
     print(f"two-term residual:   {table.residual_two:.3e}")
     print(f"three-term residual: {table.residual_three:.3e}")
     n_max = max(abs(int(n)) for n in table.lattice)
@@ -291,8 +265,6 @@ def cmd_symbol(cfg: RunConfig, args) -> int:
     print(f"m_plus(r)  = {s.m_plus:.15g}")
     print(f"d = gcd(c, q) = {s.d}")
     print(f"scaled denominator c(r) = c*sqrt(q/d) = {scaled}")
-    if args.paper_sign:
-        print(f"paper-sign value = i*m_minus = (0, {s.m_minus:.15g})")
     return EXIT_OK
 
 
@@ -417,9 +389,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         raise ValueError("verify needs a fixture with the derivative value")
     table = _table(cfg)
     f = _form(cfg)
-    gate("relation_two_term", table.residual_two, 2.0 * cfg.tol)
-    gate("relation_three_term", table.residual_three, 3.0 * cfg.tol)
-    gate("symbol_lattice", table.lattice_residual, lattice_bound(cfg.tol))
+    gate("relation_two_term", table.residual_two, 2.0 * TABLE_TOL)
+    gate("relation_three_term", table.residual_three, 3.0 * TABLE_TOL)
+    gate("symbol_lattice", table.lattice_residual, lattice_bound(TABLE_TOL))
 
     p0 = period_sum(Fraction(0, 1), table)
     l_at_1 = lfun1(f)
@@ -476,9 +448,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
     verdict = {
         "q": cfg.q,
-        "label": cfg.label,
         "M": cfg.m_max,
-        "tol": cfg.tol,
+        "tol": TABLE_TOL,
         "seed": cfg.seed,
         "fingerprint": cfg.fingerprint(),
         "gates": gates,
@@ -508,7 +479,6 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
     for key, (_, _, text) in _CONFIG_KEYS.items():
         common.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
 
@@ -524,9 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     }
     parsers["symbol"].add_argument("a", type=int)
     parsers["symbol"].add_argument("c", type=int)
-    parsers["symbol"].add_argument(
-        "--paper-sign", action="store_true", help="also print paper-convention values"
-    )
     parsers["dist"].add_argument("--c-min", dest="c_min", type=int, default=1)
     parsers["contig"].add_argument("--grid", type=int, default=101)
     parsers["theory"].add_argument("--petersson", action="store_true")

@@ -18,6 +18,8 @@ from .periods import cusp_shift
 
 np = lazy_numpy()
 
+PETERSSON_TOL = 1e-5  # the Petersson quadrature's tolerance, which verify's mesh gate holds it to
+
 # zeta'(2); cross-checked by an Euler-Maclaurin oracle in the test suite.
 ZETA_PRIME_2 = -0.9375482543158437537
 
@@ -173,7 +175,7 @@ def _width_integral(f: Eigenform, width, ms, tol_tail: float, rule, x_panels) ->
 
 
 def petersson_quadrature(
-    f: Eigenform, tol: float = 1e-5, n_leg: int = 12
+    f: Eigenform, tol: float = PETERSSON_TOL, n_leg: int = 12
 ) -> PeterssonResult:
     """Petersson norm ||f||^2 over the level-q quotient, with mesh self-check.
 
@@ -223,35 +225,52 @@ def sym2_l_from_petersson(f: Eigenform, norm_sq: float) -> float:
 # Fixture and the constants report
 
 
+def _fixture_value(key: str, text: str):
+    """One fixture value.  L(Sym^2 f, 1) is a positive multiple of ||f||^2
+    (see sym2_l_from_petersson), so L1 must be positive as well as finite."""
+    if key == "curve":
+        return parse_curve(text)
+    value = float(text)
+    if key == "L1" and not 0 < value < math.inf:
+        raise ValueError("L1 must be positive and finite")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite")
+    return value
+
+
 def load_lvalue_fixture(
     path: str, curve: tuple[int, ...] | None = None
 ) -> tuple[float, float | None]:
     """Parse 'L1 <value>' / 'L1p <value>' / 'curve a1,...,a6' lines.
 
     L1p and curve may be absent; when curve is given, the fixture must name
-    that curve.
+    that curve.  A line that does not read as one of these is refused with
+    the path and the line.
     """
-    keys: dict[str, str] = {}
+    keys: dict = {}
     with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
+        for number, raw in enumerate(fh, 1):
+            line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, val = line.split()
-            if key not in ("L1", "L1p", "curve"):
-                raise ValueError(f"unknown fixture key {key!r}")
-            keys[key] = val
+            parts = line.split()
+            try:
+                if len(parts) != 2 or parts[0] not in ("L1", "L1p", "curve"):
+                    raise ValueError("expected 'L1 <value>', 'L1p <value>' or 'curve a1,...,a6'")
+                keys[parts[0]] = _fixture_value(*parts)
+            except ValueError as exc:
+                raise ValueError(f"fixture {path} line {number} {line!r}: {exc}") from None
     if "L1" not in keys:
         raise ValueError(f"fixture {path} is missing the required L1 line")
     if curve is not None:
         if "curve" not in keys:
             raise ValueError(f"fixture {path} does not name its curve")
-        if parse_curve(keys["curve"]) != tuple(curve):
+        if keys["curve"] != tuple(curve):
             raise ValueError(
-                f"fixture {path} is for curve {keys['curve']}, not {format_curve(curve)}"
+                f"fixture {path} is for curve {format_curve(keys['curve'])}, "
+                f"not {format_curve(curve)}"
             )
-    l1p = keys.get("L1p")
-    return float(keys["L1"]), None if l1p is None else float(l1p)
+    return keys["L1"], keys.get("L1p")
 
 
 def default_fixture_path() -> str:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modsym import scanstats
 from modsym.periods import symbol
 from modsym.scanstats import (
     FORK_MIN,
@@ -394,10 +395,10 @@ def _weyl_oracle(c: int, n: int) -> complex:
     return complex(np.sum(np.exp((2j * math.pi * n / c) * a)))
 
 
-def test_weyl_accumulators_are_ramanujan_sums(store15):
-    modes = (0, 1, 2, 3, 4, 5, -2)
+def test_weyl_accumulators_are_ramanujan_sums(store15, monkeypatch):
+    monkeypatch.setattr(scanstats, "WEYL_MODES", (*scanstats.WEYL_MODES, -2))
     for m_max, d_filter in ((150, "all"), (97, 5), (120, 3)):
-        spec = ScanSpec(q=15, m_max=m_max, d_filter=d_filter, weyl_modes=modes)
+        spec = ScanSpec(q=15, m_max=m_max, d_filter=d_filter)
         rows = scan(spec, store15)
         for e in weyl_report(spec):
             oracle = sum((_weyl_oracle(row.c, e.n) for row in rows), start=0j)
@@ -422,8 +423,9 @@ def test_weyl_hand_value():
     assert total.imag == pytest.approx(0.0, abs=1e-12)
 
 
-def test_negative_weyl_mode_is_conjugate(store15):
-    spec = ScanSpec(q=15, m_max=40, weyl_modes=(2, -2))
+def test_negative_weyl_mode_is_conjugate(store15, monkeypatch):
+    monkeypatch.setattr(scanstats, "WEYL_MODES", (2, -2))
+    spec = ScanSpec(q=15, m_max=40)
     rows = scan(spec, store15)
     plus, minus = weyl_report(spec)
     assert (plus.n, minus.n) == (2, -2)
@@ -434,7 +436,7 @@ def test_negative_weyl_mode_is_conjugate(store15):
 
 
 def test_weyl_report_zero_mode_counts_sample(store15):
-    spec = ScanSpec(q=15, m_max=100, d_filter=1, weyl_modes=(0, 1))
+    spec = ScanSpec(q=15, m_max=100, d_filter=1)
     rows = scan(spec, store15)
     entries = weyl_report(spec)
     assert entries[0].total == sum(row.phi for row in rows)

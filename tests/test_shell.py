@@ -1,4 +1,4 @@
-"""Command-line front end: config resolution, fingerprints, exit codes.
+"""Command-line front end: flag resolution, fingerprints, exit codes.
 
 Every invocation goes through main() in-process with private cache and
 output directories; the module-scoped fixture warms one coefficient and
@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from modsym import shell
+from modsym.eigenform import TruncationError
 from modsym.scanstats import SymbolStore
 from modsym.shell import (
     EXIT_GATE,
@@ -25,7 +26,6 @@ from modsym.shell import (
     _CONFIG_KEYS,
     RunConfig,
     build_parser,
-    load_config_file,
     main,
     resolve_config,
 )
@@ -61,85 +61,39 @@ def cli(tmp_path_factory):
 # configuration
 
 
-def test_config_file_and_cli_precedence(tmp_path):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(
-        "q = 15\n"
-        "M = 50          # file value, overridden below\n"
-        "tol = 1e-10\n"
-        "label = test-run\n"
-        "interval = 1/10:7/20\n"
-        "weyl = 0,1\n"
-        "d = 5\n"
-    )
-    args = build_parser().parse_args(
-        ["scan", "--config", str(cfg_path), "--M", "80", "--weyl", ""]
-    )
-    cfg = resolve_config(args)
-    assert cfg.m_max == 80  # CLI beats file
-    assert cfg.tol == 1e-10  # file beats default
-    assert cfg.label == "test-run"
-    assert (cfg.x0, cfg.x1) == (Fraction(1, 10), Fraction(7, 20))
-    assert cfg.weyl_modes == ()  # empty CLI value clears the modes
-    assert cfg.d_filter == 5
-    assert cfg.q == 15 and cfg.n_max == 100000  # untouched defaults
-
-
-def test_config_rejects_unknown_keys(tmp_path):
-    cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("bogus = 3\n")
-    with pytest.raises(ValueError):
-        load_config_file(str(cfg_path))
-    assert main(["scan", "--config", str(cfg_path)]) == EXIT_VALIDATION
-
-
-def test_config_rejects_malformed_lines(tmp_path):
-    cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("tol 1e-10\n")
-    with pytest.raises(ValueError):
-        load_config_file(str(cfg_path))
-
-
 def test_config_keys_and_flags_correspond_one_to_one():
     parser = build_parser()
     dests = set(vars(parser.parse_args(["scan"])))
-    assert dests - {"command", "config"} == set(_CONFIG_KEYS)
+    assert dests - {"command"} == set(_CONFIG_KEYS)
     for key in _CONFIG_KEYS:
         flag = "--" + key.replace("_", "-")
         assert getattr(parser.parse_args(["scan", flag, "7"]), key) == "7"
 
 
-def test_flags_and_file_values_share_converters(tmp_path):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("curve = 0,-1,1,-2,2\nq = 57\nd = 3\nweyl = 1,-1\n")
-    from_file = resolve_config(
-        build_parser().parse_args(["scan", "--config", str(cfg_path)])
+def test_flags_and_file_values_share_converters():
+    # each flag's text goes through the converter of its key in the table
+    argv = ["scan", "--curve", "0,-1,1,-2,2", "--q", "57", "--d", "3", "--interval", "1/10:7/20"]
+    cfg = resolve_config(build_parser().parse_args(argv))
+    assert cfg == RunConfig(
+        q=57, curve=(0, -1, 1, -2, 2), d_filter=3, x0=Fraction(1, 10), x1=Fraction(7, 20)
     )
-    from_flags = resolve_config(
-        build_parser().parse_args(
-            ["scan", "--curve", "0,-1,1,-2,2", "--q", "57", "--d", "3", "--weyl", "1,-1"]
-        )
-    )
-    assert from_file == from_flags
-    assert from_flags.curve == (0, -1, 1, -2, 2)
-    assert from_flags.d_filter == 3 and from_flags.weyl_modes == (1, -1)
 
 
-def test_removed_knobs_are_rejected(tmp_path, capsys):
+def test_removed_knobs_are_rejected(capsys):
     for argv in (
         ["scan", "--shards", "2"],
         ["scan", "--k-max", "6"],
         ["theory", "--petersson", "--petersson-tol", "1e-5"],
+        ["scan", "--config", "run.cfg"],
+        ["table", "--tol", "1e-10"],
+        ["scan", "--label", "x"],
+        ["weyl", "--weyl", "1"],
+        ["symbol", "2", "5", "--paper-sign"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_VALIDATION
         assert "unrecognized arguments" in capsys.readouterr().err
-    cfg_path = tmp_path / "old.cfg"
-    for line in ("shards = 2", "k_max = 6"):
-        cfg_path.write_text(line + "\n")
-        assert main(["scan", "--config", str(cfg_path)]) == EXIT_VALIDATION
-        assert "bad config line" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change", [{"m_max": 0}, {"d_filter": 4}])
@@ -170,18 +124,23 @@ def test_fingerprint_ignores_non_result_fields():
         assert replace(base, **change).fingerprint() == fp
 
 
+def test_fingerprints_of_the_default_and_benchmark_runs_are_pinned():
+    # the CSVs of these runs carry these digests; a change to one is a change of output
+    assert RunConfig().fingerprint() == "b71c8b266486"
+    assert RunConfig(n_max=20000, m_max=7000).fingerprint() == "4726d5c937c8"
+    dist = RunConfig(n_max=20000, m_max=4000, d_filter=1, x0=Fraction(1, 10), x1=Fraction(7, 20))
+    assert dist.fingerprint() == "137737ba1e70"
+
+
 def test_fingerprint_tracks_result_fields():
     base = RunConfig()
     fp = base.fingerprint()
     for change in (
         {"q": 21},
         {"curve": (0, 0, 0, 1, 1)},
-        {"label": "other"},
         {"m_max": 5},
         {"d_filter": 1},
         {"x1": Fraction(1, 2)},
-        {"weyl_modes": (0,)},
-        {"tol": 1e-9},
         {"n_max": 7},
         {"seed": 2},
     ):
@@ -194,7 +153,7 @@ def test_fingerprint_tracks_result_fields():
 
 def test_symbol_command_prints_frozen_values(cli, capsys):
     run, _, _ = cli
-    assert run("symbol", "2", "5", "--paper-sign") == EXIT_OK
+    assert run("symbol", "2", "5") == EXIT_OK
     out = capsys.readouterr().out
     assert "r = 2/5" in out
     m_minus = float(out.split("m_minus(r) = ")[1].splitlines()[0])
@@ -202,7 +161,6 @@ def test_symbol_command_prints_frozen_values(cli, capsys):
     assert m_minus == pytest.approx(0.798121111065892, abs=1e-12)
     assert m_plus == pytest.approx(-0.700301521166301, abs=1e-12)
     assert "d = gcd(c, q) = 5" in out
-    assert "paper-sign value" in out
 
 
 @pytest.mark.parametrize(
@@ -242,7 +200,6 @@ def test_symbol_command_rejects_bad_denominator(cli):
 def test_validation_exit_codes(cli):
     run, _, _ = cli
     assert run("table", "--q", "9") == EXIT_VALIDATION  # level not squarefree
-    assert run("table", "--tol", "1e-16") == EXIT_VALIDATION  # below float floor
     assert run("scan", "--M", "40", "--interval", "0.5:0.2") == EXIT_VALIDATION
 
 
@@ -257,8 +214,6 @@ def test_validation_exit_codes(cli):
         ("dist", "--M", "10", "--d", "1", "--c-min", "0"),
         ("scan", "--M", "10", "--interval", "1/0:1"),
         ("scan", "--M", "10", "--interval", "1/2:1/0"),
-        ("table", "--tol", "nan"),
-        ("table", "--tol", "inf"),
     ],
 )
 def test_bad_input_exits_2_with_an_error_line(cli, capsys, argv):
@@ -339,7 +294,7 @@ def test_truncated_table_cache_is_rebuilt(cli, tmp_path, caplog):
     run, cache, _ = cli
     bad_cache = tmp_path / "cache"
     shutil.copytree(cache, bad_cache)
-    table_file = next(bad_cache.glob("table-*.txt"))
+    table_file = bad_cache / "table-q15-tol1e-12.txt"  # the name perfbench/run.py checks
     intact = table_file.read_bytes()
     table_file.write_bytes(intact[: len(intact) // 2])  # cut mid-line
     with caplog.at_level(logging.WARNING, logger="modsym"):
@@ -364,24 +319,6 @@ def test_table_cache_with_a_duplicated_line_is_rebuilt(cli, tmp_path, caplog):
     assert code == EXIT_OK
     assert "rebuilding" in caplog.text
     assert table_file.read_bytes() == intact
-
-
-def test_nearby_tolerances_keep_separate_table_caches(cli, tmp_path, caplog):
-    run, cache, _ = cli
-    own = tmp_path / "cache"
-    shutil.copytree(cache, own)
-    tols = ["1e-12", "1.0004e-12"]
-    for tol in tols:
-        assert main(["table", "--tol", tol, "--cache-dir", str(own), "--n-max", N_MAX]) == EXIT_OK
-    assert sorted(p.name for p in own.glob("table-*.txt")) == [
-        "table-q15-tol1.0004e-12.txt",
-        "table-q15-tol1e-12.txt",
-    ]
-    with caplog.at_level(logging.WARNING, logger="modsym"):
-        for tol in tols:
-            argv = ["table", "--tol", tol, "--cache-dir", str(own), "--n-max", N_MAX]
-            assert main(argv) == EXIT_OK
-    assert "rebuilding" not in caplog.text
 
 
 def test_symbol_reads_only_the_table_cache(cli, tmp_path, capsys):
@@ -515,9 +452,9 @@ def test_contig_command_reports_sup_deviation(cli, tmp_path, capsys):
 def test_weyl_command_lists_modes(cli, tmp_path, capsys):
     run, _, _ = cli
     out = tmp_path / "weyl"
-    assert run("weyl", "--M", "100", "--weyl", "0,1,2", out_dir=out) == EXIT_OK
+    assert run("weyl", "--M", "100", out_dir=out) == EXIT_OK
     text = capsys.readouterr().out
-    assert "n=0:" in text and "n=2:" in text
+    assert all(f"n={n}:" in text for n in range(6))
     assert (out / "weyl.csv").exists()
 
 
@@ -580,6 +517,19 @@ def test_verify_refuses_a_fixture_without_the_derivative_before_any_cache(tmp_pa
     assert list(cache.iterdir()) == []
 
 
+@pytest.mark.parametrize("line", ["L1 0.93 extra", "L1", "L1 nan", "L1 0", "L1 -1", "L1p inf"])
+def test_unreadable_fixture_line_is_refused_before_any_work(line, tmp_path, capsys):
+    fixture = tmp_path / "bad.txt"
+    fixture.write_text(f"curve 1,1,1,-10,-10\nL1 0.9364885435\nL1p 0.03534541\n{line}\n")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = ["fit", "--M", "50", "--fixture", str(fixture), "--n-max", N_MAX]
+    assert main([*argv, "--cache-dir", str(cache), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fixture {fixture} line 4 {line!r}: ")
+    assert list(cache.iterdir()) == []
+
+
 def test_verify_runs_every_gate(cli, capsys):
     run, _, _ = cli
     assert run("verify", "--M", "600") == EXIT_OK
@@ -621,19 +571,18 @@ def test_verify_fails_a_quadrature_cut_short_of_its_certificate(cli, capsys, mon
     assert [g["name"] for g in gates if not g["passed"]] == ["petersson_truncation"]
 
 
-def test_verify_stops_when_the_direct_oracle_refuses_every_draw(tmp_path):
-    # at N = 60 the oracle's own tol 1e-10 refuses every c < 60
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = ["verify", "--M", "50", "--tol", "1e-6", "--n-max", "60"]
-    argv += ["--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
-    done = subprocess.run(
-        [sys.executable, "-m", "modsym.shell", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == EXIT_VALIDATION
-    assert "certified 0 of the 10 comparisons" in done.stderr
-    assert "in 1000 draws" in done.stderr
+def test_verify_stops_when_the_direct_oracle_refuses_every_draw(cli, capsys, monkeypatch):
+    # from N = 84, where the table first builds, the oracle certifies the small c
+    # that verify draws, so the refusal is simulated
+    def refuse(r, f):
+        raise TruncationError(f"no certificate for {r}")
+
+    monkeypatch.setattr(shell, "direct_symbol_oracle", refuse)
+    run, _, _ = cli
+    assert run("verify", "--M", "50") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "certified 0 of the 10 comparisons" in err
+    assert "in 1000 draws" in err
 
 
 @pytest.mark.parametrize("command", [["symbol", "2", "5"], ["table"]])
