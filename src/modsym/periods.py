@@ -26,6 +26,7 @@ the table build (the antiderivative series) needs.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -313,4 +314,6 @@ def read_table_cache(path: str, q: int, tol: float, curve) -> PeriodTable:
     if [key for key, _, _ in rows] != [f"{c}:{d}" for c, d in classes.reps]:
         raise CacheFormatError("period table does not list each class once, in order")
     values = tuple(float(re_s) + 1j * float(im_s) for _, re_s, im_s in rows)
+    if not all(map(cmath.isfinite, values)):  # max() and > would pass a NaN through every gate
+        raise CacheFormatError("period table holds a value that is not finite")
     return _table_from_values(q, tol, classes, values, curve)

@@ -203,11 +203,16 @@ class SymbolStore:
         try:
             for i in range(1, w):
                 fd, out = os.pipe()
-                with warnings.catch_warnings():
-                    # 3.12 warns that a fork beside numpy's threads may hang the
-                    # child; the child only runs numpy's loops and exits
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
+                try:
+                    with warnings.catch_warnings():
+                        # 3.12 warns that a fork beside numpy's threads may hang
+                        # the child; the child only runs numpy's loops and exits
+                        warnings.simplefilter("ignore", DeprecationWarning)
+                        pid = os.fork()
+                except OSError:  # EAGAIN or ENOMEM: no child holds this pipe
+                    os.close(fd)
+                    os.close(out)
+                    raise
                 if pid == 0:
                     os.close(fd)
                     _child(lambda: self._compute(m, *sinks, part=(i, w)), sinks, out)
@@ -558,10 +563,10 @@ class DistributionReport:
 
 
 def distribution_report(
-    spec: ScanSpec, store: SymbolStore, slope_real: float, shift_real: float, c_min: int = 1
+    spec: ScanSpec, store: SymbolStore, slope_real: float, shift_real: float
 ) -> DistributionReport:
     """Standardize the symbol values of the gcd class spec.d_filter, a single
-    divisor of q, on the window [spec.x0, spec.x1) over c_min <= c <= spec.m_max,
+    divisor of q, on the window [spec.x0, spec.x1) over c <= spec.m_max,
     and compare them against the standard normal: moments up to 6, KS
     distance, and a histogram of 100 bins on [-5, 5].
 
@@ -572,20 +577,16 @@ def distribution_report(
     """
     if spec.d_filter == "all":
         raise ValueError("the distribution report needs a single gcd class, not 'all'")
-    if c_min < 1:
-        raise ValueError(f"c_min must be at least 1, got {c_min}")
     _, window = store.counts(spec.m_max, spec.x0, spec.x1)
     half_log_class = 0.5 * math.log(spec.q / spec.d_filter)
     zs_shift, zs_slope, ws = [], [], []
-    for c in range(c_min, spec.m_max + 1):
+    for c in range(1, spec.m_max + 1):
         if not spec.wants(c):
             continue
         var_slope = slope_real * (math.log(c) + half_log_class)
         var_shift = slope_real * math.log(c) + shift_real
         if var_slope <= 0 or var_shift <= 0:
-            raise ValueError(
-                f"modelled variance is not positive at c={c}; raise c_min"
-            )
+            raise ValueError(f"modelled variance is not positive at c={c}")
         ns, counts = window.atoms(c)
         vals = store.quantum * ns
         zs_shift.append(vals / math.sqrt(var_shift))

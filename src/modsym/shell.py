@@ -59,7 +59,6 @@ from .scanstats import (
 from .theory import (
     PETERSSON_TOL,
     build_theory,
-    default_fixture_path,
     ghat,
     load_lvalue_fixture,
     petersson_quadrature,
@@ -90,13 +89,12 @@ class RunConfig(ScanSpec):
     n_max: int = 100000
     seed: int = 1729
     cache_dir: str = ".modsym-cache"
-    fixture: str = default_fixture_path()
     out_dir: str = "."
 
     def fingerprint(self) -> str:
         """12-hex digest of the result-affecting fields.
 
-        The path fields (cache_dir, fixture, out_dir) are excluded.
+        The path fields (cache_dir, out_dir) are excluded.
         """
         # the label "15.a1", the moment depth 4, the Weyl modes and the table
         # tolerance are constants, hashed where they stood so no digest changes
@@ -148,7 +146,6 @@ _CONFIG_KEYS = {
     "n_max": ("n_max", int, "coefficient count"),
     "seed": ("seed", int, "seed for sampled checks"),
     "cache_dir": ("cache_dir", str, "cache directory"),
-    "fixture": ("fixture", str, "L-value fixture path"),
     "out_dir": ("out_dir", str, "report directory"),
 }
 
@@ -278,7 +275,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit(cfg: RunConfig, args) -> int:
-    l1, l1p = load_lvalue_fixture(cfg.fixture, cfg.curve)
+    l1, l1p = load_lvalue_fixture(cfg.curve)
     store = SymbolStore(_table(cfg))
     slope_paper, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg, store)
@@ -287,14 +284,12 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     write_fit_csv(path, fits, cfg.fingerprint())
     print(f"theory slope: paper {slope_paper:+.6f} / real {slope_real:+.6f}")
     for d, r in sorted(fits.items()):
-        line = (
+        print(
             f"d={d}: fixed-slope shift (paper) {-r.fixed_slope_shift_real:+.4f}"
             f", free slope (real) {r.slope_real:+.5f}"
             f", free shift (paper) {-r.shift_real:+.4f}"
+            f", theory shift {shift_value(cfg.q, d, l1, l1p):+.4f}"
         )
-        if l1p is not None:
-            line += f", theory shift {shift_value(cfg.q, d, l1, l1p):+.4f}"
-        print(line)
     print(f"fit table -> {path}")
     return EXIT_OK
 
@@ -302,19 +297,17 @@ def cmd_fit(cfg: RunConfig, args) -> int:
 def cmd_dist(cfg: RunConfig, args) -> int:
     if cfg.d_filter == "all":
         raise ValueError("dist needs a single gcd class: pass --d")
-    if args.c_min < 1:  # before the table load and the sweep
-        raise ValueError(f"c_min must be at least 1, got {args.c_min}")
-    l1, _ = load_lvalue_fixture(cfg.fixture, cfg.curve)
+    l1, _ = load_lvalue_fixture(cfg.curve)
     store = SymbolStore(_table(cfg))
     _, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg, store)
     shift_real = variance_fit(rows, slope_real)[cfg.d_filter].fixed_slope_shift_real
-    report = distribution_report(cfg, store, slope_real, shift_real, args.c_min)
+    report = distribution_report(cfg, store, slope_real, shift_real)
     path = _out(cfg, "dist.csv")
     write_dist_csv(path, report, cfg.fingerprint())
     print(
         f"sample: {report.n_sample} values, d={cfg.d_filter}, "
-        f"c in [{args.c_min},{cfg.m_max}], I=[{cfg.x0},{cfg.x1})"
+        f"c in [1,{cfg.m_max}], I=[{cfg.x0},{cfg.x1})"
     )
     print(f"shift normalization uses fitted D = {shift_real:+.5f} (real)")
     for name, mts, ks in [
@@ -363,10 +356,9 @@ def cmd_weyl(cfg: RunConfig, args) -> int:
 
 
 def cmd_theory(cfg: RunConfig, args) -> int:
-    l1, l1p = load_lvalue_fixture(cfg.fixture, cfg.curve)
+    l1, l1p = load_lvalue_fixture(cfg.curve)
     f = _form(cfg) if args.petersson else None
-    tc = build_theory(cfg.q, l1, l1p, f=f)
-    print(tc.as_json())
+    print(json.dumps(build_theory(cfg.q, l1, l1p, f=f), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -384,9 +376,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             }
         )
 
-    l1, l1p = load_lvalue_fixture(cfg.fixture, cfg.curve)
-    if l1p is None:  # before any cache is built
-        raise ValueError("verify needs a fixture with the derivative value")
+    l1, l1p = load_lvalue_fixture(cfg.curve)  # before any cache is built
     table = _table(cfg)
     f = _form(cfg)
     gate("relation_two_term", table.residual_two, 2.0 * TABLE_TOL)
@@ -494,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     }
     parsers["symbol"].add_argument("a", type=int)
     parsers["symbol"].add_argument("c", type=int)
-    parsers["dist"].add_argument("--c-min", dest="c_min", type=int, default=1)
     parsers["contig"].add_argument("--grid", type=int, default=101)
     parsers["theory"].add_argument("--petersson", action="store_true")
     return parser

@@ -7,10 +7,9 @@ symmetric-square L-value without the fixture.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .eigenform import Eigenform, TruncationError, format_curve, parse_curve, terms_needed
 from .exactmath import divisors_squarefree, lazy_numpy, p1_table, squarefree_factors
@@ -18,6 +17,8 @@ from .periods import cusp_shift
 
 np = lazy_numpy()
 
+# the symmetric-square L-value of 15a1 and its derivative, read by load_lvalue_fixture
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "lvalues_15a1.txt")
 PETERSSON_TOL = 1e-5  # the Petersson quadrature's tolerance, which verify's mesh gate holds it to
 
 # zeta'(2); cross-checked by an Euler-Maclaurin oracle in the test suite.
@@ -238,15 +239,14 @@ def _fixture_value(key: str, text: str):
     return value
 
 
-def load_lvalue_fixture(
-    path: str, curve: tuple[int, ...] | None = None
-) -> tuple[float, float | None]:
-    """Parse 'L1 <value>' / 'L1p <value>' / 'curve a1,...,a6' lines.
+def load_lvalue_fixture(curve: tuple[int, ...]) -> tuple[float, float]:
+    """(L1, L1p) from the 'L1 <value>', 'L1p <value>' and 'curve a1,...,a6'
+    lines of the fixture FIXTURE, read at call time.
 
-    L1p and curve may be absent; when curve is given, the fixture must name
-    that curve.  A line that does not read as one of these is refused with
-    the path and the line.
+    Every key is required, and the fixture must name this curve.  A line
+    that does not read as one of these is refused with the path and the line.
     """
+    path = FIXTURE
     keys: dict = {}
     with open(path, encoding="ascii") as fh:
         for number, raw in enumerate(fh, 1):
@@ -260,77 +260,38 @@ def load_lvalue_fixture(
                 keys[parts[0]] = _fixture_value(*parts)
             except ValueError as exc:
                 raise ValueError(f"fixture {path} line {number} {line!r}: {exc}") from None
-    if "L1" not in keys:
-        raise ValueError(f"fixture {path} is missing the required L1 line")
-    if curve is not None:
-        if "curve" not in keys:
-            raise ValueError(f"fixture {path} does not name its curve")
-        if keys["curve"] != tuple(curve):
-            raise ValueError(
-                f"fixture {path} is for curve {format_curve(keys['curve'])}, "
-                f"not {format_curve(curve)}"
-            )
-    return keys["L1"], keys.get("L1p")
+    missing = [key for key in ("curve", "L1", "L1p") if key not in keys]
+    if missing:
+        raise ValueError(f"fixture {path} does not name its {' or '.join(missing)}")
+    if keys["curve"] != tuple(curve):
+        raise ValueError(
+            f"fixture {path} is for curve {format_curve(keys['curve'])}, "
+            f"not {format_curve(curve)}"
+        )
+    return keys["L1"], keys["L1p"]
 
 
-def default_fixture_path() -> str:
-    return os.path.join(os.path.dirname(__file__), "data", "lvalues_15a1.txt")
-
-
-@dataclass
-class TheoryConstants:
-    """Every closed-form constant the reports compare against."""
-
-    q: int
-    vol: float
-    sym2_l: float
-    sym2_l_prime: float | None
-    slope_paper: float
-    slope_real: float
-    shift_a: dict[int, float]
-    shift_b: float
-    shifts: dict[int, float] | None
-    zeta_prime_2: float
-    petersson_norm_sq: float | None = None
-    petersson_mesh_error: float | None = None
-    sym2_l_recovered: float | None = None
-
-    def as_json(self) -> str:
-        """Every field, with the divisor-keyed maps keyed by strings."""
-        payload = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, dict):
-                value = {str(d): v for d, v in value.items()}
-            payload[field.name] = value
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def build_theory(
-    q: int,
-    sym2_l: float,
-    sym2_l_prime: float | None,
-    f: Eigenform | None = None,
-) -> TheoryConstants:
-    """The closed-form constants; given the eigenform f, also the Petersson
-    quadrature at its default tolerance and the L-value it recovers."""
+def build_theory(q: int, sym2_l: float, sym2_l_prime: float, f: Eigenform | None = None) -> dict:
+    """Every closed-form constant the reports compare against, with the
+    divisor-keyed maps keyed by strings; given the eigenform f, also the
+    Petersson quadrature at its default tolerance and the L-value it recovers."""
     slope_paper, slope_real = slope_from_L(q, sym2_l)
-    coeffs = {d: shift_coefficients(q, d) for d in divisors_squarefree(q)}
-    shifts = None
-    if sym2_l_prime is not None:
-        shifts = {d: a * sym2_l + b * sym2_l_prime for d, (a, b) in coeffs.items()}
-    out = TheoryConstants(
-        q=q,
-        vol=volume(q),
-        sym2_l=sym2_l,
-        sym2_l_prime=sym2_l_prime,
-        slope_paper=slope_paper,
-        slope_real=slope_real,
-        shift_a={d: a for d, (a, _) in coeffs.items()},
-        shift_b=coeffs[q][1],  # B does not depend on d
-        shifts=shifts,
-        zeta_prime_2=ZETA_PRIME_2,
-    )
+    divisors = divisors_squarefree(q)
+    out = {
+        "q": q,
+        "vol": volume(q),
+        "sym2_l": sym2_l,
+        "sym2_l_prime": sym2_l_prime,
+        "slope_paper": slope_paper,
+        "slope_real": slope_real,
+        "shift_a": {str(d): shift_coefficients(q, d)[0] for d in divisors},
+        "shift_b": shift_coefficients(q, q)[1],  # B does not depend on d
+        "shifts": {str(d): shift_value(q, d, sym2_l, sym2_l_prime) for d in divisors},
+        "zeta_prime_2": ZETA_PRIME_2,
+        "petersson_norm_sq": None,
+        "petersson_mesh_error": None,
+        "sym2_l_recovered": None,
+    }
     if f is not None:
         res = petersson_quadrature(f)
         if res.truncated:
@@ -338,7 +299,7 @@ def build_theory(
                 f"the Petersson quadrature cut {res.truncated} (class, x-node) columns "
                 f"short of their certified length at N = {f.n_max}; raise --n-max"
             )
-        out.petersson_norm_sq = res.value
-        out.petersson_mesh_error = res.mesh_error
-        out.sym2_l_recovered = sym2_l_from_petersson(f, res.value)
+        out["petersson_norm_sq"] = res.value
+        out["petersson_mesh_error"] = res.mesh_error
+        out["sym2_l_recovered"] = sym2_l_from_petersson(f, res.value)
     return out

@@ -11,15 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from modsym import theory
 from modsym.eigenform import CurveSpec, build_eigenform
 from modsym.periods import build_period_table, symbol
 from modsym.scanstats import ScanSpec, SymbolStore, scan
-from modsym.theory import (
-    default_fixture_path,
-    load_lvalue_fixture,
-    petersson_quadrature,
-    slope_from_L,
-)
+from modsym.theory import load_lvalue_fixture, petersson_quadrature, slope_from_L
 
 CURVE_15A1 = (1, 1, 1, -10, -10)
 Q = 15
@@ -115,7 +111,20 @@ def rows15(store15):
 @pytest.fixture(scope="session")
 def lfix():
     """(L1, L1p) from the packaged symmetric-square fixture."""
-    return load_lvalue_fixture(default_fixture_path())
+    return load_lvalue_fixture(CURVE_15A1)
+
+
+@pytest.fixture
+def fixture_file(tmp_path, monkeypatch):
+    """fixture_file(text) is read in place of the packaged L-value fixture."""
+
+    def use(text):
+        path = tmp_path / "fixture.txt"
+        path.write_text(text)
+        monkeypatch.setattr(theory, "FIXTURE", str(path))
+        return path
+
+    return use
 
 
 @pytest.fixture(scope="session")

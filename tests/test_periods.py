@@ -371,6 +371,21 @@ def test_table_cache_detects_tampered_values(tmp_path, table15):
     assert back.residual_two > 0.1
 
 
+@pytest.mark.parametrize("column", [1, 2], ids=["real", "imag"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_table_cache_refuses_values_that_are_not_finite(tmp_path, table15, column, value):
+    # a NaN slips past max() and >, so no residual gate would catch it
+    path = tmp_path / "table.txt"
+    write_table_cache(str(path), table15)
+    lines = path.read_text().splitlines()
+    parts = lines[1].split()
+    parts[column] = value
+    lines[1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError, match="not finite"):
+        read_table_cache(str(path), *_identity(table15))
+
+
 class _HalfWriter:
     """File stand-in that writes half of what it is given, then fails."""
 

@@ -338,6 +338,26 @@ def test_a_failing_parent_reaps_its_workers(table15, cpus):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_workers(table15, cpus, monkeypatch):
+    forks = cpus(3)
+    fork = os.fork
+
+    def second_fails():
+        if forks:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        SymbolStore(table15)._sweep(FORK_MIN, LatticeCounts(FORK_MIN))
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # ---------------------------------------------------------------------------
 # rows
 

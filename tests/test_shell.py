@@ -4,6 +4,7 @@ Every invocation goes through main() in-process with private cache and
 output directories; the module-scoped fixture warms one coefficient and
 period-table cache so the individual commands stay fast.
 """
+import dataclasses
 import json
 import logging
 import math
@@ -89,6 +90,8 @@ def test_removed_knobs_are_rejected(capsys):
         ["scan", "--label", "x"],
         ["weyl", "--weyl", "1"],
         ["symbol", "2", "5", "--paper-sign"],
+        ["fit", "--M", "10", "--fixture", "x"],
+        ["dist", "--M", "10", "--d", "1", "--c-min", "5"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -119,7 +122,6 @@ def test_fingerprint_ignores_non_result_fields():
     for change in (
         {"cache_dir": "/elsewhere"},
         {"out_dir": "/elsewhere"},
-        {"fixture": "/some/file"},
     ):
         assert replace(base, **change).fingerprint() == fp
 
@@ -135,16 +137,21 @@ def test_fingerprints_of_the_default_and_benchmark_runs_are_pinned():
 def test_fingerprint_tracks_result_fields():
     base = RunConfig()
     fp = base.fingerprint()
-    for change in (
+    changes = (
         {"q": 21},
         {"curve": (0, 0, 0, 1, 1)},
         {"m_max": 5},
         {"d_filter": 1},
+        {"x0": Fraction(1, 10)},
         {"x1": Fraction(1, 2)},
         {"n_max": 7},
         {"seed": 2},
-    ):
+    )
+    for change in changes:
         assert replace(base, **change).fingerprint() != fp
+    # every field is hashed or is a path: a new field must be one or the other
+    hashed = {name for change in changes for name in change}
+    assert hashed | {"cache_dir", "out_dir"} == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +218,6 @@ def test_validation_exit_codes(cli):
         ("contig", "--M", "10", "--grid", "1"),
         ("contig", "--M", "10", "--grid", "0"),
         ("contig", "--M", "10", "--grid", "2"),
-        ("dist", "--M", "10", "--d", "1", "--c-min", "0"),
         ("scan", "--M", "10", "--interval", "1/0:1"),
         ("scan", "--M", "10", "--interval", "1/2:1/0"),
     ],
@@ -318,6 +324,29 @@ def test_table_cache_with_a_duplicated_line_is_rebuilt(cli, tmp_path, caplog):
         code = main(["table", "--cache-dir", str(bad_cache), "--n-max", N_MAX])
     assert code == EXIT_OK
     assert "rebuilding" in caplog.text
+    assert table_file.read_bytes() == intact
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_table_cache_with_a_value_that_is_not_finite_is_rebuilt(
+    cli, tmp_path, capsys, caplog, value
+):
+    # max() and > pass a NaN, so the table's gates alone would let it through
+    run, cache, _ = cli
+    bad_cache = tmp_path / "cache"
+    shutil.copytree(cache, bad_cache)
+    table_file = next(bad_cache.glob("table-*.txt"))
+    intact = table_file.read_bytes()
+    lines = intact.decode().splitlines()
+    key, _, im_s = lines[1].split()
+    assert key == "0:1"
+    lines[1] = f"{key} {value} {im_s}"
+    table_file.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.WARNING, logger="modsym"):
+        code = main(["symbol", "1", "15", "--cache-dir", str(bad_cache), "--n-max", N_MAX])
+    assert code == EXIT_OK
+    assert "not finite" in caplog.text and "rebuilding" in caplog.text
+    assert "m_minus(r) = 0\n" in capsys.readouterr().out
     assert table_file.read_bytes() == intact
 
 
@@ -430,15 +459,6 @@ def test_dist_command_sweeps_once(cli, tmp_path, monkeypatch):
     assert sweeps == [300]
 
 
-def test_dist_refuses_c_min_before_the_sweep(cli, monkeypatch, capsys):
-    sweeps = []
-    monkeypatch.setattr(SymbolStore, "_compute", lambda self, m, *sinks, **kw: sweeps.append(m))
-    run, _, _ = cli
-    assert run("dist", "--M", "4000", "--d", "1", "--c-min", "0") == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error: c_min must be at least 1")
-    assert sweeps == []
-
-
 def test_contig_command_reports_sup_deviation(cli, tmp_path, capsys):
     run, _, _ = cli
     out = tmp_path / "contig"
@@ -498,32 +518,31 @@ def test_fixture_for_another_curve_is_refused(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", _FIXTURE_COMMANDS)
-def test_fixture_without_curve_is_refused(command, cli, tmp_path, capsys):
+def test_fixture_without_curve_is_refused(command, cli, fixture_file, capsys):
     run, _, _ = cli
-    fixture = tmp_path / "untagged.txt"
-    fixture.write_text("L1 0.9364885435\nL1p 0.03534541\n")
-    assert run(*command, "--M", "50", "--fixture", str(fixture)) == EXIT_VALIDATION
+    fixture_file("L1 0.9364885435\nL1p 0.03534541\n")
+    assert run(*command, "--M", "50") == EXIT_VALIDATION
     assert "does not name its curve" in capsys.readouterr().err
 
 
-def test_verify_refuses_a_fixture_without_the_derivative_before_any_cache(tmp_path, capsys):
-    fixture = tmp_path / "no-derivative.txt"
-    fixture.write_text("curve 1,1,1,-10,-10\nL1 0.9364885435\n")
+def test_verify_refuses_a_fixture_without_the_derivative_before_any_cache(
+    fixture_file, tmp_path, capsys
+):
+    fixture = fixture_file("curve 1,1,1,-10,-10\nL1 0.9364885435\n")
     cache = tmp_path / "cache"
     cache.mkdir()
-    argv = ["verify", "--M", "50", "--fixture", str(fixture), "--n-max", N_MAX]
+    argv = ["verify", "--M", "50", "--n-max", N_MAX]
     assert main([*argv, "--cache-dir", str(cache), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error: verify needs a fixture with the derivative")
+    assert capsys.readouterr().err.startswith(f"error: fixture {fixture} does not name its L1p")
     assert list(cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("line", ["L1 0.93 extra", "L1", "L1 nan", "L1 0", "L1 -1", "L1p inf"])
-def test_unreadable_fixture_line_is_refused_before_any_work(line, tmp_path, capsys):
-    fixture = tmp_path / "bad.txt"
-    fixture.write_text(f"curve 1,1,1,-10,-10\nL1 0.9364885435\nL1p 0.03534541\n{line}\n")
+def test_unreadable_fixture_line_is_refused_before_any_work(line, fixture_file, tmp_path, capsys):
+    fixture = fixture_file(f"curve 1,1,1,-10,-10\nL1 0.9364885435\nL1p 0.03534541\n{line}\n")
     cache = tmp_path / "cache"
     cache.mkdir()
-    argv = ["fit", "--M", "50", "--fixture", str(fixture), "--n-max", N_MAX]
+    argv = ["fit", "--M", "50", "--n-max", N_MAX]
     assert main([*argv, "--cache-dir", str(cache), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: fixture {fixture} line 4 {line!r}: ")

@@ -7,6 +7,7 @@ replace.
 """
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from modsym.periods import cusp_shift
 from modsym.theory import (
     ZETA_PRIME_2,
     build_theory,
-    default_fixture_path,
     ghat,
     ghat_tail_certificate,
     load_lvalue_fixture,
@@ -31,6 +31,7 @@ from modsym.theory import (
     volume,
 )
 
+CURVE_15A1 = (1, 1, 1, -10, -10)
 L1_15A1 = 0.9364885435
 L1P_15A1 = 0.03534541
 SLOPE_REAL_15A1 = 0.3558229788559085
@@ -313,50 +314,42 @@ def test_fixture_file_parses_to_frozen_values(lfix):
     assert lfix == (L1_15A1, L1P_15A1)
 
 
-def test_fixture_accepts_missing_derivative(tmp_path):
-    p = tmp_path / "f.txt"
-    p.write_text("# comment\nL1 0.5\n")
-    assert load_lvalue_fixture(str(p)) == (0.5, None)
+def test_fixture_rejects_missing_derivative(fixture_file):
+    fixture_file("# comment\ncurve 1,1,1,-10,-10\nL1 0.5\n")
+    with pytest.raises(ValueError, match="does not name its L1p"):
+        load_lvalue_fixture(CURVE_15A1)
 
 
-def test_fixture_rejects_missing_l1(tmp_path):
-    p = tmp_path / "f.txt"
-    p.write_text("L1p 0.5\n")
+def test_fixture_rejects_missing_l1(fixture_file):
+    fixture_file("curve 1,1,1,-10,-10\nL1p 0.5\n")
+    with pytest.raises(ValueError, match="does not name its L1$"):
+        load_lvalue_fixture(CURVE_15A1)
+
+
+def test_fixture_rejects_unknown_keys(fixture_file):
+    fixture_file("curve 1,1,1,-10,-10\nL1 0.5\nL1p 0.1\nL2 0.7\n")
     with pytest.raises(ValueError):
-        load_lvalue_fixture(str(p))
-
-
-def test_fixture_rejects_unknown_keys(tmp_path):
-    p = tmp_path / "f.txt"
-    p.write_text("L1 0.5\nL2 0.7\n")
-    with pytest.raises(ValueError):
-        load_lvalue_fixture(str(p))
+        load_lvalue_fixture(CURVE_15A1)
 
 
 def test_default_fixture_ships_with_the_package():
-    l1, l1p = load_lvalue_fixture(default_fixture_path())
-    assert l1 == L1_15A1
-    assert l1p == L1P_15A1
+    assert os.path.dirname(theory.FIXTURE) == os.path.join(os.path.dirname(theory.__file__), "data")
+    assert load_lvalue_fixture(CURVE_15A1) == (L1_15A1, L1P_15A1)
 
 
 def test_default_fixture_names_its_curve():
-    curve = (1, 1, 1, -10, -10)
-    assert load_lvalue_fixture(default_fixture_path(), curve) == (L1_15A1, L1P_15A1)
     with pytest.raises(ValueError, match="not 0,-1,1,-2,2"):
-        load_lvalue_fixture(default_fixture_path(), (0, -1, 1, -2, 2))
+        load_lvalue_fixture((0, -1, 1, -2, 2))
 
 
-def test_fixture_without_curve_is_refused_only_when_one_is_required(tmp_path):
-    p = tmp_path / "f.txt"
-    p.write_text("L1 0.5\n")
-    assert load_lvalue_fixture(str(p)) == (0.5, None)
+def test_fixture_without_curve_is_refused(fixture_file):
+    fixture_file("L1 0.5\nL1p 0.1\n")
     with pytest.raises(ValueError, match="does not name its curve"):
-        load_lvalue_fixture(str(p), (1, 1, 1, -10, -10))
+        load_lvalue_fixture(CURVE_15A1)
 
 
 def test_build_theory_report_round_trips(lfix):
-    consts = build_theory(15, *lfix)
-    payload = json.loads(consts.as_json())
+    payload = json.loads(json.dumps(build_theory(15, *lfix)))
     assert payload["q"] == 15
     assert payload["vol"] == pytest.approx(8.0 * math.pi)
     assert payload["slope_real"] == pytest.approx(SLOPE_REAL_15A1)
@@ -365,16 +358,10 @@ def test_build_theory_report_round_trips(lfix):
     assert payload["petersson_norm_sq"] is None
 
 
-def test_build_theory_without_derivative_has_no_shifts(lfix):
-    consts = build_theory(15, lfix[0], None)
-    assert consts.shifts is None
-    assert json.loads(consts.as_json())["shifts"] is None
-
-
 def test_build_theory_runs_the_quadrature_exactly_when_given_the_form(lfix, form15_small):
-    assert build_theory(15, *lfix).petersson_norm_sq is None
+    assert build_theory(15, *lfix)["petersson_norm_sq"] is None
     consts = build_theory(15, *lfix, f=form15_small)
     norm = petersson_quadrature(form15_small, tol=1e-5)
-    assert consts.petersson_norm_sq == norm.value
-    assert consts.petersson_mesh_error == norm.mesh_error
-    assert consts.sym2_l_recovered == sym2_l_from_petersson(form15_small, norm.value)
+    assert consts["petersson_norm_sq"] == norm.value
+    assert consts["petersson_mesh_error"] == norm.mesh_error
+    assert consts["sym2_l_recovered"] == sym2_l_from_petersson(form15_small, norm.value)
