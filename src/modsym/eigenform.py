@@ -5,13 +5,15 @@ included, so multiplicative primes give +-1 directly): by baby-step
 giant-step in the group of points above a crossover prime, by the Legendre
 character sum below it and at bad primes.  The full coefficient array comes
 from the Hecke recursions, and the analytic side provides certified series
-lengths, the antiderivative of the form, and the central L-value.
+lengths, the antiderivative of the form, and the central L-value.  All but
+the series work in Python integers, so building coefficients loads no numpy.
 """
 from __future__ import annotations
 
 import logging
 import math
 import os
+from array import array
 from dataclasses import dataclass
 
 from .exactmath import divisors_squarefree, lazy_numpy, squarefree_factors
@@ -91,11 +93,13 @@ class CurveSpec:
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-# count_points finds a_p by baby-step giant-step above this prime, and by the
-# character sum at and below it, where the sum's O(p) numpy pass is no slower
-# than the O(p^(1/4)) group operations done in Python (both take about 40 us
-# per prime near p = 1000 on 15a1).
-_BSGS_MIN_P = 1000
+# count_points finds a_p by baby-step giant-step above Mestre's bound, past
+# which the curve or its twist has a point leaving one candidate, and by the
+# character sum at and below it.  On 15a1, in one process, the plain-Python
+# sum takes 20 ms over the 166 primes 5 <= p <= 1000 but 1.2 ms over the 48
+# primes <= 229; baby-step giant-step takes 4.4 ms over the 118 good primes in
+# (229, 1000], with no fallback onto the sum.
+_BSGS_MIN_P = 229
 # Samples x = 0, 1, 2, ... after which _bsgs_trace gives up; at every good
 # prime in (229, 10^5] of 15a1, 57a1, 57b1, y^2 = x^3 + x + 1 and
 # y^2 = x^3 - x, 11 samples at most pinned a_p.
@@ -132,27 +136,12 @@ def count_points(curve: CurveSpec, p: int) -> int:
 def _character_sum(curve: CurveSpec, p: int) -> int:
     """a_p at a prime p > 3 as minus the sum of the Legendre character of
     the completed-square quartic-free form 4x^3 + b2 x^2 + 2 b4 x + b6."""
-    # In place, in two int64 arrays and two int8 ones: more or larger
-    # temporaries, freed at the top of the heap, let glibc trim it, and the
-    # next prime faults the pages back in (up to 10x the page faults).
-    x = np.arange(p, dtype=np.int64)
-    rhs = x * x
-    rhs %= p
-    qr = np.full(p, -1, dtype=np.int8)
-    qr[rhs] = 1
-    qr[0] = 0
-    b2 = curve.b2 % p
-    b4_twice = (2 * curve.b4) % p
-    b6 = curve.b6 % p
-    np.multiply(x, 4, out=rhs)  # then ((4x + b2) x + 2 b4) x + b6 mod p
-    rhs += b2
-    rhs *= x
-    rhs += b4_twice
-    rhs %= p
-    rhs *= x
-    rhs += b6
-    rhs %= p
-    return -int(qr[rhs].sum())
+    chi = [-1] * p
+    for x in range(1, (p + 1) // 2):
+        chi[x * x % p] = 1
+    chi[0] = 0
+    b2, b4_twice, b6 = curve.b2 % p, 2 * curve.b4 % p, curve.b6 % p
+    return -sum(chi[(((4 * x + b2) * x + b4_twice) * x + b6) % p] for x in range(p))
 
 
 def _bsgs_trace(curve: CurveSpec, p: int) -> int | None:
@@ -268,15 +257,15 @@ def _smallest_prime_factors(n_max: int) -> list[int]:
     return spf
 
 
-def hecke_extend(a_p: dict[int, int], q: int, spf: list[int]) -> np.ndarray:
-    """Full coefficient array a(1..n_max) from prime traces via the recursions.
+def hecke_extend(a_p: dict[int, int], q: int, spf: list[int]) -> array:
+    """Coefficients a(0..n_max), a(0) = 0, from prime traces via the recursions.
 
     a(p^{k+1}) = a(p) a(p^k) - p a(p^{k-1}) at good p, a(p^k) = a(p)^k at
     p | q, multiplicative across coprime factors.  spf is the table of
     smallest prime factors up to n_max, which build_eigenform has sieved.
     """
     n_max = len(spf) - 1
-    a = np.zeros(n_max + 1, dtype=np.int64)
+    a = [0] * (n_max + 1)  # packed at the end: 4.7 ms at N = 2e4, 6.2 filling an array
     if n_max >= 1:
         a[1] = 1
     for n in range(2, n_max + 1):
@@ -288,15 +277,16 @@ def hecke_extend(a_p: dict[int, int], q: int, spf: list[int]) -> np.ndarray:
             a[n] = a[p] * a[m]
         else:
             a[n] = a[p] * a[m] - p * a[m // p]
-    return a
+    return array("q", a)
 
 
 @dataclass
 class Eigenform:
-    """Coefficient data a(1..n_max) plus the prime Atkin-Lehner signs."""
+    """Coefficients a(0..n_max), one int64 array.array whether built or read
+    (numpy views it through np.asarray), plus the prime Atkin-Lehner signs."""
 
     q: int
-    coeffs: np.ndarray
+    coeffs: array
     al_signs: dict[int, int]
     curve: CurveSpec | None = None
 
@@ -421,7 +411,7 @@ def antiderivative_batch(f: Eigenform, zs, tol: float) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
     n_terms = certified_terms(f, float(zs.imag.min()), tol)
     ns = np.arange(1, n_terms + 1)
-    return _series(zs, f.coeffs[1 : n_terms + 1] / (2j * np.pi * ns))
+    return _series(zs, np.asarray(f.coeffs)[1 : n_terms + 1] / (2j * np.pi * ns))
 
 
 def lfun1(f: Eigenform, tol: float = 1e-12) -> float:
@@ -525,17 +515,17 @@ def _spot_check_primes(q: int, n_max: int) -> list[int]:
     return primes
 
 
-def read_coeffs_cache(path: str, curve: CurveSpec, n_max: int) -> np.ndarray:
+def read_coeffs_cache(path: str, curve: CurveSpec, n_max: int) -> array:
     """a(0..n_max) from a write_coeffs_cache file of this curve and length,
     which must list n = 1..n_max once each, in order, and whose a(p) at the
     _spot_check_primes agree with count_points."""
     rows = read_cache(path, _COEFFS_MAGIC, _coeffs_identity(curve, n_max))
-    coeffs = np.zeros(n_max + 1, dtype=np.int64)
+    coeffs = array("q", [0])
     n = 0
     for n, (n_s, a_s) in enumerate(rows, 1):
         if n > n_max or n_s != str(n):
             raise CacheFormatError(f"coefficient cache lists n = {n_s} in place of {n}")
-        coeffs[n] = int(a_s)
+        coeffs.append(int(a_s))
     if n != n_max:
         raise CacheFormatError(f"coefficient cache has {n} entries, not {n_max}")
     for p in _spot_check_primes(curve.q, n_max):

@@ -5,7 +5,8 @@ P^1(Z/q) with canonical representatives, and the CRT solver and
 Atkin-Lehner matrices of the direct symbol oracle.  Matrices are (a, b, c, d)
 tuples of Python ints, exact at any size; floats never enter, and modulus 1
 needs no special case (pow(x, -1, 1) is 0).  It also hands the numeric
-layers numpy through lazy_numpy, so that the table-only path never loads it.
+layers numpy through lazy_numpy, so that the table path, which builds and
+reads the period table in Python integers and floats, never loads it.
 """
 from __future__ import annotations
 

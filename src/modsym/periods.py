@@ -21,8 +21,9 @@ n_k of one quantum; the table certifies that lattice (certify_lattice) and
 the real symbol is evaluated exactly as quantum * sum n_k.
 
 The table holds |P^1(Z/q)| entries (24 at q = 15), so it is plain Python:
-reading it from the cache and evaluating symbols loads no numpy, which only
-the table build (the antiderivative series) needs.
+building it (2|P^1| cmath series, 84 terms at q = 15), reading it and
+evaluating symbols load no numpy.  The direct oracle sums antiderivative_batch's
+numpy series, so verify's dual_algorithm gate also pits two series codes.
 """
 from __future__ import annotations
 
@@ -36,8 +37,10 @@ from .eigenform import (
     Eigenform,
     al_sign,
     antiderivative_batch,
+    certified_terms,
     format_curve,
     read_cache,
+    terms_needed,
     write_cache,
 )
 from .exactmath import (
@@ -45,11 +48,8 @@ from .exactmath import (
     _crt_least_abs,
     atkin_lehner_matrix,
     cf_decompose,
-    lazy_numpy,
     p1_table,
 )
-
-np = lazy_numpy()
 
 TABLE_TOL = 1e-12  # the period table's tolerance, to which every class value is certified
 
@@ -175,23 +175,36 @@ def _table_from_values(
     return PeriodTable(q, tol, classes, values, r2, r3, curve, quantum, lattice, residual)
 
 
+def table_terms(q: int, tol: float = TABLE_TOL) -> int:
+    """build_period_table's certified length: its lowest height is 1/q, at (1:0)."""
+    return terms_needed(1.0 / q, tol / 4.0)
+
+
 def build_period_table(f: Eigenform, tol: float = TABLE_TOL) -> PeriodTable:
     """Evaluate the period of every class from two antiderivative values.
 
     Splitting the path at height i gives
     W(g) = -e_g F(arg_g) + e_{gS} F(arg_{gS}); each F evaluation is
     certified to tol/4 so the two-term relation is certified below tol
-    (gate 2*tol) and the three-term below 1.5*tol (gate 3*tol).
+    (gate 2*tol) and the three-term below 1.5*tol (gate 3*tol).  F is
+    summed term by term in Python, not by antiderivative_batch.
     """
     q = f.q
     classes = p1_table(q)
     # a lift g of the class (c : d) has bottom row (c, d), and g S has (d, -c)
     shifts = [(cusp_shift(c, d, q, f), cusp_shift(d, -c, q, f)) for c, d in classes.reps]
-    args = np.array([[sh_g.arg, sh_gs.arg] for sh_g, sh_gs in shifts])
-    f_vals = antiderivative_batch(f, args.ravel(), tol / 4.0).reshape(args.shape)
+    n_terms = certified_terms(f, min(sh.arg.imag for pair in shifts for sh in pair), tol / 4.0)
+    coef = [a / (2j * math.pi * n) for n, a in enumerate(f.coeffs[1 : n_terms + 1].tolist(), 1)]
+
+    def antiderivative(z: complex) -> complex:
+        total, step = 0j, 2j * math.pi * z
+        for n, c in enumerate(coef, 1):
+            total += c * cmath.exp(step * n)
+        return total
+
     values = tuple(
-        complex(-sh_g.e * f_vals[k, 0] + sh_gs.e * f_vals[k, 1])
-        for k, (sh_g, sh_gs) in enumerate(shifts)
+        -sh_g.e * antiderivative(sh_g.arg) + sh_gs.e * antiderivative(sh_gs.arg)
+        for sh_g, sh_gs in shifts
     )
     curve = f.curve.coefficients if f.curve is not None else None
     return _table_from_values(q, tol, classes, values, curve)

@@ -22,6 +22,7 @@ from .eigenform import (
     CurveSpec,
     Eigenform,
     TruncationError,
+    build_eigenform,
     check_n_max,
     coeffs_cache_path,
     lfun1,
@@ -39,6 +40,7 @@ from .periods import (
     period_sum,
     read_table_cache,
     symbol,
+    table_terms,
     write_table_cache,
 )
 from .scanstats import (
@@ -184,15 +186,19 @@ def _table_cache_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.cache_dir, f"table-q{cfg.q}-tol{TABLE_TOL!r}.txt")
 
 
-def _table(cfg: RunConfig) -> PeriodTable:
+def _table(cfg: RunConfig, keep_coeffs: bool = False) -> PeriodTable:
     """Load the period table from cache or build it; gate the relation
     residuals at 10 tol and the symbol lattice at 2 pi * 10 tol.  The
-    eigenform is loaded or built only when the table must be built."""
+    eigenform is needed only when the table must be built: then it is
+    _form's, through the coefficient cache, when keep_coeffs, and otherwise
+    built to the table's certified length alone and written nowhere."""
     path = _table_cache_path(cfg)
     table = read_usable(path, "period table", read_table_cache, cfg.q, TABLE_TOL, cfg.curve)
     fresh = table is None
     if fresh:
-        table = build_period_table(_form(cfg), TABLE_TOL)
+        n_table = min(cfg.n_max, table_terms(cfg.q))
+        f = _form(cfg) if keep_coeffs else build_eigenform(CurveSpec(*cfg.curve, q=cfg.q), n_table)
+        table = build_period_table(f, TABLE_TOL)
     worst = max(table.residual_two, table.residual_three)
     if worst > 10.0 * TABLE_TOL:
         raise GateFailure(
@@ -230,7 +236,7 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
 
 
 def cmd_table(cfg: RunConfig, args) -> int:
-    table = _table(cfg)
+    table = _table(cfg, keep_coeffs=True)
     print(f"period table: {len(table.classes)} classes at tol {TABLE_TOL:g}")
     print(f"two-term residual:   {table.residual_two:.3e}")
     print(f"three-term residual: {table.residual_three:.3e}")

@@ -98,13 +98,14 @@ def ghat(f: Eigenform, xs, n_terms: int | None = None) -> np.ndarray:
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     n = f.n_max if n_terms is None else min(n_terms, f.n_max)
+    coeffs = np.asarray(f.coeffs)
     out = np.zeros(xs.shape)
     step = 1 << 14  # the block along n fixes the order of the pairwise sums
     rows = 8  # grid points per 1 MB temporary: a grid-wide one set the peak RSS of `contig`
     for lo in range(1, n + 1, step):
         hi = min(lo + step - 1, n)
         ns = np.arange(lo, hi + 1, dtype=np.float64)
-        w = f.coeffs[lo : hi + 1] / (ns * ns)
+        w = coeffs[lo : hi + 1] / (ns * ns)
         for j in range(0, xs.size, rows):
             terms = np.outer(xs[j : j + rows], ns)
             terms *= 2.0 * np.pi
@@ -169,7 +170,7 @@ def _width_integral(f: Eigenform, width, ms, tol_tail: float, rule, x_panels) ->
         ns = np.arange(1, min(needed, f.n_max) + 1)
         decay = np.exp(np.multiply.outer(-2.0 * np.pi * heights, ns))
         phase = np.exp(np.multiply.outer(2j * np.pi * ns, np.add(x, ms) / v))
-        phase *= f.coeffs[1 : ns.size + 1, None]
+        phase *= np.asarray(f.coeffs)[1 : ns.size + 1, None]
         vals = decay @ phase.view(np.float64)  # re and im of each class, interleaved
         total += wx * float(wys @ (vals * vals).sum(axis=1))
     return (1 / v) ** 2 * total, truncated
@@ -191,7 +192,7 @@ def petersson_quadrature(
     q = f.q
     classes = p1_table(q)
     tol_tail = tol / (2.0 * len(classes))
-    coeff_abs = np.abs(f.coeffs[1:].astype(np.float64))
+    coeff_abs = np.abs(np.asarray(f.coeffs)[1:].astype(np.float64))
     widths: dict[int, list[int]] = {}
     for c, d in classes.reps:
         sh = cusp_shift(c, d, q, f)

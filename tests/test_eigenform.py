@@ -5,8 +5,10 @@ computed by hand (projective point counts and the recursions); the
 antiderivative reference value comes from a 200-term mpmath evaluation at
 50 digits.
 """
+import hashlib
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -106,17 +108,25 @@ def test_count_points_enumeration_matches_character_sum():
         assert count_points(spec, p) == p + 1 - (n_affine + 1)
 
 
+def _one_expression_sum(spec, p):
+    """a_p as minus the character sum, written as one numpy expression: the
+    reference for the plain-Python _character_sum and for baby-step
+    giant-step, and fast enough to run at thousands of primes."""
+    x = np.arange(p, dtype=np.int64)
+    qr = np.full(p, -1, dtype=np.int64)
+    qr[(x * x) % p] = 1
+    qr[0] = 0
+    rhs = (((4 * x + spec.b2 % p) * x + (2 * spec.b4) % p) % p * x + spec.b6 % p) % p
+    return -int(qr[rhs].sum())
+
+
 @pytest.mark.parametrize("curve,q", [(CURVE_15A1, 15), ((0, -1, 1, -2, 2), 57)])
 def test_count_points_matches_the_one_expression_sum(curve, q):
-    # the character sum as one numpy expression, before it worked in place
     spec = CurveSpec(*curve, q=q)
     for p in [5, 7, 11, 13, 997, 8191, 19997, 99991]:
-        x = np.arange(p, dtype=np.int64)
-        qr = np.full(p, -1, dtype=np.int64)
-        qr[(x * x) % p] = 1
-        qr[0] = 0
-        rhs = (((4 * x + spec.b2 % p) * x + (2 * spec.b4) % p) % p * x + spec.b6 % p) % p
-        assert count_points(spec, p) == -int(qr[rhs].sum())
+        want = _one_expression_sum(spec, p)
+        assert count_points(spec, p) == want
+        assert _character_sum(spec, p) == want
 
 
 def _is_prime(n):
@@ -137,7 +147,7 @@ def test_count_points_matches_the_character_sum_to_2e4(curve, q):
     spec = CurveSpec(*curve, q=q)
     for p in range(5, 20001):
         if _is_prime(p):
-            assert count_points(spec, p) == _character_sum(spec, p), p
+            assert count_points(spec, p) == _one_expression_sum(spec, p), p
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,7 +164,7 @@ def test_bsgs_matches_the_character_sum(a, start):
     assume(p <= 200000)
     spec = CurveSpec(*a, q=q)
     trace = _bsgs_trace(spec, p)
-    assert trace == _character_sum(spec, p)
+    assert trace == _one_expression_sum(spec, p)
     assert trace * trace <= 4 * p
 
 
@@ -340,7 +350,8 @@ def test_form_values_matches_direct_sum(form15):
         int(form15.coeffs[n]) * np.exp(2j * np.pi * n * z) for n in range(1, n_terms)
     )
     certified = certified_terms(form15, z.imag, 1e-12)
-    got = _series(np.array([z]), form15.coeffs[1 : certified + 1].astype(np.float64))[0]
+    coef = np.asarray(form15.coeffs)[1 : certified + 1].astype(np.float64)
+    got = _series(np.array([z]), coef)[0]
     assert abs(got - direct) < 1e-12
 
 
@@ -353,7 +364,7 @@ def test_series_blocks_match_the_one_pass_sum_bitwise(form15, n_terms, kind):
     rng = random.Random(n_terms)
     zs = np.array([complex(rng.uniform(-1, 1), rng.uniform(0.05, 2)) for _ in range(50)])
     ns = np.arange(1, n_terms + 1)
-    coef = form15.coeffs[1 : n_terms + 1]
+    coef = np.asarray(form15.coeffs)[1 : n_terms + 1]
     if kind != "int":  # as the form's series and antiderivative_batch pass them
         coef = coef.astype(np.float64) if kind == "float" else coef / (2j * np.pi * ns)
     want = np.sum(np.exp(2j * np.pi * zs[:, None] * ns) * coef, axis=1)
@@ -373,7 +384,7 @@ def test_lfun1_matches_the_closed_form_sum(form15, tol):
     # the sign-folded sum (1 - e_q) sum a(n)/n e^{-2 pi n / sqrt(q)}, e_q = -1,
     # summed directly to 200 terms, far past its last double-precision digit
     ns = np.arange(1, 201)
-    terms = form15.coeffs[1:201] / ns * np.exp(-2.0 * np.pi * ns / math.sqrt(form15.q))
+    terms = np.asarray(form15.coeffs)[1:201] / ns * np.exp(-2.0 * np.pi * ns / math.sqrt(form15.q))
     assert abs(lfun1(form15, tol) - 2.0 * float(np.sum(terms))) < max(tol, 1e-13)
 
 
@@ -401,6 +412,31 @@ def test_coeffs_cache_round_trip(tmp_path, form15_small):
     write_coeffs_cache(str(path), form15_small)
     coeffs = read_coeffs_cache(str(path), form15_small.curve, form15_small.n_max)
     assert np.array_equal(coeffs, form15_small.coeffs)
+
+
+@pytest.mark.parametrize(
+    "curve,q,n_max,digest",
+    [
+        (CURVE_15A1, 15, 2000, "4d10ff80ca52041eed97e7e9e136b34b9bc741586bdf9120bb85dee2b17aac9e"),
+        ((0, -1, 1, -2, 2), 57, 5000, "6da3f589b79216b0e465d0964852a8585fdc981c803d66a1f9b0569c6330c74b"),
+    ],
+)
+def test_coeffs_cache_bytes_are_pinned(tmp_path, curve, q, n_max, digest):
+    # sha256 of the files written when counting and the recursions ran in
+    # numpy; both reach past the crossover into baby-step giant-step
+    load_or_build_eigenform(CurveSpec(*curve, q=q), n_max, str(tmp_path))
+    path = eigenform.coeffs_cache_path(str(tmp_path), q, n_max)
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+def test_coefficients_have_one_type_built_or_read(tmp_path):
+    spec = CurveSpec(*CURVE_15A1, q=15)
+    built = load_or_build_eigenform(spec, 300, str(tmp_path))
+    read = load_or_build_eigenform(spec, 300, str(tmp_path))
+    for f in (built, read):
+        assert isinstance(f.coeffs, array) and f.coeffs.typecode == "q"
+    assert built.coeffs == read.coeffs
 
 
 def test_coeffs_cache_idempotent(tmp_path, form15_small):

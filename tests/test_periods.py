@@ -43,6 +43,7 @@ from modsym.periods import (
     period_sum,
     read_table_cache,
     symbol,
+    table_terms,
     write_table_cache,
 )
 from modsym.scanstats import SymbolStore
@@ -135,7 +136,7 @@ def test_cusp_shift_factors_through_atkin_lehner(q, c, d):
 def _form_value(f, z, tol):
     """f(z) = sum a(n) e(nz), its series certified to tol at z."""
     n_terms = certified_terms(f, z.imag, tol)
-    return _series(np.array([z]), f.coeffs[1 : n_terms + 1].astype(np.float64))[0]
+    return _series(np.array([z]), np.asarray(f.coeffs)[1 : n_terms + 1].astype(np.float64))[0]
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,27 @@ def test_period_table_shape_and_relations(table15):
     # two-term defect is structurally zero at build time
     assert table15.residual_two == 0.0
     assert table15.residual_three < 3e-12
+
+
+@pytest.mark.parametrize("curve,q,n_terms", [((1, 1, 1, -10, -10), 15, 84), ((0, -1, 1, -2, 2), 57, 343)])
+def test_table_terms_is_the_length_the_build_certifies(curve, q, n_terms):
+    assert table_terms(q) == n_terms
+    spec = CurveSpec(*curve, q=q)
+    build_period_table(build_eigenform(spec, n_terms))
+    with pytest.raises(TruncationError, match=f"needs {n_terms} coefficients"):
+        build_period_table(build_eigenform(spec, n_terms - 1))
+
+
+def test_table_depends_only_on_the_certified_coefficients(form15, form15_small, table15, tmp_path):
+    # 84 coefficients built, 3000 read back from the cache, and 10^5 built
+    # give one table, bit for bit
+    short = build_eigenform(form15.curve, table_terms(15))
+    path = str(tmp_path / "coeffs.txt")
+    write_coeffs_cache(path, form15_small)
+    coeffs = read_coeffs_cache(path, form15.curve, form15_small.n_max)
+    read = Eigenform(15, coeffs, form15.al_signs, form15.curve)
+    for f in (short, read):
+        assert build_period_table(f) == table15
 
 
 def test_period_table_wrong_involution_signs_break_relations(form15_small):

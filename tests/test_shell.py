@@ -364,6 +364,29 @@ def test_symbol_reads_only_the_table_cache(cli, tmp_path, capsys):
     assert not coeffs.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["symbol", "2", "5"], ["scan", "--M", "50"], ["fit", "--M", "50"], ["dist", "--M", "50", "--d", "1"]],
+    ids=["symbol", "scan", "fit", "dist"],
+)
+def test_cold_commands_build_only_the_tables_coefficients(command, cli, tmp_path):
+    # the table certifies 84 coefficients at q = 15; only `table` and `coeffs`
+    # count all N and write the coefficient cache
+    _, cache, _ = cli
+    cold, table = tmp_path / "cache", "table-q15-tol1e-12.txt"
+    argv = [*command, "--n-max", N_MAX, "--cache-dir", str(cold), "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert [p.name for p in cold.iterdir()] == [table]
+    assert (cold / table).read_bytes() == (cache / table).read_bytes()
+
+
+def test_cold_symbol_below_the_tables_length_is_refused(tmp_path, capsys):
+    argv = ["symbol", "2", "5", "--n-max", "83", "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == EXIT_VALIDATION
+    assert "needs 84 coefficients but only 83 are available" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
 def _symbol_line(capsys, cache_dir, curve):
     argv = ["symbol", "1", "7", "--q", "57", "--curve", curve]
     assert main(argv + ["--n-max", "500", "--cache-dir", str(cache_dir)]) == EXIT_OK
@@ -375,14 +398,16 @@ def test_caches_are_not_shared_between_curves(tmp_path, capsys, caplog):
     # 57a1 and 57b1 share a level, so their caches share file names
     from modsym.eigenform import CurveSpec, load_or_build_eigenform
 
+    # `table` writes both caches of 57a1; a cold symbol writes no coefficients
     shared = tmp_path / "shared"
-    _symbol_line(capsys, shared, "0,-1,1,-2,2")
+    argv = ["table", "--q", "57", "--curve", "0,-1,1,-2,2", "--n-max", "500"]
+    assert main(argv + ["--cache-dir", str(shared)]) == EXIT_OK
     with caplog.at_level(logging.WARNING, logger="modsym"):
         reused = _symbol_line(capsys, shared, "0,1,1,20,-32")
-    assert caplog.text.count("rebuilding") == 2  # coefficients and table
+        f = load_or_build_eigenform(CurveSpec(0, 1, 1, 20, -32, q=57), 500, str(shared))
+    assert caplog.text.count("rebuilding") == 2  # table and coefficients
     fresh = _symbol_line(capsys, tmp_path / "fresh", "0,1,1,20,-32")
     assert reused == fresh
-    f = load_or_build_eigenform(CurveSpec(0, 1, 1, 20, -32, q=57), 500, str(shared))
     assert f.coeffs[5] == 1
 
 
@@ -604,14 +629,21 @@ def test_verify_stops_when_the_direct_oracle_refuses_every_draw(cli, capsys, mon
     assert "in 1000 draws" in err
 
 
-@pytest.mark.parametrize("command", [["symbol", "2", "5"], ["table"]])
-def test_warm_table_commands_run_without_loading_numpy(command, cli, capsys):
-    run, cache, out = cli
-    assert run(*command) == EXIT_OK
+@pytest.mark.parametrize("cache_state", ["warm", "cold"])
+@pytest.mark.parametrize("command", [["symbol", "2", "5"], ["table"]], ids=["symbol", "table"])
+def test_table_commands_run_without_loading_numpy(command, cache_state, cli, tmp_path, capsys):
+    # a cold run also counts points, extends by the Hecke recursions and sums
+    # the table's series, all in Python integers and floats
+    _, cache, out = cli
+    if cache_state == "cold":
+        cache = tmp_path / "cache"
+    argv = [*command, "--n-max", N_MAX, "--cache-dir", str(cache), "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
     expect = capsys.readouterr().out
+    if cache_state == "cold":
+        shutil.rmtree(cache)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = [*command, "--n-max", N_MAX, "--cache-dir", str(cache), "--out-dir", str(out)]
     # the lazy top-level entry may be there; any submodule means numpy loaded;
     # nor may pickle or multiprocessing load, which only a sweep could use
     probe = (

@@ -127,7 +127,7 @@ def test_profile_in_place_matches_the_expression_bitwise(form15):
     want = np.zeros(xs.shape)
     for lo in range(1, n + 1, step):
         ns = np.arange(lo, min(lo + step - 1, n) + 1, dtype=np.float64)
-        w = form15.coeffs[lo : lo + ns.size] / (ns * ns)
+        w = np.asarray(form15.coeffs)[lo : lo + ns.size] / (ns * ns)
         want += (w * (1.0 - np.cos(2.0 * np.pi * np.outer(xs, ns)))).sum(axis=1)
     assert ghat(form15, xs, n_terms=n).tolist() == (want / (2.0 * np.pi)).tolist()
 
@@ -227,7 +227,7 @@ def _per_class_quadrature(f, tol, n_leg):
     """
     classes = p1_table(f.q)
     tol_tail = tol / (2.0 * len(classes))
-    coeff_abs = np.abs(f.coeffs[1:].astype(np.float64))
+    coeff_abs = np.abs(np.asarray(f.coeffs)[1:].astype(np.float64))
     shifts = [cusp_shift(c, d, f.q, f) for c, d in classes.reps]
     cutoffs = [theory._class_cutoff(coeff_abs, sh.v, tol_tail) for sh in shifts]
     passes, truncated, lengths = [], 0, {}
@@ -247,7 +247,7 @@ def _per_class_quadrature(f, tol, n_leg):
                 truncated += n_terms > f.n_max
                 n_terms = min(n_terms, f.n_max)
                 lengths.setdefault((nodes, k), []).append(n_terms)
-                vals = _series(zs, f.coeffs[1 : n_terms + 1])
+                vals = _series(zs, np.asarray(f.coeffs)[1 : n_terms + 1])
                 total += wx * float(np.sum(wys * np.abs(vals) ** 2))
             passes[-1] += (1 / sh.v) ** 2 * total
     coarse, fine = passes
