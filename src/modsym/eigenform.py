@@ -10,16 +10,15 @@ the series work in Python integers, so building coefficients loads no numpy.
 """
 from __future__ import annotations
 
-import logging
 import math
 import os
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactmath import divisors_squarefree, lazy_numpy, squarefree_factors
 
 np = lazy_numpy()
-log = logging.getLogger("modsym")
 
 TOL_FLOOR = 1e-14
 
@@ -87,10 +86,19 @@ class CurveSpec:
             - self.a4 * self.a4
         )
 
-    @property
+    # count_points reads these at every prime past _BSGS_MIN_P: computed once per curve
+    @cached_property
     def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+    @cached_property
+    def c4(self) -> int:
+        return self.b2 * self.b2 - 24 * self.b4
+
+    @cached_property
+    def c6(self) -> int:
+        return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
 
 # count_points finds a_p by baby-step giant-step above Mestre's bound, past
@@ -156,10 +164,7 @@ def _bsgs_trace(curve: CurveSpec, p: int) -> int | None:
     point, intersected over x = 0, 1, 2, ...  For p > 229 the curve or its
     quadratic twist has a point that leaves one candidate (Mestre).
     """
-    b2, b4 = curve.b2, curve.b4
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * curve.b6
-    A, B = -27 * c4 % p, -54 * c6 % p
+    A, B = -27 * curve.c4 % p, -54 * curve.c6 % p
     bound = math.isqrt(4 * p)
     lo, hi = p + 1 - bound, p + 1 + bound
     candidates = None
@@ -490,7 +495,9 @@ def read_usable(path: str, what: str, read, *identity):
     try:
         return read(path, *identity)
     except ValueError as exc:  # CacheFormatError and malformed body lines
-        log.warning("%s cache %s is unusable (%s); rebuilding", what, path, exc)
+        import logging  # only here: a run whose caches read cleanly never loads it
+        logging.getLogger("modsym").warning(
+            "%s cache %s is unusable (%s); rebuilding", what, path, exc)
         return None
 
 

@@ -30,32 +30,9 @@ from fractions import Fraction
 
 from .eigenform import _smallest_prime_factors
 from .exactmath import lazy_numpy
-from .periods import PeriodTable
+from .periods import PeriodTable, ScanSpec
 
 np = lazy_numpy()
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """What to sample: denominator bound, gcd class, interval."""
-
-    q: int
-    m_max: int
-    d_filter: int | str = "all"
-    x0: Fraction = Fraction(0)
-    x1: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.m_max < 1:
-            raise ValueError("m_max must be at least 1")
-        if not (0 <= self.x0 < self.x1 <= 1):
-            raise ValueError("interval must satisfy 0 <= x0 < x1 <= 1")
-        d = self.d_filter
-        if d != "all" and (not isinstance(d, int) or d < 1 or self.q % d):
-            raise ValueError(f"d_filter {d!r} is not a positive divisor of {self.q}")
-
-    def wants(self, c: int) -> bool:
-        return self.d_filter == "all" or math.gcd(c, self.q) == self.d_filter
 
 
 @dataclass(frozen=True)

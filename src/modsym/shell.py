@@ -4,18 +4,20 @@ Configuration is CLI flags over defaults, parsed through one key table;
 every result-affecting field feeds a sha256 fingerprint that is embedded
 in each CSV report, so outputs are traceable to the exact run parameters.
 Exit codes: 0 success, 2 validation error, 3 gate failure.
+
+Only the table layer (eigenform, periods) loads with this module: coeffs,
+table and symbol run nothing else, and a warm query is mostly imports.  main
+binds the scan and theory layers' names here for the other commands, as does
+a lookup from outside; a name bound already (replaced in a test) is kept.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
+import importlib
 import math
 import os
-import random
 import sys
 from dataclasses import dataclass, replace
-from decimal import Decimal
 from fractions import Fraction
 
 from .eigenform import (
@@ -33,6 +35,7 @@ from .eigenform import (
 from .periods import (
     TABLE_TOL,
     PeriodTable,
+    ScanSpec,
     build_period_table,
     direct_symbol_oracle,
     hecke_residual,
@@ -43,31 +46,33 @@ from .periods import (
     table_terms,
     write_table_cache,
 )
-from .scanstats import (
-    WEYL_MODES,
-    ScanSpec,
-    SymbolStore,
-    contiguous_avg,
-    distribution_report,
-    scan,
-    variance_fit,
-    weyl_report,
-    write_aggregates_csv,
-    write_contig_csv,
-    write_dist_csv,
-    write_fit_csv,
-    write_weyl_csv,
-)
-from .theory import (
-    PETERSSON_TOL,
-    build_theory,
-    ghat,
-    load_lvalue_fixture,
-    petersson_quadrature,
-    shift_value,
-    slope_from_L,
-    sym2_l_from_petersson,
-)
+
+# the names the commands call from the two layers past the table layer
+_LAYER_NAMES = {
+    "scanstats": ("SymbolStore", "contiguous_avg", "distribution_report", "scan",
+                  "variance_fit", "weyl_report", "write_aggregates_csv", "write_contig_csv",
+                  "write_dist_csv", "write_fit_csv", "write_weyl_csv"),
+    "theory": ("PETERSSON_TOL", "build_theory", "ghat", "load_lvalue_fixture",
+               "petersson_quadrature", "shift_value", "slope_from_L", "sym2_l_from_petersson"),
+}
+_TABLE_COMMANDS = ("coeffs", "table", "symbol")  # they run the table layer alone
+
+
+def _bind_layers() -> None:
+    """Import the scan and theory layers and bind their names here, except
+    a name bound already."""
+    for module, names in _LAYER_NAMES.items():
+        layer = importlib.import_module("." + module, __package__)
+        for name in names:
+            globals().setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name: str):
+    if not any(name in names for names in _LAYER_NAMES.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_layers()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -98,6 +103,7 @@ class RunConfig(ScanSpec):
 
         The path fields (cache_dir, out_dir) are excluded.
         """
+        import hashlib  # through OpenSSL, which coeffs, table and symbol never need
         # the label "15.a1", the moment depth 4, the Weyl modes and the table
         # tolerance are constants, hashed where they stood so no digest changes
         payload = repr(
@@ -110,7 +116,7 @@ class RunConfig(ScanSpec):
                 str(self.x0),
                 str(self.x1),
                 4,
-                WEYL_MODES,
+                (0, 1, 2, 3, 4, 5),
                 TABLE_TOL,
                 self.n_max,
                 self.seed,
@@ -262,6 +268,7 @@ def cmd_symbol(cfg: RunConfig, args) -> int:
     try:
         scaled = f"{s.denom * math.sqrt(cfg.q / s.d):.15g}"
     except OverflowError:  # c past the float range
+        from decimal import Decimal
         scaled = f"{s.denom * Decimal(cfg.q // s.d).sqrt():.15g}"
     print(f"r = {s.numer}/{s.denom}")
     print(f"m_minus(r) = {s.m_minus:.15g}")
@@ -362,6 +369,7 @@ def cmd_weyl(cfg: RunConfig, args) -> int:
 
 
 def cmd_theory(cfg: RunConfig, args) -> int:
+    import json
     l1, l1p = load_lvalue_fixture(cfg.curve)
     f = _form(cfg) if args.petersson else None
     print(json.dumps(build_theory(cfg.q, l1, l1p, f=f), indent=2, sort_keys=True))
@@ -370,6 +378,8 @@ def cmd_theory(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     """Cross-checks every internal consistency gate and emits a JSON verdict."""
+    import json
+    import random
     gates: list[dict] = []
 
     def gate(name: str, value: float, threshold: float):
@@ -497,6 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command not in _TABLE_COMMANDS:
+        _bind_layers()
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command][0](cfg, args)

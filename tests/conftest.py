@@ -13,8 +13,8 @@ import pytest
 
 from modsym import theory
 from modsym.eigenform import CurveSpec, build_eigenform
-from modsym.periods import build_period_table, symbol
-from modsym.scanstats import ScanSpec, SymbolStore, scan
+from modsym.periods import ScanSpec, build_period_table, symbol
+from modsym.scanstats import SymbolStore, scan
 from modsym.theory import load_lvalue_fixture, petersson_quadrature, slope_from_L
 
 CURVE_15A1 = (1, 1, 1, -10, -10)

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from modsym.eigenform import TruncationError, lfun1
-from modsym.periods import direct_symbol_oracle, hecke_residual, period_sum, symbol
-from modsym.scanstats import ScanSpec, contiguous_avg, distribution_report, variance_fit, weyl_report
+from modsym.periods import ScanSpec, direct_symbol_oracle, hecke_residual, period_sum, symbol
+from modsym.scanstats import contiguous_avg, distribution_report, variance_fit, weyl_report
 from modsym.theory import ghat, shift_value, sym2_l_from_petersson
 
 SHIFT_TARGETS_THEORY = {1: -0.440048, 3: -0.244592, 5: -0.153710, 15: 0.041745}

@@ -18,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modsym import scanstats
-from modsym.periods import symbol
+from modsym.periods import ScanSpec, symbol
 from modsym.scanstats import (
     FORK_MIN,
     AggregateRow,
     LatticeCounts,
-    ScanSpec,
     SymbolStore,
     _row_sums,
     contiguous_avg,

@@ -171,13 +171,17 @@ def test_symbol_command_prints_frozen_values(cli, capsys):
 
 
 @pytest.mark.parametrize(
-    "c, scaled",
-    [((1 << 130) + 1, "2.35754539370744e+39"), (10**400 + 1, "3.87298334620742e+400")],
-    ids=["2^130+1", "10^400+1"],  # the second is past the float range
+    "a, c, scaled",
+    [
+        (1, (1 << 130) + 1, "2.35754539370744e+39"),
+        (1, 10**400 + 1, "3.87298334620742e+400"),
+        (7, 10**400 + 3, "5.53283335172488e+399"),  # 7 | c, and c/7 is past it too
+    ],
+    ids=["2^130+1", "10^400+1", "7-over-10^400+3"],  # the last two are past the float range
 )
-def test_symbol_command_takes_any_denominator(cli, capsys, c, scaled):
+def test_symbol_command_takes_any_denominator(cli, capsys, a, c, scaled):
     run, _, _ = cli
-    assert run("symbol", "1", str(c)) == EXIT_OK
+    assert run("symbol", str(a), str(c)) == EXIT_OK
     out = capsys.readouterr().out
     m_minus = float(out.split("m_minus(r) = ")[1].splitlines()[0])
     n = m_minus / 0.798121111065892
@@ -629,8 +633,21 @@ def test_verify_stops_when_the_direct_oracle_refuses_every_draw(cli, capsys, mon
     assert "in 1000 draws" in err
 
 
+def _fresh_interpreter(code: str, *argv: str) -> list[str]:
+    """The stdout lines of a new interpreter that runs code with src on its path."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout.splitlines()
+
+
 @pytest.mark.parametrize("cache_state", ["warm", "cold"])
-@pytest.mark.parametrize("command", [["symbol", "2", "5"], ["table"]], ids=["symbol", "table"])
+@pytest.mark.parametrize(
+    "command", [["symbol", "2", "5"], ["table"], ["coeffs"]], ids=["symbol", "table", "coeffs"]
+)
 def test_table_commands_run_without_loading_numpy(command, cache_state, cli, tmp_path, capsys):
     # a cold run also counts points, extends by the Hecke recursions and sums
     # the table's series, all in Python integers and floats
@@ -642,36 +659,61 @@ def test_table_commands_run_without_loading_numpy(command, cache_state, cli, tmp
     expect = capsys.readouterr().out
     if cache_state == "cold":
         shutil.rmtree(cache)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     # the lazy top-level entry may be there; any submodule means numpy loaded;
-    # nor may pickle or multiprocessing load, which only a sweep could use
+    # nor may the scan or theory layer load, or pickle and multiprocessing,
+    # which only a sweep could use; hashlib, json and logging only the other
+    # commands use, so none loads past what the interpreter had before main
     probe = (
-        "import sys; from modsym.shell import main; rc = main(sys.argv[1:]); "
+        "import sys; bare = set(sys.modules); from modsym.shell import main; "
+        "rc = main(sys.argv[1:]); "
         "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.')), "
-        "[m for m in ('pickle', 'multiprocessing') if m in sys.modules])"
+        "[m for m in ('modsym.scanstats', 'modsym.theory', 'pickle', 'multiprocessing') "
+        "if m in sys.modules], "
+        "[m for m in ('hashlib', 'json', 'logging') if m in set(sys.modules) - bare])"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    *lines, last = done.stdout.splitlines()
-    assert last == "0 [] []"
+    *lines, last = _fresh_interpreter(probe, *argv)
+    assert last == "0 [] [] []"
     assert lines == expect.splitlines()
 
 
+def test_shell_binds_the_scan_and_theory_layers_on_lookup():
+    # every name the benchmark's tracer wraps on the shell resolves there,
+    # though the import loads neither layer; a name set before the layers
+    # are bound stays set, and any other name is missing
+    names = {
+        "modsym.eigenform": ["load_or_build_eigenform", "lfun1"],
+        "modsym.periods": ["build_period_table", "read_table_cache", "symbol",
+                           "hecke_residual", "period_sum", "direct_symbol_oracle"],
+        "modsym.scanstats": ["scan", "distribution_report", "contiguous_avg", "variance_fit",
+                             "weyl_report", "write_aggregates_csv", "write_fit_csv",
+                             "write_dist_csv", "write_contig_csv", "write_weyl_csv"],
+        "modsym.theory": ["petersson_quadrature", "ghat"],
+    }
+    probe = (
+        "import sys; import modsym.shell as shell; "
+        "layers = lambda: [m for m in ('modsym.scanstats', 'modsym.theory') if m in sys.modules]; "
+        "print(layers()); shell.ghat = print; "
+        "print(*(getattr(shell, name).__module__ for name in sys.argv[2:]), sep=','); "
+        "print(layers(), shell.ghat is print, hasattr(shell, sys.argv[1]))"
+    )
+    wanted = [name for module in names.values() for name in module]
+    out = _fresh_interpreter(probe, "no_such_name", *wanted)
+    assert out[0] == "[]"
+    modules = [m for m, module in names.items() for _ in module]
+    modules[wanted.index("ghat")] = "builtins"
+    assert out[1].split(",") == modules
+    assert out[2] == "['modsym.scanstats', 'modsym.theory'] True False"
+
+
 def test_dist_runs_without_loading_scipy(cli):
+    # but with both layers past the table's, which main binds for it
     _, cache, out = cli
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     argv = ["dist", "--M", "200", "--d", "1", "--n-max", N_MAX]
     argv += ["--cache-dir", str(cache), "--out-dir", str(out)]
     probe = (
         "import sys; from modsym.shell import main; rc = main(sys.argv[1:]); "
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "[m for m in ('modsym.scanstats', 'modsym.theory') if m in sys.modules])"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert done.stdout.splitlines()[-1] == "0 []"
+    last = _fresh_interpreter(probe, *argv)[-1]
+    assert last == "0 [] ['modsym.scanstats', 'modsym.theory']"
