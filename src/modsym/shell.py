@@ -458,6 +458,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         "tol": TABLE_TOL,
         "seed": cfg.seed,
         "fingerprint": cfg.fingerprint(),
+        "petersson_nodes": norm.nodes,  # the quadrature's fine order, reported beside its gates
         "gates": gates,
         "passed": all(g["passed"] for g in gates),
     }

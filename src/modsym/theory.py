@@ -20,6 +20,7 @@ np = lazy_numpy()
 # the symmetric-square L-value of 15a1 and its derivative, read by load_lvalue_fixture
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "lvalues_15a1.txt")
 PETERSSON_TOL = 1e-5  # the Petersson quadrature's tolerance, which verify's mesh gate holds it to
+PETERSSON_MAX_NODES = 64  # the finest Gauss-Legendre order the quadrature doubles to
 
 # zeta'(2); cross-checked by an Euler-Maclaurin oracle in the test suite.
 ZETA_PRIME_2 = -0.9375482543158437537
@@ -125,7 +126,8 @@ class PeterssonResult:
     value: float
     mesh_error: float
     max_cutoff: float
-    truncated: int  # (class, x-node) columns of both passes cut short of the certified length
+    truncated: int  # (class, x-node) columns of the last two passes cut short of the certified length
+    nodes: int  # Gauss-Legendre order of the fine pass
 
 
 def _map_rule(rule, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -176,16 +178,16 @@ def _width_integral(f: Eigenform, width, ms, tol_tail: float, rule, x_panels) ->
     return (1 / v) ** 2 * total, truncated
 
 
-def petersson_quadrature(
-    f: Eigenform, tol: float = PETERSSON_TOL, n_leg: int = 12
-) -> PeterssonResult:
+def petersson_quadrature(f: Eigenform, tol: float = PETERSSON_TOL) -> PeterssonResult:
     """Petersson norm ||f||^2 over the level-q quotient, with mesh self-check.
 
     Sums, over the coset classes indexed by P^1(Z/q), the fundamental-domain
     integrals of |f|g|^2 = (1/v)^2 |f((w + m)/v)|^2, one cusp width v
-    at a time with a certified exponential cutoff per width; the whole quadrature
-    is repeated with doubled node counts, each computing its Gauss-Legendre rule
-    once, to estimate the mesh error.
+    at a time with a certified exponential cutoff per width.  The whole
+    quadrature runs at Gauss-Legendre orders 4 and 8, and the order doubles
+    while two successive passes differ by more than tol, up to a fine order of
+    PETERSSON_MAX_NODES; their difference is the mesh error, which stays above
+    tol if the cap is reached.  Each order's rule is computed once.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"petersson tol must be positive and finite, got {tol!r}")
@@ -205,12 +207,17 @@ def petersson_quadrature(
         parts = [_width_integral(f, w, ms, tol_tail, rule, x_panels) for w, ms in groups]
         return sum(p for p, _ in parts), sum(n for _, n in parts)
 
-    (coarse, cut_coarse), (fine, cut_fine) = run(n_leg), run(2 * n_leg)
+    nodes = 8
+    (coarse, cut_coarse), (fine, cut_fine) = run(nodes // 2), run(nodes)
+    while abs(fine - coarse) > tol and nodes < PETERSSON_MAX_NODES:
+        nodes *= 2
+        (coarse, cut_coarse), (fine, cut_fine) = (fine, cut_fine), run(nodes)
     return PeterssonResult(
         value=fine,
         mesh_error=abs(fine - coarse),
         max_cutoff=max(w[1] for w, _ in groups),
         truncated=cut_coarse + cut_fine,
+        nodes=nodes,
     )
 
 
@@ -275,7 +282,8 @@ def load_lvalue_fixture(curve: tuple[int, ...]) -> tuple[float, float]:
 def build_theory(q: int, sym2_l: float, sym2_l_prime: float, f: Eigenform | None = None) -> dict:
     """Every closed-form constant the reports compare against, with the
     divisor-keyed maps keyed by strings; given the eigenform f, also the
-    Petersson quadrature at its default tolerance and the L-value it recovers."""
+    Petersson quadrature at its default tolerance (its norm, mesh error and the
+    Gauss-Legendre order of its fine pass) and the L-value it recovers."""
     slope_paper, slope_real = slope_from_L(q, sym2_l)
     divisors = divisors_squarefree(q)
     out = {
@@ -291,6 +299,7 @@ def build_theory(q: int, sym2_l: float, sym2_l_prime: float, f: Eigenform | None
         "zeta_prime_2": ZETA_PRIME_2,
         "petersson_norm_sq": None,
         "petersson_mesh_error": None,
+        "petersson_nodes": None,
         "sym2_l_recovered": None,
     }
     if f is not None:
@@ -302,5 +311,6 @@ def build_theory(q: int, sym2_l: float, sym2_l_prime: float, f: Eigenform | None
             )
         out["petersson_norm_sq"] = res.value
         out["petersson_mesh_error"] = res.mesh_error
+        out["petersson_nodes"] = res.nodes
         out["sym2_l_recovered"] = sym2_l_from_petersson(f, res.value)
     return out

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from modsym import shell
+from modsym import shell, theory
 from modsym.eigenform import TruncationError
 from modsym.scanstats import SymbolStore
 from modsym.shell import (
@@ -530,6 +530,15 @@ def test_theory_command_emits_json(cli, capsys):
     assert payload["slope_real"] == pytest.approx(0.3558229788559085)
     assert payload["shifts"]["1"] == pytest.approx(-0.440048, abs=1e-4)
     assert payload["petersson_norm_sq"] is None
+    assert payload["petersson_nodes"] is None
+
+
+def test_theory_reports_the_quadrature_order_it_reached(cli, capsys):
+    run, _, _ = cli
+    assert run("theory", "--petersson") == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["petersson_mesh_error"] <= 1e-5
+    assert payload["petersson_nodes"] == 8
 
 
 _FIXTURE_COMMANDS = [["theory"], ["fit"], ["dist", "--d", "3"], ["verify"]]
@@ -604,6 +613,7 @@ def test_verify_runs_every_gate(cli, capsys):
     assert verdict["fingerprint"] == RunConfig(
         m_max=600, n_max=int(N_MAX)
     ).fingerprint()
+    assert verdict["petersson_nodes"] == 8  # beside the gates, not one of them
 
 
 def test_verify_fails_a_quadrature_cut_short_of_its_certificate(cli, capsys, monkeypatch):
@@ -617,6 +627,22 @@ def test_verify_fails_a_quadrature_cut_short_of_its_certificate(cli, capsys, mon
     assert run("verify", "--M", "600") == EXIT_GATE
     gates = json.loads(capsys.readouterr().out)["gates"]
     assert [g["name"] for g in gates if not g["passed"]] == ["petersson_truncation"]
+
+
+def test_verify_fails_a_quadrature_that_reaches_its_cap_above_tol(cli, capsys, monkeypatch):
+    run, _, _ = cli
+    width_integral = theory._width_integral
+
+    def never_agreeing(f, width, ms, tol_tail, rule, x_panels):
+        # a 2e-4 relative error whose sign flips with each doubling of the order
+        part, cut = width_integral(f, width, ms, tol_tail, rule, x_panels)
+        return part * (1.0 + 2e-4 * (-1) ** len(rule[0]).bit_length()), cut
+
+    monkeypatch.setattr(theory, "_width_integral", never_agreeing)
+    assert run("verify", "--M", "600") == EXIT_GATE
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["petersson_nodes"] == theory.PETERSSON_MAX_NODES
+    assert [g["name"] for g in verdict["gates"] if not g["passed"]] == ["petersson_mesh"]
 
 
 def test_verify_stops_when_the_direct_oracle_refuses_every_draw(cli, capsys, monkeypatch):

@@ -182,7 +182,7 @@ def test_slope_norm_closure_identity(form15_small):
 
 
 def test_petersson_coarse_run_stays_within_requested_tol(form15):
-    rough = petersson_quadrature(form15, tol=1e-3, n_leg=4)
+    rough = petersson_quadrature(form15, tol=1e-3)
     assert rough.mesh_error < 1e-3
     # a coarse node count is only promised the requested tolerance
     assert rough.value == pytest.approx(0.056629823041199435, abs=1e-3)
@@ -191,7 +191,7 @@ def test_petersson_coarse_run_stays_within_requested_tol(form15):
 def test_petersson_quadrature_is_frozen_bit_for_bit(form15_small):
     # any change to node placement or summation order moves these bits;
     # test_width_kernel_matches_the_per_class_oracle bounds a deliberate move
-    rough = petersson_quadrature(form15_small, tol=1e-3, n_leg=4)
+    rough = petersson_quadrature(form15_small, tol=1e-3)
     assert rough.value == 0.05654015872824968
     assert rough.mesh_error == 2.1230408320249694e-08
     assert rough.max_cutoff == 9.550641899748028
@@ -207,8 +207,52 @@ def test_petersson_quadrature_computes_each_rule_once(form15_small, monkeypatch)
         return leggauss(n)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    petersson_quadrature(form15_small, tol=1e-3, n_leg=4)
+    petersson_quadrature(form15_small, tol=1e-3)
     assert orders == [4, 8]  # coarse and fine node counts, once each
+
+
+@pytest.fixture
+def leggauss_orders(monkeypatch):
+    """The orders of the Gauss-Legendre rules computed while the test runs."""
+    orders = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        orders.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    return orders
+
+
+@pytest.mark.parametrize("tol,orders", [(1e-5, [4, 8]), (1e-9, [4, 8, 16])])
+def test_petersson_doubles_its_order_until_the_passes_meet_tol(
+    form15, tol, orders, leggauss_orders
+):
+    got = petersson_quadrature(form15, tol=tol)
+    assert leggauss_orders == orders  # each order once; the 8/16 estimate is about 1.6e-15
+    assert got.nodes == orders[-1]
+    assert got.mesh_error <= tol
+
+
+def test_petersson_stops_doubling_at_its_cap(form15_small, leggauss_orders, monkeypatch):
+    def never_agreeing(f, width, ms, tol_tail, rule, x_panels):
+        return float(len(rule[0])), 0
+
+    monkeypatch.setattr(theory, "_width_integral", never_agreeing)
+    got = petersson_quadrature(form15_small, tol=1e-5)
+    assert leggauss_orders == [4, 8, 16, 32, 64]
+    assert got.nodes == theory.PETERSSON_MAX_NODES == 64
+    assert got.mesh_error > 1e-5  # the estimate still misses tol, for verify's gate to fail
+
+
+def test_petersson_quadrature_on_conductor_57():
+    f = build_eigenform(CurveSpec(0, -1, 1, -2, 2, q=57), n_max=3000)
+    got = petersson_quadrature(f, tol=1e-5)
+    assert got.truncated == 0
+    assert got.mesh_error <= 1e-5
+    # the value of the fixed order-12/24 pass pair this quadrature replaced
+    assert got.value == pytest.approx(0.5399044026268532, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -217,13 +261,14 @@ def form57_short():
     return build_eigenform(CurveSpec(0, -1, 1, -2, 2, q=57), n_max=100)
 
 
-def _per_class_quadrature(f, tol, n_leg):
-    """Oracle: the quadrature one class at a time, each class's series summed
-    over every (point, term) pair in complex exponentials.
+def _per_class_quadrature(f, tol, orders):
+    """Oracle: the quadrature one class at a time at each Gauss-Legendre order
+    of orders, each class's series summed over every (point, term) pair in
+    complex exponentials.
 
-    Returns (value, mesh_error, max_cutoff, truncated, shifts, lengths),
-    where lengths[nodes, k] lists the series length of class k at
-    each x-node of the pass with that node count.
+    Returns (value, mesh_error, max_cutoff, truncated, shifts, lengths) from the
+    last two orders, where lengths[nodes, k] lists the series length of class k
+    at each x-node of the pass with that node count.
     """
     classes = p1_table(f.q)
     tol_tail = tol / (2.0 * len(classes))
@@ -231,7 +276,7 @@ def _per_class_quadrature(f, tol, n_leg):
     shifts = [cusp_shift(c, d, f.q, f) for c, d in classes.reps]
     cutoffs = [theory._class_cutoff(coeff_abs, sh.v, tol_tail) for sh in shifts]
     passes, truncated, lengths = [], 0, {}
-    for nodes in (n_leg, 2 * n_leg):
+    for nodes in orders:
         rule = np.polynomial.legendre.leggauss(nodes)
         x_panels = theory._map_rule(rule, [-0.5 + j / 8 for j in range(9)])
         passes.append(0.0)
@@ -244,25 +289,21 @@ def _per_class_quadrature(f, tol, n_leg):
                 ys, wys = theory._map_rule(rule, edges)
                 zs = (x + 1j * ys + sh.m) / sh.v
                 n_terms = terms_needed(float(zs.imag.min()), tol_tail * 1e-3)
-                truncated += n_terms > f.n_max
+                truncated += n_terms > f.n_max and nodes in orders[-2:]
                 n_terms = min(n_terms, f.n_max)
                 lengths.setdefault((nodes, k), []).append(n_terms)
                 vals = _series(zs, np.asarray(f.coeffs)[1 : n_terms + 1])
                 total += wx * float(np.sum(wys * np.abs(vals) ** 2))
             passes[-1] += (1 / sh.v) ** 2 * total
-    coarse, fine = passes
+    coarse, fine = passes[-2:]
     return fine, abs(fine - coarse), max(cutoffs), truncated, shifts, lengths
 
 
 @pytest.mark.parametrize(
-    "form,tol,n_leg",
-    [("form15_small", 1e-3, 4), ("form15", 1e-5, 12), ("form57_short", 1e-3, 4)],
+    "form,tol", [("form15_small", 1e-3), ("form15", 1e-5), ("form57_short", 1e-3)]
 )
-def test_width_kernel_matches_the_per_class_oracle(form, tol, n_leg, request, monkeypatch):
+def test_width_kernel_matches_the_per_class_oracle(form, tol, request, monkeypatch):
     f = request.getfixturevalue(form)
-    value, mesh, max_cutoff, truncated, shifts, lengths = _per_class_quadrature(
-        f, tol, n_leg
-    )
     # series length at each x-node, per (node count, width), as the kernel chose it
     seen = {}
     width_integral, needed = theory._width_integral, theory.terms_needed
@@ -279,7 +320,12 @@ def test_width_kernel_matches_the_per_class_oracle(form, tol, n_leg, request, mo
         return width_integral(f, width, ms, tol_tail, rule, x_panels)
 
     monkeypatch.setattr(theory, "_width_integral", recording)
-    got = petersson_quadrature(f, tol=tol, n_leg=n_leg)
+    got = petersson_quadrature(f, tol=tol)
+    # the orders the quadrature doubled through, from 4 to its fine pass
+    orders = [2**k for k in range(2, got.nodes.bit_length())]
+    value, mesh, max_cutoff, truncated, shifts, lengths = _per_class_quadrature(
+        f, tol, orders
+    )
     assert got.value == pytest.approx(value, rel=1e-13)
     assert got.mesh_error == pytest.approx(mesh, abs=1e-13 * value)
     assert (got.max_cutoff, got.truncated) == (max_cutoff, truncated)
@@ -301,7 +347,7 @@ def test_petersson_cutoff_runs_once_per_cusp_width(form15_small, monkeypatch):
         return class_cutoff(coeff_abs, v, tol_tail)
 
     monkeypatch.setattr(theory, "_class_cutoff", counting)
-    petersson_quadrature(form15_small, tol=1e-3, n_leg=4)
+    petersson_quadrature(form15_small, tol=1e-3)
     # the 24 classes of level 15 have widths v = 1, 3, 5 and 15
     assert sorted(widths) == [1, 3, 5, 15]
 
@@ -364,4 +410,5 @@ def test_build_theory_runs_the_quadrature_exactly_when_given_the_form(lfix, form
     norm = petersson_quadrature(form15_small, tol=1e-5)
     assert consts["petersson_norm_sq"] == norm.value
     assert consts["petersson_mesh_error"] == norm.mesh_error
+    assert consts["petersson_nodes"] == norm.nodes == 8
     assert consts["sym2_l_recovered"] == sym2_l_from_petersson(form15_small, norm.value)
