@@ -1,23 +1,25 @@
 """Farey-point scans and the statistical reports built on them.
 
 Evaluates the real symbol at every sample point a/c with c up to M in one
-streaming sweep of the continued-fraction tree over the certified integer
-class weights over [0, 1/2] only (the real symbol is odd and 1-periodic, so
-a/c with value n gives -n at (c - a)/c), and folds the lattice integers n
-of both halves into accumulators as the sweep goes: per-denominator counts
-of each n over all coprime residues and over a subinterval of [0,1), or,
-for the contiguous averages, integer sums of n per denominator and grid
-bin.  No point is stored, so memory is O(M * width + chunk).  From
-M = FORK_MIN on, the sweep is dealt to forked worker processes, one per
-usable CPU up to MAX_WORKERS; each folds its share into accumulators of its
-own, and the parent adds their integer counts to its own, so every output
-is the one a single process gives.  Every report
-reads the lattice through those accumulators: the moment rows are exact
-integer sums over the counts, the distribution report works on the (c, n)
-atoms with their weights, and a scan followed by a report over the same
-window shares one sweep.  The Weyl sums read no symbol value and run no
-sweep: over the coprime residues of c they are Ramanujan sums, which the
-report evaluates exactly in integers.
+streaming sweep over the certified integer class weights: consecutive
+points of the Farey sequence F_M are neighbours, so each point adds one
+class weight to the value of the point before it.  The sweep covers
+[0, 1/2] only (the real symbol is odd and 1-periodic, so a/c with value n
+gives -n at (c - a)/c), in independent lanes stepped side by side, and
+folds the lattice integers n of both halves into accumulators as it goes:
+per-denominator counts of each n over all coprime residues and over a
+subinterval of [0,1), or, for the contiguous averages, integer sums of n
+per denominator and grid bin.  No point is stored, so memory is
+O(M * width + chunk).  From M = FORK_MIN on, the lanes are dealt to forked
+worker processes, one per usable CPU up to MAX_WORKERS; each folds its
+share into accumulators of its own, and the parent adds their integer
+counts to its own, so every output is the one a single process gives.
+Every report reads the lattice through those accumulators: the moment rows
+are exact integer sums over the counts, the distribution report works on
+the (c, n) atoms with their weights, and a scan followed by a report over
+the same window shares one sweep.  The Weyl sums read no symbol value and
+run no sweep: over the coprime residues of c they are Ramanujan sums,
+which the report evaluates exactly in integers.
 """
 from __future__ import annotations
 
@@ -50,15 +52,10 @@ class AggregateRow:
 
 MOMENTS = 4  # the moment sums S_1 .. S_MOMENTS a scan row carries
 WEYL_MODES = (0, 1, 2, 3, 4, 5)  # the modes n of the Weyl sums weyl_report totals
-CHUNK = 1 << 16  # most tree children the sweep expands in one numpy pass
-FORK_MIN = 1500  # the smallest bound whose sweep is dealt to worker processes
+CHUNK = 1 << 15  # about the most points the sweep buffers before it hands them to the sinks
+TAIL = 8  # the sweep finishes its last lanes point by point once this few are left
+FORK_MIN = 3000  # the smallest bound whose sweep is dealt to worker processes
 MAX_WORKERS = 4  # so a large host does not fork dozens of 40 MB processes
-# The tree level whose nodes the workers share out.  The two levels above it,
-# which every worker walks, hold 0.4% of the nodes at m = 7000 and 1.6% at
-# m = 1500; the largest share of points is 0.502 of them with 2 workers,
-# 0.335 with 3 and 0.258 with 4 at m = 7000, and 0.507, 0.339 and 0.257 at
-# m = 1500.
-DEAL_DEPTH = 3
 
 
 class LatticeCounts:
@@ -113,25 +110,30 @@ class SymbolStore:
     """The real symbol m_minus(a/c) = quantum * n on the certified lattice,
     streamed over every point a/c with c up to a bound.
 
-    One depth-first sweep of the continued-fraction tree reaches every point:
-    a node ends in (q_j, q_{j-1}, p_j, p_{j-1}, n_j), its children b >= 1
-    with q = b q_j + q_{j-1} <= bound add the weight of the class
-    (q : +-q_j), and a child with b >= 2 is the point p/q, so each point
-    costs O(1).  The subtree of 1/1, the points in (1/2, 1), is not walked:
-    they are the images (c - a)/c of the points a/c in (0, 1/2), where the
-    odd symbol is -n.  The sweep stores no point: it hands each chunk of
-    points (c, a, n) to its sinks, then the chunk mirrored in place.  The
-    stack holds int32 nodes, about CHUNK per level of the tree, so the
-    working set grows with the chunk and the depth of the tree, not with
-    the number of points.
+    The sweep to m walks the Farey sequence F_m: after the neighbours
+    a/c < a'/c' comes a''/c'' with c'' = b c' - c, a'' = b a' - a and
+    b = (m + c) // c', and as a'c - ac' = 1, the symbol steps from a/c to
+    a'/c' by the weight of the single class (c' : c).  It walks [0, 1/2]
+    as the s = m // 2 lanes (j/2s, (j+1)/2s], all stepped at once in numpy,
+    one step a row.  Each lane starts from j/2s and the point before it in
+    F_m, with n at j/2s from one continued-fraction expansion of all the
+    starts, and is done at its first point with the denominator of its
+    end, the one such point in it.  The lanes hold about equally many
+    points, 2128 on average at m = 7000 with a 99th percentile of 2179,
+    but the first few more: (1/2s, 1/s] holds the s unit fractions 1/c,
+    s <= c < 2s.  So the last TAIL lanes are finished one point at a time
+    in Python.  The points in (1/2, 1) are not walked: they are the images
+    (c - a)/c of the points a/c in (0, 1/2), where the odd symbol is -n.
+    The sweep stores no point: it hands each chunk of about CHUNK points
+    (c, a, n) to its sinks, then the chunk mirrored in place, so its
+    working set grows with the chunk, not with the number of points.
 
     counts(m, x0, x1) sinks the points into per-row counts of each n, over
     all coprime residues and over a window; the counts of the last sweep
     serve any smaller bound with the same window.  Its sweep, like the one
-    of contiguous_avg, is dealt to worker processes (_sweep): every worker
-    walks the top DEAL_DEPTH - 1 levels of the tree and emits its share of
-    their points, then walks its run of the nodes below.  dense(c) sweeps
-    to c in this process and keeps row c: the per-point oracle.
+    of contiguous_avg, is dealt to worker processes (_sweep), each walking
+    a run of consecutive lanes.  dense(c) sweeps to c in this process and
+    keeps row c: the per-point oracle.
     """
 
     def __init__(self, table: PeriodTable):
@@ -225,21 +227,12 @@ class SymbolStore:
         arrays are reused for the mirrored chunk, so a sink may neither keep
         nor modify them.
 
-        part = (i, w) walks worker i's share of w workers.  Every worker
-        walks the levels above DEAL_DEPTH alike and emits every w-th of their
-        points, from the i-th on.  Each array of nodes entering DEAL_DEPTH
-        is cut into w runs of about equal subtree weight, and worker i walks
-        the i-th run and all below it."""
-        q = self.q
-        step = self._step
-        row_of = (np.arange(m + 1, dtype=np.int32) % q) * q  # u * q at u = c mod q
-        i, w = part
+        part = (i, w) walks worker i's share of w workers: the lanes
+        [s i / w, s (i + 1) / w) of the s = m // 2, and 0/1 for worker 0."""
+        q, step, (i, w) = self.q, self._step, part
+        mod = np.arange(m + 1) % q
 
-        def emit(point, qc, pc, nc, shared):
-            at = np.flatnonzero(point)
-            if shared:
-                at = at[i::w]
-            c, a, n = qc.take(at), pc.take(at), nc.take(at)
+        def emit(c, a, n):
             for sink in sinks:
                 sink(c, a, n)
             if c.size and c.min() <= 2:  # 0/1 and 1/2 have no other image
@@ -250,67 +243,83 @@ class SymbolStore:
             for sink in sinks:
                 sink(c, a, n)
 
-        # 0/1, then stack entries (depth of the children, q_j, q_{j-1}, p_j, p_{j-1}, n_j)
-        root = [np.array([v], dtype=np.int32) for v in (1, 0, 0, 1, self._first)]
-        emit(np.array([True]), root[0], root[2], root[4], w > 1)
-        stack = [(1, *root)]
-        while stack:
-            depth, *node = stack.pop()
-            qj, qj1, pj, pj1, nj = node
-            kids = (m - qj1) // qj  # every stacked node has at least one
-            grow = kids - 1  # children b < kids have children of their own
-            ends = np.cumsum(grow, dtype=np.int32)
-            total = int(ends[-1])
-            if total > CHUNK and qj.size > 1:
-                h = qj.size // 2
-                stack += [(depth, *(x[h:] for x in node)), (depth, *(x[:h] for x in node))]
-                continue
-            shared = w > 1 and depth < DEAL_DEPTH
-            rq = (qj if depth % 2 else -qj) % q
-            qc = kids * qj + qj1  # the last child, b = kids, is a leaf
-            emit(kids >= 2, qc, kids * pj + pj1, nj + step.take(row_of.take(qc) + rq), shared)
-            if total == 0:
-                continue
-            parent = np.repeat(np.arange(qj.size, dtype=np.int32), grow)
-            b = np.arange(1, total + 1, dtype=np.int32) - (ends - grow).take(parent)
-            qp = qj.take(parent)
-            pp = pj.take(parent)
-            qc = b * qp + qj1.take(parent)
-            pc = b * pp + pj1.take(parent)
-            nc = nj.take(parent) + step.take(row_of.take(qc) + rq.take(parent))
-            emit(b >= 2, qc, pc, nc, shared)
-            if depth == 1:  # the child 1/1 roots (1/2, 1), which emit mirrors
-                qc, qp, pc, pp, nc = (x[1:] for x in (qc, qp, pc, pp, nc))
-            if shared and depth + 1 == DEAL_DEPTH and qc.size:
-                mine = _runs(qc, qp, w) == i
-                qc, qp, pc, pp, nc = (x[mine] for x in (qc, qp, pc, pp, nc))
-            if qc.size:
-                stack.append((depth + 1, qc, qp, pc, pp, nc))
+        if i == 0:
+            emit(*(np.array([v], dtype=np.int32) for v in (1, 0, self._first)))
+        s = m // 2
+        j = np.arange(s * i // w, s * (i + 1) // w)
+        g = np.gcd(j, 2 * s)
+        h, k, end = j // g, 2 * s // g, 2 * s // np.gcd(j + 1, 2 * s)
+        n, d = self._euclid(h, k)
+        d += (m - d) // k * k  # the point before h/k in F_m has the largest d = h^-1 mod k
+        # steps a chunk: about CHUNK points in all, and at most m/16, a fifth of a lane
+        rows = max(1, min(CHUNK // max(j.size, 1), s // 8))
+        # c and a of the last two points of every lane, at first before h/k and h/k
+        state = np.array([[d, k], [(h * d - 1) // k, h]], dtype=np.int32)
+        while len(n) > TAIL:
+            x = np.empty((2, rows + 2, len(n)), dtype=np.int32)
+            x[:, :2] = state
+            for t in range(1, rows + 1):
+                b = (x[0, t - 1] + m) // x[0, t]
+                np.subtract(np.multiply(x[:, t], b, out=x[:, t + 1]), x[:, t - 1], out=x[:, t + 1])
+            r = mod.take(x[0, 1:])  # each step adds the class (c' : c) to n
+            ns = step.take(r[1:] * q + r[:-1])
+            ns[0] += n
+            for t in range(1, rows):
+                ns[t] += ns[t - 1]
+            state, n = x[:, -2:].copy(), ns[-1].copy()
+            c, a = x[:, 2:]
+            hit = c == end
+            done = hit.any(axis=0)
+            if done.any():
+                keep = np.arange(rows)[:, None] <= np.where(done, hit.argmax(axis=0), rows)
+                c, a, ns = c[keep], a[keep], ns[keep]
+                state, n, end = state[:, :, ~done], n[~done], end[~done]
+            emit(c.reshape(-1), a.reshape(-1), ns.reshape(-1))
+        # the last few lanes, the longest ones, point by point
+        out = []
+        step, mod = step.tolist(), mod.tolist()
+        for cp, c, ap, a, nc, e in zip(*state.reshape(4, -1).tolist(), n.tolist(), end.tolist()):
+            while c != e:
+                b = (m + cp) // c
+                cp, c, ap, a = c, b * c - cp, a, b * a - ap
+                nc += step[mod[c] * q + mod[cp]]
+                out += (c, a, nc)
+        emit(*np.array(out, dtype=np.int32).reshape(-1, 3).T)
+
+    def _euclid(self, h: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """n at the reduced fractions h/k in [0, 1), and h^-1 mod k, from one
+        continued-fraction expansion of them all.  From 1/0 and 0/1, each
+        convergent p_j/q_j adds the weight of the class (q_j : s_(j-1)),
+        s_j = (-1)^j q_j, and the last, h/k, has h s_(J-1) = 1 mod k."""
+        n, inv = np.full(h.size, self._first, dtype=np.int32), 0 * h
+        at = np.flatnonzero(h)
+        u, v, s0, s1, nc = k[at], h[at], 0 * at, 1 + 0 * at, n[at]
+        while at.size:
+            b = u // v
+            u, v, s0, s1 = v, u - b * v, s1, s0 - b * s1
+            nc += self._step[abs(s1) % self.q * self.q + s0 % self.q]
+            n[at], inv[at] = nc, s0
+            at, u, v, s0, s1, nc = (y[v > 0] for y in (at, u, v, s0, s1, nc))
+        return n, inv % k
 
 
 def _workers(m: int) -> int:
     """How many processes sweep to m: one per CPU this process may use, at
     most MAX_WORKERS, and one below FORK_MIN or without os.fork.
 
-    A fork with the copy-on-write faults it sets off costs 3-4 ms.  On a
-    2-core Xeon, a sweep into one LatticeCounts took, in one process and in
-    two: 2.4 ms and 5.9 ms to m = 600, 6.1 and 6.0 ms to m = 1000, 13.1 and
-    9.8 ms to m = 1500, 51 and 30 ms to m = 3000, 272 and 148 ms to
-    m = 7000.  So the fork pays from about m = 1000, and FORK_MIN leaves a
-    margin."""
+    Every worker steps as often as the longest of its lanes, so a second
+    process halves the work per point but not the cost per step, and a
+    fork with its copy-on-write faults and pipe costs several ms.  On a
+    shared 2-core Xeon, a sweep into one LatticeCounts took, in one process
+    and in two (medians of 31 alternating pairs): 5.7 and 17.1 ms to
+    m = 600, 11.1 and 23.0 ms to m = 1000, 20.5 and 21.1 ms to m = 1500,
+    30.2 and 28.5 ms to m = 2000, 43.2 and 37.4 ms to m = 2500, 61.5 and
+    48.0 ms to m = 3000, 260 and 166 ms to m = 7000, two processes being
+    faster in 0, 0, 11, 19, 27, 27 and 30 of the pairs.  So the fork pays
+    from about m = 2500, and FORK_MIN leaves a margin."""
     if m < FORK_MIN or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
-
-
-def _runs(q: np.ndarray, qp: np.ndarray, w: int) -> np.ndarray:
-    """Cut the nodes (q, q') into w consecutive runs of about equal weight,
-    a node weighing the width 1/(q (q + q')) of the interval its subtree
-    fills, and give each node the index of its run."""
-    qf = q.astype(np.float64)
-    weight = 1.0 / (qf * (qf + qp))
-    ends = np.cumsum(weight)
-    return ((ends - weight / 2) * (w / ends[-1])).astype(np.int64)
 
 
 def _child(walk, sinks, out: int) -> None:

@@ -14,7 +14,7 @@ import pytest
 from modsym import theory
 from modsym.eigenform import CurveSpec, build_eigenform
 from modsym.periods import ScanSpec, build_period_table, symbol
-from modsym.scanstats import SymbolStore, scan
+from modsym.scanstats import LatticeCounts, SymbolStore, scan
 from modsym.theory import load_lvalue_fixture, petersson_quadrature, slope_from_L
 
 CURVE_15A1 = (1, 1, 1, -10, -10)
@@ -66,18 +66,13 @@ def collected_rows():
     return CollectedRows
 
 
-def _expanded_counts(table, m_max, x0, x1):
+def _expanded_counts(symbols, m_max, x0, x1):
     """{c: {n: count}} over all coprime residues and over the window, from
-    symbol() at every point, each value checked to be quantum * n."""
+    the lattice integers symbols(c) of every point a/c."""
     full, window = {}, {}
     for c in range(1, m_max + 1):
         lo, hi = math.ceil(c * x0), math.ceil(c * x1)
-        for a in range(c):
-            if math.gcd(a, c) != 1:
-                continue
-            value = symbol(Fraction(a, c), table).m_minus
-            n = round(value / table.quantum)
-            assert table.quantum * n == value
+        for a, n in symbols(c):
             for counts, inside in ((full, True), (window, lo <= a < hi)):
                 if inside:
                     row = counts.setdefault(c, {})
@@ -85,15 +80,51 @@ def _expanded_counts(table, m_max, x0, x1):
     return full, window
 
 
+def _shares(table, m_max, x0, x1, w):
+    """The counts over all coprime residues and over the window of the w
+    workers' shares of the sweep to m_max, summed."""
+    full, window = LatticeCounts(m_max), LatticeCounts(m_max, x0, x1)
+    for i in range(w):
+        part = LatticeCounts(m_max), LatticeCounts(m_max, x0, x1)
+        SymbolStore(table)._compute(m_max, *part, part=(i, w))
+        full.merge(part[0].counts.reshape(-1))
+        window.merge(part[1].counts.reshape(-1))
+    return full, window
+
+
+@pytest.fixture(scope="session")
+def summed_shares():
+    return _shares
+
+
 @pytest.fixture(scope="session")
 def counts_match_symbols():
-    """Asserts that SymbolStore.counts(m_max, x0, x1) of a table holds, row
-    by row and n ascending, the counts of the expanded symbol values."""
+    """Asserts that SymbolStore.counts(m_max, x0, x1) of a table, or with w
+    the shares of w workers summed, holds, row by row and n ascending, the
+    counts of the expanded symbol values.  symbol() runs once per point and
+    table, each value checked to be quantum * n."""
+    memo = {}  # id(table) -> (table, {c: [(a, n)]}); holding the table keeps its id
 
-    def check(table, m_max, x0, x1):
-        full, window = SymbolStore(table).counts(m_max, x0, x1)
-        assert (full is window) == (x1 - x0 == 1)
-        for got, want in zip((full, window), _expanded_counts(table, m_max, x0, x1)):
+    def symbols(table, c):
+        rows = memo.setdefault(id(table), (table, {}))[1]
+        if c not in rows:
+            rows[c] = []
+            for a in range(c):
+                if math.gcd(a, c) == 1:
+                    value = symbol(Fraction(a, c), table).m_minus
+                    n = round(value / table.quantum)
+                    assert table.quantum * n == value
+                    rows[c].append((a, n))
+        return rows[c]
+
+    def check(table, m_max, x0, x1, w=None):
+        if w is None:
+            full, window = SymbolStore(table).counts(m_max, x0, x1)
+            assert (full is window) == (x1 - x0 == 1)
+        else:
+            full, window = _shares(table, m_max, x0, x1, w)
+        expected = _expanded_counts(lambda c: symbols(table, c), m_max, x0, x1)
+        for got, want in zip((full, window), expected):
             for c in range(1, m_max + 1):
                 ns, counts = (x.tolist() for x in got.atoms(c))
                 assert ns == sorted(want.get(c, {}))

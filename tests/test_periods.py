@@ -583,8 +583,10 @@ def test_conductor_57_lattices_are_certified(label, tables57):
     assert table.lattice[table.classes.index_of(1, 0)] == 0
 
 
-def test_conductor_57_engine_matches_symbols(tables57, collected_rows):
-    table = tables57["57a1"]
+@pytest.mark.parametrize("label", sorted(_CURVES_57))
+def test_conductor_57_engine_matches_symbols(label, tables57, collected_rows):
+    # each step between Farey neighbours a/c < a'/c' adds the class (c' : c)
+    table = tables57[label]
     rows = collected_rows(SymbolStore(table), 300)
     for c in range(1, 301):
         dense = rows.dense(c)

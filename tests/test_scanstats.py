@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modsym import scanstats
@@ -190,9 +190,24 @@ def test_counts_match_the_expanded_symbols(table15, counts_match_symbols, x0, x1
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_counts_at_the_smallest_bounds(table15, counts_match_symbols, m):
-    # at m = 2 the root's only child with children is 1/1, which is not walked
+    # at m = 1 there is no lane; at m = 2 the one lane (0, 1/2] holds only 1/2,
+    # its own mirror image
     counts_match_symbols(table15, m, Fraction(0), Fraction(1))
     counts_match_symbols(table15, m, Fraction(1, 2), Fraction(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(min_value=1, max_value=400), data=st.data())
+def test_shares_match_the_symbols_on_windows_inside_lanes(table15, counts_match_symbols, m, data):
+    # edges with denominators up to 2m fall inside the lanes (j/L, (j+1)/L],
+    # L <= m, and mostly off the points the sweep reaches
+    edge = st.integers(min_value=1, max_value=2 * m).flatmap(
+        lambda den: st.builds(Fraction, st.integers(min_value=0, max_value=den), st.just(den))
+    )
+    x0, x1 = sorted((data.draw(edge), data.draw(edge)))
+    assume(x0 < x1)
+    for w in (1, 2, 3):
+        counts_match_symbols(table15, m, x0, x1, w=w)
 
 
 def test_counts_of_a_longer_sweep_serve_a_shorter_bound(table15, monkeypatch):
@@ -218,8 +233,9 @@ def test_counts_of_a_longer_sweep_serve_a_shorter_bound(table15, monkeypatch):
 def test_scan_memory_is_bounded_by_the_chunk(table15, monkeypatch):
     """The sweep to M = 6000 (1.1e7 points) keeps no table: the former
     table of M^2/2 int8 values alone was 18 MB.  Measured peaks of this
-    scan: 12.2 MB streaming, 87.4 MB with the table.  One CPU keeps the
-    whole walk in this process, where tracemalloc sees it."""
+    scan: 3.9 MB with the lanes, 11.3 MB with the former tree walk,
+    87.4 MB with the table.  One CPU keeps the whole walk in this
+    process, where tracemalloc sees it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     store = SymbolStore(table15)
     tracemalloc.start()
@@ -270,24 +286,19 @@ def _serial_counts(table, m, x0, x1):
     return full, window
 
 
+# odd and even bounds: the smallest, two below FORK_MIN, and the two about it
 @pytest.mark.parametrize("w", [2, 3])
-@pytest.mark.parametrize("m", [1, 2, 3, 40, FORK_MIN - 1, FORK_MIN])
-def test_worker_shares_add_up_to_the_sweep(table15, w, m):
+@pytest.mark.parametrize("m", [1, 2, 3, 40, 1499, 1500, FORK_MIN - 1, FORK_MIN])
+def test_worker_shares_add_up_to_the_sweep(table15, summed_shares, w, m):
     # every point is emitted by exactly one share, at every bound
-    store = SymbolStore(table15)
     x0, x1 = Fraction(1, 10), Fraction(7, 20)
-    full, window = LatticeCounts(m), LatticeCounts(m, x0, x1)
-    for i in range(w):
-        part = LatticeCounts(m), LatticeCounts(m, x0, x1)
-        store._compute(m, *part, part=(i, w))
-        full.merge(part[0].counts.reshape(-1))
-        window.merge(part[1].counts.reshape(-1))
-    for got, want in zip((full, window), _serial_counts(table15, m, x0, x1)):
+    shares = summed_shares(table15, m, x0, x1, w)
+    for got, want in zip(shares, _serial_counts(table15, m, x0, x1)):
         assert np.array_equal(got.counts, want.counts)
 
 
 @pytest.mark.parametrize("w", [2, 3])
-@pytest.mark.parametrize("m", [FORK_MIN - 1, FORK_MIN])
+@pytest.mark.parametrize("m", [1499, 1500, FORK_MIN - 1, FORK_MIN])
 @pytest.mark.parametrize("x0, x1", WINDOWS, ids=["full", "1/10-7/20", "0-1/2", "1/2-1", "3/5-9/10"])
 def test_forked_counts_equal_the_serial_sweep(table15, cpus, w, m, x0, x1):
     forks = cpus(w)
