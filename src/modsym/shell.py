@@ -52,8 +52,8 @@ _LAYER_NAMES = {
     "scanstats": ("SymbolStore", "contiguous_avg", "distribution_report", "scan",
                   "variance_fit", "weyl_report", "write_aggregates_csv", "write_contig_csv",
                   "write_dist_csv", "write_fit_csv", "write_weyl_csv"),
-    "theory": ("PETERSSON_TOL", "build_theory", "ghat", "load_lvalue_fixture",
-               "petersson_quadrature", "shift_value", "slope_from_L", "sym2_l_from_petersson"),
+    "theory": ("PETERSSON_TOL", "build_theory", "ghat", "petersson_quadrature",
+               "shift_value", "slope_from_L", "sym2_l_from_petersson", "sym2_lvalues"),
 }
 _TABLE_COMMANDS = ("coeffs", "table", "symbol")  # they run the table layer alone
 
@@ -103,7 +103,6 @@ class RunConfig(ScanSpec):
 
         The path fields (cache_dir, out_dir) are excluded.
         """
-        import hashlib  # through OpenSSL, which coeffs, table and symbol never need
         # the label "15.a1", the moment depth 4, the Weyl modes and the table
         # tolerance are constants, hashed where they stood so no digest changes
         payload = repr(
@@ -122,7 +121,18 @@ class RunConfig(ScanSpec):
                 self.seed,
             )
         )
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
+        return _sha256()(payload.encode("ascii")).hexdigest()[:12]
+
+
+def _sha256():
+    """The sha256 constructor: CPython's builtin one (_sha2 from Python 3.12,
+    _sha256 before), hashlib's only where neither is built.  hashlib would
+    load OpenSSL's libcrypto and raise a report's peak RSS for the same digest."""
+    for module in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return importlib.import_module(module).sha256
+        except ImportError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +298,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit(cfg: RunConfig, args) -> int:
-    l1, l1p = load_lvalue_fixture(cfg.curve)
+    l1, l1p = sym2_lvalues(cfg.curve)
     store = SymbolStore(_table(cfg))
     slope_paper, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg, store)
@@ -310,7 +320,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
 def cmd_dist(cfg: RunConfig, args) -> int:
     if cfg.d_filter == "all":
         raise ValueError("dist needs a single gcd class: pass --d")
-    l1, _ = load_lvalue_fixture(cfg.curve)
+    l1, _ = sym2_lvalues(cfg.curve)
     store = SymbolStore(_table(cfg))
     _, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg, store)
@@ -370,7 +380,7 @@ def cmd_weyl(cfg: RunConfig, args) -> int:
 
 def cmd_theory(cfg: RunConfig, args) -> int:
     import json
-    l1, l1p = load_lvalue_fixture(cfg.curve)
+    l1, l1p = sym2_lvalues(cfg.curve)
     f = _form(cfg) if args.petersson else None
     print(json.dumps(build_theory(cfg.q, l1, l1p, f=f), indent=2, sort_keys=True))
     return EXIT_OK
@@ -392,7 +402,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             }
         )
 
-    l1, l1p = load_lvalue_fixture(cfg.curve)  # before any cache is built
+    l1, l1p = sym2_lvalues(cfg.curve)  # before any cache is built
     table = _table(cfg)
     f = _form(cfg)
     gate("relation_two_term", table.residual_two, 2.0 * TABLE_TOL)

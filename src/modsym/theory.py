@@ -3,22 +3,22 @@
 Variance slope and shift coefficients for the symbol statistics, the
 first-moment limit profile, the hyperbolic volume, and a rigorous
 fundamental-domain quadrature for the Petersson norm that recovers the
-symmetric-square L-value without the fixture.
+symmetric-square L-value independently of SYM2_LVALUES.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
-from .eigenform import Eigenform, TruncationError, format_curve, parse_curve, terms_needed
+from .eigenform import Eigenform, TruncationError, format_curve, terms_needed
 from .exactmath import divisors_squarefree, lazy_numpy, p1_table, squarefree_factors
 from .periods import cusp_shift
 
 np = lazy_numpy()
 
-# the symmetric-square L-value of 15a1 and its derivative, read by load_lvalue_fixture
-FIXTURE = os.path.join(os.path.dirname(__file__), "data", "lvalues_15a1.txt")
+# (L(Sym^2 f, 1), L'(Sym^2 f, 1)) by curve: the value sets the variance slope,
+# and the derivative enters only the variance shifts
+SYM2_LVALUES = {(1, 1, 1, -10, -10): (0.9364885435, 0.03534541)}
 PETERSSON_TOL = 1e-5  # the Petersson quadrature's tolerance, which verify's mesh gate holds it to
 PETERSSON_MAX_NODES = 64  # the finest Gauss-Legendre order the quadrature doubles to
 
@@ -222,7 +222,7 @@ def petersson_quadrature(f: Eigenform, tol: float = PETERSSON_TOL) -> PeterssonR
 
 
 def sym2_l_from_petersson(f: Eigenform, norm_sq: float) -> float:
-    """Invert the slope identities: the quadrature route to the fixture value.
+    """Invert the slope identities: the quadrature route to the tabled L1.
 
     Combining C_f = -16 pi^2 ||f||^2 / vol with the closed form of C_f gives
     sym2_l = (8 pi^4 / 3) prod_{p|q}(1+1/p) ||f||^2 / vol.
@@ -231,52 +231,15 @@ def sym2_l_from_petersson(f: Eigenform, norm_sq: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fixture and the constants report
+# L-values and the constants report
 
 
-def _fixture_value(key: str, text: str):
-    """One fixture value.  L(Sym^2 f, 1) is a positive multiple of ||f||^2
-    (see sym2_l_from_petersson), so L1 must be positive as well as finite."""
-    if key == "curve":
-        return parse_curve(text)
-    value = float(text)
-    if key == "L1" and not 0 < value < math.inf:
-        raise ValueError("L1 must be positive and finite")
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite")
-    return value
-
-
-def load_lvalue_fixture(curve: tuple[int, ...]) -> tuple[float, float]:
-    """(L1, L1p) from the 'L1 <value>', 'L1p <value>' and 'curve a1,...,a6'
-    lines of the fixture FIXTURE, read at call time.
-
-    Every key is required, and the fixture must name this curve.  A line
-    that does not read as one of these is refused with the path and the line.
-    """
-    path = FIXTURE
-    keys: dict = {}
-    with open(path, encoding="ascii") as fh:
-        for number, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if len(parts) != 2 or parts[0] not in ("L1", "L1p", "curve"):
-                    raise ValueError("expected 'L1 <value>', 'L1p <value>' or 'curve a1,...,a6'")
-                keys[parts[0]] = _fixture_value(*parts)
-            except ValueError as exc:
-                raise ValueError(f"fixture {path} line {number} {line!r}: {exc}") from None
-    missing = [key for key in ("curve", "L1", "L1p") if key not in keys]
-    if missing:
-        raise ValueError(f"fixture {path} does not name its {' or '.join(missing)}")
-    if keys["curve"] != tuple(curve):
-        raise ValueError(
-            f"fixture {path} is for curve {format_curve(keys['curve'])}, "
-            f"not {format_curve(curve)}"
-        )
-    return keys["L1"], keys["L1p"]
+def sym2_lvalues(curve: tuple[int, ...]) -> tuple[float, float]:
+    """(L1, L1p) of the curve from SYM2_LVALUES; a curve not there is refused."""
+    if tuple(curve) not in SYM2_LVALUES:
+        known = ", ".join(map(format_curve, SYM2_LVALUES))
+        raise ValueError(f"no L(Sym^2 f, 1) for curve {format_curve(curve)}, only for {known}")
+    return SYM2_LVALUES[tuple(curve)]
 
 
 def build_theory(q: int, sym2_l: float, sym2_l_prime: float, f: Eigenform | None = None) -> dict:

@@ -11,11 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modsym import theory
 from modsym.eigenform import CurveSpec, build_eigenform
 from modsym.periods import ScanSpec, build_period_table, symbol
 from modsym.scanstats import LatticeCounts, SymbolStore, scan
-from modsym.theory import load_lvalue_fixture, petersson_quadrature, slope_from_L
+from modsym.theory import petersson_quadrature, slope_from_L, sym2_lvalues
 
 CURVE_15A1 = (1, 1, 1, -10, -10)
 Q = 15
@@ -141,26 +140,13 @@ def rows15(store15):
 
 @pytest.fixture(scope="session")
 def lfix():
-    """(L1, L1p) from the packaged symmetric-square fixture."""
-    return load_lvalue_fixture(CURVE_15A1)
-
-
-@pytest.fixture
-def fixture_file(tmp_path, monkeypatch):
-    """fixture_file(text) is read in place of the packaged L-value fixture."""
-
-    def use(text):
-        path = tmp_path / "fixture.txt"
-        path.write_text(text)
-        monkeypatch.setattr(theory, "FIXTURE", str(path))
-        return path
-
-    return use
+    """(L1, L1p) of 15a1 from the symmetric-square table."""
+    return sym2_lvalues(CURVE_15A1)
 
 
 @pytest.fixture(scope="session")
 def slopes15(lfix):
-    """(slope_paper, slope_real) from the fixture value."""
+    """(slope_paper, slope_real) from the tabled L1."""
     return slope_from_L(Q, lfix[0])
 
 

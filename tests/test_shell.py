@@ -134,6 +134,27 @@ def test_fingerprints_of_the_default_and_benchmark_runs_are_pinned():
     assert dist.fingerprint() == "137737ba1e70"
 
 
+@pytest.mark.parametrize("blocked", [[], ["_sha2", "_sha256"]], ids=["builtin", "hashlib"])
+def test_fingerprint_digests_are_hashlibs_on_each_branch(blocked):
+    # the default run's config and the benchmark's, hashed by the builtin sha256
+    # this interpreter has (_sha2 from Python 3.12, _sha256 before) without
+    # loading _hashlib, or by hashlib where neither imports
+    probe = (
+        "import sys; sys.modules.update(dict.fromkeys(sys.argv[1:])); "
+        "from fractions import Fraction; from modsym import shell; RunConfig = shell.RunConfig; "
+        "configs = [RunConfig(), RunConfig(n_max=20000, m_max=600, seed=1), "
+        "RunConfig(n_max=20000, m_max=7000), RunConfig(n_max=20000, m_max=2000), "
+        "RunConfig(n_max=20000, m_max=4000, d_filter=1, x0=Fraction(1, 10), x1=Fraction(7, 20))]; "
+        "got = [c.fingerprint() for c in configs]; "
+        "print(shell._sha256().__module__, '_hashlib' in sys.modules); "
+        "import hashlib; shell._sha256 = lambda: hashlib.sha256; "
+        "print(got == [c.fingerprint() for c in configs], got[0])"
+    )
+    builtin = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    expect = "_hashlib True" if blocked else f"{builtin} False"
+    assert _fresh_interpreter(probe, *blocked) == [expect, "True b71c8b266486"]
+
+
 def test_fingerprint_tracks_result_fields():
     base = RunConfig()
     fp = base.fingerprint()
@@ -541,50 +562,19 @@ def test_theory_reports_the_quadrature_order_it_reached(cli, capsys):
     assert payload["petersson_nodes"] == 8
 
 
-_FIXTURE_COMMANDS = [["theory"], ["fit"], ["dist", "--d", "3"], ["verify"]]
+_LVALUE_COMMANDS = [["theory"], ["fit"], ["dist", "--d", "3"], ["verify"]]
 
 
-@pytest.mark.parametrize("command", _FIXTURE_COMMANDS)
+@pytest.mark.parametrize("command", _LVALUE_COMMANDS)
 def test_fixture_for_another_curve_is_refused(command, tmp_path, capsys):
-    # 57a1 against the packaged 15a1 fixture: refused before anything is built
+    # 57a1 has no symmetric-square L-values in theory's table: refused before anything is built
     cache = tmp_path / "cache"
     argv = [*command, "--q", "57", "--curve", "0,-1,1,-2,2", "--M", "50"]
     argv += ["--n-max", "500", "--cache-dir", str(cache), "--out-dir", str(tmp_path)]
     assert main(argv) == EXIT_VALIDATION
-    assert "is for curve 1,1,1,-10,-10, not 0,-1,1,-2,2" in capsys.readouterr().err
-    assert not cache.exists()
-
-
-@pytest.mark.parametrize("command", _FIXTURE_COMMANDS)
-def test_fixture_without_curve_is_refused(command, cli, fixture_file, capsys):
-    run, _, _ = cli
-    fixture_file("L1 0.9364885435\nL1p 0.03534541\n")
-    assert run(*command, "--M", "50") == EXIT_VALIDATION
-    assert "does not name its curve" in capsys.readouterr().err
-
-
-def test_verify_refuses_a_fixture_without_the_derivative_before_any_cache(
-    fixture_file, tmp_path, capsys
-):
-    fixture = fixture_file("curve 1,1,1,-10,-10\nL1 0.9364885435\n")
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    argv = ["verify", "--M", "50", "--n-max", N_MAX]
-    assert main([*argv, "--cache-dir", str(cache), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith(f"error: fixture {fixture} does not name its L1p")
-    assert list(cache.iterdir()) == []
-
-
-@pytest.mark.parametrize("line", ["L1 0.93 extra", "L1", "L1 nan", "L1 0", "L1 -1", "L1p inf"])
-def test_unreadable_fixture_line_is_refused_before_any_work(line, fixture_file, tmp_path, capsys):
-    fixture = fixture_file(f"curve 1,1,1,-10,-10\nL1 0.9364885435\nL1p 0.03534541\n{line}\n")
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    argv = ["fit", "--M", "50", "--n-max", N_MAX]
-    assert main([*argv, "--cache-dir", str(cache), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith(f"error: fixture {fixture} line 4 {line!r}: ")
-    assert list(cache.iterdir()) == []
+    assert err == "error: no L(Sym^2 f, 1) for curve 0,-1,1,-2,2, only for 1,1,1,-10,-10\n"
+    assert not cache.exists()
 
 
 def test_verify_runs_every_gate(cli, capsys):
@@ -687,8 +677,8 @@ def test_table_commands_run_without_loading_numpy(command, cache_state, cli, tmp
         shutil.rmtree(cache)
     # the lazy top-level entry may be there; any submodule means numpy loaded;
     # nor may the scan or theory layer load, or pickle and multiprocessing,
-    # which only a sweep could use; hashlib, json and logging only the other
-    # commands use, so none loads past what the interpreter had before main
+    # which only a sweep could use; json and logging only the other commands
+    # use, and hashlib none, so none loads past what the interpreter had before main
     probe = (
         "import sys; bare = set(sys.modules); from modsym.shell import main; "
         "rc = main(sys.argv[1:]); "
@@ -739,7 +729,23 @@ def test_dist_runs_without_loading_scipy(cli):
     probe = (
         "import sys; from modsym.shell import main; rc = main(sys.argv[1:]); "
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-        "[m for m in ('modsym.scanstats', 'modsym.theory') if m in sys.modules])"
+        "[m for m in ('modsym.scanstats', 'modsym.theory') if m in sys.modules], "
+        "'_hashlib' in sys.modules)"
     )
     last = _fresh_interpreter(probe, *argv)[-1]
-    assert last == "0 [] ['modsym.scanstats', 'modsym.theory']"
+    assert last == "0 [] ['modsym.scanstats', 'modsym.theory'] False"
+
+
+@pytest.mark.parametrize(
+    "command", [["verify", "--M", "600"], ["scan", "--M", "100"]], ids=["verify", "scan"]
+)
+def test_reports_hash_without_loading_openssl(command, cli):
+    # a report's fingerprint takes CPython's builtin sha256, so neither _hashlib
+    # nor OpenSSL's libcrypto under it loads
+    _, cache, out = cli
+    argv = [*command, "--n-max", N_MAX, "--cache-dir", str(cache), "--out-dir", str(out)]
+    probe = (
+        "import sys; from modsym.shell import main; rc = main(sys.argv[1:]); "
+        "print(rc, '_hashlib' in sys.modules)"
+    )
+    assert _fresh_interpreter(probe, *argv)[-1] == "0 False"

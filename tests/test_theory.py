@@ -2,8 +2,8 @@
 
 The zeta'(2) constant is re-derived by Euler-Maclaurin summation, the
 variance slope/shift values are frozen, and the quadrature route to the
-symmetric-square L-value is checked against the fixture it is meant to
-replace.
+symmetric-square L-value is checked against the tabled value it is meant
+to replace.
 """
 import json
 import math
@@ -14,20 +14,28 @@ import numpy as np
 import pytest
 
 from modsym import theory
-from modsym.eigenform import CurveSpec, _series, build_eigenform, terms_needed
+from modsym.eigenform import (
+    CurveSpec,
+    _series,
+    build_eigenform,
+    format_curve,
+    parse_curve,
+    terms_needed,
+)
 from modsym.exactmath import p1_table
 from modsym.periods import cusp_shift
 from modsym.theory import (
+    SYM2_LVALUES,
     ZETA_PRIME_2,
     build_theory,
     ghat,
     ghat_tail_certificate,
-    load_lvalue_fixture,
     petersson_quadrature,
     shift_coefficients,
     shift_value,
     slope_from_L,
     sym2_l_from_petersson,
+    sym2_lvalues,
     volume,
 )
 
@@ -158,7 +166,7 @@ def test_profile_truncation_certificate(form15):
 
 def test_petersson_quadrature_self_checks(petersson15):
     assert petersson15.value > 0
-    assert petersson15.mesh_error < 1e-5  # the tolerance the fixture asked for
+    assert petersson15.mesh_error < 1e-5  # the tolerance verify holds it to
     assert petersson15.max_cutoff < 20.0
 
 
@@ -353,45 +361,40 @@ def test_petersson_cutoff_runs_once_per_cusp_width(form15_small, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fixture parsing and the constants report
+# the symmetric-square table and the constants report
+
+LEVELS = {CURVE_15A1: 15}  # the level of each curve in the table
 
 
-def test_fixture_file_parses_to_frozen_values(lfix):
+def test_sym2_table_keys_are_curves_at_their_levels():
+    assert set(SYM2_LVALUES) == set(LEVELS)
+    for curve in SYM2_LVALUES:
+        assert parse_curve(format_curve(curve)) == curve
+        assert CurveSpec(*curve, q=LEVELS[curve]).coefficients == curve
+
+
+def test_sym2_table_values_are_finite_with_positive_l1():
+    # L(Sym^2 f, 1) is a positive multiple of ||f||^2 (see sym2_l_from_petersson)
+    for l1, l1p in SYM2_LVALUES.values():
+        assert 0 < l1 < math.inf
+        assert math.isfinite(l1p)
+
+
+def test_sym2_lvalues_are_frozen(lfix):
     assert lfix == (L1_15A1, L1P_15A1)
 
 
-def test_fixture_rejects_missing_derivative(fixture_file):
-    fixture_file("# comment\ncurve 1,1,1,-10,-10\nL1 0.5\n")
-    with pytest.raises(ValueError, match="does not name its L1p"):
-        load_lvalue_fixture(CURVE_15A1)
-
-
-def test_fixture_rejects_missing_l1(fixture_file):
-    fixture_file("curve 1,1,1,-10,-10\nL1p 0.5\n")
-    with pytest.raises(ValueError, match="does not name its L1$"):
-        load_lvalue_fixture(CURVE_15A1)
-
-
-def test_fixture_rejects_unknown_keys(fixture_file):
-    fixture_file("curve 1,1,1,-10,-10\nL1 0.5\nL1p 0.1\nL2 0.7\n")
-    with pytest.raises(ValueError):
-        load_lvalue_fixture(CURVE_15A1)
-
-
 def test_default_fixture_ships_with_the_package():
-    assert os.path.dirname(theory.FIXTURE) == os.path.join(os.path.dirname(theory.__file__), "data")
-    assert load_lvalue_fixture(CURVE_15A1) == (L1_15A1, L1P_15A1)
+    # the L-values are code: the package is Python files only, all that a
+    # wheel built without package-data holds
+    package = os.path.dirname(theory.__file__)
+    assert all(name.endswith(".py") for name in os.listdir(package) if name != "__pycache__")
 
 
 def test_default_fixture_names_its_curve():
-    with pytest.raises(ValueError, match="not 0,-1,1,-2,2"):
-        load_lvalue_fixture((0, -1, 1, -2, 2))
-
-
-def test_fixture_without_curve_is_refused(fixture_file):
-    fixture_file("L1 0.5\nL1p 0.1\n")
-    with pytest.raises(ValueError, match="does not name its curve"):
-        load_lvalue_fixture(CURVE_15A1)
+    message = r"no L\(Sym\^2 f, 1\) for curve 0,-1,1,-2,2, only for 1,1,1,-10,-10$"
+    with pytest.raises(ValueError, match=message):
+        sym2_lvalues((0, -1, 1, -2, 2))
 
 
 def test_build_theory_report_round_trips(lfix):
