@@ -1,11 +1,11 @@
 """Newform data attached to a rational elliptic curve of squarefree conductor.
 
-Prime coefficients come from projective point counts (singular points
-included, so multiplicative primes give +-1 directly): by baby-step
-giant-step in the group of points above a crossover prime, by the Legendre
-character sum below it and at bad primes.  The full coefficient array comes
-from the Hecke recursions, and the analytic side provides certified series
-lengths, the antiderivative of the form, and the central L-value.  All but
+The model alone names the form: its level is its conductor, read off the
+discriminant.  Prime coefficients come from projective point counts, singular
+points included, so multiplicative primes give +-1 directly: by baby-step
+giant-step above a crossover prime, by the Legendre character sum below it and
+at bad primes.  The Hecke recursions extend them, and the analytic side gives
+certified series lengths, the antiderivative and the central L-value.  All but
 the series work in Python integers, so building coefficients loads no numpy.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactmath import divisors_squarefree, lazy_numpy, squarefree_factors
+from .exactmath import lazy_numpy, prime_powers, squarefree_factors
 
 np = lazy_numpy()
 
@@ -32,33 +32,35 @@ class CacheFormatError(ValueError):
 
 
 class ConductorError(ValueError):
-    """Curve data inconsistent with the declared level."""
+    """A model with no derivable squarefree conductor: additive, not minimal, or unfactored."""
 
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Integral Weierstrass model [a1, a2, a3, a4, a6] with declared level q.
-
-    The model is assumed minimal (user responsibility); validation is weak:
-    q must be squarefree, exceed 1, and divide the discriminant.
-    """
+    """Integral Weierstrass model [a1, a2, a3, a4, a6]; the model fixes the level q."""
 
     a1: int
     a2: int
     a3: int
     a4: int
     a6: int
-    q: int
 
-    def __post_init__(self):
-        if self.q <= 1:
-            raise ValueError("level must exceed 1")
-        squarefree_factors(self.q)
-        if self.discriminant % self.q != 0:
-            raise ValueError(
-                f"declared level {self.q} does not divide the discriminant "
-                f"{self.discriminant}"
-            )
+    @cached_property
+    def q(self) -> int:
+        """The conductor: the product of the primes of the discriminant, on a
+        minimal model with multiplicative reduction at each of them, which is
+        one where none divides c4 too (Silverman, AEC VII.5.1)."""
+        name = format_curve(self.coefficients)
+        try:
+            primes = prime_powers(abs(self.discriminant))
+        except ValueError as exc:  # a singular model or an unresolved cofactor
+            raise ConductorError(f"no conductor for curve {name}: {exc}") from None
+        shared = [p for p in primes if self.c4 % p == 0]
+        if shared:
+            raise ConductorError(f"curve {name} is not a minimal model of squarefree conductor: "
+                                 f"{shared[0]} divides its discriminant {self.discriminant} "
+                                 f"and c4 = {self.c4}")
+        return math.prod(primes)
 
     @property
     def coefficients(self) -> tuple[int, int, int, int, int]:
@@ -318,30 +320,15 @@ def check_n_max(q: int, n_max: int) -> None:
 
 
 def build_eigenform(curve: CurveSpec, n_max: int = 100000) -> Eigenform:
-    """Count points at every prime up to n_max and extend multiplicatively.
-
-    Rejects curves whose reduction type contradicts the declared squarefree
-    level: a_p must be +-1 at p | q (additive reduction or a unit-distance
-    miss both mean the conductor is not the declared q).
-    """
+    """Count points at every prime up to n_max and extend multiplicatively,
+    refusing a trace past the Hasse bound at a good prime."""
     check_n_max(curve.q, n_max)
     spf = _smallest_prime_factors(n_max)
     primes = [p for p in range(2, n_max + 1) if spf[p] == p]
-    traces: dict[int, int] = {}
-    for p in primes:
-        traces[p] = count_points(curve, p)
-    for p in squarefree_factors(curve.q):
-        if traces[p] not in (1, -1):
-            raise ConductorError(
-                f"conductor mismatch: a_{p} = {traces[p]} at p | q "
-                f"(expected +-1 for multiplicative reduction)"
-            )
+    traces = {p: count_points(curve, p) for p in primes}
     for p in primes:
         if curve.q % p != 0 and traces[p] ** 2 > 4 * p:
-            raise ConductorError(
-                f"conductor mismatch: |a_{p}| exceeds the Hasse bound at a "
-                f"prime not dividing the declared level"
-            )
+            raise ConductorError(f"|a_{p}| = {abs(traces[p])} exceeds the Hasse bound")
     coeffs = hecke_extend(traces, curve.q, spf)
     signs = {p: -traces[p] for p in squarefree_factors(curve.q)}
     return Eigenform(curve.q, coeffs, signs, curve)

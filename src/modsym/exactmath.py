@@ -17,23 +17,34 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+FACTOR_BOUND = 10**6  # the last trial divisor: a cofactor it cannot resolve is refused
+
+
+def prime_powers(n: int) -> dict[int, int]:
+    """{p: e}, p increasing, for each p^e exactly dividing n >= 1, by trial division
+    up to FACTOR_BOUND; raises if that leaves a cofactor above FACTOR_BOUND^2."""
+    if n < 1:
+        raise ValueError(f"positive integer required, got {n}")
+    powers: dict[int, int] = {}
+    m, p = n, 2
+    while p * p <= m:
+        if p > FACTOR_BOUND:
+            raise ValueError(f"{n} has a cofactor {m} with no prime factor up to {FACTOR_BOUND}")
+        while m % p == 0:
+            m //= p
+            powers[p] = powers.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if m > 1:
+        powers[m] = 1
+    return powers
+
+
 def squarefree_factors(q: int) -> list[int]:
     """Prime factors of q in increasing order; raises if q is not squarefree."""
-    if q < 1:
-        raise ValueError(f"positive integer required, got {q}")
-    factors = []
-    n = q
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            factors.append(p)
-            if n % p == 0:
-                raise ValueError(f"{q} is not squarefree")
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors.append(n)
-    return factors
+    powers = prime_powers(q)
+    if max(powers.values(), default=1) > 1:
+        raise ValueError(f"{q} is not squarefree")
+    return list(powers)
 
 
 def divisors_squarefree(q: int) -> list[int]:
@@ -148,6 +159,10 @@ def lazy_numpy():
     np = sys.modules.get("numpy")
     if np is None:
         spec = importlib.util.find_spec("numpy")
+        if spec is None:  # not installed: a bare module whose first attribute raises ImportError
+            np = type(sys)("numpy")
+            np.__getattr__ = lambda name: importlib.import_module("numpy")
+            return np
         spec.loader = importlib.util.LazyLoader(spec.loader)
         np = importlib.util.module_from_spec(spec)
         sys.modules["numpy"] = np

@@ -17,7 +17,7 @@ import importlib
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .eigenform import (
@@ -88,9 +88,9 @@ class GateFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig(ScanSpec):
-    """A ScanSpec plus the curve, the coefficient count, the sampling seed and paths."""
+    """A ScanSpec whose q is the curve's conductor, plus the coefficient count, seed and paths."""
 
-    q: int = 15
+    q: int = field(init=False)
     m_max: int = 10000
     curve: tuple[int, int, int, int, int] = (1, 1, 1, -10, -10)
     n_max: int = 100000
@@ -98,11 +98,12 @@ class RunConfig(ScanSpec):
     cache_dir: str = ".modsym-cache"
     out_dir: str = "."
 
-    def fingerprint(self) -> str:
-        """12-hex digest of the result-affecting fields.
+    def __post_init__(self):
+        object.__setattr__(self, "q", CurveSpec(*self.curve).q)
+        super().__post_init__()
 
-        The path fields (cache_dir, out_dir) are excluded.
-        """
+    def fingerprint(self) -> str:
+        """12-hex digest of the result-affecting fields, all but the paths cache_dir and out_dir."""
         # the label "15.a1", the moment depth 4, the Weyl modes and the table
         # tolerance are constants, hashed where they stood so no digest changes
         payload = repr(
@@ -156,7 +157,6 @@ def _parse_d(text: str) -> int | str:
 # Key -> (RunConfig field(s), converter, help).  Each key is the CLI flag
 # --<key with '-' for '_'>, whose argparse dest is the key.
 _CONFIG_KEYS = {
-    "q": ("q", int, "level (squarefree)"),
     "curve": ("curve", parse_curve, "a1,a2,a3,a4,a6"),
     "M": ("m_max", int, "max denominator"),
     "d": ("d_filter", _parse_d, "gcd class with q, or 'all'"),
@@ -183,8 +183,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if text is not None:
             updates.update(_convert(key, text))
     cfg = RunConfig(**updates)
-    # fail fast on anything the modules would reject later
-    CurveSpec(*cfg.curve, q=cfg.q)
     check_n_max(cfg.q, cfg.n_max)  # even where a warm table cache needs no coefficient
     return cfg
 
@@ -194,8 +192,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _form(cfg: RunConfig) -> Eigenform:
-    curve = CurveSpec(*cfg.curve, q=cfg.q)
-    return load_or_build_eigenform(curve, cfg.n_max, cfg.cache_dir)
+    return load_or_build_eigenform(CurveSpec(*cfg.curve), cfg.n_max, cfg.cache_dir)
 
 
 def _table_cache_path(cfg: RunConfig) -> str:
@@ -213,7 +210,7 @@ def _table(cfg: RunConfig, keep_coeffs: bool = False) -> PeriodTable:
     fresh = table is None
     if fresh:
         n_table = min(cfg.n_max, table_terms(cfg.q))
-        f = _form(cfg) if keep_coeffs else build_eigenform(CurveSpec(*cfg.curve, q=cfg.q), n_table)
+        f = _form(cfg) if keep_coeffs else build_eigenform(CurveSpec(*cfg.curve), n_table)
         table = build_period_table(f, TABLE_TOL)
     worst = max(table.residual_two, table.residual_three)
     if worst > 10.0 * TABLE_TOL:

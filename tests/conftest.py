@@ -22,13 +22,13 @@ Q = 15
 
 @pytest.fixture(scope="session")
 def form15():
-    return build_eigenform(CurveSpec(*CURVE_15A1, q=Q), n_max=100000)
+    return build_eigenform(CurveSpec(*CURVE_15A1), n_max=100000)
 
 
 @pytest.fixture(scope="session")
 def form15_small():
     """Short coefficient store for cache and refusal tests."""
-    return build_eigenform(CurveSpec(*CURVE_15A1, q=Q), n_max=3000)
+    return build_eigenform(CurveSpec(*CURVE_15A1), n_max=3000)
 
 
 @pytest.fixture(scope="session")

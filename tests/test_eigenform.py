@@ -8,6 +8,7 @@ antiderivative reference value comes from a 200-term mpmath evaluation at
 import hashlib
 import math
 import random
+import time
 from array import array
 
 import numpy as np
@@ -58,23 +59,42 @@ FIRST_COEFFS_15A1 = [1, -1, -1, -1, 1, 1, 0, 3, 1, -1, -4, 1]
 
 
 def test_curvespec_discriminant():
-    spec = CurveSpec(*CURVE_15A1, q=15)
+    spec = CurveSpec(*CURVE_15A1)
     assert spec.discriminant == 50625  # 3^4 * 5^4
 
 
+@pytest.mark.parametrize(
+    "curve,q",
+    [(CURVE_15A1, 15), ((0, -1, 1, -2, 2), 57), ((0, 1, 1, 20, -32), 57), ((1, 0, 1, -7, 5), 57)],
+    ids=["15a1", "57a1", "57b1", "57c1"],
+)
+def test_curvespec_derives_its_level(curve, q):
+    # the product of the primes of the discriminant: 3^4 5^4, -3^2 19, -3^10 19, 3^2 19^2
+    assert CurveSpec(*curve).q == q
+
+
 def test_curvespec_rejects_non_squarefree_level():
-    with pytest.raises(ValueError):
-        CurveSpec(*CURVE_15A1, q=9)
+    # y^2 = x^3 + x + 1 has conductor 2^4 * 31: additive at 2, where 2 | c4 = -48
+    with pytest.raises(ConductorError, match="2 divides its discriminant -496 and c4 = -48"):
+        CurveSpec(0, 0, 0, 1, 1).q
 
 
-def test_curvespec_rejects_level_not_dividing_discriminant():
-    with pytest.raises(ValueError):
-        CurveSpec(*CURVE_15A1, q=7)
+def test_curvespec_rejects_a_model_that_is_not_minimal():
+    # 15a1 scaled by u = 2: discriminant 2^12 * 50625, c4 = 2^4 * 481, so the
+    # primes of the discriminant would give 30, not 15
+    spec = CurveSpec(2, 4, 8, -160, -640)
+    assert (spec.discriminant, spec.c4) == (2 ** 12 * 50625, 16 * 481)
+    with pytest.raises(ConductorError, match="curve 2,4,8,-160,-640 is not a minimal model"):
+        spec.q
 
 
-def test_curvespec_rejects_level_one():
-    with pytest.raises(ValueError):
-        CurveSpec(0, 0, 0, 1, 1, q=1)
+def test_curvespec_refuses_a_discriminant_past_trial_division():
+    # y^2 + y = x^3 + 10034 x + 2 has the prime discriminant -64655022037643,
+    # above 10^12, so trial division to 10^6 leaves it unresolved
+    start = time.perf_counter()
+    with pytest.raises(ConductorError, match="no prime factor up to 1000000"):
+        CurveSpec(0, 0, 1, 10034, 2).q
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -83,20 +103,20 @@ def test_curvespec_rejects_level_one():
 
 @pytest.mark.parametrize("p,expected", sorted(TRACES_15A1.items()))
 def test_count_points_15a1_traces(p, expected):
-    assert count_points(CurveSpec(*CURVE_15A1, q=15), p) == expected
+    assert count_points(CurveSpec(*CURVE_15A1), p) == expected
 
 
 def test_count_points_independent_curve():
     # y^2 = x^3 + x + 1 over F_5: 8 affine points by direct enumeration,
     # so the trace is 5 + 1 - 9 = -3.
-    spec = CurveSpec(0, 0, 0, 1, 1, q=31)
+    spec = CurveSpec(0, 0, 0, 1, 1)
     assert count_points(spec, 5) == -3
 
 
 def test_count_points_enumeration_matches_character_sum():
     # p = 2, 3 use brute-force enumeration, p > 3 the character sum; check
     # the two styles agree through an independent brute force at p = 7, 11.
-    spec = CurveSpec(*CURVE_15A1, q=15)
+    spec = CurveSpec(*CURVE_15A1)
     for p in (7, 11):
         n_affine = 0
         for x in range(p):
@@ -122,7 +142,8 @@ def _one_expression_sum(spec, p):
 
 @pytest.mark.parametrize("curve,q", [(CURVE_15A1, 15), ((0, -1, 1, -2, 2), 57)])
 def test_count_points_matches_the_one_expression_sum(curve, q):
-    spec = CurveSpec(*curve, q=q)
+    spec = CurveSpec(*curve)
+    assert spec.q == q
     for p in [5, 7, 11, 13, 997, 8191, 19997, 99991]:
         want = _one_expression_sum(spec, p)
         assert count_points(spec, p) == want
@@ -144,7 +165,8 @@ def _c4_c6(a1, a2, a3, a4, a6):
 def test_count_points_matches_the_character_sum_to_2e4(curve, q):
     # 15a1, 57a1 and 57b1 at every prime up to 2e4, on both sides of the
     # crossover, bad primes included
-    spec = CurveSpec(*curve, q=q)
+    spec = CurveSpec(*curve)
+    assert spec.q == q
     for p in range(5, 20001):
         if _is_prime(p):
             assert count_points(spec, p) == _one_expression_sum(spec, p), p
@@ -159,10 +181,9 @@ def test_bsgs_matches_the_character_sum(a, start):
     c4, c6 = _c4_c6(*a)
     disc = (c4 ** 3 - c6 ** 2) // 1728
     assume(disc != 0)
-    q = next((d for d in range(2, math.isqrt(abs(disc)) + 1) if disc % d == 0), abs(disc))
     p = next(n for n in range(start, 2 * start) if _is_prime(n) and 6 * disc % n)
     assume(p <= 200000)
-    spec = CurveSpec(*a, q=q)
+    spec = CurveSpec(*a)
     trace = _bsgs_trace(spec, p)
     assert trace == _one_expression_sum(spec, p)
     assert trace * trace <= 4 * p
@@ -172,7 +193,7 @@ def test_bsgs_reads_a_p_off_the_twist(monkeypatch):
     # the first sample x = 0 has d = f(0) = B, a non-residue mod 1009, so its
     # point lies on the quadratic twist, whose order is p + 1 + a_p; that
     # one sample alone must give a_p
-    spec = CurveSpec(*CURVE_15A1, q=15)
+    spec = CurveSpec(*CURVE_15A1)
     p = 1009
     b = -54 * _c4_c6(*CURVE_15A1)[1] % p
     assert pow(b, (p - 1) // 2, p) == p - 1
@@ -183,7 +204,7 @@ def test_bsgs_reads_a_p_off_the_twist(monkeypatch):
 def test_count_points_falls_back_on_the_character_sum(monkeypatch):
     # y^2 = x^3 - x at p = 17957: its first eight samples all leave more
     # than one candidate for a_p, the ninth pins it
-    spec = CurveSpec(0, 0, 0, -1, 0, q=2)
+    spec = CurveSpec(0, 0, 0, -1, 0)
     p = 17957
     assert _bsgs_trace(spec, p) == -2
     sums = []
@@ -223,7 +244,7 @@ def test_orders_in_matches_the_order_of_every_point():
 
 def test_count_points_rejects_bad_p():
     with pytest.raises(ValueError):
-        count_points(CurveSpec(*CURVE_15A1, q=15), 1)
+        count_points(CurveSpec(*CURVE_15A1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +284,7 @@ def test_hecke_extend_bad_prime_powers(form15):
 
 
 def test_hasse_bound(form15):
-    spec = CurveSpec(*CURVE_15A1, q=15)
+    spec = CurveSpec(*CURVE_15A1)
     for p in (17, 19, 101, 997):
         t = count_points(spec, p)
         assert t * t <= 4 * p
@@ -271,10 +292,13 @@ def test_hasse_bound(form15):
 
 
 def test_build_eigenform_conductor_mismatch():
-    # y^2 = x^3 - x has additive reduction at 2 (trace 0), so declaring
-    # level 2 must be refused.
-    with pytest.raises(ConductorError):
-        build_eigenform(CurveSpec(0, 0, 0, -1, 0, q=2), n_max=50)
+    # y^2 = x^3 - x has additive reduction at 2 (trace 0): 2 divides both its
+    # discriminant 64 and c4 = 48, so it has no level to build at
+    spec = CurveSpec(0, 0, 0, -1, 0)
+    assert (spec.discriminant, spec.c4, count_points(spec, 2)) == (64, 48, 0)
+    for derive in (lambda: spec.q, lambda: build_eigenform(spec, n_max=50)):
+        with pytest.raises(ConductorError, match="2 divides its discriminant 64 and c4 = 48"):
+            derive()
 
 
 def test_al_sign_multiplicative(form15):
@@ -424,14 +448,14 @@ def test_coeffs_cache_round_trip(tmp_path, form15_small):
 def test_coeffs_cache_bytes_are_pinned(tmp_path, curve, q, n_max, digest):
     # sha256 of the files written when counting and the recursions ran in
     # numpy; both reach past the crossover into baby-step giant-step
-    load_or_build_eigenform(CurveSpec(*curve, q=q), n_max, str(tmp_path))
+    load_or_build_eigenform(CurveSpec(*curve), n_max, str(tmp_path))
     path = eigenform.coeffs_cache_path(str(tmp_path), q, n_max)
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 def test_coefficients_have_one_type_built_or_read(tmp_path):
-    spec = CurveSpec(*CURVE_15A1, q=15)
+    spec = CurveSpec(*CURVE_15A1)
     built = load_or_build_eigenform(spec, 300, str(tmp_path))
     read = load_or_build_eigenform(spec, 300, str(tmp_path))
     for f in (built, read):
@@ -451,7 +475,7 @@ def test_coeffs_cache_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a cache header\n1 1\n")
     with pytest.raises(CacheFormatError):
-        read_coeffs_cache(str(path), CurveSpec(*CURVE_15A1, q=15), 1)
+        read_coeffs_cache(str(path), CurveSpec(*CURVE_15A1), 1)
 
 
 def test_coeffs_cache_rejects_truncated_body(tmp_path, form15_small):
@@ -464,7 +488,7 @@ def test_coeffs_cache_rejects_truncated_body(tmp_path, form15_small):
 
 
 def test_load_or_build_rebuilds_corrupt_cache(tmp_path, caplog):
-    spec = CurveSpec(*CURVE_15A1, q=15)
+    spec = CurveSpec(*CURVE_15A1)
     cache_dir = tmp_path / "cache"
     f1 = load_or_build_eigenform(spec, 50, str(cache_dir))
     cache_file = cache_dir / "coeffs-q15-N50.txt"
@@ -477,7 +501,7 @@ def test_load_or_build_rebuilds_corrupt_cache(tmp_path, caplog):
 
 
 def test_load_or_build_uses_cache(tmp_path):
-    spec = CurveSpec(*CURVE_15A1, q=15)
+    spec = CurveSpec(*CURVE_15A1)
     cache_dir = tmp_path / "cache"
     f1 = load_or_build_eigenform(spec, 60, str(cache_dir))
     f2 = load_or_build_eigenform(spec, 60, str(cache_dir))
@@ -488,7 +512,7 @@ def test_load_or_build_uses_cache(tmp_path):
 def test_n_max_below_a_level_prime_is_refused(tmp_path):
     # a(5) gives the involution sign of 15a1 at 5; a hand-made cache of
     # a(1..3) reads cleanly, so the refusal has to come before the read
-    spec = CurveSpec(*CURVE_15A1, q=15)
+    spec = CurveSpec(*CURVE_15A1)
     path = eigenform.coeffs_cache_path(str(tmp_path), 15, 3)
     identity = eigenform._coeffs_identity(spec, 3)
     eigenform.write_cache(path, eigenform._COEFFS_MAGIC, identity, ["1 1", "2 -1", "3 -1"])
@@ -502,7 +526,7 @@ def test_n_max_below_a_level_prime_is_refused(tmp_path):
 def test_coeffs_cache_rejects_another_identity(tmp_path, form15_small):
     path = tmp_path / "coeffs.txt"
     write_coeffs_cache(str(path), form15_small)
-    other = CurveSpec(0, -1, 1, -10, -20, q=11)  # 11a1
+    other = CurveSpec(0, -1, 1, -10, -20)  # 11a1
     for curve, n_max in [(form15_small.curve, 2999), (other, form15_small.n_max)]:
         with pytest.raises(CacheFormatError):
             read_coeffs_cache(str(path), curve, n_max)
@@ -510,7 +534,7 @@ def test_coeffs_cache_rejects_another_identity(tmp_path, form15_small):
 
 def test_duplicated_coefficient_line_is_rebuilt(tmp_path, caplog):
     # the entry count still matches the header, so only an index check sees it
-    spec = CurveSpec(*CURVE_15A1, q=15)
+    spec = CurveSpec(*CURVE_15A1)
     cache_dir = tmp_path / "cache"
     load_or_build_eigenform(spec, 60, str(cache_dir))
     cache_file = cache_dir / "coeffs-q15-N60.txt"
@@ -532,7 +556,7 @@ def test_edited_prime_coefficient_is_rebuilt(tmp_path, caplog):
     # not dividing the level sees the edit
     assert eigenform._spot_check_primes(15, 3000) == [2999, 2971, 2969]
     assert eigenform._spot_check_primes(57, 20) == [17, 13, 11]
-    spec = CurveSpec(*CURVE_15A1, q=15)
+    spec = CurveSpec(*CURVE_15A1)
     cache_dir = tmp_path / "cache"
     load_or_build_eigenform(spec, 3000, str(cache_dir))
     cache_file = cache_dir / "coeffs-q15-N3000.txt"

@@ -16,8 +16,10 @@ from modsym.exactmath import (
     _crt_least_abs,
     atkin_lehner_matrix,
     cf_decompose,
+    FACTOR_BOUND,
     divisors_squarefree,
     p1_table,
+    prime_powers,
     squarefree_factors,
 )
 
@@ -43,6 +45,25 @@ def test_squarefree_factors_rejects_square_divisors(bad):
 def test_squarefree_factors_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         squarefree_factors(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**9))
+def test_prime_powers_multiply_back_to_n(n):
+    powers = prime_powers(n)
+    assert list(powers) == sorted(powers)
+    assert all(p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1)) for p in powers)
+    assert math.prod(p ** e for p, e in powers.items()) == n
+
+
+def test_prime_powers_refuses_a_cofactor_past_the_bound():
+    # the least primes past 10^6, 1000003 and 1000033: their product is above
+    # FACTOR_BOUND^2 with no prime factor up to FACTOR_BOUND, but 1000003 alone
+    # is below FACTOR_BOUND^2, so trial division resolves it as a prime
+    assert FACTOR_BOUND == 10**6
+    assert prime_powers(2 * 1000003) == {2: 1, 1000003: 1}
+    with pytest.raises(ValueError, match="cofactor 1000036000099 with no prime factor"):
+        prime_powers(2 * 1000003 * 1000033)
 
 
 def test_divisors_match_brute_force():

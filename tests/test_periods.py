@@ -142,7 +142,7 @@ def _form_value(f, z, tol):
 @pytest.fixture(scope="module")
 def form57_slash():
     """57a1 with enough coefficients for f(g(w)) at every class of level 57."""
-    return build_eigenform(CurveSpec(0, -1, 1, -2, 2, q=57), n_max=20000)
+    return build_eigenform(CurveSpec(0, -1, 1, -2, 2), n_max=20000)
 
 
 def test_cusp_shift_slash_identity_every_class(form15, form57_slash):
@@ -181,7 +181,7 @@ def test_period_table_shape_and_relations(table15):
 @pytest.mark.parametrize("curve,q,n_terms", [((1, 1, 1, -10, -10), 15, 84), ((0, -1, 1, -2, 2), 57, 343)])
 def test_table_terms_is_the_length_the_build_certifies(curve, q, n_terms):
     assert table_terms(q) == n_terms
-    spec = CurveSpec(*curve, q=q)
+    spec = CurveSpec(*curve)
     build_period_table(build_eigenform(spec, n_terms))
     with pytest.raises(TruncationError, match=f"needs {n_terms} coefficients"):
         build_period_table(build_eigenform(spec, n_terms - 1))
@@ -331,7 +331,7 @@ def test_direct_oracle_refuses_short_store(form15_small):
 def test_table_build_refuses_short_store():
     # the table's lowest point is at height 1/15, where tol/4 = 2.5e-13
     # needs 84 coefficients; higher points never need more
-    f50 = build_eigenform(CurveSpec(1, 1, 1, -10, -10, q=15), n_max=50)
+    f50 = build_eigenform(CurveSpec(1, 1, 1, -10, -10), n_max=50)
     with pytest.raises(TruncationError, match="needs 84 coefficients but only 50"):
         build_period_table(f50, tol=1e-12)
     assert certified_terms(f50, 1.0, 1e-10) <= certified_terms(f50, 0.5, 1e-10)
@@ -564,7 +564,7 @@ _CURVES_57 = {
 @pytest.fixture(scope="module")
 def tables57():
     return {
-        label: build_period_table(build_eigenform(CurveSpec(*curve, q=57), n_max=500))
+        label: build_period_table(build_eigenform(CurveSpec(*curve), n_max=500))
         for label, (curve, _) in _CURVES_57.items()
     }
 

@@ -73,11 +73,12 @@ def test_config_keys_and_flags_correspond_one_to_one():
 
 def test_flags_and_file_values_share_converters():
     # each flag's text goes through the converter of its key in the table
-    argv = ["scan", "--curve", "0,-1,1,-2,2", "--q", "57", "--d", "3", "--interval", "1/10:7/20"]
+    argv = ["scan", "--curve", "0,-1,1,-2,2", "--d", "3", "--interval", "1/10:7/20"]
     cfg = resolve_config(build_parser().parse_args(argv))
     assert cfg == RunConfig(
-        q=57, curve=(0, -1, 1, -2, 2), d_filter=3, x0=Fraction(1, 10), x1=Fraction(7, 20)
+        curve=(0, -1, 1, -2, 2), d_filter=3, x0=Fraction(1, 10), x1=Fraction(7, 20)
     )
+    assert cfg.q == 57
 
 
 def test_removed_knobs_are_rejected(capsys):
@@ -92,6 +93,8 @@ def test_removed_knobs_are_rejected(capsys):
         ["symbol", "2", "5", "--paper-sign"],
         ["fit", "--M", "10", "--fixture", "x"],
         ["dist", "--M", "10", "--d", "1", "--c-min", "5"],
+        ["table", "--q", "15"],
+        ["theory", "--q", "5"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -103,6 +106,20 @@ def test_removed_knobs_are_rejected(capsys):
 def test_run_config_validates_at_construction(change):
     with pytest.raises(ValueError):
         RunConfig(**change)
+
+
+def test_run_config_takes_its_level_from_the_curve():
+    cfg = RunConfig(curve=(0, -1, 1, -2, 2))
+    assert cfg.q == 57
+    assert replace(cfg, m_max=5).q == 57
+    assert replace(cfg, curve=(1, 1, 1, -10, -10)).q == 15
+    with pytest.raises(TypeError):
+        RunConfig(q=15)
+    with pytest.raises(ValueError):
+        replace(cfg, q=15)
+    # ScanSpec's own check runs on the derived level
+    with pytest.raises(ValueError, match="not a positive divisor of 57"):
+        RunConfig(curve=(0, -1, 1, -2, 2), d_filter=5)
 
 
 def test_interval_parse_requires_colon():
@@ -159,8 +176,7 @@ def test_fingerprint_tracks_result_fields():
     base = RunConfig()
     fp = base.fingerprint()
     changes = (
-        {"q": 21},
-        {"curve": (0, 0, 0, 1, 1)},
+        {"curve": (0, -1, 1, -2, 2)},  # 57a1, which moves q to 57 with it
         {"m_max": 5},
         {"d_filter": 1},
         {"x0": Fraction(1, 10)},
@@ -171,7 +187,8 @@ def test_fingerprint_tracks_result_fields():
     for change in changes:
         assert replace(base, **change).fingerprint() != fp
     # every field is hashed or is a path: a new field must be one or the other
-    hashed = {name for change in changes for name in change}
+    assert replace(base, **changes[0]).q == 57
+    hashed = {name for change in changes for name in change} | {"q"}
     assert hashed | {"cache_dir", "out_dir"} == {f.name for f in dataclasses.fields(RunConfig)}
 
 
@@ -231,7 +248,7 @@ def test_symbol_command_rejects_bad_denominator(cli):
 
 def test_validation_exit_codes(cli):
     run, _, _ = cli
-    assert run("table", "--q", "9") == EXIT_VALIDATION  # level not squarefree
+    assert run("table", "--curve", "0,0,0,1,1") == EXIT_VALIDATION  # conductor 2^4 * 31
     assert run("scan", "--M", "40", "--interval", "0.5:0.2") == EXIT_VALIDATION
 
 
@@ -259,7 +276,11 @@ def test_bad_input_exits_2_with_an_error_line(cli, capsys, argv):
     "argv, named",
     [
         (("coeffs", "--n-max", "3"), ("n_max 3", "prime 5")),
-        (("table", "--curve", "0,-1,1,-2,2", "--q", "57", "--n-max", "10"), ("n_max 10", "prime 19")),
+        (("table", "--curve", "0,-1,1,-2,2", "--n-max", "10"), ("n_max 10", "prime 19")),
+        # y^2 = x^3 - x: additive at 2, where 2 divides both the discriminant and c4
+        (("coeffs", "--curve", "0,0,0,-1,0"), ("curve 0,0,0,-1,0", "discriminant 64", "c4 = 48")),
+        # 15a1 scaled by u = 2, a model that is not minimal at 2
+        (("coeffs", "--curve", "2,4,8,-160,-640"), ("not a minimal model", "c4 = 7696")),
     ],
 )
 def test_bad_input_is_refused_before_any_cache_is_built(tmp_path, capsys, argv, named):
@@ -413,7 +434,7 @@ def test_cold_symbol_below_the_tables_length_is_refused(tmp_path, capsys):
 
 
 def _symbol_line(capsys, cache_dir, curve):
-    argv = ["symbol", "1", "7", "--q", "57", "--curve", curve]
+    argv = ["symbol", "1", "7", "--curve", curve]
     assert main(argv + ["--n-max", "500", "--cache-dir", str(cache_dir)]) == EXIT_OK
     out = capsys.readouterr().out
     return next(line for line in out.splitlines() if line.startswith("m_plus"))
@@ -425,11 +446,11 @@ def test_caches_are_not_shared_between_curves(tmp_path, capsys, caplog):
 
     # `table` writes both caches of 57a1; a cold symbol writes no coefficients
     shared = tmp_path / "shared"
-    argv = ["table", "--q", "57", "--curve", "0,-1,1,-2,2", "--n-max", "500"]
+    argv = ["table", "--curve", "0,-1,1,-2,2", "--n-max", "500"]
     assert main(argv + ["--cache-dir", str(shared)]) == EXIT_OK
     with caplog.at_level(logging.WARNING, logger="modsym"):
         reused = _symbol_line(capsys, shared, "0,1,1,20,-32")
-        f = load_or_build_eigenform(CurveSpec(0, 1, 1, 20, -32, q=57), 500, str(shared))
+        f = load_or_build_eigenform(CurveSpec(0, 1, 1, 20, -32), 500, str(shared))
     assert caplog.text.count("rebuilding") == 2  # table and coefficients
     fresh = _symbol_line(capsys, tmp_path / "fresh", "0,1,1,20,-32")
     assert reused == fresh
@@ -569,7 +590,7 @@ _LVALUE_COMMANDS = [["theory"], ["fit"], ["dist", "--d", "3"], ["verify"]]
 def test_fixture_for_another_curve_is_refused(command, tmp_path, capsys):
     # 57a1 has no symmetric-square L-values in theory's table: refused before anything is built
     cache = tmp_path / "cache"
-    argv = [*command, "--q", "57", "--curve", "0,-1,1,-2,2", "--M", "50"]
+    argv = [*command, "--curve", "0,-1,1,-2,2", "--M", "50"]
     argv += ["--n-max", "500", "--cache-dir", str(cache), "--out-dir", str(tmp_path)]
     assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -690,6 +711,35 @@ def test_table_commands_run_without_loading_numpy(command, cache_state, cli, tmp
     *lines, last = _fresh_interpreter(probe, *argv)
     assert last == "0 [] [] []"
     assert lines == expect.splitlines()
+
+
+@pytest.mark.parametrize(
+    "command", [["symbol", "2", "5"], ["table"], ["coeffs"]], ids=["symbol", "table", "coeffs"]
+)
+def test_table_commands_run_with_numpy_missing(command, tmp_path, capsys):
+    # None in sys.modules blocks the import, as an interpreter without numpy
+    # would: a cold run and the warm one after it print and write what they do
+    # with numpy, and only a use of numpy raises, naming it
+    cache = tmp_path / "cache"
+    argv = [*command, "--n-max", "2000", "--cache-dir", str(cache), "--out-dir", str(tmp_path)]
+    probe = "\n".join([
+        "import sys",
+        "sys.modules['numpy'] = None",
+        "from modsym import eigenform",
+        "from modsym.shell import main",
+        "codes = [main(sys.argv[1:]) for run in ('cold', 'warm')]",
+        "try:",
+        "    eigenform.np.zeros",
+        "except ModuleNotFoundError as exc:",
+        "    print(codes, 'numpy' in str(exc))",
+    ])
+    *lines, last = _fresh_interpreter(probe, *argv)
+    assert last == "[0, 0] True"
+    written = {p.name: p.read_bytes() for p in cache.iterdir()}
+    shutil.rmtree(cache)
+    assert [main(argv) for run in ("cold", "warm")] == [EXIT_OK, EXIT_OK]
+    assert lines == capsys.readouterr().out.splitlines()
+    assert written == {p.name: p.read_bytes() for p in cache.iterdir()}
 
 
 def test_shell_binds_the_scan_and_theory_layers_on_lookup():

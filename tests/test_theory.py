@@ -255,7 +255,7 @@ def test_petersson_stops_doubling_at_its_cap(form15_small, leggauss_orders, monk
 
 
 def test_petersson_quadrature_on_conductor_57():
-    f = build_eigenform(CurveSpec(0, -1, 1, -2, 2, q=57), n_max=3000)
+    f = build_eigenform(CurveSpec(0, -1, 1, -2, 2), n_max=3000)
     got = petersson_quadrature(f, tol=1e-5)
     assert got.truncated == 0
     assert got.mesh_error <= 1e-5
@@ -266,7 +266,7 @@ def test_petersson_quadrature_on_conductor_57():
 @pytest.fixture(scope="module")
 def form57_short():
     """57a1 with too few coefficients to certify every column of the quadrature."""
-    return build_eigenform(CurveSpec(0, -1, 1, -2, 2, q=57), n_max=100)
+    return build_eigenform(CurveSpec(0, -1, 1, -2, 2), n_max=100)
 
 
 def _per_class_quadrature(f, tol, orders):
@@ -370,7 +370,7 @@ def test_sym2_table_keys_are_curves_at_their_levels():
     assert set(SYM2_LVALUES) == set(LEVELS)
     for curve in SYM2_LVALUES:
         assert parse_curve(format_curve(curve)) == curve
-        assert CurveSpec(*curve, q=LEVELS[curve]).coefficients == curve
+        assert CurveSpec(*curve).q == LEVELS[curve]
 
 
 def test_sym2_table_values_are_finite_with_positive_l1():
