@@ -50,7 +50,7 @@ class CurveSpec:
         """The conductor: the product of the primes of the discriminant, on a
         minimal model with multiplicative reduction at each of them, which is
         one where none divides c4 too (Silverman, AEC VII.5.1)."""
-        name = format_curve(self.coefficients)
+        name = format_curve(self)
         try:
             primes = prime_powers(abs(self.discriminant))
         except ValueError as exc:  # a singular model or an unresolved cofactor
@@ -289,13 +289,17 @@ def hecke_extend(a_p: dict[int, int], q: int, spf: list[int]) -> array:
 
 @dataclass
 class Eigenform:
-    """Coefficients a(0..n_max), one int64 array.array whether built or read
-    (numpy views it through np.asarray), plus the prime Atkin-Lehner signs."""
+    """The newform of one curve: its coefficients a(0..n_max), one int64
+    array.array whether built or read (numpy views it through np.asarray).
+    The curve is its only identity: the level is curve.q, and the
+    Atkin-Lehner signs are read off the coefficients (al_sign)."""
 
-    q: int
+    curve: CurveSpec
     coeffs: array
-    al_signs: dict[int, int]
-    curve: CurveSpec | None = None
+
+    @property
+    def q(self) -> int:
+        return self.curve.q
 
     @property
     def n_max(self) -> int:
@@ -303,13 +307,11 @@ class Eigenform:
 
 
 def al_sign(f: Eigenform, v: int) -> int:
-    """Atkin-Lehner eigenvalue for the divisor v of the level (multiplicative)."""
+    """Atkin-Lehner eigenvalue for the divisor v of the level: the product of
+    -a(p) over the primes p | v, where reduction is multiplicative."""
     if v < 1 or f.q % v != 0:
         raise ValueError(f"{v} does not divide the level {f.q}")
-    e = 1
-    for p in squarefree_factors(v):
-        e *= f.al_signs[p]
-    return e
+    return math.prod(-int(f.coeffs[p]) for p in squarefree_factors(v))
 
 
 def check_n_max(q: int, n_max: int) -> None:
@@ -329,9 +331,7 @@ def build_eigenform(curve: CurveSpec, n_max: int = 100000) -> Eigenform:
     for p in primes:
         if curve.q % p != 0 and traces[p] ** 2 > 4 * p:
             raise ConductorError(f"|a_{p}| = {abs(traces[p])} exceeds the Hasse bound")
-    coeffs = hecke_extend(traces, curve.q, spf)
-    signs = {p: -traces[p] for p in squarefree_factors(curve.q)}
-    return Eigenform(curve.q, coeffs, signs, curve)
+    return Eigenform(curve, hecke_extend(traces, curve.q, spf))
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +423,19 @@ def lfun1(f: Eigenform, tol: float = 1e-12) -> float:
 _COEFFS_MAGIC = "modsym-coeffs v2"
 
 
-def coeffs_cache_path(cache_dir: str, q: int, n_max: int) -> str:
-    return os.path.join(cache_dir, f"coeffs-q{q}-N{n_max}.txt")
+def coeffs_cache_path(cache_dir: str, curve: CurveSpec, n_max: int) -> str:
+    return os.path.join(cache_dir, f"coeffs-q{curve.q}-N{n_max}.txt")
 
 
-def format_curve(coefficients) -> str:
-    return ",".join(str(a) for a in coefficients)
+def format_curve(curve: CurveSpec) -> str:
+    return ",".join(str(a) for a in curve.coefficients)
 
 
-def parse_curve(text: str) -> tuple[int, int, int, int, int]:
-    parts = tuple(int(p) for p in text.split(","))
+def parse_curve(text: str) -> CurveSpec:
+    parts = [int(p) for p in text.split(",")]
     if len(parts) != 5:
         raise ValueError("curve needs exactly five comma-separated integers")
-    return parts
+    return CurveSpec(*parts)
 
 
 def _header(magic: str, fields: dict) -> str:
@@ -489,7 +489,7 @@ def read_usable(path: str, what: str, read, *identity):
 
 
 def _coeffs_identity(curve: CurveSpec, n_max: int) -> dict:
-    return {"q": curve.q, "N": n_max, "curve": format_curve(curve.coefficients)}
+    return {"q": curve.q, "N": n_max, "curve": format_curve(curve)}
 
 
 def write_coeffs_cache(path: str, f: Eigenform) -> None:
@@ -538,11 +538,10 @@ def load_or_build_eigenform(curve: CurveSpec, n_max: int, cache_dir: str) -> Eig
     rebuilt with a warning."""
     check_n_max(curve.q, n_max)
     os.makedirs(cache_dir, exist_ok=True)
-    path = coeffs_cache_path(cache_dir, curve.q, n_max)
+    path = coeffs_cache_path(cache_dir, curve, n_max)
     coeffs = read_usable(path, "coefficient", read_coeffs_cache, curve, n_max)
     if coeffs is not None:
-        signs = {p: -int(coeffs[p]) for p in squarefree_factors(curve.q)}
-        return Eigenform(curve.q, coeffs, signs, curve)
+        return Eigenform(curve, coeffs)
     f = build_eigenform(curve, n_max)
     write_coeffs_cache(path, f)
     return f

@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .eigenform import (
     CacheFormatError,
+    CurveSpec,
     Eigenform,
     al_sign,
     antiderivative_batch,
@@ -72,10 +74,10 @@ class ExpansionShift:
         return (1j + self.m) / self.v
 
 
-def cusp_shift(c: int, d: int, q: int, f: Eigenform) -> ExpansionShift:
+def cusp_shift(c: int, d: int, f: Eigenform) -> ExpansionShift:
     """The expansion data of f|h for any unimodular h with bottom row (c, d).
 
-    With g = gcd(c, q) and v = q/g, m = d * c^-1 mod v (0 when v = 1):
+    With q = f.q, g = gcd(c, q) and v = q/g, m = d * c^-1 mod v (0 when v = 1):
     q is squarefree, so no prime of v divides c, and c is a unit mod v.
 
     Proof, for h = (a, b; c, d) and K = (v, -m; 0, 1).  h K =
@@ -86,35 +88,47 @@ def cusp_shift(c: int, d: int, q: int, f: Eigenform) -> ExpansionShift:
     e_v * (1/v) * f((w + m)/v).  Only d mod v enters, so every lift of a
     P^1(Z/q) class gives the same data.
     """
-    v = q // math.gcd(c, q)
+    v = f.q // math.gcd(c, f.q)
     m = d * pow(c, -1, v) % v
     return ExpansionShift(al_sign(f, v), m, v)
 
 
 @dataclass
 class PeriodTable:
-    """One period value per P^1(Z/q) class, certified to tol; plain tuples.
-
-    values[k] is the complex integral of f dz along the unimodular path
-    g(0) -> g(infinity) for any lift g of class k; it is a class
-    function because f dz is level-q invariant.  residual_two/three record
-    the worst two-term and three-term relation defects measured at build;
-    curve is the Weierstrass model of the form the table was built from.
-    lattice[k] is the int n_k in [-127, 127] with 2 pi Re values[k] ~
-    n_k * quantum, and lattice_residual the worst deviation
+    """One period value per P^1(Z/q) class, q the curve's level, certified to
+    tol; plain tuples.  Built or read, the table is (curve, tol, values), and
+    construction derives the rest.  values[k] is the complex integral of f dz
+    along the unimodular path g(0) -> g(infinity) for any lift g of class k;
+    it is a class function because f dz is level-q invariant.
+    residual_two/three are the worst two-term and three-term relation defects
+    of the values.  lattice[k] is the int n_k in [-127, 127] with
+    2 pi Re values[k] ~ n_k * quantum, and lattice_residual the worst deviation
     |2 pi Re W_k - n_k quantum|; the range refuses a spurious tiny quantum.
     """
 
-    q: int
+    curve: CurveSpec
     tol: float
-    classes: P1Table
     values: tuple[complex, ...]
-    residual_two: float
-    residual_three: float
-    curve: tuple[int, int, int, int, int] | None
-    quantum: float
-    lattice: tuple[int, ...]
-    lattice_residual: float
+    classes: P1Table = field(init=False)
+    residual_two: float = field(init=False)
+    residual_three: float = field(init=False)
+    quantum: float = field(init=False)
+    lattice: tuple[int, ...] = field(init=False)
+    lattice_residual: float = field(init=False)
+
+    def __post_init__(self):
+        self.classes = p1_table(self.q)
+        if len(self.values) != len(self.classes):
+            raise ValueError(f"{len(self.values)} period values for the {len(self.classes)} "
+                             f"classes of P^1(Z/{self.q})")
+        self.residual_two, self.residual_three = _relation_residuals(self.classes, self.values)
+        self.quantum, self.lattice, self.lattice_residual = certify_lattice(
+            [2.0 * math.pi * w.real for w in self.values], lattice_bound(self.tol)
+        )
+
+    @property
+    def q(self) -> int:
+        return self.curve.q
 
 
 def _relation_residuals(classes: P1Table, values: tuple[complex, ...]) -> tuple[float, float]:
@@ -164,17 +178,6 @@ def certify_lattice(weights, bound: float) -> tuple[float, tuple[int, ...], floa
     return next((fit for fit in fits if fit[2] <= bound), fits[0])
 
 
-def _table_from_values(
-    q: int, tol: float, classes: P1Table, values: tuple[complex, ...],
-    curve: tuple[int, int, int, int, int] | None,
-) -> PeriodTable:
-    r2, r3 = _relation_residuals(classes, values)
-    quantum, lattice, residual = certify_lattice(
-        [2.0 * math.pi * w.real for w in values], lattice_bound(tol)
-    )
-    return PeriodTable(q, tol, classes, values, r2, r3, curve, quantum, lattice, residual)
-
-
 def table_terms(q: int, tol: float = TABLE_TOL) -> int:
     """build_period_table's certified length: its lowest height is 1/q, at (1:0)."""
     return terms_needed(1.0 / q, tol / 4.0)
@@ -189,10 +192,8 @@ def build_period_table(f: Eigenform, tol: float = TABLE_TOL) -> PeriodTable:
     (gate 2*tol) and the three-term below 1.5*tol (gate 3*tol).  F is
     summed term by term in Python, not by antiderivative_batch.
     """
-    q = f.q
-    classes = p1_table(q)
     # a lift g of the class (c : d) has bottom row (c, d), and g S has (d, -c)
-    shifts = [(cusp_shift(c, d, q, f), cusp_shift(d, -c, q, f)) for c, d in classes.reps]
+    shifts = [(cusp_shift(c, d, f), cusp_shift(d, -c, f)) for c, d in p1_table(f.q).reps]
     n_terms = certified_terms(f, min(sh.arg.imag for pair in shifts for sh in pair), tol / 4.0)
     coef = [a / (2j * math.pi * n) for n, a in enumerate(f.coeffs[1 : n_terms + 1].tolist(), 1)]
 
@@ -206,8 +207,7 @@ def build_period_table(f: Eigenform, tol: float = TABLE_TOL) -> PeriodTable:
         -sh_g.e * antiderivative(sh_g.arg) + sh_gs.e * antiderivative(sh_gs.arg)
         for sh_g, sh_gs in shifts
     )
-    curve = f.curve.coefficients if f.curve is not None else None
-    return _table_from_values(q, tol, classes, values, curve)
+    return PeriodTable(f.curve, tol, values)
 
 
 def _path_classes(r: Fraction, table: PeriodTable) -> list[int]:
@@ -331,8 +331,12 @@ def direct_symbol_oracle(r: Fraction, f: Eigenform) -> complex:
 _TABLE_MAGIC = "modsym-table v2"
 
 
-def _table_identity(q: int, tol: float, curve) -> dict:
-    return {"q": q, "tol": f"{tol:.17g}", "curve": format_curve(curve)}
+def table_cache_path(cache_dir: str, curve: CurveSpec) -> str:
+    return os.path.join(cache_dir, f"table-q{curve.q}-tol{TABLE_TOL!r}.txt")
+
+
+def _table_identity(curve: CurveSpec, tol: float) -> dict:
+    return {"q": curve.q, "tol": f"{tol:.17g}", "curve": format_curve(curve)}
 
 
 def write_table_cache(path: str, table: PeriodTable) -> None:
@@ -340,17 +344,16 @@ def write_table_cache(path: str, table: PeriodTable) -> None:
         f"{c}:{d} {w.real:.17g} {w.imag:.17g}"
         for (c, d), w in zip(table.classes.reps, table.values)
     )
-    write_cache(path, _TABLE_MAGIC, _table_identity(table.q, table.tol, table.curve), body)
+    write_cache(path, _TABLE_MAGIC, _table_identity(table.curve, table.tol), body)
 
 
-def read_table_cache(path: str, q: int, tol: float, curve) -> PeriodTable:
-    """Reload the table of this level, tolerance and curve, which must list
-    every class once, in canonical order; %.17g round-trips doubles exactly."""
-    rows = list(read_cache(path, _TABLE_MAGIC, _table_identity(q, tol, curve)))
-    classes = p1_table(q)
-    if [key for key, _, _ in rows] != [f"{c}:{d}" for c, d in classes.reps]:
+def read_table_cache(path: str, curve: CurveSpec, tol: float) -> PeriodTable:
+    """Reload the table of this curve and tolerance, which must list every
+    class once, in canonical order; %.17g round-trips doubles exactly."""
+    rows = list(read_cache(path, _TABLE_MAGIC, _table_identity(curve, tol)))
+    if [key for key, _, _ in rows] != [f"{c}:{d}" for c, d in p1_table(curve.q).reps]:
         raise CacheFormatError("period table does not list each class once, in order")
     values = tuple(float(re_s) + 1j * float(im_s) for _, re_s, im_s in rows)
     if not all(map(cmath.isfinite, values)):  # max() and > would pass a NaN through every gate
         raise CacheFormatError("period table holds a value that is not finite")
-    return _table_from_values(q, tol, classes, values, curve)
+    return PeriodTable(curve, tol, values)

@@ -3,7 +3,7 @@
 Configuration is CLI flags over defaults, parsed through one key table;
 every result-affecting field feeds a sha256 fingerprint that is embedded
 in each CSV report, so outputs are traceable to the exact run parameters.
-Exit codes: 0 success, 2 validation error, 3 gate failure.
+Exit codes: 0 success, 2 validation error or missing module, 3 gate failure.
 
 Only the table layer (eigenform, periods) loads with this module: coeffs,
 table and symbol run nothing else, and a warm query is mostly imports.  main
@@ -24,6 +24,7 @@ from .eigenform import (
     CurveSpec,
     Eigenform,
     TruncationError,
+    al_sign,
     build_eigenform,
     check_n_max,
     coeffs_cache_path,
@@ -32,6 +33,7 @@ from .eigenform import (
     parse_curve,
     read_usable,
 )
+from .exactmath import squarefree_factors
 from .periods import (
     TABLE_TOL,
     PeriodTable,
@@ -43,6 +45,7 @@ from .periods import (
     period_sum,
     read_table_cache,
     symbol,
+    table_cache_path,
     table_terms,
     write_table_cache,
 )
@@ -88,18 +91,19 @@ class GateFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig(ScanSpec):
-    """A ScanSpec whose q is the curve's conductor, plus the coefficient count, seed and paths."""
+    """A ScanSpec whose q is the curve's conductor, plus the coefficient count, seed and
+    paths.  The curve, parsed once from --curve, is the only identity the rest derives from."""
 
     q: int = field(init=False)
     m_max: int = 10000
-    curve: tuple[int, int, int, int, int] = (1, 1, 1, -10, -10)
+    curve: CurveSpec = CurveSpec(1, 1, 1, -10, -10)
     n_max: int = 100000
     seed: int = 1729
     cache_dir: str = ".modsym-cache"
     out_dir: str = "."
 
     def __post_init__(self):
-        object.__setattr__(self, "q", CurveSpec(*self.curve).q)
+        object.__setattr__(self, "q", self.curve.q)
         super().__post_init__()
 
     def fingerprint(self) -> str:
@@ -109,7 +113,7 @@ class RunConfig(ScanSpec):
         payload = repr(
             (
                 self.q,
-                self.curve,
+                self.curve.coefficients,
                 "15.a1",
                 self.m_max,
                 str(self.d_filter),
@@ -192,25 +196,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _form(cfg: RunConfig) -> Eigenform:
-    return load_or_build_eigenform(CurveSpec(*cfg.curve), cfg.n_max, cfg.cache_dir)
+    return load_or_build_eigenform(cfg.curve, cfg.n_max, cfg.cache_dir)
 
 
-def _table_cache_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.cache_dir, f"table-q{cfg.q}-tol{TABLE_TOL!r}.txt")
-
-
-def _table(cfg: RunConfig, keep_coeffs: bool = False) -> PeriodTable:
+def _table(cfg: RunConfig) -> PeriodTable:
     """Load the period table from cache or build it; gate the relation
     residuals at 10 tol and the symbol lattice at 2 pi * 10 tol.  The
-    eigenform is needed only when the table must be built: then it is
-    _form's, through the coefficient cache, when keep_coeffs, and otherwise
-    built to the table's certified length alone and written nowhere."""
-    path = _table_cache_path(cfg)
-    table = read_usable(path, "period table", read_table_cache, cfg.q, TABLE_TOL, cfg.curve)
+    eigenform is needed only when the table must be built: then it is built
+    to the table's certified length alone and written nowhere."""
+    path = table_cache_path(cfg.cache_dir, cfg.curve)
+    table = read_usable(path, "period table", read_table_cache, cfg.curve, TABLE_TOL)
     fresh = table is None
     if fresh:
-        n_table = min(cfg.n_max, table_terms(cfg.q))
-        f = _form(cfg) if keep_coeffs else build_eigenform(CurveSpec(*cfg.curve), n_table)
+        f = build_eigenform(cfg.curve, min(cfg.n_max, table_terms(cfg.q)))
         table = build_period_table(f, TABLE_TOL)
     worst = max(table.residual_two, table.residual_three)
     if worst > 10.0 * TABLE_TOL:
@@ -240,23 +238,23 @@ def _out(cfg: RunConfig, name: str) -> str:
 
 def cmd_coeffs(cfg: RunConfig, args) -> int:
     f = _form(cfg)
-    path = coeffs_cache_path(cfg.cache_dir, cfg.q, cfg.n_max)
-    print(f"coefficient cache: {path}")
+    print(f"coefficient cache: {coeffs_cache_path(cfg.cache_dir, cfg.curve, cfg.n_max)}")
     print(f"N = {f.n_max}")
-    signs = " ".join(f"e({v})={f.al_signs[v]:+d}" for v in sorted(f.al_signs))
+    signs = " ".join(f"e({p})={al_sign(f, p):+d}" for p in squarefree_factors(cfg.q))
     print(f"involution signs: {signs}")
     return EXIT_OK
 
 
 def cmd_table(cfg: RunConfig, args) -> int:
-    table = _table(cfg, keep_coeffs=True)
+    _form(cfg)  # the coefficient cache, which the table's build does not need
+    table = _table(cfg)
     print(f"period table: {len(table.classes)} classes at tol {TABLE_TOL:g}")
     print(f"two-term residual:   {table.residual_two:.3e}")
     print(f"three-term residual: {table.residual_three:.3e}")
     n_max = max(abs(int(n)) for n in table.lattice)
     print(f"symbol lattice: quantum {table.quantum:.15g}, |n| <= {n_max}, "
           f"residual {table.lattice_residual:.3e}")
-    print(f"cache: {_table_cache_path(cfg)}")
+    print(f"cache: {table_cache_path(cfg.cache_dir, cfg.curve)}")
     return EXIT_OK
 
 
@@ -515,15 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command not in _TABLE_COMMANDS:
-        _bind_layers()
     try:
+        if args.command not in _TABLE_COMMANDS:
+            _bind_layers()
         cfg = resolve_config(args)
         return _COMMANDS[args.command][0](cfg, args)
     except GateFailure as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ModuleNotFoundError) as exc:  # the last names the module
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

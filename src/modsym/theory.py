@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eigenform import Eigenform, TruncationError, format_curve, terms_needed
+from .eigenform import CurveSpec, Eigenform, TruncationError, format_curve, terms_needed
 from .exactmath import divisors_squarefree, lazy_numpy, p1_table, squarefree_factors
 from .periods import cusp_shift
 
@@ -18,7 +18,7 @@ np = lazy_numpy()
 
 # (L(Sym^2 f, 1), L'(Sym^2 f, 1)) by curve: the value sets the variance slope,
 # and the derivative enters only the variance shifts
-SYM2_LVALUES = {(1, 1, 1, -10, -10): (0.9364885435, 0.03534541)}
+SYM2_LVALUES = {CurveSpec(1, 1, 1, -10, -10): (0.9364885435, 0.03534541)}
 PETERSSON_TOL = 1e-5  # the Petersson quadrature's tolerance, which verify's mesh gate holds it to
 PETERSSON_MAX_NODES = 64  # the finest Gauss-Legendre order the quadrature doubles to
 
@@ -191,13 +191,12 @@ def petersson_quadrature(f: Eigenform, tol: float = PETERSSON_TOL) -> PeterssonR
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"petersson tol must be positive and finite, got {tol!r}")
-    q = f.q
-    classes = p1_table(q)
+    classes = p1_table(f.q)
     tol_tail = tol / (2.0 * len(classes))
     coeff_abs = np.abs(np.asarray(f.coeffs)[1:].astype(np.float64))
     widths: dict[int, list[int]] = {}
     for c, d in classes.reps:
-        sh = cusp_shift(c, d, q, f)
+        sh = cusp_shift(c, d, f)
         widths.setdefault(sh.v, []).append(sh.m)
     groups = [((v, _class_cutoff(coeff_abs, v, tol_tail)), ms) for v, ms in widths.items()]
 
@@ -234,12 +233,12 @@ def sym2_l_from_petersson(f: Eigenform, norm_sq: float) -> float:
 # L-values and the constants report
 
 
-def sym2_lvalues(curve: tuple[int, ...]) -> tuple[float, float]:
+def sym2_lvalues(curve: CurveSpec) -> tuple[float, float]:
     """(L1, L1p) of the curve from SYM2_LVALUES; a curve not there is refused."""
-    if tuple(curve) not in SYM2_LVALUES:
+    if curve not in SYM2_LVALUES:
         known = ", ".join(map(format_curve, SYM2_LVALUES))
         raise ValueError(f"no L(Sym^2 f, 1) for curve {format_curve(curve)}, only for {known}")
-    return SYM2_LVALUES[tuple(curve)]
+    return SYM2_LVALUES[curve]
 
 
 def build_theory(q: int, sym2_l: float, sym2_l_prime: float, f: Eigenform | None = None) -> dict:

@@ -141,7 +141,7 @@ def rows15(store15):
 @pytest.fixture(scope="session")
 def lfix():
     """(L1, L1p) of 15a1 from the symmetric-square table."""
-    return sym2_lvalues(CURVE_15A1)
+    return sym2_lvalues(CurveSpec(*CURVE_15A1))
 
 
 @pytest.fixture(scope="session")

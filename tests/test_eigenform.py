@@ -302,7 +302,7 @@ def test_build_eigenform_conductor_mismatch():
 
 
 def test_al_sign_multiplicative(form15):
-    assert form15.al_signs == {3: 1, 5: -1}
+    assert (form15.coeffs[3], form15.coeffs[5]) == (-1, 1)  # the signs are -a(p)
     assert al_sign(form15, 1) == 1
     assert al_sign(form15, 3) == 1
     assert al_sign(form15, 5) == -1
@@ -336,8 +336,8 @@ def test_terms_needed_validation():
         terms_needed(1.0, TOL_FLOOR / 10)
 
 
-def test_truncation_plan_refuses_short_store():
-    short = Eigenform(15, np.zeros(1001, dtype=np.int64), {})
+def test_truncation_plan_refuses_short_store(form15_small):
+    short = Eigenform(form15_small.curve, form15_small.coeffs[:1001])
     with pytest.raises(TruncationError, match="only 1000 are available"):
         certified_terms(short, 1e-4, 1e-12)
 
@@ -413,17 +413,18 @@ def test_lfun1_matches_the_closed_form_sum(form15, tol):
 
 
 def test_lfun1_tolerance_refusal():
-    # a two-coefficient store with functional sign -1 cannot meet any
-    # practical tolerance, so the evaluation must refuse rather than guess
-    f = Eigenform(15, np.array([0, 1]), {3: 1, 5: -1})
+    # a five-coefficient store whose a(3) = -1 and a(5) = 1 give the functional
+    # sign -1 cannot meet any practical tolerance, so the evaluation must
+    # refuse rather than guess
+    f = Eigenform(CurveSpec(*CURVE_15A1), np.array([0, 1, -1, -1, 1, 1]))
     with pytest.raises(TruncationError):
         lfun1(f, tol=1e-12)
 
 
 def test_lfun1_vanishes_for_positive_sign():
-    # synthetic form whose product of involution signs is +1: the sign-folded
-    # series prefactor (1 - e) kills the value identically
-    f = Eigenform(15, np.array([0, 1, -1]), {3: 1, 5: 1})
+    # synthetic store whose a(3) = a(5) = -1 make both involution signs +1:
+    # the sign-folded series prefactor (1 - e) kills the value identically
+    f = Eigenform(CurveSpec(*CURVE_15A1), np.array([0, 1, -1, -1, 1, -1]))
     assert lfun1(f) == 0.0
 
 
@@ -448,8 +449,10 @@ def test_coeffs_cache_round_trip(tmp_path, form15_small):
 def test_coeffs_cache_bytes_are_pinned(tmp_path, curve, q, n_max, digest):
     # sha256 of the files written when counting and the recursions ran in
     # numpy; both reach past the crossover into baby-step giant-step
-    load_or_build_eigenform(CurveSpec(*curve), n_max, str(tmp_path))
-    path = eigenform.coeffs_cache_path(str(tmp_path), q, n_max)
+    spec = CurveSpec(*curve)
+    assert spec.q == q
+    load_or_build_eigenform(spec, n_max, str(tmp_path))
+    path = eigenform.coeffs_cache_path(str(tmp_path), spec, n_max)
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
 
@@ -506,14 +509,14 @@ def test_load_or_build_uses_cache(tmp_path):
     f1 = load_or_build_eigenform(spec, 60, str(cache_dir))
     f2 = load_or_build_eigenform(spec, 60, str(cache_dir))
     assert np.array_equal(f1.coeffs, f2.coeffs)
-    assert f2.al_signs == {3: 1, 5: -1}
+    assert (al_sign(f2, 3), al_sign(f2, 5)) == (1, -1)
 
 
 def test_n_max_below_a_level_prime_is_refused(tmp_path):
     # a(5) gives the involution sign of 15a1 at 5; a hand-made cache of
     # a(1..3) reads cleanly, so the refusal has to come before the read
     spec = CurveSpec(*CURVE_15A1)
-    path = eigenform.coeffs_cache_path(str(tmp_path), 15, 3)
+    path = eigenform.coeffs_cache_path(str(tmp_path), spec, 3)
     identity = eigenform._coeffs_identity(spec, 3)
     eigenform.write_cache(path, eigenform._COEFFS_MAGIC, identity, ["1 1", "2 -1", "3 -1"])
     assert read_coeffs_cache(path, spec, 3).tolist() == [0, 1, -1, -1]

@@ -10,8 +10,10 @@ import builtins
 import math
 import os
 import random
+from array import array
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,12 +30,14 @@ from modsym.eigenform import (
     build_eigenform,
     certified_terms,
     lfun1,
+    load_or_build_eigenform,
     read_coeffs_cache,
     write_coeffs_cache,
 )
 from modsym.exactmath import atkin_lehner_matrix, cf_decompose, p1_table, squarefree_factors
 from modsym.periods import (
     ExpansionShift,
+    PeriodTable,
     build_period_table,
     certify_lattice,
     cusp_shift,
@@ -74,20 +78,20 @@ def _completion(c: int, d: int):
 
 def test_cusp_shift_frozen_at_path_reversal(form15):
     # S = (0, -1; 1, 0) has bottom row (1, 0)
-    sh = cusp_shift(1, 0, 15, form15)
+    sh = cusp_shift(1, 0, form15)
     assert sh == ExpansionShift(e=-1, m=0, v=15)
     assert sh.arg == (1j + 0) / 15
 
 
 def test_cusp_shift_upper_triangular(form15):
     # (1, 5; 0, 1) has bottom row (0, 1)
-    sh = cusp_shift(0, 1, 15, form15)
+    sh = cusp_shift(0, 1, form15)
     assert sh == ExpansionShift(e=1, m=0, v=1)
 
 
 def test_cusp_shift_sign_normalization(form15):
     # -g for g = (2, 1; 7, 4)
-    assert cusp_shift(-7, -4, 15, form15) == cusp_shift(7, 4, 15, form15)
+    assert cusp_shift(-7, -4, form15) == cusp_shift(7, 4, form15)
 
 
 def test_cusp_shift_is_class_function(form15):
@@ -96,13 +100,13 @@ def test_cusp_shift_is_class_function(form15):
     rng = random.Random(99)
     for c, d in classes.reps:
         g = _completion(c, d)
-        base = cusp_shift(c, d, 15, form15)
+        base = cusp_shift(c, d, form15)
         for _ in range(4):
             gamma = T_MAT if rng.random() < 0.5 else T_INV
             if rng.random() < 0.5:
                 gamma = _mul(gamma, V_MAT)
             _, _, h_c, h_d = _mul(gamma, g)
-            assert cusp_shift(h_c, h_d, 15, form15) == base
+            assert cusp_shift(h_c, h_d, form15) == base
 
 
 _SQUAREFREE = [q for q in range(1, 501) if all(q % (p * p) for p in range(2, 23))]
@@ -121,8 +125,12 @@ def test_cusp_shift_factors_through_atkin_lehner(q, c, d):
     """h (v, -m; 0, 1) adj(W_v)/v lies in Gamma_0(q) for a completion h
     of (c, d), so h (v, -m; 0, 1) = gamma W_v is an Atkin-Lehner matrix."""
     assume(math.gcd(c, d) == 1)
-    f = Eigenform(q, np.zeros(2, dtype=np.int64), {p: -1 for p in squarefree_factors(q)})
-    sh = cusp_shift(c, d, q, f)
+    # a stand-in form of level q with a(p) = 1, so the sign -1, at each p | q
+    coeffs = [0] * (q + 1)
+    for p in squarefree_factors(q):
+        coeffs[p] = 1
+    f = SimpleNamespace(q=q, coeffs=coeffs)
+    sh = cusp_shift(c, d, f)
     v = sh.v
     assert v == q // math.gcd(c, q) and 0 <= sh.m < v
     assert sh.e == (-1) ** len(squarefree_factors(v))
@@ -158,7 +166,7 @@ def test_cusp_shift_slash_identity_every_class(form15, form57_slash):
         assert len(classes) == n_classes
         for c, d in classes.reps:
             g_a, g_b, _, _ = _completion(c, d)
-            sh = cusp_shift(c, d, f.q, f)
+            sh = cusp_shift(c, d, f)
             lhs = sh.e * (1 / sh.v) * _form_value(f, (w + sh.m) / sh.v, 1e-10)
             gz = (g_a * w + g_b) / (c * w + d)
             rhs = _form_value(f, gz, 1e-10) / (c * w + d) ** 2
@@ -194,19 +202,33 @@ def test_table_depends_only_on_the_certified_coefficients(form15, form15_small, 
     path = str(tmp_path / "coeffs.txt")
     write_coeffs_cache(path, form15_small)
     coeffs = read_coeffs_cache(path, form15.curve, form15_small.n_max)
-    read = Eigenform(15, coeffs, form15.al_signs, form15.curve)
+    read = Eigenform(form15.curve, coeffs)
     for f in (short, read):
         assert build_period_table(f) == table15
 
 
+def test_a_form_read_from_its_cache_keeps_the_curves_level(tmp_path, monkeypatch):
+    # 57a1: the level of the form read back, and of its table, is the curve's
+    spec = CurveSpec(0, -1, 1, -2, 2)
+    load_or_build_eigenform(spec, 500, str(tmp_path))
+    monkeypatch.setattr(eigenform, "build_eigenform", None)  # a rebuild would fail
+    read = load_or_build_eigenform(spec, 500, str(tmp_path))
+    assert read.curve == spec and read.q == 57
+    table = build_period_table(read)
+    assert table.curve == spec and table.q == 57 and len(table.classes) == 80
+
+
+def test_period_table_refuses_values_of_another_level(table15):
+    # 15a1's 24 values under 57a1's curve, whose level has 80 classes
+    with pytest.raises(ValueError, match=r"24 period values for the 80 classes of P\^1\(Z/57\)"):
+        PeriodTable(CurveSpec(0, -1, 1, -2, 2), table15.tol, table15.values)
+
+
 def test_period_table_wrong_involution_signs_break_relations(form15_small):
-    bad = Eigenform(
-        form15_small.q,
-        form15_small.coeffs,
-        {3: -1, 5: -1},
-        form15_small.curve,
-    )
-    table = build_period_table(bad, tol=1e-9)
+    # a(3) flipped from -1 to +1, so the sign at 3 reads -1 in place of +1
+    coeffs = array("q", form15_small.coeffs)
+    coeffs[3] = -coeffs[3]
+    table = build_period_table(Eigenform(form15_small.curve, coeffs), tol=1e-9)
     assert table.residual_two == 0.0  # reversal cancels for any sign data
     assert table.residual_three > 1e-4
 
@@ -342,7 +364,7 @@ def test_table_build_refuses_short_store():
 
 
 def _identity(table):
-    return table.q, table.tol, table.curve
+    return table.curve, table.tol
 
 
 def test_table_cache_round_trip_bitwise(tmp_path, table15):
@@ -360,7 +382,7 @@ def test_table_cache_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("wrong magic q=15 tol=1e-12\n")
     with pytest.raises(Exception):
-        read_table_cache(str(path), 15, 1e-12, (1, 1, 1, -10, -10))
+        read_table_cache(str(path), CurveSpec(1, 1, 1, -10, -10), 1e-12)
 
 
 def test_table_cache_rejects_missing_entries(tmp_path, table15):
@@ -375,10 +397,14 @@ def test_table_cache_rejects_missing_entries(tmp_path, table15):
 def test_table_cache_rejects_another_identity(tmp_path, table15):
     path = tmp_path / "table.txt"
     write_table_cache(str(path), table15)
-    q, tol, curve = _identity(table15)
-    for other in [(q, 1e-10, curve), (q, tol, (0, 1, 1, 20, -32)), (21, tol, curve)]:
+    curve, tol = _identity(table15)
+    for other in [(curve, 1e-10), (CurveSpec(0, 1, 1, 20, -32), tol)]:
         with pytest.raises(CacheFormatError):
             read_table_cache(str(path), *other)
+    # a header naming another level beside this curve is refused too
+    path.write_text(path.read_text().replace(" q=15 ", " q=21 ", 1))
+    with pytest.raises(CacheFormatError):
+        read_table_cache(str(path), curve, tol)
 
 
 def test_table_cache_detects_tampered_values(tmp_path, table15):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from modsym import shell, theory
-from modsym.eigenform import TruncationError
+from modsym.eigenform import CurveSpec, TruncationError
 from modsym.scanstats import SymbolStore
 from modsym.shell import (
     EXIT_GATE,
@@ -76,7 +76,7 @@ def test_flags_and_file_values_share_converters():
     argv = ["scan", "--curve", "0,-1,1,-2,2", "--d", "3", "--interval", "1/10:7/20"]
     cfg = resolve_config(build_parser().parse_args(argv))
     assert cfg == RunConfig(
-        curve=(0, -1, 1, -2, 2), d_filter=3, x0=Fraction(1, 10), x1=Fraction(7, 20)
+        curve=CurveSpec(0, -1, 1, -2, 2), d_filter=3, x0=Fraction(1, 10), x1=Fraction(7, 20)
     )
     assert cfg.q == 57
 
@@ -109,17 +109,17 @@ def test_run_config_validates_at_construction(change):
 
 
 def test_run_config_takes_its_level_from_the_curve():
-    cfg = RunConfig(curve=(0, -1, 1, -2, 2))
+    cfg = RunConfig(curve=CurveSpec(0, -1, 1, -2, 2))
     assert cfg.q == 57
     assert replace(cfg, m_max=5).q == 57
-    assert replace(cfg, curve=(1, 1, 1, -10, -10)).q == 15
+    assert replace(cfg, curve=CurveSpec(1, 1, 1, -10, -10)).q == 15
     with pytest.raises(TypeError):
         RunConfig(q=15)
     with pytest.raises(ValueError):
         replace(cfg, q=15)
     # ScanSpec's own check runs on the derived level
     with pytest.raises(ValueError, match="not a positive divisor of 57"):
-        RunConfig(curve=(0, -1, 1, -2, 2), d_filter=5)
+        RunConfig(curve=CurveSpec(0, -1, 1, -2, 2), d_filter=5)
 
 
 def test_interval_parse_requires_colon():
@@ -176,7 +176,7 @@ def test_fingerprint_tracks_result_fields():
     base = RunConfig()
     fp = base.fingerprint()
     changes = (
-        {"curve": (0, -1, 1, -2, 2)},  # 57a1, which moves q to 57 with it
+        {"curve": CurveSpec(0, -1, 1, -2, 2)},  # 57a1, which moves q to 57 with it
         {"m_max": 5},
         {"d_filter": 1},
         {"x0": Fraction(1, 10)},
@@ -330,11 +330,13 @@ def test_table_off_the_lattice_trips_the_gate(tmp_path, monkeypatch, capsys):
     import modsym.shell as shell
 
     build = shell.build_period_table
-    monkeypatch.setattr(
-        shell,
-        "build_period_table",
-        lambda f, tol: replace(build(f, tol), lattice_residual=1e-6),
-    )
+
+    def off_the_lattice(f, tol):
+        table = build(f, tol)
+        table.lattice_residual = 1e-6
+        return table
+
+    monkeypatch.setattr(shell, "build_period_table", off_the_lattice)
     cache = tmp_path / "cache"
     code = main(["table", "--cache-dir", str(cache), "--n-max", N_MAX])
     assert code == EXIT_GATE
@@ -442,7 +444,7 @@ def _symbol_line(capsys, cache_dir, curve):
 
 def test_caches_are_not_shared_between_curves(tmp_path, capsys, caplog):
     # 57a1 and 57b1 share a level, so their caches share file names
-    from modsym.eigenform import CurveSpec, load_or_build_eigenform
+    from modsym.eigenform import load_or_build_eigenform
 
     # `table` writes both caches of 57a1; a cold symbol writes no coefficients
     shared = tmp_path / "shared"
@@ -740,6 +742,23 @@ def test_table_commands_run_with_numpy_missing(command, tmp_path, capsys):
     assert [main(argv) for run in ("cold", "warm")] == [EXIT_OK, EXIT_OK]
     assert lines == capsys.readouterr().out.splitlines()
     assert written == {p.name: p.read_bytes() for p in cache.iterdir()}
+
+
+def test_a_command_that_needs_numpy_exits_2_naming_it(tmp_path):
+    # scan's sweep runs in numpy: without it the run ends in an error line
+    # that names the module, not in a traceback
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys; sys.modules['numpy'] = None; from modsym.shell import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    argv = ["scan", "--M", "10", "--n-max", "2000", "--cache-dir", str(tmp_path / "cache"),
+            "--out-dir", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)), capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_VALIDATION
+    assert done.stderr.startswith("error: ") and "numpy" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_shell_binds_the_scan_and_theory_layers_on_lookup():

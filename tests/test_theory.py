@@ -281,7 +281,7 @@ def _per_class_quadrature(f, tol, orders):
     classes = p1_table(f.q)
     tol_tail = tol / (2.0 * len(classes))
     coeff_abs = np.abs(np.asarray(f.coeffs)[1:].astype(np.float64))
-    shifts = [cusp_shift(c, d, f.q, f) for c, d in classes.reps]
+    shifts = [cusp_shift(c, d, f) for c, d in classes.reps]
     cutoffs = [theory._class_cutoff(coeff_abs, sh.v, tol_tail) for sh in shifts]
     passes, truncated, lengths = [], 0, {}
     for nodes in orders:
@@ -363,14 +363,14 @@ def test_petersson_cutoff_runs_once_per_cusp_width(form15_small, monkeypatch):
 # ---------------------------------------------------------------------------
 # the symmetric-square table and the constants report
 
-LEVELS = {CURVE_15A1: 15}  # the level of each curve in the table
+LEVELS = {CurveSpec(*CURVE_15A1): 15}  # the level of each curve in the table
 
 
 def test_sym2_table_keys_are_curves_at_their_levels():
     assert set(SYM2_LVALUES) == set(LEVELS)
     for curve in SYM2_LVALUES:
         assert parse_curve(format_curve(curve)) == curve
-        assert CurveSpec(*curve).q == LEVELS[curve]
+        assert curve.q == LEVELS[curve]
 
 
 def test_sym2_table_values_are_finite_with_positive_l1():
@@ -394,7 +394,7 @@ def test_default_fixture_ships_with_the_package():
 def test_default_fixture_names_its_curve():
     message = r"no L\(Sym\^2 f, 1\) for curve 0,-1,1,-2,2, only for 1,1,1,-10,-10$"
     with pytest.raises(ValueError, match=message):
-        sym2_lvalues((0, -1, 1, -2, 2))
+        sym2_lvalues(CurveSpec(0, -1, 1, -2, 2))
 
 
 def test_build_theory_report_round_trips(lfix):
