@@ -3,23 +3,25 @@
 Evaluates the real symbol at every sample point a/c with c up to M in one
 streaming sweep over the certified integer class weights: consecutive
 points of the Farey sequence F_M are neighbours, so each point adds one
-class weight to the value of the point before it.  The sweep covers
-[0, 1/2] only (the real symbol is odd and 1-periodic, so a/c with value n
-gives -n at (c - a)/c), in independent lanes stepped side by side, and
-folds the lattice integers n of both halves into accumulators as it goes:
-per-denominator counts of each n over all coprime residues and over a
-subinterval of [0,1), or, for the contiguous averages, integer sums of n
-per denominator and grid bin.  No point is stored, so memory is
-O(M * width + chunk).  From M = FORK_MIN on, the lanes are dealt to forked
-worker processes, one per usable CPU up to MAX_WORKERS; each folds its
-share into accumulators of its own, and the parent adds their integer
-counts to its own, so every output is the one a single process gives.
-Every report reads the lattice through those accumulators: the moment rows
-are exact integer sums over the counts, the distribution report works on
-the (c, n) atoms with their weights, and a scan followed by a report over
-the same window shares one sweep.  The Weyl sums read no symbol value and
-run no sweep: over the coprime residues of c they are Ramanujan sums,
-which the report evaluates exactly in integers.
+class weight to the value of the point before it.  The sweep walks [0, 1/2]
+only, in independent lanes stepped side by side, and hands the lattice
+integers n of the walked points to accumulators as it goes: per-denominator
+counts of each n over all coprime residues and over a subinterval of
+[0,1), or, for the contiguous averages, integer sums of n per denominator
+and grid bin.  The real symbol is odd and 1-periodic, so a walked a/c with
+value n stands for its image (c - a)/c with -n as well: an accumulator
+counts that image as the point comes, or folds every image in at once when
+the sweep ends.  No point is stored, so memory is O(M * width + chunk).
+From M = FORK_MIN on, the lanes are dealt to forked worker processes, one
+per usable CPU up to MAX_WORKERS; each walks its share into accumulators of
+its own, and the parent adds their integer counts to its own before it
+folds, so every output is the one a single process gives.  Every report
+reads the lattice through those accumulators: the moment rows are exact
+integer sums over the counts, held as numpy columns, the distribution
+report works on the (c, n) atoms with their weights, and a scan followed
+by a report over the same window shares one sweep.  The Weyl sums read no
+symbol value and run no sweep: over the coprime residues of c they are
+Ramanujan sums, which the report evaluates exactly in integers.
 """
 from __future__ import annotations
 
@@ -37,31 +39,21 @@ from .periods import PeriodTable, ScanSpec
 np = lazy_numpy()
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    """Per-denominator reduction: moment sums and interval-restricted sums
-    over the coprime residues a mod c."""
-
-    c: int
-    d: int
-    phi: int
-    s: tuple[float, ...]
-    n_int: int
-    s_int: tuple[float, ...]
-
-
 MOMENTS = 4  # the moment sums S_1 .. S_MOMENTS a scan row carries
 WEYL_MODES = (0, 1, 2, 3, 4, 5)  # the modes n of the Weyl sums weyl_report totals
 CHUNK = 1 << 15  # about the most points the sweep buffers before it hands them to the sinks
 TAIL = 8  # the sweep finishes its last lanes point by point once this few are left
 FORK_MIN = 3000  # the smallest bound whose sweep is dealt to worker processes
 MAX_WORKERS = 4  # so a large host does not fork dozens of 40 MB processes
+ROW_BLOCK = 512  # rows a fold or write_aggregates_csv takes at a time: small temporaries
 
 
 class LatticeCounts:
     """How often each lattice integer n occurs in each row c <= m: counts[c,
     n + off] over the points a/c with ceil(c x0) <= a < ceil(c x1).  A sink
-    of the sweep; the width grows with the largest |n| seen."""
+    of the sweep, which hands it the walked points a/c in [0, 1/2]; their
+    images (c - a)/c, with -n, a window counts as they come, and the full
+    rows take them from fold().  The width grows with the largest |n| seen."""
 
     def __init__(self, m: int, x0: Fraction = Fraction(0), x1: Fraction = Fraction(1)):
         self.off = 0
@@ -72,9 +64,10 @@ class LatticeCounts:
 
     def __call__(self, c: np.ndarray, a: np.ndarray, n: np.ndarray) -> None:
         if self._bounds is not None:
-            lo, hi = self._bounds
-            keep = (a >= lo[c]) & (a < hi[c])
-            c, n = c[keep], n[keep]
+            lo, hi = (x.take(c) for x in self._bounds)
+            b = c - a  # the image (c - a)/c, except at 0/1 and 1/2 (c <= 2), their own
+            keep, image = (a >= lo) & (a < hi), (b >= lo) & (b < hi) & (c > 2)
+            c, n = np.concatenate((c[keep], c[image])), np.concatenate((n[keep], -n[image]))
         if not n.size:
             return
         self._widen(max(-int(n.min()), int(n.max())))
@@ -93,6 +86,15 @@ class LatticeCounts:
         self._widen(top)
         self.counts[:, self.off - top : self.off + top + 1] += other
 
+    def fold(self) -> None:
+        """Count the images of the walked points, once the sweep is done:
+        full rows c > 2 add themselves reversed, n -> -n.  A window counted
+        them already."""
+        if self._bounds is None:
+            for at in range(3, len(self.counts), ROW_BLOCK):
+                rows = self.counts[at : at + ROW_BLOCK]
+                rows += rows[:, ::-1]
+
     def atoms(self, c: int) -> tuple[np.ndarray, np.ndarray]:
         """The lattice integers n of row c, ascending, and their counts."""
         row = self.counts[c]
@@ -103,7 +105,7 @@ class LatticeCounts:
 def _ceil_multiples(m: int, x: Fraction) -> np.ndarray:
     """ceil(c x) for c = 0 .. m, exactly: a/c >= x <=> a >= ceil(c x)."""
     num, den = x.numerator, x.denominator
-    return np.array([-(-c * num // den) for c in range(m + 1)], dtype=np.int64)
+    return np.array([-(-c * num // den) for c in range(m + 1)], dtype=np.int32)
 
 
 class SymbolStore:
@@ -124,16 +126,18 @@ class SymbolStore:
     s <= c < 2s.  So the last TAIL lanes are finished one point at a time
     in Python.  The points in (1/2, 1) are not walked: they are the images
     (c - a)/c of the points a/c in (0, 1/2), where the odd symbol is -n.
-    The sweep stores no point: it hands each chunk of about CHUNK points
-    (c, a, n) to its sinks, then the chunk mirrored in place, so its
-    working set grows with the chunk, not with the number of points.
+    The sweep stores no point: it hands each chunk of about CHUNK walked
+    points (c, a, n) to its sinks once, so its working set grows with the
+    chunk, not with the number of points.  Each sink accounts for the
+    images itself, as the points come or in one fold() at the end.
 
     counts(m, x0, x1) sinks the points into per-row counts of each n, over
     all coprime residues and over a window; the counts of the last sweep
     serve any smaller bound with the same window.  Its sweep, like the one
     of contiguous_avg, is dealt to worker processes (_sweep), each walking
     a run of consecutive lanes.  dense(c) sweeps to c in this process and
-    keeps row c: the per-point oracle.
+    keeps row c, writing each walked a and its image c - a: the per-point
+    oracle.
     """
 
     def __init__(self, table: PeriodTable):
@@ -162,13 +166,17 @@ class SymbolStore:
 
         def keep(cs, a, n):
             at = cs == c
-            out[a[at]] = self.quantum * n[at]
+            a, n = a[at], n[at]
+            out[a] = self.quantum * n
+            if c > 2:  # 0/1 and 1/2 are their own images
+                out[c - a] = self.quantum * -n
 
         self._compute(c, keep)
         return out
 
     def _sweep(self, m: int, *sinks) -> None:
-        """self._compute(m, *sinks), dealt to _workers(m) processes.
+        """self._compute(m, *sinks), dealt to _workers(m) processes, then
+        every sink's fold().
 
         Each sink holds an int64 array .counts and merges another worker's
         flattened counts with merge(flat).  A forked child walks its share
@@ -212,6 +220,8 @@ class SymbolStore:
                     size = int(flat[0])
                     sink.merge(flat[1 : size + 1])
                     flat = flat[size + 1 :]
+            for sink in sinks:  # counts add, so the merged counts fold as the serial ones
+                sink.fold()
         finally:
             for pid, fd in zip(pids, fds):
                 if pid is not None:  # only when the sweep failed
@@ -222,10 +232,10 @@ class SymbolStore:
                 os.close(fd)
 
     def _compute(self, m: int, *sinks, part: tuple[int, int] = (0, 1)) -> None:
-        """Sweep every point a/c with c <= m once, handing each chunk of
-        points to every sink as sink(c, a, n), three int32 arrays.  The
-        arrays are reused for the mirrored chunk, so a sink may neither keep
-        nor modify them.
+        """Sweep every point a/c in [0, 1/2] with c <= m once, handing each
+        chunk of points to every sink as sink(c, a, n), three int32 arrays
+        that the sinks share, so a sink may neither keep nor modify them.
+        The images (c - a)/c of the points with c > 2 are left to the sinks.
 
         part = (i, w) walks worker i's share of w workers: the lanes
         [s i / w, s (i + 1) / w) of the s = m // 2, and 0/1 for worker 0."""
@@ -233,13 +243,6 @@ class SymbolStore:
         mod = np.arange(m + 1) % q
 
         def emit(c, a, n):
-            for sink in sinks:
-                sink(c, a, n)
-            if c.size and c.min() <= 2:  # 0/1 and 1/2 have no other image
-                keep = c > 2
-                c, a, n = c[keep], a[keep], n[keep]
-            np.subtract(c, a, out=a)
-            np.negative(n, out=n)
             for sink in sinks:
                 sink(c, a, n)
 
@@ -310,13 +313,15 @@ def _workers(m: int) -> int:
     Every worker steps as often as the longest of its lanes, so a second
     process halves the work per point but not the cost per step, and a
     fork with its copy-on-write faults and pipe costs several ms.  On a
-    shared 2-core Xeon, a sweep into one LatticeCounts took, in one process
-    and in two (medians of 31 alternating pairs): 5.7 and 17.1 ms to
-    m = 600, 11.1 and 23.0 ms to m = 1000, 20.5 and 21.1 ms to m = 1500,
-    30.2 and 28.5 ms to m = 2000, 43.2 and 37.4 ms to m = 2500, 61.5 and
-    48.0 ms to m = 3000, 260 and 166 ms to m = 7000, two processes being
-    faster in 0, 0, 11, 19, 27, 27 and 30 of the pairs.  So the fork pays
-    from about m = 2500, and FORK_MIN leaves a margin."""
+    shared 2-core Xeon, where two CPU-bound processes ran side by side (two
+    at once took a median of 1.02 to 1.05 times the wall time of one, at
+    worst 2.2), a sweep into one LatticeCounts took, in one process and in
+    two (medians of 31 alternating pairs, in each of two sessions):
+    26 and 26 ms to m = 2000, 32.5 and 32.6 ms to m = 2500 (second session
+    only), 45 and 37-40 ms to m = 3000, 66-71 and 49-52 ms to m = 4000,
+    177-179 and 113-116 ms to m = 7000, two processes being faster in
+    14-20, 15, 25-28, 29-31 and 31 of the pairs.  So the fork pays from
+    about m = 3000, which FORK_MIN is."""
     if m < FORK_MIN or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
@@ -354,20 +359,35 @@ def _row_sums(counts: LatticeCounts, k_max: int, quantum: float) -> tuple[np.nda
     return sums[:, 0], np.array([[quantum**k] for k in range(1, k_max + 1)]) * sums[:, 1:].T
 
 
-def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
-    """One AggregateRow per admissible denominator, in ascending c."""
+def _row_columns(n: int) -> np.recarray:
+    """n empty scan rows: per denominator c, d = gcd(c, q), the number phi
+    of its points, S_1 .. S_MOMENTS over them, and the same two over the
+    window.  The counts are float64 like the sums, exact below 2^53, so a
+    sum over rows is a float as JSON writes it."""
+    sums = (np.float64, (MOMENTS,))
+    names = [("c", np.int64), ("d", np.int64), ("phi", np.float64), ("s", *sums),
+             ("n_int", np.float64), ("s_int", *sums)]
+    return np.recarray(n, dtype=names)
+
+
+def scan(spec: ScanSpec, store: SymbolStore) -> np.recarray:
+    """One row per admissible denominator, in ascending c, as the columns
+    of a record array (_row_columns)."""
+    if spec.q != store.q:
+        raise ValueError(f"a scan of level {spec.q} cannot read a table of level {store.q}")
     full, window = store.counts(spec.m_max, spec.x0, spec.x1)
-    cs = [c for c in range(1, spec.m_max + 1) if spec.wants(c)]
-    # S_k by columns, zipped into one tuple per row: a list per row costs memory at large M
-    phi, s = (x[..., cs].tolist() for x in _row_sums(full, MOMENTS, store.quantum))
-    n_int, s_int = phi, s
+    cs = np.array([c for c in range(1, spec.m_max + 1) if spec.wants(c)], dtype=np.int64)
+    rows = _row_columns(len(cs))
+    rows.c, rows.d = cs, np.gcd(cs, spec.q)
+    phi, s = _row_sums(full, MOMENTS, store.quantum)
+    rows.phi, rows.s = phi[cs], s[:, cs].T
     if window is not full:
-        n_int, s_int = (x[..., cs].tolist() for x in _row_sums(window, MOMENTS, store.quantum))
-    for c, sums in zip(cs, zip(*s)):
-        if not all(math.isfinite(v) for v in sums):
-            raise OverflowError(f"moment accumulator overflowed at c={c}")
-    ds = [math.gcd(c, spec.q) for c in cs]
-    return list(map(AggregateRow, cs, ds, phi, zip(*s), n_int, zip(*s_int)))
+        phi, s = _row_sums(window, MOMENTS, store.quantum)
+    rows.n_int, rows.s_int = phi[cs], s[:, cs].T
+    finite = np.isfinite(rows.s).all(axis=1)
+    if not finite.all():
+        raise OverflowError(f"moment accumulator overflowed at c={cs[finite.argmin()]}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +397,8 @@ def scan(spec: ScanSpec, store: SymbolStore) -> list[AggregateRow]:
 class _BinSums:
     """The sums of n per row c <= m and bin j: counts[c, j] over the points
     a/c with exactly j of the grid points i/g below them.  A sink of the
-    sweep."""
+    sweep, which hands it the walked points a/c in [0, 1/2]; fold() adds
+    their images."""
 
     def __init__(self, m: int, g: int):
         self.g = np.int64(g)
@@ -390,6 +411,18 @@ class _BinSums:
 
     def merge(self, flat: np.ndarray) -> None:
         self.counts += flat.reshape(self.counts.shape)
+
+    def fold(self) -> None:
+        """Add the images (c - a)/c, with -n, of the walked points of the
+        rows c > 2.  The image of bin j is ceil((c - a) g / c) = g -
+        floor(a g / c): g + 1 - j for a point off the grid lines, g - j for
+        one on them.  A reduced a/c lies on a grid line exactly when c | g,
+        and then all of its row does."""
+        for at in range(3, len(self.counts), ROW_BLOCK):
+            rows = self.counts[at : at + ROW_BLOCK]
+            on = self.g % np.arange(at, at + len(rows)) == 0
+            rows[~on, 1:] -= rows[~on, :0:-1]
+            rows[on] -= rows[on, ::-1]
 
 
 def contiguous_avg(store: SymbolStore, m_max: int, n_grid: int) -> np.ndarray:
@@ -498,22 +531,18 @@ def _fit_class(cs, phis, variances, slope_real: float) -> tuple[float, ...]:
     return fixed, slope, shift, rms
 
 
-def variance_fit(rows: list[AggregateRow], slope_real: float) -> dict[int, FitResult]:
-    """Per-gcd-class shift estimates against Var_real(c) = slope log c + D.
+def variance_fit(rows: np.recarray, slope_real: float) -> dict[int, FitResult]:
+    """Per-gcd-class shift estimates against Var_real(c) = slope log c + D,
+    from the columns of scan rows.
 
     Uses rows with c >= 2 (log c = 0 makes c = 1 uninformative for the free
     fit and its phi-weight is negligible for the fixed one).
     """
-    by_d: dict[int, list[AggregateRow]] = {}
-    for row in rows:
-        if row.c >= 2:
-            by_d.setdefault(row.d, []).append(row)
+    rows = rows[rows.c >= 2]
     out = {}
-    for d, group in sorted(by_d.items()):
-        cs = np.array([row.c for row in group], dtype=np.float64)
-        phis = np.array([row.phi for row in group], dtype=np.int64)
-        s1 = np.array([row.s[0] for row in group])
-        s2 = np.array([row.s[1] for row in group])
+    for d in sorted(set(rows.d.tolist())):  # np.unique would import numpy.ma, 20 ms
+        group = rows[rows.d == d]
+        cs, phis, s1, s2 = group.c.astype(np.float64), group.phi, group.s[:, 0], group.s[:, 1]
         variances = s2 / phis - (s1 / phis) ** 2
         fixed, slope, shift, rms = _fit_class(cs, phis, variances, slope_real)
         out[d] = FitResult(
@@ -637,13 +666,21 @@ def _write_csv(path: str, fingerprint: str, head: list[str], line: str, rows) ->
             fh.write(line.format(*row))
 
 
-def write_aggregates_csv(path: str, rows: list[AggregateRow], fingerprint: str) -> None:
+def write_aggregates_csv(path: str, rows: np.recarray, fingerprint: str) -> None:
     ks = range(1, MOMENTS + 1)
     head = ["c", "d", "phi", *(f"S{k}" for k in ks), "I_count", *(f"I_S{k}" for k in ks)]
     sums = ["{:.17g}"] * MOMENTS
     line = ",".join(["{}", "{}", "{}", *sums, "{}", *sums]) + "\n"
-    cells = ([r.c, r.d, r.phi, *r.s, r.n_int, *r.s_int] for r in rows)
-    _write_csv(path, fingerprint, head, line, cells)
+
+    def cells():
+        # a block of rows at a time as Python numbers, so no row of them all is held
+        for at in range(0, len(rows), ROW_BLOCK):
+            block = rows[at : at + ROW_BLOCK]
+            phi, n_int = (x.astype(np.int64).tolist() for x in (block.phi, block.n_int))
+            s, s_int = block.s.T.tolist(), block.s_int.T.tolist()
+            yield from zip(block.c.tolist(), block.d.tolist(), phi, *s, n_int, *s_int)
+
+    _write_csv(path, fingerprint, head, line, cells())
 
 
 def write_fit_csv(path: str, fits: dict[int, FitResult], fingerprint: str) -> None:

@@ -246,6 +246,8 @@ def build_theory(q: int, sym2_l: float, sym2_l_prime: float, f: Eigenform | None
     divisor-keyed maps keyed by strings; given the eigenform f, also the
     Petersson quadrature at its default tolerance (its norm, mesh error and the
     Gauss-Legendre order of its fine pass) and the L-value it recovers."""
+    if f is not None and f.q != q:
+        raise ValueError(f"a form of level {f.q} cannot give the constants of level {q}")
     slope_paper, slope_real = slope_from_L(q, sym2_l)
     divisors = divisors_squarefree(q)
     out = {

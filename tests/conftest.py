@@ -44,7 +44,8 @@ def store15(table15):
 class CollectedRows:
     """Every row c <= m of one engine sweep, for tests that read many rows:
     dense(c) is quantum * n at the coprime a of row c and 0 elsewhere, as
-    SymbolStore.dense(c) gives it from a sweep of its own."""
+    SymbolStore.dense(c) gives it from a sweep of its own.  The sweep walks
+    [0, 1/2]; each walked a/c with c > 2 also gives (c - a)/c with -n."""
 
     def __init__(self, store, m):
         self.quantum = store.quantum
@@ -54,6 +55,9 @@ class CollectedRows:
     def _put(self, c, a, n):
         c = c.astype(np.int64)
         self._flat[c * (c - 1) // 2 + a] = n
+        image = c > 2
+        c = c[image]
+        self._flat[c * (c - 1) // 2 + c - a[image]] = -n[image]
 
     def dense(self, c):
         return self.quantum * self._flat[c * (c - 1) // 2 : c * (c + 1) // 2]
@@ -81,13 +85,15 @@ def _expanded_counts(symbols, m_max, x0, x1):
 
 def _shares(table, m_max, x0, x1, w):
     """The counts over all coprime residues and over the window of the w
-    workers' shares of the sweep to m_max, summed."""
+    workers' shares of the sweep to m_max, summed, then folded."""
     full, window = LatticeCounts(m_max), LatticeCounts(m_max, x0, x1)
     for i in range(w):
         part = LatticeCounts(m_max), LatticeCounts(m_max, x0, x1)
         SymbolStore(table)._compute(m_max, *part, part=(i, w))
         full.merge(part[0].counts.reshape(-1))
         window.merge(part[1].counts.reshape(-1))
+    full.fold()
+    window.fold()
     return full, window
 
 
@@ -97,11 +103,10 @@ def summed_shares():
 
 
 @pytest.fixture(scope="session")
-def counts_match_symbols():
-    """Asserts that SymbolStore.counts(m_max, x0, x1) of a table, or with w
-    the shares of w workers summed, holds, row by row and n ascending, the
-    counts of the expanded symbol values.  symbol() runs once per point and
-    table, each value checked to be quantum * n."""
+def point_symbols():
+    """symbols(table, c): (a, n) for every coprime a mod c, the symbol at a/c
+    being quantum * n.  symbol() runs once per point and table, each value
+    checked to be quantum * n."""
     memo = {}  # id(table) -> (table, {c: [(a, n)]}); holding the table keeps its id
 
     def symbols(table, c):
@@ -116,18 +121,43 @@ def counts_match_symbols():
                     rows[c].append((a, n))
         return rows[c]
 
+    return symbols
+
+
+@pytest.fixture(scope="session")
+def counts_match_symbols(point_symbols):
+    """Asserts that SymbolStore.counts(m_max, x0, x1) of a table, or with w
+    the shares of w workers summed, holds, row by row and n ascending, the
+    counts of the expanded symbol values."""
+
     def check(table, m_max, x0, x1, w=None):
         if w is None:
             full, window = SymbolStore(table).counts(m_max, x0, x1)
             assert (full is window) == (x1 - x0 == 1)
         else:
             full, window = _shares(table, m_max, x0, x1, w)
-        expected = _expanded_counts(lambda c: symbols(table, c), m_max, x0, x1)
+        expected = _expanded_counts(lambda c: point_symbols(table, c), m_max, x0, x1)
         for got, want in zip((full, window), expected):
             for c in range(1, m_max + 1):
                 ns, counts = (x.tolist() for x in got.atoms(c))
                 assert ns == sorted(want.get(c, {}))
                 assert dict(zip(ns, counts)) == want.get(c, {})
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def bin_sums_match_symbols(point_symbols):
+    """Asserts that sums[c, j] holds, for every row c, the sum of n over the
+    points a/c with exactly j of the grid points i/g below them, the bin
+    ceil(a g / c) of each point taken one by one."""
+
+    def check(table, sums, g):
+        want = np.zeros_like(sums)
+        for c in range(1, len(sums)):
+            for a, n in point_symbols(table, c):
+                want[c, -(-a * g // c)] += n
+        assert np.array_equal(sums, want)
 
     return check
 

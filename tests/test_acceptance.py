@@ -83,7 +83,7 @@ def test_scan_shifts_match_theory_at_m_10000(rows10k, slopes15):
     if misses:
         # soft fallback: within 0.10 and strictly closing on the target
         # between the half-depth and full-depth scans
-        rows5k = [row for row in rows10k if row.c <= 5000]
+        rows5k = rows10k[rows10k.c <= 5000]
         fits5k = variance_fit(rows5k, slope_real)
         for d, got in misses.items():
             target = SHIFT_TARGETS_SCAN[d]

@@ -9,7 +9,6 @@ import math
 import os
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,9 +20,10 @@ from modsym import scanstats
 from modsym.periods import ScanSpec, symbol
 from modsym.scanstats import (
     FORK_MIN,
-    AggregateRow,
     LatticeCounts,
     SymbolStore,
+    _BinSums,
+    _row_columns,
     _row_sums,
     contiguous_avg,
     distribution_report,
@@ -141,7 +141,9 @@ def test_mirrored_half_is_exact_at_random_points(rows15, table15, c, data):
         assert dense[a] == 0.0
 
 
-@pytest.mark.parametrize("c", [1, 2, 3])
+# rows 1 and 2 hold only 0/1 and 1/2, their own images; from row 3 on dense
+# writes each walked a and its image c - a
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 12, 97])
 def test_dense_at_the_smallest_denominators(store15, table15, c):
     dense = store15.dense(c)
     assert dense.shape == (c,)
@@ -186,6 +188,44 @@ def test_symbol_values_live_on_a_lattice(rows15, table15):
 )
 def test_counts_match_the_expanded_symbols(table15, counts_match_symbols, x0, x1):
     counts_match_symbols(table15, 300, x0, x1)
+
+
+# the lanes of the sweep to 300 are (j/300, (j+1)/300]
+FOLD_WINDOWS = {
+    "full": (Fraction(0), Fraction(1)),
+    "edge-at-1/2": (Fraction(1, 3), Fraction(1, 2)),
+    "from-1/2": (Fraction(1, 2), Fraction(4, 5)),
+    "in-mirrored-half": (Fraction(11, 20), Fraction(9, 10)),
+    "lane-edges": (Fraction(7, 300), Fraction(143, 300)),
+    "mirrored-lane-edges": (Fraction(157, 300), Fraction(293, 300)),
+    "in-one-lane": (Fraction(201, 1200), Fraction(203, 1200)),
+    "in-one-mirrored-lane": (Fraction(997, 1200), Fraction(999, 1200)),
+}
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("window", FOLD_WINDOWS)
+def test_folded_shares_match_the_expanded_symbols(table15, counts_match_symbols, window, w):
+    # the sweep hands the sinks [0, 1/2] only; the full rows fold the images
+    # in after the shares are merged, and a window counts them as they come
+    counts_match_symbols(table15, 300, *FOLD_WINDOWS[window], w=w)
+
+
+@pytest.mark.parametrize("g", [100, 307])
+def test_folded_bin_sums_match_the_symbols(table15, bin_sums_match_symbols, g):
+    # at g = 100 the rows c | g, 2 < c, lie on grid lines, where the image of
+    # bin j is g - j, not g + 1 - j; no row c <= 300 divides the prime 307
+    for w in (1, 2, 3):
+        bins = _BinSums(300, g)
+        for i in range(w):
+            part = _BinSums(300, g)
+            SymbolStore(table15)._compute(300, part, part=(i, w))
+            bins.merge(part.counts.reshape(-1))
+        bins.fold()
+        bin_sums_match_symbols(table15, bins.counts, g)
+    bins = _BinSums(300, g)
+    SymbolStore(table15)._sweep(300, bins)
+    bin_sums_match_symbols(table15, bins.counts, g)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -233,9 +273,10 @@ def test_counts_of_a_longer_sweep_serve_a_shorter_bound(table15, monkeypatch):
 def test_scan_memory_is_bounded_by_the_chunk(table15, monkeypatch):
     """The sweep to M = 6000 (1.1e7 points) keeps no table: the former
     table of M^2/2 int8 values alone was 18 MB.  Measured peaks of this
-    scan: 3.9 MB with the lanes, 11.3 MB with the former tree walk,
-    87.4 MB with the table.  One CPU keeps the whole walk in this
-    process, where tracemalloc sees it."""
+    scan: 2.7 MB with the lanes and the rows as numpy columns, 3.9 MB with
+    each chunk handed over twice and the rows as Python objects, 11.3 MB
+    with the former tree walk, 87.4 MB with the table.  One CPU keeps the
+    whole walk in this process, where tracemalloc sees it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     store = SymbolStore(table15)
     tracemalloc.start()
@@ -283,6 +324,8 @@ def cpus(monkeypatch):
 def _serial_counts(table, m, x0, x1):
     full, window = LatticeCounts(m), LatticeCounts(m, x0, x1)
     SymbolStore(table)._compute(m, full, window)
+    full.fold()
+    window.fold()
     return full, window
 
 
@@ -386,6 +429,12 @@ def test_row_against_manual_reduction(store15, table15):
     assert row.s_int[0] == pytest.approx(sum(window_vals), abs=1e-12)
 
 
+def test_scan_refuses_a_table_of_another_level(table15):
+    # the gcd classes of 57 on the symbols of 15a1 would label rows of neither
+    with pytest.raises(ValueError, match="level 57 .* level 15"):
+        scan(ScanSpec(q=57, m_max=60), SymbolStore(table15))
+
+
 def test_row_sums_are_the_exact_integer_sums(store15):
     full, _ = store15.counts(10000)
     # with quantum 1 every S_k is the int64 sum itself, compared in Python ints
@@ -416,7 +465,7 @@ def test_full_rows_have_vanishing_odd_moments_and_totient_counts(store15):
     for row in rows:
         assert row.phi == _totient(row.c)
         assert row.s[0] == 0.0 and row.s[2] == 0.0
-        assert row.n_int == row.phi and row.s_int == row.s
+        assert row.n_int == row.phi and np.array_equal(row.s_int, row.s)
 
 
 def _weyl_oracle(c: int, n: int) -> complex:
@@ -478,21 +527,13 @@ def test_weyl_report_zero_mode_counts_sample(store15):
 # variance fits
 
 
-def _synthetic_rows(slope: float, shift: float) -> list[AggregateRow]:
-    rows = []
-    for c in range(2, 40):
+def _synthetic_rows(slope: float, shift: float) -> np.recarray:
+    rows = _row_columns(38)
+    for row, c in zip(rows, range(2, 40)):
         phi = _totient(c)
         var = slope * math.log(c) + shift
-        rows.append(
-            AggregateRow(
-                c=c,
-                d=math.gcd(c, 15),
-                phi=phi,
-                s=(0.0, phi * var, 0.0, 3.0 * phi * var * var),
-                n_int=phi,
-                s_int=(0.0, phi * var, 0.0, 3.0 * phi * var * var),
-            )
-        )
+        row.c, row.d, row.phi, row.n_int = c, math.gcd(c, 15), phi, phi
+        row.s = row.s_int = (0.0, phi * var, 0.0, 3.0 * phi * var * var)
     return rows
 
 
@@ -510,11 +551,13 @@ def test_variance_fit_recovers_synthetic_law():
 
 def test_variance_fit_degenerate_inputs():
     rows = _synthetic_rows(0.3, 0.1)
+    ones = rows.copy()
+    ones.c, ones.d = 1, 1
     with pytest.raises(ValueError):
-        variance_fit([replace(row, c=1, d=1) for row in rows], slope_real=0.3)
+        variance_fit(ones, slope_real=0.3)
     # a single denominator cannot support the two-parameter free fit
     with pytest.raises(ValueError):
-        variance_fit([rows[0]], slope_real=0.3)
+        variance_fit(rows[:1], slope_real=0.3)
 
 
 # ---------------------------------------------------------------------------

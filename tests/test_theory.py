@@ -415,3 +415,10 @@ def test_build_theory_runs_the_quadrature_exactly_when_given_the_form(lfix, form
     assert consts["petersson_mesh_error"] == norm.mesh_error
     assert consts["petersson_nodes"] == norm.nodes == 8
     assert consts["sym2_l_recovered"] == sym2_l_from_petersson(form15_small, norm.value)
+
+
+def test_build_theory_refuses_a_form_of_another_level(lfix, form57_short):
+    # the constants of level 15 with the quadrature of 57a1 would recover an
+    # L-value that belongs to neither
+    with pytest.raises(ValueError, match="level 57 .* level 15"):
+        build_theory(15, *lfix, f=form57_short)
