@@ -512,6 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy loads lazily, after this: a bare import starts an OpenBLAS worker
+    # thread that idles, spinning, beside every command, and the sweep forks
+    # from a process with one thread; a value set by the caller is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         if args.command not in _TABLE_COMMANDS:

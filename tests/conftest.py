@@ -90,8 +90,8 @@ def _shares(table, m_max, x0, x1, w):
     for i in range(w):
         part = LatticeCounts(m_max), LatticeCounts(m_max, x0, x1)
         SymbolStore(table)._compute(m_max, *part, part=(i, w))
-        full.merge(part[0].counts.reshape(-1))
-        window.merge(part[1].counts.reshape(-1))
+        full.merge(part[0].counts, 0)
+        window.merge(part[1].counts, 0)
     full.fold()
     window.fold()
     return full, window

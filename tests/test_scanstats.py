@@ -220,7 +220,7 @@ def test_folded_bin_sums_match_the_symbols(table15, bin_sums_match_symbols, g):
         for i in range(w):
             part = _BinSums(300, g)
             SymbolStore(table15)._compute(300, part, part=(i, w))
-            bins.merge(part.counts.reshape(-1))
+            bins.merge(part.counts, 0)
         bins.fold()
         bin_sums_match_symbols(table15, bins.counts, g)
     bins = _BinSums(300, g)
@@ -359,6 +359,49 @@ def test_forked_contiguous_avg_equals_the_serial_one(table15, cpus):
         forks.clear()
         assert np.array_equal(contiguous_avg(SymbolStore(table15), FORK_MIN, 21), serial)
         assert len(forks) == w - 1
+
+
+@pytest.mark.parametrize("x0, x1", WINDOWS[:2], ids=["full", "1/10-7/20"])
+def test_a_worker_reaching_a_larger_n_widens_the_merge(table15, cpus, x0, x1):
+    # at m = FORK_MIN the share of worker 0 of 3 reaches |n| = 7 and the
+    # others 8, so the parent's counts widen when it merges them
+    home = LatticeCounts(FORK_MIN), LatticeCounts(FORK_MIN, x0, x1)
+    SymbolStore(table15)._compute(FORK_MIN, *home, part=(0, 3))
+    serial = _serial_counts(table15, FORK_MIN, x0, x1)
+    assert all(x.off < y.off for x, y in zip(home, serial))
+    forks = cpus(3)
+    full, window = SymbolStore(table15).counts(FORK_MIN, x0, x1)
+    assert len(forks) == 2
+    for got, want in zip((full, window), serial):
+        assert got.off == want.off
+        assert np.array_equal(got.counts, want.counts)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+@pytest.mark.parametrize("code", [0, 1])
+@pytest.mark.parametrize("cut", ["in-a-header", "half", "all-but-one-count"])
+def test_a_worker_whose_counts_end_short_fails_the_sweep(table15, cpus, monkeypatch, code, cut):
+    # whatever its exit code, a worker that writes part of its counts makes
+    # the sweep raise, naming it, and leaves no child and no open fd
+    def writes_part(walk, sinks, out):
+        try:
+            data = b"".join(np.int64(x.counts.size).tobytes() + x.counts.tobytes() for x in sinks)
+            end = {"in-a-header": 4, "half": len(data) // 2, "all-but-one-count": len(data) - 8}
+            with open(out, "wb") as fh:
+                fh.write(data[: end[cut]])
+        finally:
+            os._exit(code)
+
+    monkeypatch.setattr(scanstats, "_child", writes_part)
+    cpus(2)
+    before = sorted(os.listdir("/proc/self/fd"))
+    sinks = LatticeCounts(FORK_MIN), LatticeCounts(FORK_MIN, Fraction(1, 10), Fraction(7, 20))
+    short = rf"sweep worker 1 of 2 failed \(exit code {code}, its counts cut short\)"
+    with pytest.raises(RuntimeError, match=short):
+        SymbolStore(table15)._sweep(FORK_MIN, *sinks)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_failing_worker_fails_the_sweep_and_leaves_no_child(table15, cpus, capfd):
@@ -667,6 +710,61 @@ def test_atom_report_matches_the_expanded_sample(store15, rows15, slopes15, x0, 
         assert got_m == pytest.approx(want_m, rel=1e-12, abs=1e-15)
     if x1 - x0 == 1:
         assert rep.moments_shift[::2] == rep.moments_slope[::2] == (0.0, 0.0, 0.0)
+
+
+def _per_row_report(spec, store, slope_real, shift_real):
+    """distribution_report as one array of atoms per row, concatenated: the
+    reference the report's single pass over the rows is held to."""
+    _, window = store.counts(spec.m_max, spec.x0, spec.x1)
+    half_log_class = 0.5 * math.log(spec.q / spec.d_filter)
+    zs_shift, zs_slope, ws = [], [], []
+    for c in range(1, spec.m_max + 1):
+        if not spec.wants(c):
+            continue
+        var_slope = slope_real * (math.log(c) + half_log_class)
+        var_shift = slope_real * math.log(c) + shift_real
+        ns, counts = window.atoms(c)
+        vals = store.quantum * ns
+        zs_shift.append(vals / math.sqrt(var_shift))
+        zs_slope.append(vals / math.sqrt(var_slope))
+        ws.append(counts)
+    z_shift, z_slope, w = (np.concatenate(x) for x in (zs_shift, zs_slope, ws))
+    n_sample = int(w.sum())
+
+    def raw_moments(z):
+        term = w.astype(np.float64)
+        moments = []
+        for _ in range(6):
+            term = term * z
+            moments.append(math.fsum(term.tolist()) / n_sample)
+        return tuple(moments)
+
+    def ks(z):
+        order = np.argsort(z, kind="stable")
+        z, ww = z[order], w[order]
+        after = np.cumsum(ww)
+        cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z.tolist()])
+        return float(max(np.max(after / n_sample - cdf), np.max(cdf - (after - ww) / n_sample)))
+
+    hist, _ = np.histogram(z_shift, bins=np.linspace(-5.0, 5.0, 101), weights=w)
+    return n_sample, raw_moments(z_shift), raw_moments(z_slope), ks(z_shift), ks(z_slope), hist
+
+
+@pytest.mark.parametrize("m", [FORK_MIN - 1, FORK_MIN])
+@pytest.mark.parametrize("x0, x1", WINDOWS[:3], ids=["full", "1/10-7/20", "0-1/2"])
+@pytest.mark.parametrize("d", [1, 15])
+def test_distribution_report_equals_the_per_row_reference(table15, slopes15, d, x0, x1, m):
+    _, slope_real = slopes15
+    spec = ScanSpec(q=15, m_max=m, d_filter=d, x0=x0, x1=x1)
+    store = SymbolStore(table15)
+    rep = distribution_report(spec, store, slope_real, 0.440048)
+    n, moments_shift, moments_slope, ks_shift, ks_slope, hist = _per_row_report(
+        spec, store, slope_real, 0.440048
+    )
+    assert rep.n_sample == n
+    assert rep.moments_shift == moments_shift and rep.moments_slope == moments_slope
+    assert (rep.ks_shift, rep.ks_slope) == (ks_shift, ks_slope)
+    assert np.array_equal(rep.hist_counts, hist)
 
 
 def test_distribution_report_rejects_nonpositive_variance(store15, slopes15):

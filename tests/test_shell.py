@@ -19,7 +19,7 @@ import pytest
 
 from modsym import shell, theory
 from modsym.eigenform import CurveSpec, TruncationError
-from modsym.scanstats import SymbolStore
+from modsym.scanstats import FORK_MIN, SymbolStore
 from modsym.shell import (
     EXIT_GATE,
     EXIT_OK,
@@ -672,10 +672,12 @@ def test_verify_stops_when_the_direct_oracle_refuses_every_draw(cli, capsys, mon
     assert "in 1000 draws" in err
 
 
-def _fresh_interpreter(code: str, *argv: str) -> list[str]:
-    """The stdout lines of a new interpreter that runs code with src on its path."""
+def _fresh_interpreter(code: str, *argv: str, **environ: str | None) -> list[str]:
+    """The stdout lines of a new interpreter that runs code with src on its
+    path, in this environment updated by environ, where None unsets a name."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **environ)
+    env = {name: value for name, value in env.items() if value is not None}
     done = subprocess.run(
         [sys.executable, "-c", code, *argv],
         env=env, capture_output=True, text=True, check=True,
@@ -742,6 +744,36 @@ def test_table_commands_run_with_numpy_missing(command, tmp_path, capsys):
     assert [main(argv) for run in ("cold", "warm")] == [EXIT_OK, EXIT_OK]
     assert lines == capsys.readouterr().out.splitlines()
     assert written == {p.name: p.read_bytes() for p in cache.iterdir()}
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_the_cli_runs_openblas_on_one_thread_unless_told_otherwise(cli, preset):
+    # a bare import of numpy starts an OpenBLAS worker thread, which main
+    # heads off before numpy loads, so the sweep forks from a process of one
+    # thread; a value the caller set is kept
+    if preset is None and not os.path.isdir("/proc/self/task"):
+        pytest.skip("counts the threads in /proc")
+    _, cache, out = cli
+    argv = ["scan", "--M", str(FORK_MIN), "--n-max", N_MAX, "--cache-dir", str(cache),
+            "--out-dir", str(out)]
+    probe = (
+        "import os, sys; from modsym.shell import main; rc = main(sys.argv[1:]); "
+        "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else [0]; "
+        "print(rc, 'numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'], len(tasks))"
+    )
+    *_, last = _fresh_interpreter(probe, *argv, OPENBLAS_NUM_THREADS=preset)
+    rc, loaded, threads, tasks = last.split()
+    assert (rc, loaded, threads) == ("0", "True", preset or "1")
+    if preset is None:
+        assert tasks == "1"
+
+
+def test_importing_the_shell_and_binding_its_layers_leaves_the_environment_alone():
+    probe = (
+        "import os; before = dict(os.environ); import modsym.shell as shell; "
+        "shell._bind_layers(); print(dict(os.environ) == before)"
+    )
+    assert _fresh_interpreter(probe, OPENBLAS_NUM_THREADS=None) == ["True"]
 
 
 def test_a_command_that_needs_numpy_exits_2_naming_it(tmp_path):
