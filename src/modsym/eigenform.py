@@ -321,7 +321,7 @@ def check_n_max(q: int, n_max: int) -> None:
         raise ValueError(f"n_max {n_max} stops short of the prime {top} of the level {q}")
 
 
-def build_eigenform(curve: CurveSpec, n_max: int = 100000) -> Eigenform:
+def build_eigenform(curve: CurveSpec, n_max: int) -> Eigenform:
     """Count points at every prime up to n_max and extend multiplicatively,
     refusing a trace past the Hasse bound at a good prime."""
     check_n_max(curve.q, n_max)
@@ -406,14 +406,14 @@ def antiderivative_batch(f: Eigenform, zs, tol: float) -> np.ndarray:
     return _series(zs, np.asarray(f.coeffs)[1 : n_terms + 1] / (2j * np.pi * ns))
 
 
-def lfun1(f: Eigenform, tol: float = 1e-12) -> float:
-    """Central L-value (1 - e_q) sum a(n)/n e^{-2 pi n/sqrt(q)}, certified to tol:
-    the sum is -2 pi Im F(i/sqrt(q)), F read at tol/(4 pi).  Identically zero
+def lfun1(f: Eigenform) -> float:
+    """Central L-value (1 - e_q) sum a(n)/n e^{-2 pi n/sqrt(q)}, certified to 1e-12:
+    the sum is -2 pi Im F(i/sqrt(q)), F read at 1e-12/(4 pi).  Identically zero
     when the Fricke sign e_q is +1 (odd functional equation)."""
     e_q = al_sign(f, f.q)
     if e_q == 1:
         return 0.0
-    f_val = antiderivative_batch(f, [1j / math.sqrt(f.q)], tol / (4.0 * math.pi))[0]
+    f_val = antiderivative_batch(f, [1j / math.sqrt(f.q)], 1e-12 / (4.0 * math.pi))[0]
     return float((1 - e_q) * -2.0 * math.pi * f_val.imag)
 
 

@@ -17,10 +17,11 @@ cusp-pair offsets is inherited from the period table's relation residuals,
 which the build records and the gates check.
 
 By Manin-Drinfeld every real class weight 2 pi Re W_k is an integer multiple
-n_k of one quantum; the table certifies that lattice (certify_lattice) and
-the real symbol is evaluated exactly as quantum * sum n_k.
+n_k of one quantum; the table certifies that lattice (certify_lattice, to
+LATTICE_BOUND) and the real symbol is evaluated exactly as quantum * sum n_k.
 
-The table holds |P^1(Z/q)| entries (24 at q = 15), so it is plain Python:
+Every table is certified to the one tolerance TABLE_TOL, and the curve alone
+names it.  It holds |P^1(Z/q)| entries (24 at q = 15), so it is plain Python:
 building it (2|P^1| cmath series, 84 terms at q = 15), reading it and
 evaluating symbols load no numpy.  The direct oracle sums antiderivative_batch's
 numpy series, so verify's dual_algorithm gate also pits two series codes.
@@ -54,6 +55,7 @@ from .exactmath import (
 )
 
 TABLE_TOL = 1e-12  # the period table's tolerance, to which every class value is certified
+LATTICE_BOUND = 2.0 * math.pi * 10.0 * TABLE_TOL  # largest accepted |2 pi Re W_k - n_k * quantum|
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def cusp_shift(c: int, d: int, f: Eigenform) -> ExpansionShift:
 @dataclass
 class PeriodTable:
     """One period value per P^1(Z/q) class, q the curve's level, certified to
-    tol; plain tuples.  Built or read, the table is (curve, tol, values), and
+    TABLE_TOL; plain tuples.  Built or read, the table is (curve, values), and
     construction derives the rest.  values[k] is the complex integral of f dz
     along the unimodular path g(0) -> g(infinity) for any lift g of class k;
     it is a class function because f dz is level-q invariant.
@@ -107,7 +109,6 @@ class PeriodTable:
     """
 
     curve: CurveSpec
-    tol: float
     values: tuple[complex, ...]
     classes: P1Table = field(init=False)
     residual_two: float = field(init=False)
@@ -123,7 +124,7 @@ class PeriodTable:
                              f"classes of P^1(Z/{self.q})")
         self.residual_two, self.residual_three = _relation_residuals(self.classes, self.values)
         self.quantum, self.lattice, self.lattice_residual = certify_lattice(
-            [2.0 * math.pi * w.real for w in self.values], lattice_bound(self.tol)
+            [2.0 * math.pi * w.real for w in self.values], LATTICE_BOUND
         )
 
     @property
@@ -147,11 +148,6 @@ def _relation_residuals(classes: P1Table, values: tuple[complex, ...]) -> tuple[
         k_uu = classes.index_of(d, -c - d)
         r3 = max(r3, abs(values[k] + values[k_u] + values[k_uu]))
     return r2, r3
-
-
-def lattice_bound(tol: float) -> float:
-    """Largest accepted |2 pi Re W_k - n_k * quantum| for a table built at tol."""
-    return 2.0 * math.pi * 10.0 * tol
 
 
 def certify_lattice(weights, bound: float) -> tuple[float, tuple[int, ...], float]:
@@ -178,23 +174,23 @@ def certify_lattice(weights, bound: float) -> tuple[float, tuple[int, ...], floa
     return next((fit for fit in fits if fit[2] <= bound), fits[0])
 
 
-def table_terms(q: int, tol: float = TABLE_TOL) -> int:
+def table_terms(q: int) -> int:
     """build_period_table's certified length: its lowest height is 1/q, at (1:0)."""
-    return terms_needed(1.0 / q, tol / 4.0)
+    return terms_needed(1.0 / q, TABLE_TOL / 4.0)
 
 
-def build_period_table(f: Eigenform, tol: float = TABLE_TOL) -> PeriodTable:
+def build_period_table(f: Eigenform) -> PeriodTable:
     """Evaluate the period of every class from two antiderivative values.
 
     Splitting the path at height i gives
     W(g) = -e_g F(arg_g) + e_{gS} F(arg_{gS}); each F evaluation is
-    certified to tol/4 so the two-term relation is certified below tol
-    (gate 2*tol) and the three-term below 1.5*tol (gate 3*tol).  F is
-    summed term by term in Python, not by antiderivative_batch.
+    certified to tol/4, tol = TABLE_TOL, so the two-term relation is
+    certified below tol (gate 2*tol) and the three-term below 1.5*tol
+    (gate 3*tol).  F is summed term by term in Python, not by antiderivative_batch.
     """
     # a lift g of the class (c : d) has bottom row (c, d), and g S has (d, -c)
     shifts = [(cusp_shift(c, d, f), cusp_shift(d, -c, f)) for c, d in p1_table(f.q).reps]
-    n_terms = certified_terms(f, min(sh.arg.imag for pair in shifts for sh in pair), tol / 4.0)
+    n_terms = certified_terms(f, min(sh.arg.imag for p in shifts for sh in p), TABLE_TOL / 4.0)
     coef = [a / (2j * math.pi * n) for n, a in enumerate(f.coeffs[1 : n_terms + 1].tolist(), 1)]
 
     def antiderivative(z: complex) -> complex:
@@ -207,7 +203,7 @@ def build_period_table(f: Eigenform, tol: float = TABLE_TOL) -> PeriodTable:
         -sh_g.e * antiderivative(sh_g.arg) + sh_gs.e * antiderivative(sh_gs.arg)
         for sh_g, sh_gs in shifts
     )
-    return PeriodTable(f.curve, tol, values)
+    return PeriodTable(f.curve, values)
 
 
 def _path_classes(r: Fraction, table: PeriodTable) -> list[int]:
@@ -217,17 +213,9 @@ def _path_classes(r: Fraction, table: PeriodTable) -> list[int]:
     return [table.classes.index_of(c_j, d_j) for _, _, c_j, d_j in cf_decompose(Fraction(a, c))]
 
 
-def _values_sum(ks: list[int], table: PeriodTable) -> complex:
-    """The period values of the classes ks, added in path order."""
-    total = 0j
-    for k in ks:
-        total += table.values[k]
-    return total
-
-
 def period_sum(r: Fraction, table: PeriodTable) -> complex:
     """P(r) along the Manin path; exact 1-periodicity via a mod c reduction."""
-    return _values_sum(_path_classes(r, table), table)
+    return sum((table.values[k] for k in _path_classes(r, table)), 0j)
 
 
 def hecke_residual(r: Fraction, p: int, f: Eigenform, table: PeriodTable) -> float:
@@ -268,7 +256,7 @@ def symbol(r: Fraction, table: PeriodTable) -> SymbolValue:
         denom=c,
         d=math.gcd(c, table.q),
         m_minus=table.quantum * sum(table.lattice[k] for k in ks),
-        m_plus=-2.0 * math.pi * _values_sum(ks, table).imag,
+        m_plus=-2.0 * math.pi * sum((table.values[k] for k in ks), 0j).imag,
     )
 
 
@@ -335,8 +323,8 @@ def table_cache_path(cache_dir: str, curve: CurveSpec) -> str:
     return os.path.join(cache_dir, f"table-q{curve.q}-tol{TABLE_TOL!r}.txt")
 
 
-def _table_identity(curve: CurveSpec, tol: float) -> dict:
-    return {"q": curve.q, "tol": f"{tol:.17g}", "curve": format_curve(curve)}
+def _table_identity(curve: CurveSpec) -> dict:
+    return {"q": curve.q, "tol": f"{TABLE_TOL:.17g}", "curve": format_curve(curve)}
 
 
 def write_table_cache(path: str, table: PeriodTable) -> None:
@@ -344,16 +332,16 @@ def write_table_cache(path: str, table: PeriodTable) -> None:
         f"{c}:{d} {w.real:.17g} {w.imag:.17g}"
         for (c, d), w in zip(table.classes.reps, table.values)
     )
-    write_cache(path, _TABLE_MAGIC, _table_identity(table.curve, table.tol), body)
+    write_cache(path, _TABLE_MAGIC, _table_identity(table.curve), body)
 
 
-def read_table_cache(path: str, curve: CurveSpec, tol: float) -> PeriodTable:
-    """Reload the table of this curve and tolerance, which must list every
-    class once, in canonical order; %.17g round-trips doubles exactly."""
-    rows = list(read_cache(path, _TABLE_MAGIC, _table_identity(curve, tol)))
+def read_table_cache(path: str, curve: CurveSpec) -> PeriodTable:
+    """Reload the table of this curve, written at TABLE_TOL, which must list
+    every class once, in canonical order; %.17g round-trips doubles exactly."""
+    rows = list(read_cache(path, _TABLE_MAGIC, _table_identity(curve)))
     if [key for key, _, _ in rows] != [f"{c}:{d}" for c, d in p1_table(curve.q).reps]:
         raise CacheFormatError("period table does not list each class once, in order")
     values = tuple(float(re_s) + 1j * float(im_s) for _, re_s, im_s in rows)
     if not all(map(cmath.isfinite, values)):  # max() and > would pass a NaN through every gate
         raise CacheFormatError("period table holds a value that is not finite")
-    return PeriodTable(curve, tol, values)
+    return PeriodTable(curve, values)

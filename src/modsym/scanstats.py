@@ -97,12 +97,6 @@ class LatticeCounts:
                 rows = self.counts[at : at + ROW_BLOCK]
                 rows += rows[:, ::-1]
 
-    def atoms(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """The lattice integers n of row c, ascending, and their counts."""
-        row = self.counts[c]
-        keep = np.flatnonzero(row)
-        return keep - self.off, row[keep]
-
 
 def _ceil_multiples(m: int, x: Fraction) -> np.ndarray:
     """ceil(c x) for c = 0 .. m, exactly: a/c >= x <=> a >= ceil(c x)."""
@@ -528,7 +522,6 @@ class FitResult:
     fixed_slope_shift_real: float
     slope_real: float
     shift_real: float
-    residual_rms: float
 
 
 def _fit_class(cs, phis, variances, slope_real: float) -> tuple[float, ...]:
@@ -546,9 +539,7 @@ def _fit_class(cs, phis, variances, slope_real: float) -> tuple[float, ...]:
         raise ValueError("need at least two distinct denominators to fit")
     slope = (sw * sxy - sx * sy) / denom
     shift = (sxx * sy - sx * sxy) / denom
-    resid = y - slope * x - shift
-    rms = math.sqrt(float(np.sum(w * resid * resid)) / sw)
-    return fixed, slope, shift, rms
+    return fixed, slope, shift
 
 
 def variance_fit(rows: np.recarray, slope_real: float) -> dict[int, FitResult]:
@@ -564,12 +555,11 @@ def variance_fit(rows: np.recarray, slope_real: float) -> dict[int, FitResult]:
         group = rows[rows.d == d]
         cs, phis, s1, s2 = group.c.astype(np.float64), group.phi, group.s[:, 0], group.s[:, 1]
         variances = s2 / phis - (s1 / phis) ** 2
-        fixed, slope, shift, rms = _fit_class(cs, phis, variances, slope_real)
+        fixed, slope, shift = _fit_class(cs, phis, variances, slope_real)
         out[d] = FitResult(
             fixed_slope_shift_real=fixed,
             slope_real=slope,
             shift_real=shift,
-            residual_rms=rms,
         )
     if not out:
         raise ValueError("no rows with c >= 2 to fit")
@@ -630,8 +620,6 @@ def distribution_report(
         cs.append(c)
         sd_shift.append(math.sqrt(var_shift))
         sd_slope.append(math.sqrt(var_slope))
-    if not cs:
-        raise ValueError("empty sample: no admissible denominators")
     rows = window.counts[cs]
     r, j = np.nonzero(rows)
     w = rows[r, j]
@@ -641,6 +629,9 @@ def distribution_report(
     z_slope = vals / np.array(sd_slope)[r]
     del r, j, vals
     n_sample = int(w.sum())
+    if not n_sample:
+        raise ValueError(f"empty sample: no point a/c of the class d={spec.d_filter} with "
+                         f"c <= {spec.m_max} lies in [{spec.x0}, {spec.x1})")
 
     def raw_moments(z):
         # w z^k by repeated products, which keep the sign symmetry z -> -z

@@ -35,13 +35,13 @@ from .eigenform import (
 )
 from .exactmath import squarefree_factors
 from .periods import (
+    LATTICE_BOUND,
     TABLE_TOL,
     PeriodTable,
     ScanSpec,
     build_period_table,
     direct_symbol_oracle,
     hecke_residual,
-    lattice_bound,
     period_sum,
     read_table_cache,
     symbol,
@@ -56,7 +56,7 @@ _LAYER_NAMES = {
                   "variance_fit", "weyl_report", "write_aggregates_csv", "write_contig_csv",
                   "write_dist_csv", "write_fit_csv", "write_weyl_csv"),
     "theory": ("PETERSSON_TOL", "build_theory", "ghat", "petersson_quadrature",
-               "shift_value", "slope_from_L", "sym2_l_from_petersson", "sym2_lvalues"),
+               "sym2_l_from_petersson"),
 }
 _TABLE_COMMANDS = ("coeffs", "table", "symbol")  # they run the table layer alone
 
@@ -205,18 +205,18 @@ def _table(cfg: RunConfig) -> PeriodTable:
     eigenform is needed only when the table must be built: then it is built
     to the table's certified length alone and written nowhere."""
     path = table_cache_path(cfg.cache_dir, cfg.curve)
-    table = read_usable(path, "period table", read_table_cache, cfg.curve, TABLE_TOL)
+    table = read_usable(path, "period table", read_table_cache, cfg.curve)
     fresh = table is None
     if fresh:
         f = build_eigenform(cfg.curve, min(cfg.n_max, table_terms(cfg.q)))
-        table = build_period_table(f, TABLE_TOL)
+        table = build_period_table(f)
     worst = max(table.residual_two, table.residual_three)
     if worst > 10.0 * TABLE_TOL:
         raise GateFailure(
             f"period-table relation residual {worst:.3g} exceeds 10*tol; "
             "refusing to persist or use the table"
         )
-    if table.lattice_residual > lattice_bound(TABLE_TOL):
+    if table.lattice_residual > LATTICE_BOUND:
         raise GateFailure(
             f"symbol lattice residual {table.lattice_residual:.3g} exceeds "
             "2*pi*10*tol; refusing to persist or use the table"
@@ -293,20 +293,19 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit(cfg: RunConfig, args) -> int:
-    l1, l1p = sym2_lvalues(cfg.curve)
+    theory = build_theory(cfg.curve)
     store = SymbolStore(_table(cfg))
-    slope_paper, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg, store)
-    fits = variance_fit(rows, slope_real)
+    fits = variance_fit(rows, theory["slope_real"])
     path = _out(cfg, "fit.csv")
     write_fit_csv(path, fits, cfg.fingerprint())
-    print(f"theory slope: paper {slope_paper:+.6f} / real {slope_real:+.6f}")
+    print(f"theory slope: paper {theory['slope_paper']:+.6f} / real {theory['slope_real']:+.6f}")
     for d, r in sorted(fits.items()):
         print(
             f"d={d}: fixed-slope shift (paper) {-r.fixed_slope_shift_real:+.4f}"
             f", free slope (real) {r.slope_real:+.5f}"
             f", free shift (paper) {-r.shift_real:+.4f}"
-            f", theory shift {shift_value(cfg.q, d, l1, l1p):+.4f}"
+            f", theory shift {theory['shifts'][str(d)]:+.4f}"
         )
     print(f"fit table -> {path}")
     return EXIT_OK
@@ -315,9 +314,8 @@ def cmd_fit(cfg: RunConfig, args) -> int:
 def cmd_dist(cfg: RunConfig, args) -> int:
     if cfg.d_filter == "all":
         raise ValueError("dist needs a single gcd class: pass --d")
-    l1, _ = sym2_lvalues(cfg.curve)
+    slope_real = build_theory(cfg.curve)["slope_real"]
     store = SymbolStore(_table(cfg))
-    _, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(cfg, store)
     shift_real = variance_fit(rows, slope_real)[cfg.d_filter].fixed_slope_shift_real
     report = distribution_report(cfg, store, slope_real, shift_real)
@@ -375,9 +373,10 @@ def cmd_weyl(cfg: RunConfig, args) -> int:
 
 def cmd_theory(cfg: RunConfig, args) -> int:
     import json
-    l1, l1p = sym2_lvalues(cfg.curve)
-    f = _form(cfg) if args.petersson else None
-    print(json.dumps(build_theory(cfg.q, l1, l1p, f=f), indent=2, sort_keys=True))
+    theory = build_theory(cfg.curve)  # before any cache: a curve with no L-values is refused
+    if args.petersson:
+        theory = build_theory(cfg.curve, _form(cfg))
+    print(json.dumps(theory, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -397,12 +396,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             }
         )
 
-    l1, l1p = sym2_lvalues(cfg.curve)  # before any cache is built
+    theory = build_theory(cfg.curve)  # before any cache is built
     table = _table(cfg)
     f = _form(cfg)
     gate("relation_two_term", table.residual_two, 2.0 * TABLE_TOL)
     gate("relation_three_term", table.residual_three, 3.0 * TABLE_TOL)
-    gate("symbol_lattice", table.lattice_residual, lattice_bound(TABLE_TOL))
+    gate("symbol_lattice", table.lattice_residual, LATTICE_BOUND)
 
     p0 = period_sum(Fraction(0, 1), table)
     l_at_1 = lfun1(f)
@@ -411,7 +410,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
     norm = petersson_quadrature(f, tol=PETERSSON_TOL)
     recovered = sym2_l_from_petersson(f, norm.value)
-    gate("fixture_sym2_recovery", abs(recovered - l1) / l1, 1e-3)
+    gate("fixture_sym2_recovery", abs(recovered - theory["sym2_l"]) / theory["sym2_l"], 1e-3)
     gate("petersson_mesh", norm.mesh_error, PETERSSON_TOL)
     gate("petersson_truncation", norm.truncated, 0)
 
@@ -448,13 +447,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         )
     gate("dual_algorithm", worst, 1e-8)
 
-    _, slope_real = slope_from_L(cfg.q, l1)
     rows = scan(replace(cfg, d_filter="all"), SymbolStore(table))
-    fits = variance_fit(rows, slope_real)
+    fits = variance_fit(rows, theory["slope_real"])
     worst = 0.0
     for d, r in fits.items():
-        theory_paper = shift_value(cfg.q, d, l1, l1p)
-        worst = max(worst, abs(-r.fixed_slope_shift_real - theory_paper))
+        worst = max(worst, abs(-r.fixed_slope_shift_real - theory["shifts"][str(d)]))
     gate("variance_shifts", worst, 0.05)
 
     verdict = {

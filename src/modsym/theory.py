@@ -90,21 +90,20 @@ def ghat_tail_certificate(n_terms: int) -> float:
     return (3.0 * math.log(n_terms) + 9.0) / (math.pi * math.sqrt(n_terms))
 
 
-def ghat(f: Eigenform, xs, n_terms: int | None = None) -> np.ndarray:
-    """Limit of the contiguous averages: (1/2pi) sum a(n)(1 - cos 2 pi n x)/n^2.
+def ghat(f: Eigenform, xs) -> np.ndarray:
+    """Limit of the contiguous averages: (1/2pi) sum_{n <= N} a(n)(1 - cos 2 pi n x)/n^2.
 
-    Vanishes at 0 and 1; series truncation certified by ghat_tail_certificate,
-    with the measured doubling change far smaller in practice because the
-    coefficients oscillate.
+    N = f.n_max: the sum takes all of f's coefficients.  Vanishes at 0 and 1;
+    truncation certified by ghat_tail_certificate, with the measured doubling
+    change far smaller in practice because the coefficients oscillate.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    n = f.n_max if n_terms is None else min(n_terms, f.n_max)
     coeffs = np.asarray(f.coeffs)
     out = np.zeros(xs.shape)
     step = 1 << 14  # the block along n fixes the order of the pairwise sums
     rows = 8  # grid points per 1 MB temporary: a grid-wide one set the peak RSS of `contig`
-    for lo in range(1, n + 1, step):
-        hi = min(lo + step - 1, n)
+    for lo in range(1, f.n_max + 1, step):
+        hi = min(lo + step - 1, f.n_max)
         ns = np.arange(lo, hi + 1, dtype=np.float64)
         w = coeffs[lo : hi + 1] / (ns * ns)
         for j in range(0, xs.size, rows):
@@ -241,13 +240,17 @@ def sym2_lvalues(curve: CurveSpec) -> tuple[float, float]:
     return SYM2_LVALUES[curve]
 
 
-def build_theory(q: int, sym2_l: float, sym2_l_prime: float, f: Eigenform | None = None) -> dict:
-    """Every closed-form constant the reports compare against, with the
-    divisor-keyed maps keyed by strings; given the eigenform f, also the
-    Petersson quadrature at its default tolerance (its norm, mesh error and the
-    Gauss-Legendre order of its fine pass) and the L-value it recovers."""
-    if f is not None and f.q != q:
-        raise ValueError(f"a form of level {f.q} cannot give the constants of level {q}")
+def build_theory(curve: CurveSpec, f: Eigenform | None = None) -> dict:
+    """Every closed-form constant the reports compare against, a function of
+    the curve alone (its level, and its L-values from sym2_lvalues), with the
+    divisor-keyed maps keyed by strings; given the curve's eigenform f, also
+    the Petersson quadrature at its default tolerance (its norm, mesh error
+    and the Gauss-Legendre order of its fine pass) and the L-value it recovers."""
+    if f is not None and f.curve != curve:
+        raise ValueError(f"the form of curve {format_curve(f.curve)} cannot give the "
+                         f"constants of curve {format_curve(curve)}")
+    q = curve.q
+    sym2_l, sym2_l_prime = sym2_lvalues(curve)
     slope_paper, slope_real = slope_from_L(q, sym2_l)
     divisors = divisors_squarefree(q)
     out = {

@@ -33,7 +33,7 @@ def form15_small():
 
 @pytest.fixture(scope="session")
 def table15(form15):
-    return build_period_table(form15, tol=1e-12)
+    return build_period_table(form15)
 
 
 @pytest.fixture(scope="session")
@@ -67,6 +67,19 @@ class CollectedRows:
 def collected_rows():
     """The collecting sweep, for modules that build tables of their own."""
     return CollectedRows
+
+
+def _atoms(counts, c):
+    """The lattice integers n of row c of a LatticeCounts, ascending, and
+    their counts."""
+    row = counts.counts[c]
+    keep = np.flatnonzero(row)
+    return keep - counts.off, row[keep]
+
+
+@pytest.fixture(scope="session")
+def row_atoms():
+    return _atoms
 
 
 def _expanded_counts(symbols, m_max, x0, x1):
@@ -139,7 +152,7 @@ def counts_match_symbols(point_symbols):
         expected = _expanded_counts(lambda c: point_symbols(table, c), m_max, x0, x1)
         for got, want in zip((full, window), expected):
             for c in range(1, m_max + 1):
-                ns, counts = (x.tolist() for x in got.atoms(c))
+                ns, counts = (x.tolist() for x in _atoms(got, c))
                 assert ns == sorted(want.get(c, {}))
                 assert dict(zip(ns, counts)) == want.get(c, {})
 

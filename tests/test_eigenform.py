@@ -403,13 +403,12 @@ def test_lfun1_frozen(form15):
     assert lfun1(form15) == pytest.approx(0.350150760583576, abs=1e-12)
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-8])
-def test_lfun1_matches_the_closed_form_sum(form15, tol):
+def test_lfun1_matches_the_closed_form_sum(form15):
     # the sign-folded sum (1 - e_q) sum a(n)/n e^{-2 pi n / sqrt(q)}, e_q = -1,
     # summed directly to 200 terms, far past its last double-precision digit
     ns = np.arange(1, 201)
     terms = np.asarray(form15.coeffs)[1:201] / ns * np.exp(-2.0 * np.pi * ns / math.sqrt(form15.q))
-    assert abs(lfun1(form15, tol) - 2.0 * float(np.sum(terms))) < max(tol, 1e-13)
+    assert abs(lfun1(form15) - 2.0 * float(np.sum(terms))) < 1e-12
 
 
 def test_lfun1_tolerance_refusal():
@@ -418,7 +417,7 @@ def test_lfun1_tolerance_refusal():
     # refuse rather than guess
     f = Eigenform(CurveSpec(*CURVE_15A1), np.array([0, 1, -1, -1, 1, 1]))
     with pytest.raises(TruncationError):
-        lfun1(f, tol=1e-12)
+        lfun1(f)
 
 
 def test_lfun1_vanishes_for_positive_sign():

@@ -29,6 +29,7 @@ from modsym.eigenform import (
     _series,
     build_eigenform,
     certified_terms,
+    coeffs_cache_path,
     lfun1,
     load_or_build_eigenform,
     read_coeffs_cache,
@@ -36,6 +37,7 @@ from modsym.eigenform import (
 )
 from modsym.exactmath import atkin_lehner_matrix, cf_decompose, p1_table, squarefree_factors
 from modsym.periods import (
+    LATTICE_BOUND,
     ExpansionShift,
     PeriodTable,
     build_period_table,
@@ -43,10 +45,10 @@ from modsym.periods import (
     cusp_shift,
     direct_symbol_oracle,
     hecke_residual,
-    lattice_bound,
     period_sum,
     read_table_cache,
     symbol,
+    table_cache_path,
     table_terms,
     write_table_cache,
 )
@@ -221,14 +223,14 @@ def test_a_form_read_from_its_cache_keeps_the_curves_level(tmp_path, monkeypatch
 def test_period_table_refuses_values_of_another_level(table15):
     # 15a1's 24 values under 57a1's curve, whose level has 80 classes
     with pytest.raises(ValueError, match=r"24 period values for the 80 classes of P\^1\(Z/57\)"):
-        PeriodTable(CurveSpec(0, -1, 1, -2, 2), table15.tol, table15.values)
+        PeriodTable(CurveSpec(0, -1, 1, -2, 2), table15.values)
 
 
 def test_period_table_wrong_involution_signs_break_relations(form15_small):
     # a(3) flipped from -1 to +1, so the sign at 3 reads -1 in place of +1
     coeffs = array("q", form15_small.coeffs)
     coeffs[3] = -coeffs[3]
-    table = build_period_table(Eigenform(form15_small.curve, coeffs), tol=1e-9)
+    table = build_period_table(Eigenform(form15_small.curve, coeffs))
     assert table.residual_two == 0.0  # reversal cancels for any sign data
     assert table.residual_three > 1e-4
 
@@ -355,7 +357,7 @@ def test_table_build_refuses_short_store():
     # needs 84 coefficients; higher points never need more
     f50 = build_eigenform(CurveSpec(1, 1, 1, -10, -10), n_max=50)
     with pytest.raises(TruncationError, match="needs 84 coefficients but only 50"):
-        build_period_table(f50, tol=1e-12)
+        build_period_table(f50)
     assert certified_terms(f50, 1.0, 1e-10) <= certified_terms(f50, 0.5, 1e-10)
 
 
@@ -363,16 +365,11 @@ def test_table_build_refuses_short_store():
 # table cache
 
 
-def _identity(table):
-    return table.curve, table.tol
-
-
 def test_table_cache_round_trip_bitwise(tmp_path, table15):
     path = tmp_path / "table.txt"
     write_table_cache(str(path), table15)
-    back = read_table_cache(str(path), *_identity(table15))
+    back = read_table_cache(str(path), table15.curve)
     assert back.q == table15.q
-    assert back.tol == table15.tol
     assert np.array_equal(back.values, table15.values)
     assert back.residual_two == table15.residual_two
     assert back.residual_three == table15.residual_three
@@ -382,7 +379,7 @@ def test_table_cache_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("wrong magic q=15 tol=1e-12\n")
     with pytest.raises(Exception):
-        read_table_cache(str(path), CurveSpec(1, 1, 1, -10, -10), 1e-12)
+        read_table_cache(str(path), CurveSpec(1, 1, 1, -10, -10))
 
 
 def test_table_cache_rejects_missing_entries(tmp_path, table15):
@@ -391,20 +388,38 @@ def test_table_cache_rejects_missing_entries(tmp_path, table15):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(CacheFormatError):
-        read_table_cache(str(path), *_identity(table15))
+        read_table_cache(str(path), table15.curve)
 
 
 def test_table_cache_rejects_another_identity(tmp_path, table15):
     path = tmp_path / "table.txt"
     write_table_cache(str(path), table15)
-    curve, tol = _identity(table15)
-    for other in [(curve, 1e-10), (CurveSpec(0, 1, 1, 20, -32), tol)]:
-        with pytest.raises(CacheFormatError):
-            read_table_cache(str(path), *other)
-    # a header naming another level beside this curve is refused too
-    path.write_text(path.read_text().replace(" q=15 ", " q=21 ", 1))
+    curve = table15.curve
     with pytest.raises(CacheFormatError):
-        read_table_cache(str(path), curve, tol)
+        read_table_cache(str(path), CurveSpec(0, 1, 1, 20, -32))
+    # a header naming another tolerance or another level beside this curve is
+    # refused too
+    intact = path.read_text()
+    for field, other in [("tol=9.9999999999999998e-13", "tol=1e-10"), ("q=15", "q=21")]:
+        path.write_text(intact.replace(f" {field} ", f" {other} ", 1))
+        with pytest.raises(CacheFormatError, match=other):
+            read_table_cache(str(path), curve)
+
+
+def test_cache_headers_and_names_are_pinned(tmp_path, form15_small, table15):
+    # a change to a header makes every cache on disk unusable, and the
+    # benchmark checks the file names
+    curve = table15.curve
+    for write, obj, path, header in [
+        (write_coeffs_cache, form15_small, coeffs_cache_path(str(tmp_path), curve, 3000),
+         b"modsym-coeffs v2 q=15 N=3000 curve=1,1,1,-10,-10\n"),
+        (write_table_cache, table15, table_cache_path(str(tmp_path), curve),
+         b"modsym-table v2 q=15 tol=9.9999999999999998e-13 curve=1,1,1,-10,-10\n"),
+    ]:
+        write(path, obj)
+        with open(path, "rb") as fh:
+            assert fh.readline() == header
+    assert sorted(os.listdir(tmp_path)) == ["coeffs-q15-N3000.txt", "table-q15-tol1e-12.txt"]
 
 
 def test_table_cache_detects_tampered_values(tmp_path, table15):
@@ -415,7 +430,7 @@ def test_table_cache_detects_tampered_values(tmp_path, table15):
     key, re_s, im_s = lines[1].split()
     lines[1] = f"{key} {float(re_s) + 0.25!r} {im_s}"
     path.write_text("\n".join(lines) + "\n")
-    back = read_table_cache(str(path), *_identity(table15))
+    back = read_table_cache(str(path), table15.curve)
     assert back.residual_two > 0.1
 
 
@@ -431,7 +446,7 @@ def test_table_cache_refuses_values_that_are_not_finite(tmp_path, table15, colum
     lines[1] = " ".join(parts)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheFormatError, match="not finite"):
-        read_table_cache(str(path), *_identity(table15))
+        read_table_cache(str(path), table15.curve)
 
 
 class _HalfWriter:
@@ -467,7 +482,7 @@ def _fail_on_replace(monkeypatch):
 
 _CACHE_IDENTITY = {
     "form15_small": lambda f: (f.curve, f.n_max),
-    "table15": _identity,
+    "table15": lambda table: (table.curve,),
 }
 
 
@@ -506,14 +521,14 @@ def test_table_lattice_reproduces_the_real_weights(table15):
     weights = [2.0 * math.pi * w.real for w in table15.values]
     assert table15.quantum == pytest.approx(0.798121111065892, abs=1e-12)
     assert all(type(n) is int and -127 <= n <= 127 for n in table15.lattice)
-    assert table15.lattice_residual <= lattice_bound(1e-12)
+    assert table15.lattice_residual <= LATTICE_BOUND
     assert max(abs(w - table15.quantum * n) for w, n in zip(weights, table15.lattice)) == (
         table15.lattice_residual
     )
 
 
 def test_certification_refuses_a_weight_moved_off_the_lattice(table15):
-    bound = lattice_bound(1e-12)
+    bound = LATTICE_BOUND
     weights = [2.0 * math.pi * w.real for w in table15.values]
     for k in range(len(weights)):
         moved = list(weights)
@@ -539,8 +554,9 @@ def _certify_lattice_numpy(weights, bound):
 @st.composite
 def _weights_and_bound(draw):
     """Weights on a lattice (|n| up to 130, past the clip) with noise below
-    the bound, some of them moved off it, or arbitrary floats."""
-    bound = lattice_bound(draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3])))
+    the bound, some of them moved off it, or arbitrary floats; the bound is
+    LATTICE_BOUND's formula at one of four table tolerances."""
+    bound = 2.0 * math.pi * 10.0 * draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]))
     size = draw(st.integers(1, 30))
     if draw(st.booleans()):
         return draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)), bound
@@ -574,7 +590,7 @@ def test_certify_lattice_matches_the_numpy_formulation(case):
 def test_cached_table_rederives_the_lattice(tmp_path, table15):
     path = tmp_path / "table.txt"
     write_table_cache(str(path), table15)
-    back = read_table_cache(str(path), *_identity(table15))
+    back = read_table_cache(str(path), table15.curve)
     assert back.quantum == table15.quantum
     assert np.array_equal(back.lattice, table15.lattice)
     assert back.lattice_residual == table15.lattice_residual
@@ -603,7 +619,7 @@ def test_conductor_57_lattices_are_certified(label, tables57):
     # j = 1: the quantum is itself the smallest nonzero weight
     assert table.quantum == min(abs(w) for w, n in zip(weights, table.lattice) if n != 0)
     assert max(abs(n) for n in table.lattice) <= 4
-    assert table.lattice_residual <= lattice_bound(table.tol)
+    assert table.lattice_residual <= LATTICE_BOUND
     # the path of 0/1 is the class (1 : 0), where the odd symbol vanishes;
     # contiguous_avg relies on it for the term 1/1
     assert table.lattice[table.classes.index_of(1, 0)] == 0

@@ -18,7 +18,8 @@ from fractions import Fraction
 import pytest
 
 from modsym import shell, theory
-from modsym.eigenform import CurveSpec, TruncationError
+from modsym.eigenform import CacheFormatError, CurveSpec, TruncationError
+from modsym.periods import read_table_cache
 from modsym.scanstats import FORK_MIN, SymbolStore
 from modsym.shell import (
     EXIT_GATE,
@@ -331,8 +332,8 @@ def test_table_off_the_lattice_trips_the_gate(tmp_path, monkeypatch, capsys):
 
     build = shell.build_period_table
 
-    def off_the_lattice(f, tol):
-        table = build(f, tol)
+    def off_the_lattice(f):
+        table = build(f)
         table.lattice_residual = 1e-6
         return table
 
@@ -351,6 +352,24 @@ def test_truncated_table_cache_is_rebuilt(cli, tmp_path, caplog):
     table_file = bad_cache / "table-q15-tol1e-12.txt"  # the name perfbench/run.py checks
     intact = table_file.read_bytes()
     table_file.write_bytes(intact[: len(intact) // 2])  # cut mid-line
+    with caplog.at_level(logging.WARNING, logger="modsym"):
+        code = main(["table", "--cache-dir", str(bad_cache), "--n-max", N_MAX])
+    assert code == EXIT_OK
+    assert "rebuilding" in caplog.text
+    assert table_file.read_bytes() == intact
+
+
+def test_table_cache_of_another_tolerance_is_rebuilt(cli, tmp_path, caplog):
+    # the header names 1e-10, not the one tolerance tables are built at
+    run, cache, _ = cli
+    bad_cache = tmp_path / "cache"
+    shutil.copytree(cache, bad_cache)
+    table_file = bad_cache / "table-q15-tol1e-12.txt"
+    intact = table_file.read_bytes()
+    table_file.write_bytes(intact.replace(b" tol=9.9999999999999998e-13 ", b" tol=1e-10 ", 1))
+    assert table_file.read_bytes() != intact
+    with pytest.raises(CacheFormatError, match="tol=1e-10"):
+        read_table_cache(str(table_file), CurveSpec(1, 1, 1, -10, -10))
     with caplog.at_level(logging.WARNING, logger="modsym"):
         code = main(["table", "--cache-dir", str(bad_cache), "--n-max", N_MAX])
     assert code == EXIT_OK
@@ -532,6 +551,26 @@ def test_dist_command_sweeps_once(cli, tmp_path, monkeypatch):
     assert sweeps == [300]
 
 
+@pytest.mark.parametrize(
+    "argv", [["--M", "20", "--d", "1", "--interval", "1/3:7/20"],
+             ["--M", "40", "--d", "5", "--interval", "0:1/100"]], ids=["d1", "d5"]
+)
+def test_dist_on_an_empty_window_exits_2(argv, cli, tmp_path):
+    # no point of the class lies in the window: an error line, not a
+    # ZeroDivisionError from the moments
+    _, cache, _ = cli
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    argv = ["dist", *argv, "--n-max", N_MAX, "--cache-dir", str(cache), "--out-dir", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "modsym.shell", *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)), capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_VALIDATION
+    assert done.stderr.startswith("error: empty sample: ")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "dist.csv").exists()
+
+
 def test_contig_command_reports_sup_deviation(cli, tmp_path, capsys):
     run, _, _ = cli
     out = tmp_path / "contig"
@@ -585,7 +624,7 @@ def test_theory_reports_the_quadrature_order_it_reached(cli, capsys):
     assert payload["petersson_nodes"] == 8
 
 
-_LVALUE_COMMANDS = [["theory"], ["fit"], ["dist", "--d", "3"], ["verify"]]
+_LVALUE_COMMANDS = [["theory"], ["theory", "--petersson"], ["fit"], ["dist", "--d", "3"], ["verify"]]
 
 
 @pytest.mark.parametrize("command", _LVALUE_COMMANDS)

@@ -16,6 +16,7 @@ import pytest
 from modsym import theory
 from modsym.eigenform import (
     CurveSpec,
+    Eigenform,
     _series,
     build_eigenform,
     format_curve,
@@ -115,16 +116,21 @@ def test_shift_coefficients_structure():
 # limit profile
 
 
+def _first(f, n):
+    """The form f cut to its first n coefficients: ghat sums all of a form's."""
+    return Eigenform(f.curve, f.coeffs[: n + 1])
+
+
 def test_profile_vanishes_at_the_endpoints(form15):
-    vals = ghat(form15, [0.0, 1.0], n_terms=20000)
+    vals = ghat(_first(form15, 20000), [0.0, 1.0])
     assert vals[0] == 0.0
     assert abs(vals[1]) < 1e-12
 
 
 def test_profile_symmetry(form15):
     xs = np.array([0.1, 0.25, 0.4])
-    left = ghat(form15, xs, n_terms=20000)
-    right = ghat(form15, 1.0 - xs, n_terms=20000)
+    left = ghat(_first(form15, 20000), xs)
+    right = ghat(_first(form15, 20000), 1.0 - xs)
     assert np.max(np.abs(left - right)) < 1e-12
 
 
@@ -137,7 +143,7 @@ def test_profile_in_place_matches_the_expression_bitwise(form15):
         ns = np.arange(lo, min(lo + step - 1, n) + 1, dtype=np.float64)
         w = np.asarray(form15.coeffs)[lo : lo + ns.size] / (ns * ns)
         want += (w * (1.0 - np.cos(2.0 * np.pi * np.outer(xs, ns)))).sum(axis=1)
-    assert ghat(form15, xs, n_terms=n).tolist() == (want / (2.0 * np.pi)).tolist()
+    assert ghat(_first(form15, n), xs).tolist() == (want / (2.0 * np.pi)).tolist()
 
 
 def test_profile_temporaries_stay_small(form15):
@@ -153,8 +159,8 @@ def test_profile_temporaries_stay_small(form15):
 
 def test_profile_truncation_certificate(form15):
     xs = np.linspace(0.0, 1.0, 11)
-    coarse = ghat(form15, xs, n_terms=2000)
-    fine = ghat(form15, xs, n_terms=4000)
+    coarse = ghat(_first(form15, 2000), xs)
+    fine = ghat(_first(form15, 4000), xs)
     measured = float(np.max(np.abs(fine - coarse)))
     assert measured <= ghat_tail_certificate(2000)
     assert ghat_tail_certificate(4000) < ghat_tail_certificate(2000)
@@ -398,7 +404,8 @@ def test_default_fixture_names_its_curve():
 
 
 def test_build_theory_report_round_trips(lfix):
-    payload = json.loads(json.dumps(build_theory(15, *lfix)))
+    payload = json.loads(json.dumps(build_theory(CurveSpec(*CURVE_15A1))))
+    assert (payload["sym2_l"], payload["sym2_l_prime"]) == lfix
     assert payload["q"] == 15
     assert payload["vol"] == pytest.approx(8.0 * math.pi)
     assert payload["slope_real"] == pytest.approx(SLOPE_REAL_15A1)
@@ -407,9 +414,9 @@ def test_build_theory_report_round_trips(lfix):
     assert payload["petersson_norm_sq"] is None
 
 
-def test_build_theory_runs_the_quadrature_exactly_when_given_the_form(lfix, form15_small):
-    assert build_theory(15, *lfix)["petersson_norm_sq"] is None
-    consts = build_theory(15, *lfix, f=form15_small)
+def test_build_theory_runs_the_quadrature_exactly_when_given_the_form(form15_small):
+    assert build_theory(form15_small.curve)["petersson_norm_sq"] is None
+    consts = build_theory(form15_small.curve, f=form15_small)
     norm = petersson_quadrature(form15_small, tol=1e-5)
     assert consts["petersson_norm_sq"] == norm.value
     assert consts["petersson_mesh_error"] == norm.mesh_error
@@ -417,8 +424,23 @@ def test_build_theory_runs_the_quadrature_exactly_when_given_the_form(lfix, form
     assert consts["sym2_l_recovered"] == sym2_l_from_petersson(form15_small, norm.value)
 
 
-def test_build_theory_refuses_a_form_of_another_level(lfix, form57_short):
+def test_build_theory_refuses_a_form_of_another_level(form57_short):
     # the constants of level 15 with the quadrature of 57a1 would recover an
     # L-value that belongs to neither
-    with pytest.raises(ValueError, match="level 57 .* level 15"):
-        build_theory(15, *lfix, f=form57_short)
+    with pytest.raises(ValueError, match="curve 0,-1,1,-2,2 .* curve 1,1,1,-10,-10$"):
+        build_theory(CurveSpec(*CURVE_15A1), f=form57_short)
+
+
+def test_build_theory_refuses_the_form_of_another_curve_of_the_same_level():
+    # this model has conductor 15 and 15a1's coefficients, so a check of the
+    # level alone lets its form through; the curve is the form's identity
+    other = CurveSpec(1, 1, 1, -5, 2)
+    f = build_eigenform(other, n_max=100)
+    assert other.q == 15 and f.coeffs == build_eigenform(CurveSpec(*CURVE_15A1), 100).coeffs
+    with pytest.raises(ValueError, match="curve 1,1,1,-5,2 .* curve 1,1,1,-10,-10$"):
+        build_theory(CurveSpec(*CURVE_15A1), f=f)
+
+
+def test_build_theory_refuses_a_curve_with_no_l_values():
+    with pytest.raises(ValueError, match=r"no L\(Sym\^2 f, 1\) for curve 0,-1,1,-2,2"):
+        build_theory(CurveSpec(0, -1, 1, -2, 2))
