@@ -1,8 +1,8 @@
 """Command-line front end: configuration, caching, and report emission.
 
-Configuration is CLI flags over defaults, parsed through one key table;
-every result-affecting field feeds a sha256 fingerprint that is embedded
-in each CSV report, so outputs are traceable to the exact run parameters.
+Each command takes the CLI flags of the keys it reads, parsed through one
+key table over defaults; every result-affecting field feeds a sha256
+fingerprint embedded in each CSV report, so outputs trace to the exact run.
 Exit codes: 0 success, 2 validation error or missing module, 3 gate failure.
 
 Only the table layer (eigenform, periods) loads with this module: coeffs,
@@ -17,7 +17,7 @@ import importlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .eigenform import (
@@ -159,7 +159,8 @@ def _parse_d(text: str) -> int | str:
 
 
 # Key -> (RunConfig field(s), converter, help).  Each key is the CLI flag
-# --<key with '-' for '_'>, whose argparse dest is the key.
+# --<key with '-' for '_'>, whose argparse dest is the key; a command that
+# does not take a key leaves its field at the default.
 _CONFIG_KEYS = {
     "curve": ("curve", parse_curve, "a1,a2,a3,a4,a6"),
     "M": ("m_max", int, "max denominator"),
@@ -447,7 +448,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         )
     gate("dual_algorithm", worst, 1e-8)
 
-    rows = scan(replace(cfg, d_filter="all"), SymbolStore(table))
+    rows = scan(cfg, SymbolStore(table))
     fits = variance_fit(rows, theory["slope_real"])
     worst = 0.0
     for d, r in fits.items():
@@ -472,35 +473,33 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # Argument parsing and entry point
 
 
-_COMMANDS = {
-    "coeffs": (cmd_coeffs, "build the coefficient cache"),
-    "table": (cmd_table, "build the period table"),
-    "symbol": (cmd_symbol, "evaluate one symbol"),
-    "scan": (cmd_scan, "moment aggregates CSV"),
-    "fit": (cmd_fit, "variance fits CSV"),
-    "dist": (cmd_dist, "distribution report CSV"),
-    "contig": (cmd_contig, "contiguous averages CSV"),
-    "weyl": (cmd_weyl, "Weyl sum report CSV"),
-    "theory": (cmd_theory, "constants as JSON"),
-    "verify": (cmd_verify, "run every consistency gate"),
+_COMMANDS = {  # name -> (function, help, the keys it takes beside the two paths)
+    "coeffs": (cmd_coeffs, "build the coefficient cache", ("curve", "n_max")),
+    "table": (cmd_table, "build the period table", ("curve", "n_max")),
+    "symbol": (cmd_symbol, "evaluate one symbol", ("curve", "n_max")),
+    "scan": (cmd_scan, "moment aggregates CSV", ("curve", "n_max", "M", "d", "interval")),
+    "fit": (cmd_fit, "variance fits CSV", ("curve", "n_max", "M", "d")),
+    "dist": (cmd_dist, "distribution report CSV", ("curve", "n_max", "M", "d", "interval")),
+    "contig": (cmd_contig, "contiguous averages CSV", ("curve", "n_max", "M")),
+    "weyl": (cmd_weyl, "Weyl sum report CSV", ("curve", "M", "d")),  # it reads no coefficient
+    "theory": (cmd_theory, "constants as JSON", ("curve", "n_max")),
+    "verify": (cmd_verify, "run every consistency gate", ("curve", "n_max", "M", "seed")),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    for key, (_, _, text) in _CONFIG_KEYS.items():
-        common.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
-
     parser = argparse.ArgumentParser(
         prog="modsym",
         description="Modular-symbol statistics for rational elliptic curves "
         "of squarefree conductor",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {
-        name: sub.add_parser(name, parents=[common], help=text)
-        for name, (_, text) in _COMMANDS.items()
-    }
+    parsers = {}
+    for name, (_, text, keys) in _COMMANDS.items():
+        parsers[name] = sub.add_parser(name, help=text)
+        for key in (*keys, "cache_dir", "out_dir"):
+            parsers[name].add_argument("--" + key.replace("_", "-"), dest=key,
+                                       help=_CONFIG_KEYS[key][2])
     parsers["symbol"].add_argument("a", type=int)
     parsers["symbol"].add_argument("c", type=int)
     parsers["contig"].add_argument("--grid", type=int, default=101)

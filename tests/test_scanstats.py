@@ -478,6 +478,20 @@ def test_scan_refuses_a_table_of_another_level(table15):
         scan(ScanSpec(q=57, m_max=60), SymbolStore(table15))
 
 
+def test_scan_refuses_moment_sums_int64_could_not_hold(table15, monkeypatch):
+    # off^4 * (points in a row) reaches 2^62 with 4 points at n = -2^15; below that
+    # every S_k is an exact int64 sum times quantum^k, so a scan row is always finite
+    counts = LatticeCounts(2)
+    counts._widen(1 << 15)
+    store = SymbolStore(table15)
+    monkeypatch.setattr(store, "counts", lambda m, x0, x1: (counts, counts))
+    counts.counts[1, 0] = 3
+    assert scan(ScanSpec(q=15, m_max=2), store).s[0, 3] == 3 * store.quantum**4 * 2**60
+    counts.counts[1, 0] = 4
+    with pytest.raises(OverflowError, match="order 4"):
+        scan(ScanSpec(q=15, m_max=2), store)
+
+
 def test_row_sums_are_the_exact_integer_sums(store15, row_atoms):
     full, _ = store15.counts(10000)
     # with quantum 1 every S_k is the int64 sum itself, compared in Python ints
@@ -772,6 +786,12 @@ def test_distribution_report_rejects_nonpositive_variance(store15, slopes15):
     _, slope_real = slopes15
     with pytest.raises(ValueError):
         distribution_report(ScanSpec(q=15, m_max=10, d_filter=1), store15, slope_real, -0.5)
+
+
+def test_distribution_report_refuses_a_table_of_another_level(store15):
+    # as scan does: the gcd classes of 57 on the symbols of 15a1 would sample neither
+    with pytest.raises(ValueError, match="level 57 .* level 15"):
+        distribution_report(ScanSpec(q=57, m_max=300, d_filter=1), store15, 0.35, 0.1)
 
 
 def test_distribution_report_refuses_the_all_class(store15, slopes15):

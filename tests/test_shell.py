@@ -63,16 +63,42 @@ def cli(tmp_path_factory):
 # configuration
 
 
-def test_config_keys_and_flags_correspond_one_to_one():
+# the keys each command takes beside --cache-dir and --out-dir: the ones its output
+# or its work reads; weyl reads no coefficient, so it takes no --n-max
+_COMMAND_KEYS = {
+    "coeffs": {"curve", "n_max"},
+    "table": {"curve", "n_max"},
+    "symbol": {"curve", "n_max"},
+    "theory": {"curve", "n_max"},
+    "scan": {"curve", "n_max", "M", "d", "interval"},
+    "dist": {"curve", "n_max", "M", "d", "interval"},
+    "fit": {"curve", "n_max", "M", "d"},
+    "contig": {"curve", "n_max", "M"},
+    "verify": {"curve", "n_max", "M", "seed"},
+    "weyl": {"curve", "M", "d"},
+}
+_OWN_ARGS = {"symbol": ["2", "5"]}  # the positionals a command needs
+_OWN_DESTS = {"command", "a", "c", "grid", "petersson"}  # not config keys
+
+
+@pytest.mark.parametrize("command", sorted(shell._COMMANDS))
+def test_each_command_takes_exactly_its_keys(command, capsys):
     parser = build_parser()
-    dests = set(vars(parser.parse_args(["scan"])))
-    assert dests - {"command"} == set(_CONFIG_KEYS)
+    head = [command, *_OWN_ARGS.get(command, [])]
+    keys = _COMMAND_KEYS[command] | {"cache_dir", "out_dir"}
+    assert set(vars(parser.parse_args(head))) - _OWN_DESTS == keys
     for key in _CONFIG_KEYS:
-        flag = "--" + key.replace("_", "-")
-        assert getattr(parser.parse_args(["scan", flag, "7"]), key) == "7"
+        argv = [*head, "--" + key.replace("_", "-"), "7"]
+        if key in keys:
+            assert getattr(parser.parse_args(argv), key) == "7"
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments: --" + key.replace("_", "-") in capsys.readouterr().err
 
 
-def test_flags_and_file_values_share_converters():
+def test_flags_go_through_the_converters_of_their_keys():
     # each flag's text goes through the converter of its key in the table
     argv = ["scan", "--curve", "0,-1,1,-2,2", "--d", "3", "--interval", "1/10:7/20"]
     cfg = resolve_config(build_parser().parse_args(argv))
@@ -581,10 +607,10 @@ def test_contig_command_reports_sup_deviation(cli, tmp_path, capsys):
     assert (out / "contig.csv").exists()
 
 
-def test_weyl_command_lists_modes(cli, tmp_path, capsys):
-    run, _, _ = cli
+def test_weyl_command_lists_modes(tmp_path, capsys):
     out = tmp_path / "weyl"
-    assert run("weyl", "--M", "100", out_dir=out) == EXIT_OK
+    argv = ["weyl", "--M", "100", "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
     text = capsys.readouterr().out
     assert all(f"n={n}:" in text for n in range(6))
     assert (out / "weyl.csv").exists()
@@ -593,7 +619,7 @@ def test_weyl_command_lists_modes(cli, tmp_path, capsys):
 def test_weyl_command_reads_and_writes_no_cache(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    argv = ["--n-max", N_MAX, "--cache-dir", str(cache), "--out-dir", str(tmp_path / "out")]
+    argv = ["--cache-dir", str(cache), "--out-dir", str(tmp_path / "out")]
     assert main(["weyl", "--M", "100", *argv]) == EXIT_OK
     assert list(cache.iterdir()) == []
     assert (tmp_path / "out" / "weyl.csv").exists()
@@ -624,14 +650,17 @@ def test_theory_reports_the_quadrature_order_it_reached(cli, capsys):
     assert payload["petersson_nodes"] == 8
 
 
-_LVALUE_COMMANDS = [["theory"], ["theory", "--petersson"], ["fit"], ["dist", "--d", "3"], ["verify"]]
+_LVALUE_COMMANDS = [
+    ["theory"], ["theory", "--petersson"], ["fit", "--M", "50"], ["dist", "--d", "3", "--M", "50"],
+    ["verify", "--M", "50"],
+]
 
 
 @pytest.mark.parametrize("command", _LVALUE_COMMANDS)
 def test_fixture_for_another_curve_is_refused(command, tmp_path, capsys):
     # 57a1 has no symmetric-square L-values in theory's table: refused before anything is built
     cache = tmp_path / "cache"
-    argv = [*command, "--curve", "0,-1,1,-2,2", "--M", "50"]
+    argv = [*command, "--curve", "0,-1,1,-2,2"]
     argv += ["--n-max", "500", "--cache-dir", str(cache), "--out-dir", str(tmp_path)]
     assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err
