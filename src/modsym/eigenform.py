@@ -7,16 +7,29 @@ giant-step above a crossover prime, by the Legendre character sum below it and
 at bad primes.  The Hecke recursions extend them, and the analytic side gives
 certified series lengths, the antiderivative and the central L-value.  All but
 the series work in Python integers, so building coefficients loads no numpy.
+
+The curve, the --n-max check and the cache format live in curves, which this
+module re-exports: a query whose period table is cached reads only those, so
+this module loads on a cache miss or for a command that reads coefficients.
 """
 from __future__ import annotations
 
 import math
 import os
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
 
-from .exactmath import lazy_numpy, prime_powers, squarefree_factors
+from .curves import (  # the part a warm query reads, re-exported
+    CacheFormatError,
+    ConductorError,
+    CurveSpec,
+    check_n_max,
+    format_curve,
+    parse_curve,
+    read_cache,
+    read_usable,
+    write_cache,
+)
+from .exactmath import lazy_numpy, squarefree_factors
 
 np = lazy_numpy()
 
@@ -25,82 +38,6 @@ TOL_FLOOR = 1e-14
 
 class TruncationError(ValueError):
     """A certified truncation is not achievable with the available data."""
-
-
-class CacheFormatError(ValueError):
-    """A cache file failed header or body validation."""
-
-
-class ConductorError(ValueError):
-    """A model with no derivable squarefree conductor: additive, not minimal, or unfactored."""
-
-
-@dataclass(frozen=True)
-class CurveSpec:
-    """Integral Weierstrass model [a1, a2, a3, a4, a6]; the model fixes the level q."""
-
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-
-    @cached_property
-    def q(self) -> int:
-        """The conductor: the product of the primes of the discriminant, on a
-        minimal model with multiplicative reduction at each of them, which is
-        one where none divides c4 too (Silverman, AEC VII.5.1)."""
-        name = format_curve(self)
-        try:
-            primes = prime_powers(abs(self.discriminant))
-        except ValueError as exc:  # a singular model or an unresolved cofactor
-            raise ConductorError(f"no conductor for curve {name}: {exc}") from None
-        shared = [p for p in primes if self.c4 % p == 0]
-        if shared:
-            raise ConductorError(f"curve {name} is not a minimal model of squarefree conductor: "
-                                 f"{shared[0]} divides its discriminant {self.discriminant} "
-                                 f"and c4 = {self.c4}")
-        return math.prod(primes)
-
-    @property
-    def coefficients(self) -> tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    @property
-    def b2(self) -> int:
-        return self.a1 * self.a1 + 4 * self.a2
-
-    @property
-    def b4(self) -> int:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @property
-    def b6(self) -> int:
-        return self.a3 * self.a3 + 4 * self.a6
-
-    @property
-    def b8(self) -> int:
-        return (
-            self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4
-        )
-
-    # count_points reads these at every prime past _BSGS_MIN_P: computed once per curve
-    @cached_property
-    def discriminant(self) -> int:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-    @cached_property
-    def c4(self) -> int:
-        return self.b2 * self.b2 - 24 * self.b4
-
-    @cached_property
-    def c6(self) -> int:
-        return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
 
 # count_points finds a_p by baby-step giant-step above Mestre's bound, past
@@ -287,15 +224,17 @@ def hecke_extend(a_p: dict[int, int], q: int, spf: list[int]) -> array:
     return array("q", a)
 
 
-@dataclass
 class Eigenform:
     """The newform of one curve: its coefficients a(0..n_max), one int64
     array.array whether built or read (numpy views it through np.asarray).
     The curve is its only identity: the level is curve.q, and the
     Atkin-Lehner signs are read off the coefficients (al_sign)."""
 
-    curve: CurveSpec
-    coeffs: array
+    __slots__ = ("curve", "coeffs")
+
+    def __init__(self, curve: CurveSpec, coeffs: array):
+        self.curve = curve
+        self.coeffs = coeffs
 
     @property
     def q(self) -> int:
@@ -312,13 +251,6 @@ def al_sign(f: Eigenform, v: int) -> int:
     if v < 1 or f.q % v != 0:
         raise ValueError(f"{v} does not divide the level {f.q}")
     return math.prod(-int(f.coeffs[p]) for p in squarefree_factors(v))
-
-
-def check_n_max(q: int, n_max: int) -> None:
-    """Refuse an n_max below a prime p of q: a_p gives the involution sign there."""
-    top = max(squarefree_factors(q))
-    if n_max < top:
-        raise ValueError(f"n_max {n_max} stops short of the prime {top} of the level {q}")
 
 
 def build_eigenform(curve: CurveSpec, n_max: int) -> Eigenform:
@@ -418,74 +350,13 @@ def lfun1(f: Eigenform) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Caches: one header-checked text format, and the coefficient cache
+# The coefficient cache
 
 _COEFFS_MAGIC = "modsym-coeffs v2"
 
 
 def coeffs_cache_path(cache_dir: str, curve: CurveSpec, n_max: int) -> str:
     return os.path.join(cache_dir, f"coeffs-q{curve.q}-N{n_max}.txt")
-
-
-def format_curve(curve: CurveSpec) -> str:
-    return ",".join(str(a) for a in curve.coefficients)
-
-
-def parse_curve(text: str) -> CurveSpec:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 5:
-        raise ValueError("curve needs exactly five comma-separated integers")
-    return CurveSpec(*parts)
-
-
-def _header(magic: str, fields: dict) -> str:
-    return " ".join([magic, *(f"{k}={v}" for k, v in fields.items())])
-
-
-def write_cache(path: str, magic: str, fields: dict, body) -> None:
-    """Write the header `magic k=v ...` and then the body lines, atomically.
-
-    The text goes to a temp file beside path, which os.replace moves into
-    place, so readers see the old file or the new one, never a partial write;
-    the temp file is removed when the write fails.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join([_header(magic, fields), *body]) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def read_cache(path: str, magic: str, fields: dict):
-    """Yield the body rows, split on whitespace, of a write_cache file whose
-    header is exactly the one write_cache makes from magic and fields: the
-    identity of the cache is checked on every read, before the first row."""
-    want = _header(magic, fields)
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != want:
-            raise CacheFormatError(f"cache header {header!r} is not {want!r}")
-        for line in fh:
-            if not line.isspace():
-                yield line.split()
-
-
-def read_usable(path: str, what: str, read, *identity):
-    """read(path, *identity), or None when the cache is missing or, with a
-    warning, unusable; the caller then builds the data and rewrites it."""
-    if not os.path.exists(path):
-        return None
-    try:
-        return read(path, *identity)
-    except ValueError as exc:  # CacheFormatError and malformed body lines
-        import logging  # only here: a run whose caches read cleanly never loads it
-        logging.getLogger("modsym").warning(
-            "%s cache %s is unusable (%s); rebuilding", what, path, exc)
-        return None
 
 
 def _coeffs_identity(curve: CurveSpec, n_max: int) -> dict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -55,7 +54,19 @@ def divisors_squarefree(q: int) -> list[int]:
     return sorted(divs)
 
 
-def cf_decompose(r: Fraction) -> list[tuple[int, int, int, int]]:
+class Cusp:
+    """The cusp a/c, c > 0, in lowest terms, as the numerator and denominator
+    of a Fraction: all that the path code reads of a rational, without the
+    fractions module (which imports decimal).  A Fraction serves wherever a
+    Cusp does."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+def cf_decompose(r: Fraction | Cusp) -> list[tuple[int, int, int, int]]:
     """Manin path matrices (a, b, c, d) for the geodesic from i*infinity to r.
 
     Returns unimodular g_0 .. g_n built from the convergents p_j/q_j of r,

@@ -25,27 +25,19 @@ names it.  It holds |P^1(Z/q)| entries (24 at q = 15), so it is plain Python:
 building it (2|P^1| cmath series, 84 terms at q = 15), reading it and
 evaluating symbols load no numpy.  The direct oracle sums antiderivative_batch's
 numpy series, so verify's dual_algorithm gate also pits two series codes.
+
+Nor does this module load eigenform: the four names it calls from there
+(al_sign, antiderivative_batch, certified_terms, terms_needed) are imported
+where they are called, so reading a cached table and evaluating symbols on it
+compile only curves and exactmath beside this module.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .eigenform import (
-    CacheFormatError,
-    CurveSpec,
-    Eigenform,
-    al_sign,
-    antiderivative_batch,
-    certified_terms,
-    format_curve,
-    read_cache,
-    terms_needed,
-    write_cache,
-)
+from .curves import CacheFormatError, CurveSpec, Frozen, format_curve, read_cache, write_cache
 from .exactmath import (
     P1Table,
     _crt_least_abs,
@@ -54,11 +46,22 @@ from .exactmath import (
     p1_table,
 )
 
+# the names this module calls from eigenform, each imported where it is
+# called: a symbol read off a cached table never loads that layer
+_EIGENFORM_NAMES = ("al_sign", "antiderivative_batch", "certified_terms", "terms_needed")
+
+
+def __getattr__(name: str):
+    if name not in _EIGENFORM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import eigenform
+    return getattr(eigenform, name)
+
+
 TABLE_TOL = 1e-12  # the period table's tolerance, to which every class value is certified
 LATTICE_BOUND = 2.0 * math.pi * 10.0 * TABLE_TOL  # largest accepted |2 pi Re W_k - n_k * quantum|
 
 
-@dataclass(frozen=True)
 class ExpansionShift:
     """Data of f|h = e * (1/v) * f((w + m)/v) for unimodular h.
 
@@ -67,9 +70,15 @@ class ExpansionShift:
     split-at-i argument is (i + m)/v, whose imaginary part 1/v is at least 1/q.
     """
 
-    e: int
-    m: int
-    v: int
+    __slots__ = ("e", "m", "v")
+
+    def __init__(self, e: int, m: int, v: int):
+        self.e, self.m, self.v = e, m, v
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.e, self.m, self.v) == (other.e, other.m, other.v)
 
     @property
     def arg(self) -> complex:
@@ -90,16 +99,17 @@ def cusp_shift(c: int, d: int, f: Eigenform) -> ExpansionShift:
     e_v * (1/v) * f((w + m)/v).  Only d mod v enters, so every lift of a
     P^1(Z/q) class gives the same data.
     """
+    from .eigenform import al_sign
     v = f.q // math.gcd(c, f.q)
     m = d * pow(c, -1, v) % v
     return ExpansionShift(al_sign(f, v), m, v)
 
 
-@dataclass
 class PeriodTable:
     """One period value per P^1(Z/q) class, q the curve's level, certified to
     TABLE_TOL; plain tuples.  Built or read, the table is (curve, values), and
-    construction derives the rest.  values[k] is the complex integral of f dz
+    construction derives the rest, so two tables are equal when those are.
+    values[k] is the complex integral of f dz
     along the unimodular path g(0) -> g(infinity) for any lift g of class k;
     it is a class function because f dz is level-q invariant.
     residual_two/three are the worst two-term and three-term relation defects
@@ -108,16 +118,12 @@ class PeriodTable:
     |2 pi Re W_k - n_k quantum|; the range refuses a spurious tiny quantum.
     """
 
-    curve: CurveSpec
-    values: tuple[complex, ...]
-    classes: P1Table = field(init=False)
-    residual_two: float = field(init=False)
-    residual_three: float = field(init=False)
-    quantum: float = field(init=False)
-    lattice: tuple[int, ...] = field(init=False)
-    lattice_residual: float = field(init=False)
+    __slots__ = ("curve", "values", "classes", "residual_two", "residual_three", "quantum",
+                 "lattice", "lattice_residual")
 
-    def __post_init__(self):
+    def __init__(self, curve: CurveSpec, values: tuple[complex, ...]):
+        self.curve = curve
+        self.values = values
         self.classes = p1_table(self.q)
         if len(self.values) != len(self.classes):
             raise ValueError(f"{len(self.values)} period values for the {len(self.classes)} "
@@ -126,6 +132,11 @@ class PeriodTable:
         self.quantum, self.lattice, self.lattice_residual = certify_lattice(
             [2.0 * math.pi * w.real for w in self.values], LATTICE_BOUND
         )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.curve, self.values) == (other.curve, other.values)
 
     @property
     def q(self) -> int:
@@ -176,6 +187,7 @@ def certify_lattice(weights, bound: float) -> tuple[float, tuple[int, ...], floa
 
 def table_terms(q: int) -> int:
     """build_period_table's certified length: its lowest height is 1/q, at (1:0)."""
+    from .eigenform import terms_needed
     return terms_needed(1.0 / q, TABLE_TOL / 4.0)
 
 
@@ -188,6 +200,7 @@ def build_period_table(f: Eigenform) -> PeriodTable:
     certified below tol (gate 2*tol) and the three-term below 1.5*tol
     (gate 3*tol).  F is summed term by term in Python, not by antiderivative_batch.
     """
+    from .eigenform import certified_terms
     # a lift g of the class (c : d) has bottom row (c, d), and g S has (d, -c)
     shifts = [(cusp_shift(c, d, f), cusp_shift(d, -c, f)) for c, d in p1_table(f.q).reps]
     n_terms = certified_terms(f, min(sh.arg.imag for p in shifts for sh in p), TABLE_TOL / 4.0)
@@ -206,15 +219,15 @@ def build_period_table(f: Eigenform) -> PeriodTable:
     return PeriodTable(f.curve, values)
 
 
-def _path_classes(r: Fraction, table: PeriodTable) -> list[int]:
-    """Classes along the Manin path of r, reduced mod 1 (exact periodicity)."""
-    c = r.denominator
-    a = r.numerator % c
-    return [table.classes.index_of(c_j, d_j) for _, _, c_j, d_j in cf_decompose(Fraction(a, c))]
+def _path_classes(r: Fraction | Cusp, table: PeriodTable) -> list[int]:
+    """Classes along the Manin path of r, the same for r + 1 (exact
+    periodicity): the bottom rows of the path matrices, which name the
+    classes, do not depend on the integer part of r."""
+    return [table.classes.index_of(c_j, d_j) for _, _, c_j, d_j in cf_decompose(r)]
 
 
-def period_sum(r: Fraction, table: PeriodTable) -> complex:
-    """P(r) along the Manin path; exact 1-periodicity via a mod c reduction."""
+def period_sum(r: Fraction | Cusp, table: PeriodTable) -> complex:
+    """P(r) along the Manin path, which is 1-periodic exactly."""
     return sum((table.values[k] for k in _path_classes(r, table)), 0j)
 
 
@@ -233,26 +246,29 @@ def hecke_residual(r: Fraction, p: int, f: Eigenform, table: PeriodTable) -> flo
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
 class SymbolValue:
     """Evaluated symbol at a/c: real value, plus part, and the level gcd."""
 
-    numer: int
-    denom: int
-    d: int
-    m_minus: float
-    m_plus: float
+    __slots__ = ("numer", "denom", "d", "m_minus", "m_plus")
+
+    def __init__(self, numer: int, denom: int, d: int, m_minus: float, m_plus: float):
+        self.numer, self.denom, self.d = numer, denom, d
+        self.m_minus, self.m_plus = m_minus, m_plus
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-def symbol(r: Fraction, table: PeriodTable) -> SymbolValue:
+def symbol(r: Fraction | Cusp, table: PeriodTable) -> SymbolValue:
     """Both symbol components at the rational r, reduced into [0, 1), from
     one walk of the Manin path: m_minus is exact on the certified lattice,
     quantum times the path's integer sum, and m_plus is period_sum's value."""
     c = r.denominator
-    a = r.numerator % c
     ks = _path_classes(r, table)
     return SymbolValue(
-        numer=a,
+        numer=r.numerator % c,
         denom=c,
         d=math.gcd(c, table.q),
         m_minus=table.quantum * sum(table.lattice[k] for k in ks),
@@ -260,31 +276,29 @@ def symbol(r: Fraction, table: PeriodTable) -> SymbolValue:
     )
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """What to sample: denominator bound, gcd class, interval.  It is here, not
-    in scanstats, so the shell's RunConfig subclasses it without that layer."""
+class ScanSpec(Frozen):
+    """What to sample: denominator bound, gcd class, interval [x0, x1), whose
+    ends are Fractions or the ints 0 and 1.  It is here, not in scanstats, so
+    the shell's RunConfig subclasses it without that layer."""
 
-    q: int
-    m_max: int
-    d_filter: int | str = "all"
-    x0: Fraction = Fraction(0)
-    x1: Fraction = Fraction(1)
+    __slots__ = ("q", "m_max", "d_filter", "x0", "x1")
 
-    def __post_init__(self):
-        if self.m_max < 1:
+    def __init__(self, q: int, m_max: int, d_filter: int | str = "all",
+                 x0: Fraction | int = 0, x1: Fraction | int = 1):
+        for name, value in zip(ScanSpec.__slots__, (q, m_max, d_filter, x0, x1)):
+            object.__setattr__(self, name, value)
+        if m_max < 1:
             raise ValueError("m_max must be at least 1")
-        if not (0 <= self.x0 < self.x1 <= 1):
+        if not (0 <= x0 < x1 <= 1):
             raise ValueError("interval must satisfy 0 <= x0 < x1 <= 1")
-        d = self.d_filter
-        if d != "all" and (not isinstance(d, int) or d < 1 or self.q % d):
-            raise ValueError(f"d_filter {d!r} is not a positive divisor of {self.q}")
+        if d_filter != "all" and (not isinstance(d_filter, int) or d_filter < 1 or q % d_filter):
+            raise ValueError(f"d_filter {d_filter!r} is not a positive divisor of {q}")
 
     def wants(self, c: int) -> bool:
         return self.d_filter == "all" or math.gcd(c, self.q) == self.d_filter
 
 
-def direct_symbol_oracle(r: Fraction, f: Eigenform) -> complex:
+def direct_symbol_oracle(r: Fraction | Cusp, f: Eigenform) -> complex:
     """Independent evaluation of P(r) from a single scaled coset matrix.
 
     Builds the determinant-1 real matrix M = (a sqrt(v), B/sqrt(v);
@@ -295,6 +309,7 @@ def direct_symbol_oracle(r: Fraction, f: Eigenform) -> complex:
     refuses with TruncationError when the certified truncation at that
     height exceeds the available coefficients.
     """
+    from .eigenform import al_sign, antiderivative_batch
     q = f.q
     c = r.denominator
     a = r.numerator % c

@@ -30,8 +30,6 @@ import math
 import os
 import traceback
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 from .eigenform import _smallest_prime_factors
@@ -57,7 +55,7 @@ class LatticeCounts:
     images (c - a)/c, with -n, a window counts as they come, and the full
     rows take them from fold().  The width grows with the largest |n| seen."""
 
-    def __init__(self, m: int, x0: Fraction = Fraction(0), x1: Fraction = Fraction(1)):
+    def __init__(self, m: int, x0: Fraction | int = 0, x1: Fraction | int = 1):
         self.off = 0
         self.counts = np.zeros((m + 1, 1), dtype=np.int64)
         self._bounds = None
@@ -145,7 +143,7 @@ class SymbolStore:
         self._last = None
 
     def counts(
-        self, m: int, x0: Fraction = Fraction(0), x1: Fraction = Fraction(1)
+        self, m: int, x0: Fraction | int = 0, x1: Fraction | int = 1
     ) -> tuple[LatticeCounts, LatticeCounts]:
         """Counts of every row c <= m over all coprime residues and over the
         window [x0, x1); the two are one object when the window is [0, 1)."""
@@ -465,11 +463,11 @@ def contiguous_avg(store: SymbolStore, m_max: int, n_grid: int) -> np.ndarray:
     return store.quantum * out / m_max
 
 
-@dataclass(frozen=True)
 class WeylEntry:
-    n: int
-    total: complex
-    ratio: float
+    __slots__ = ("n", "total", "ratio")
+
+    def __init__(self, n: int, total: complex, ratio: float):
+        self.n, self.total, self.ratio = n, total, ratio
 
 
 def _moebius_totient(n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -508,7 +506,6 @@ def weyl_report(spec: ScanSpec) -> list[WeylEntry]:
     return entries
 
 
-@dataclass(frozen=True)
 class FitResult:
     """Variance-law fits for one gcd class, in the real sign convention.
 
@@ -518,9 +515,12 @@ class FitResult:
     negations (the paper symbol is i times the real one).
     """
 
-    fixed_slope_shift_real: float
-    slope_real: float
-    shift_real: float
+    __slots__ = ("fixed_slope_shift_real", "slope_real", "shift_real")
+
+    def __init__(self, fixed_slope_shift_real: float, slope_real: float, shift_real: float):
+        self.fixed_slope_shift_real = fixed_slope_shift_real
+        self.slope_real = slope_real
+        self.shift_real = shift_real
 
 
 def _fit_class(cs, phis, variances, slope_real: float) -> tuple[float, ...]:
@@ -565,7 +565,6 @@ def variance_fit(rows: np.recarray, slope_real: float) -> dict[int, FitResult]:
     return out
 
 
-@dataclass(frozen=True)
 class DistributionReport:
     """Standardized-sample statistics under both variance normalizations.
 
@@ -577,13 +576,16 @@ class DistributionReport:
     the exact one-sample sup distance to the standard normal CDF.
     """
 
-    n_sample: int
-    moments_shift: tuple[float, ...]
-    moments_slope: tuple[float, ...]
-    ks_shift: float
-    ks_slope: float
-    hist_edges: np.ndarray
-    hist_counts: np.ndarray
+    __slots__ = ("n_sample", "moments_shift", "moments_slope", "ks_shift", "ks_slope",
+                 "hist_edges", "hist_counts")
+
+    def __init__(self, n_sample: int, moments_shift: tuple[float, ...],
+                 moments_slope: tuple[float, ...], ks_shift: float, ks_slope: float,
+                 hist_edges: np.ndarray, hist_counts: np.ndarray):
+        self.n_sample = n_sample
+        self.moments_shift, self.moments_slope = moments_shift, moments_slope
+        self.ks_shift, self.ks_slope = ks_shift, ks_slope
+        self.hist_edges, self.hist_counts = hist_edges, hist_counts
 
 
 def distribution_report(

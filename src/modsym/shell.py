@@ -5,10 +5,14 @@ key table over defaults; every result-affecting field feeds a sha256
 fingerprint embedded in each CSV report, so outputs trace to the exact run.
 Exit codes: 0 success, 2 validation error or missing module, 3 gate failure.
 
-Only the table layer (eigenform, periods) loads with this module: coeffs,
-table and symbol run nothing else, and a warm query is mostly imports.  main
-binds the scan and theory layers' names here for the other commands, as does
-a lookup from outside; a name bound already (replaced in a test) is kept.
+Only what a symbol query reads off a cached period table loads with this
+module: curves, exactmath and periods, with no dataclasses or fractions; and
+main builds the parser of the one command it runs, so a warm query is mostly
+interpreter start-up.  main binds the other layers' names here for the
+commands that run them: eigenform's for coeffs and table (and for symbol when
+_table must build the table), those of eigenform, scanstats and theory for the
+rest.  A lookup from outside binds them too; a name bound already (replaced in
+a test) is kept.
 """
 from __future__ import annotations
 
@@ -17,27 +21,12 @@ import importlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .eigenform import (
-    CurveSpec,
-    Eigenform,
-    TruncationError,
-    al_sign,
-    build_eigenform,
-    check_n_max,
-    coeffs_cache_path,
-    lfun1,
-    load_or_build_eigenform,
-    parse_curve,
-    read_usable,
-)
-from .exactmath import squarefree_factors
+from .curves import CurveSpec, check_n_max, parse_curve, read_usable
+from .exactmath import Cusp, squarefree_factors
 from .periods import (
     LATTICE_BOUND,
     TABLE_TOL,
-    PeriodTable,
     ScanSpec,
     build_period_table,
     direct_symbol_oracle,
@@ -50,30 +39,35 @@ from .periods import (
     write_table_cache,
 )
 
-# the names the commands call from the two layers past the table layer
+# the names the commands call from the layers past the one a warm query reads
 _LAYER_NAMES = {
+    "eigenform": ("TruncationError", "al_sign", "build_eigenform", "coeffs_cache_path", "lfun1",
+                  "load_or_build_eigenform"),
     "scanstats": ("SymbolStore", "contiguous_avg", "distribution_report", "scan",
                   "variance_fit", "weyl_report", "write_aggregates_csv", "write_contig_csv",
                   "write_dist_csv", "write_fit_csv", "write_weyl_csv"),
     "theory": ("PETERSSON_TOL", "build_theory", "ghat", "petersson_quadrature",
                "sym2_l_from_petersson"),
 }
-_TABLE_COMMANDS = ("coeffs", "table", "symbol")  # they run the table layer alone
+# the layers coeffs and table run; symbol runs none, and _table binds
+# eigenform when it must build the table.  The other commands run all three
+_COMMAND_LAYERS = {"coeffs": ("eigenform",), "table": ("eigenform",), "symbol": ()}
 
 
-def _bind_layers() -> None:
-    """Import the scan and theory layers and bind their names here, except
-    a name bound already."""
-    for module, names in _LAYER_NAMES.items():
+def _bind_layers(modules=tuple(_LAYER_NAMES)) -> None:
+    """Import these layers and bind their names here, except a name bound
+    already."""
+    for module in modules:
         layer = importlib.import_module("." + module, __package__)
-        for name in names:
+        for name in _LAYER_NAMES[module]:
             globals().setdefault(name, getattr(layer, name))
 
 
 def __getattr__(name: str):
-    if not any(name in names for names in _LAYER_NAMES.values()):
+    modules = [module for module, names in _LAYER_NAMES.items() if name in names]
+    if not modules:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_layers()
+    _bind_layers(modules)
     return globals()[name]
 
 
@@ -89,22 +83,26 @@ class GateFailure(RuntimeError):
     """A consistency gate tripped; the command exits with code 3."""
 
 
-@dataclass(frozen=True)
 class RunConfig(ScanSpec):
     """A ScanSpec whose q is the curve's conductor, plus the coefficient count, seed and
-    paths.  The curve, parsed once from --curve, is the only identity the rest derives from."""
+    paths.  The curve, parsed once from --curve, is the only identity the rest derives from.
+    Immutable, and equal to another of the same fields."""
 
-    q: int = field(init=False)
-    m_max: int = 10000
-    curve: CurveSpec = CurveSpec(1, 1, 1, -10, -10)
-    n_max: int = 100000
-    seed: int = 1729
-    cache_dir: str = ".modsym-cache"
-    out_dir: str = "."
+    __slots__ = ("curve", "n_max", "seed", "cache_dir", "out_dir")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", self.curve.q)
-        super().__post_init__()
+    def __init__(self, m_max: int = 10000, d_filter: int | str = "all",
+                 x0: Fraction | int = 0, x1: Fraction | int = 1,
+                 curve: CurveSpec = CurveSpec(1, 1, 1, -10, -10), n_max: int = 100000,
+                 seed: int = 1729, cache_dir: str = ".modsym-cache", out_dir: str = "."):
+        for name, value in zip(RunConfig.__slots__, (curve, n_max, seed, cache_dir, out_dir)):
+            object.__setattr__(self, name, value)
+        super().__init__(curve.q, m_max, d_filter, x0, x1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = ScanSpec.__slots__ + RunConfig.__slots__
+        return all(getattr(self, name) == getattr(other, name) for name in fields)
 
     def fingerprint(self) -> str:
         """12-hex digest of the result-affecting fields, all but the paths cache_dir and out_dir."""
@@ -145,6 +143,7 @@ def _sha256():
 
 
 def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
+    from fractions import Fraction  # only here: it imports decimal
     lo, _, hi = text.partition(":")
     if not hi:
         raise ValueError("interval must look like x0:x1, e.g. 0.1:0.35")
@@ -209,6 +208,7 @@ def _table(cfg: RunConfig) -> PeriodTable:
     table = read_usable(path, "period table", read_table_cache, cfg.curve)
     fresh = table is None
     if fresh:
+        _bind_layers(("eigenform",))
         f = build_eigenform(cfg.curve, min(cfg.n_max, table_terms(cfg.q)))
         table = build_period_table(f)
     worst = max(table.residual_two, table.residual_three)
@@ -268,7 +268,7 @@ def cmd_symbol(cfg: RunConfig, args) -> int:
         print(f"note: {a}/{c} reduced to {a // g}/{c // g}")
         a, c = a // g, c // g
     table = _table(cfg)
-    s = symbol(Fraction(a, c), table)
+    s = symbol(Cusp(a, c), table)
     if s.numer != a:
         print(f"note: {a}/{c} folded into [0, 1) as {s.numer}/{s.denom}")
     try:
@@ -385,6 +385,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     """Cross-checks every internal consistency gate and emits a JSON verdict."""
     import json
     import random
+    from fractions import Fraction
     gates: list[dict] = []
 
     def gate(name: str, value: float, threshold: float):
@@ -487,6 +488,20 @@ _COMMANDS = {  # name -> (function, help, the keys it takes beside the two paths
 }
 
 
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give parser the arguments of the command name."""
+    for key in (*_COMMANDS[name][2], "cache_dir", "out_dir"):
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_CONFIG_KEYS[key][2])
+    if name == "symbol":
+        parser.add_argument("a", type=int)
+        parser.add_argument("c", type=int)
+    elif name == "contig":
+        parser.add_argument("--grid", type=int, default=101)
+    elif name == "theory":
+        parser.add_argument("--petersson", action="store_true")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modsym",
@@ -494,17 +509,26 @@ def build_parser() -> argparse.ArgumentParser:
         "of squarefree conductor",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for name, (_, text, keys) in _COMMANDS.items():
-        parsers[name] = sub.add_parser(name, help=text)
-        for key in (*keys, "cache_dir", "out_dir"):
-            parsers[name].add_argument("--" + key.replace("_", "-"), dest=key,
-                                       help=_CONFIG_KEYS[key][2])
-    parsers["symbol"].add_argument("a", type=int)
-    parsers["symbol"].add_argument("c", type=int)
-    parsers["contig"].add_argument("--grid", type=int, default=101)
-    parsers["theory"].add_argument("--petersson", action="store_true")
+    for name, (_, text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building the one subparser argv names.
+
+    That subparser, built alone, is the one build_parser hangs under its
+    command, and parses the same strings.  Where it does not end the parse,
+    because argv names no command first or holds arguments the command does
+    not take, build_parser's parser parses again, so every usage, help and
+    error line is its own."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_arguments(argparse.ArgumentParser(prog="modsym " + argv[0]), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -512,10 +536,9 @@ def main(argv=None) -> int:
     # thread that idles, spinning, beside every command, and the sweep forks
     # from a process with one thread; a value set by the caller is kept
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if args.command not in _TABLE_COMMANDS:
-            _bind_layers()
+        _bind_layers(_COMMAND_LAYERS.get(args.command, tuple(_LAYER_NAMES)))
         cfg = resolve_config(args)
         return _COMMANDS[args.command][0](cfg, args)
     except GateFailure as exc:

@@ -8,7 +8,6 @@ symmetric-square L-value independently of SYM2_LVALUES.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .eigenform import CurveSpec, Eigenform, TruncationError, format_curve, terms_needed
 from .exactmath import divisors_squarefree, lazy_numpy, p1_table, squarefree_factors
@@ -120,13 +119,22 @@ def ghat(f: Eigenform, xs) -> np.ndarray:
 # Petersson norm by fundamental-domain quadrature
 
 
-@dataclass(frozen=True)
 class PeterssonResult:
-    value: float
-    mesh_error: float
-    max_cutoff: float
-    truncated: int  # (class, x-node) columns of the last two passes cut short of the certified length
-    nodes: int  # Gauss-Legendre order of the fine pass
+    """value, its mesh_error and max_cutoff; truncated counts the (class,
+    x-node) columns of the last two passes cut short of the certified length,
+    and nodes is the Gauss-Legendre order of the fine pass."""
+
+    __slots__ = ("value", "mesh_error", "max_cutoff", "truncated", "nodes")
+
+    def __init__(self, value: float, mesh_error: float, max_cutoff: float, truncated: int,
+                 nodes: int):
+        self.value, self.mesh_error, self.max_cutoff = value, mesh_error, max_cutoff
+        self.truncated, self.nodes = truncated, nodes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def _map_rule(rule, edges) -> tuple[np.ndarray, np.ndarray]:

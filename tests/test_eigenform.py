@@ -63,6 +63,22 @@ def test_curvespec_discriminant():
     assert spec.discriminant == 50625  # 3^4 * 5^4
 
 
+def test_curvespec_is_an_immutable_dict_key():
+    spec, same = CurveSpec(*CURVE_15A1), CurveSpec(*CURVE_15A1)
+    assert spec == same and not spec != same and spec is not same
+    assert hash(spec) == hash(same) == hash(CURVE_15A1)  # its coefficients' hash
+    assert spec != CurveSpec(0, -1, 1, -2, 2) and spec != CURVE_15A1
+    assert {spec: "15a1"}[same] == "15a1"
+    assert spec.q == 15  # the level, computed once, is no field to compare
+    assert spec == CurveSpec(*CURVE_15A1) and hash(spec) == hash(CURVE_15A1)
+    for name in ("a1", "a6", "q", "discriminant", "c4", "label"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    assert spec.coefficients == CURVE_15A1 and spec.discriminant == 50625
+
+
 @pytest.mark.parametrize(
     "curve,q",
     [(CURVE_15A1, 15), ((0, -1, 1, -2, 2), 57), ((0, 1, 1, 20, -32), 57), ((1, 0, 1, -7, 5), 57)],

@@ -11,7 +11,6 @@ import math
 import os
 import random
 from array import array
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -20,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from modsym import eigenform, periods
+from modsym import curves, eigenform, periods
 from modsym.eigenform import (
     CacheFormatError,
     CurveSpec,
@@ -220,6 +219,13 @@ def test_a_form_read_from_its_cache_keeps_the_curves_level(tmp_path, monkeypatch
     assert table.curve == spec and table.q == 57 and len(table.classes) == 80
 
 
+def test_period_tables_are_equal_by_curve_and_values(table15):
+    values = table15.values
+    assert PeriodTable(table15.curve, values) == table15
+    assert PeriodTable(table15.curve, (-values[0], *values[1:])) != table15
+    assert table15 != values
+
+
 def test_period_table_refuses_values_of_another_level(table15):
     # 15a1's 24 values under 57a1's curve, whose level has 80 classes
     with pytest.raises(ValueError, match=r"24 period values for the 80 classes of P\^1\(Z/57\)"):
@@ -369,6 +375,7 @@ def test_table_cache_round_trip_bitwise(tmp_path, table15):
     path = tmp_path / "table.txt"
     write_table_cache(str(path), table15)
     back = read_table_cache(str(path), table15.curve)
+    assert back == table15 and not back != table15  # the built table, read back
     assert back.q == table15.q
     assert np.array_equal(back.values, table15.values)
     assert back.residual_two == table15.residual_two
@@ -470,7 +477,7 @@ def _fail_mid_write(monkeypatch):
     def half_open(path, *args, **kwargs):
         return _HalfWriter(builtins.open(path, *args, **kwargs))
 
-    monkeypatch.setattr(eigenform, "open", half_open, raising=False)
+    monkeypatch.setattr(curves, "open", half_open, raising=False)  # write_cache's module
 
 
 def _fail_on_replace(monkeypatch):

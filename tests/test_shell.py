@@ -4,7 +4,6 @@ Every invocation goes through main() in-process with private cache and
 output directories; the module-scoped fixture warms one coefficient and
 period-table cache so the individual commands stay fast.
 """
-import dataclasses
 import json
 import logging
 import math
@@ -12,7 +11,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -108,6 +106,31 @@ def test_flags_go_through_the_converters_of_their_keys():
     assert cfg.q == 57
 
 
+def _parse_outcome(parse, argv, capsys):
+    """The namespace parse(argv) returns, or its exit code, with what it printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(shell._COMMANDS))
+def test_one_subparser_parses_as_the_parser_of_every_command(command, capsys):
+    # main builds only the subparser of the command argv names; its help, usage
+    # and error lines and exit codes are the ones of the parser of all ten
+    own = _OWN_ARGS.get(command, [])
+    for argv in (
+        [command, "--help"], [command, "-h"], [command, *own, "--help"], [command, *own],
+        [command, *own, "--cache-dir", "x", "--out-dir", "y"], [command, *own, "--cache-dir"],
+        [command, *own, "--no-such", "1"], [command, *own, "extra"], [command, "--cur", "1"],
+        [command, *own, "--", "x"], [command, "2"], [command, "2", "x"], [command, "-2", "5"],
+        [], ["--help"], ["nope"], ["--nope", command], [command.title()],
+    ):
+        got = _parse_outcome(shell.parse_args, argv, capsys)
+        assert got == _parse_outcome(lambda a: build_parser().parse_args(a), argv, capsys), argv
+
+
 def test_removed_knobs_are_rejected(capsys):
     for argv in (
         ["scan", "--shards", "2"],
@@ -129,21 +152,34 @@ def test_removed_knobs_are_rejected(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("change", [{"m_max": 0}, {"d_filter": 4}])
+@pytest.mark.parametrize("change", [
+    {"m_max": 0}, {"d_filter": 4}, {"m_max": -3}, {"d_filter": 0}, {"d_filter": "3"},
+    {"d_filter": 2.5}, {"x0": Fraction(1, 2), "x1": Fraction(1, 3)}, {"x1": Fraction(3, 2)},
+    {"x0": Fraction(-1, 10)}, {"x0": Fraction(1, 3), "x1": Fraction(1, 3)},
+    {"curve": CurveSpec(0, 0, 0, -1, 0)},  # additive at 2: ConductorError, a ValueError
+])
 def test_run_config_validates_at_construction(change):
     with pytest.raises(ValueError):
         RunConfig(**change)
 
 
+def test_run_config_takes_only_its_fields():
+    for argument in ({"q": 15}, {"label": "x"}, {"tol": 1e-10}):
+        with pytest.raises(TypeError):
+            RunConfig(**argument)
+    with pytest.raises(TypeError):
+        RunConfig(*range(10))  # nine fields at most
+
+
 def test_run_config_takes_its_level_from_the_curve():
     cfg = RunConfig(curve=CurveSpec(0, -1, 1, -2, 2))
     assert cfg.q == 57
-    assert replace(cfg, m_max=5).q == 57
-    assert replace(cfg, curve=CurveSpec(1, 1, 1, -10, -10)).q == 15
+    assert RunConfig(curve=cfg.curve, m_max=5).q == 57
+    assert RunConfig(curve=CurveSpec(1, 1, 1, -10, -10)).q == 15
     with pytest.raises(TypeError):
         RunConfig(q=15)
-    with pytest.raises(ValueError):
-        replace(cfg, q=15)
+    with pytest.raises(AttributeError):  # nor can the level be set apart from the curve
+        cfg.q = 15
     # ScanSpec's own check runs on the derived level
     with pytest.raises(ValueError, match="not a positive divisor of 57"):
         RunConfig(curve=CurveSpec(0, -1, 1, -2, 2), d_filter=5)
@@ -167,15 +203,28 @@ def test_fingerprint_ignores_non_result_fields():
         {"cache_dir": "/elsewhere"},
         {"out_dir": "/elsewhere"},
     ):
-        assert replace(base, **change).fingerprint() == fp
+        assert RunConfig(**change).fingerprint() == fp
+
+
+# the configs of the benchmark's commands, by the RunConfig fields it passes
+# beside n_max = 20000, with the digests their CSVs and verdicts carry
+_BENCHMARK_DIGESTS = [
+    ({}, "e1811b93c79a"),  # table and symbol
+    ({"m_max": 7000}, "4726d5c937c8"),  # scan
+    ({"m_max": 2000}, "678ba732fcee"),  # contig and fit
+    ({"m_max": 4000, "d_filter": 1, "x0": Fraction(1, 10), "x1": Fraction(7, 20)},
+     "137737ba1e70"),  # dist
+    ({"m_max": 600, "seed": 1}, "dc8dd1250427"),  # verify, at a few seeds
+    ({"m_max": 600, "seed": 601}, "fa7bea96d050"),
+    ({"m_max": 600, "seed": 1729}, "1d021c5f0100"),
+]
 
 
 def test_fingerprints_of_the_default_and_benchmark_runs_are_pinned():
     # the CSVs of these runs carry these digests; a change to one is a change of output
     assert RunConfig().fingerprint() == "b71c8b266486"
-    assert RunConfig(n_max=20000, m_max=7000).fingerprint() == "4726d5c937c8"
-    dist = RunConfig(n_max=20000, m_max=4000, d_filter=1, x0=Fraction(1, 10), x1=Fraction(7, 20))
-    assert dist.fingerprint() == "137737ba1e70"
+    for config, digest in _BENCHMARK_DIGESTS:
+        assert RunConfig(n_max=20000, **config).fingerprint() == digest, config
 
 
 @pytest.mark.parametrize("blocked", [[], ["_sha2", "_sha256"]], ids=["builtin", "hashlib"])
@@ -212,11 +261,19 @@ def test_fingerprint_tracks_result_fields():
         {"seed": 2},
     )
     for change in changes:
-        assert replace(base, **change).fingerprint() != fp
+        assert RunConfig(**change).fingerprint() != fp
     # every field is hashed or is a path: a new field must be one or the other
-    assert replace(base, **changes[0]).q == 57
+    assert RunConfig(**changes[0]).q == 57
     hashed = {name for change in changes for name in change} | {"q"}
-    assert hashed | {"cache_dir", "out_dir"} == {f.name for f in dataclasses.fields(RunConfig)}
+    fields = {name for cls in RunConfig.__mro__ for name in getattr(cls, "__slots__", ())}
+    assert hashed | {"cache_dir", "out_dir"} == fields
+    # and none can change once the config is made
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(base, name, getattr(base, name))
+        with pytest.raises(AttributeError):
+            delattr(base, name)
+    assert base.fingerprint() == fp
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +759,9 @@ def test_verify_fails_a_quadrature_cut_short_of_its_certificate(cli, capsys, mon
     quadrature = shell.petersson_quadrature
 
     def cut_short(f, tol):
-        return replace(quadrature(f, tol=tol), truncated=1)
+        norm = quadrature(f, tol=tol)
+        return theory.PeterssonResult(norm.value, norm.mesh_error, norm.max_cutoff, truncated=1,
+                                      nodes=norm.nodes)
 
     monkeypatch.setattr(shell, "petersson_quadrature", cut_short)
     assert run("verify", "--M", "600") == EXIT_GATE
@@ -771,17 +830,23 @@ def test_table_commands_run_without_loading_numpy(command, cache_state, cli, tmp
     # the lazy top-level entry may be there; any submodule means numpy loaded;
     # nor may the scan or theory layer load, or pickle and multiprocessing,
     # which only a sweep could use; json and logging only the other commands
-    # use, and hashlib none, so none loads past what the interpreter had before main
+    # use, and hashlib none, so none loads past what the interpreter had before
+    # main.  A warm symbol reads the table cache alone: it loads no eigenform
+    # (the coefficient build, which a cold run needs), no dataclasses (with
+    # its inspect) and no fractions (with its decimal)
+    warm_path = ("modsym.eigenform", "dataclasses", "inspect", "fractions", "decimal")
     probe = (
         "import sys; bare = set(sys.modules); from modsym.shell import main; "
         "rc = main(sys.argv[1:]); "
         "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.')), "
         "[m for m in ('modsym.scanstats', 'modsym.theory', 'pickle', 'multiprocessing') "
         "if m in sys.modules], "
-        "[m for m in ('hashlib', 'json', 'logging') if m in set(sys.modules) - bare])"
+        "[m for m in ('hashlib', 'json', 'logging') if m in set(sys.modules) - bare], "
+        f"[m for m in {warm_path} if m in sys.modules])"
     )
     *lines, last = _fresh_interpreter(probe, *argv)
-    assert last == "0 [] [] []"
+    warm_symbol = command[0] == "symbol" and cache_state == "warm"
+    assert last == "0 [] [] [] " + ("[]" if warm_symbol else "['modsym.eigenform']")
     assert lines == expect.splitlines()
 
 
