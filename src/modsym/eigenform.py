@@ -8,9 +8,9 @@ at bad primes.  The Hecke recursions extend them, and the analytic side gives
 certified series lengths, the antiderivative and the central L-value.  All but
 the series work in Python integers, so building coefficients loads no numpy.
 
-The curve, the --n-max check and the cache format live in curves, which this
-module re-exports: a query whose period table is cached reads only those, so
-this module loads on a cache miss or for a command that reads coefficients.
+The curve, the --n-max check and the cache format live in curves: a query
+whose period table is cached reads only those, so this module loads on a
+cache miss or for a command that reads coefficients.
 """
 from __future__ import annotations
 
@@ -18,13 +18,12 @@ import math
 import os
 from array import array
 
-from .curves import (  # the part a warm query reads, re-exported
+from .curves import (
     CacheFormatError,
     ConductorError,
     CurveSpec,
     check_n_max,
     format_curve,
-    parse_curve,
     read_cache,
     read_usable,
     write_cache,
@@ -390,7 +389,10 @@ def read_coeffs_cache(path: str, curve: CurveSpec, n_max: int) -> array:
     for n, (n_s, a_s) in enumerate(rows, 1):
         if n > n_max or n_s != str(n):
             raise CacheFormatError(f"coefficient cache lists n = {n_s} in place of {n}")
-        coeffs.append(int(a_s))
+        try:
+            coeffs.append(int(a_s))
+        except OverflowError:
+            raise CacheFormatError(f"coefficient cache has a({n}) = {a_s}, past int64") from None
     if n != n_max:
         raise CacheFormatError(f"coefficient cache has {n} entries, not {n_max}")
     for p in _spot_check_primes(curve.q, n_max):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -54,16 +55,11 @@ def divisors_squarefree(q: int) -> list[int]:
     return sorted(divs)
 
 
-class Cusp:
-    """The cusp a/c, c > 0, in lowest terms, as the numerator and denominator
+Cusp = namedtuple("Cusp", "numerator denominator")
+Cusp.__doc__ = """The cusp a/c, c > 0, in lowest terms, as the numerator and denominator
     of a Fraction: all that the path code reads of a rational, without the
     fractions module (which imports decimal).  A Fraction serves wherever a
     Cusp does."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int):
-        self.numerator, self.denominator = numerator, denominator
 
 
 def cf_decompose(r: Fraction | Cusp) -> list[tuple[int, int, int, int]]:

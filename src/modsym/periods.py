@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from collections import namedtuple
 
 from .curves import CacheFormatError, CurveSpec, Frozen, format_curve, read_cache, write_cache
 from .exactmath import (
@@ -62,7 +63,7 @@ TABLE_TOL = 1e-12  # the period table's tolerance, to which every class value is
 LATTICE_BOUND = 2.0 * math.pi * 10.0 * TABLE_TOL  # largest accepted |2 pi Re W_k - n_k * quantum|
 
 
-class ExpansionShift:
+class ExpansionShift(namedtuple("ExpansionShift", "e m v")):
     """Data of f|h = e * (1/v) * f((w + m)/v) for unimodular h.
 
     v = q/gcd(c, q) is the width of the cusp h(infinity) for the lower-left
@@ -70,15 +71,7 @@ class ExpansionShift:
     split-at-i argument is (i + m)/v, whose imaginary part 1/v is at least 1/q.
     """
 
-    __slots__ = ("e", "m", "v")
-
-    def __init__(self, e: int, m: int, v: int):
-        self.e, self.m, self.v = e, m, v
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.e, self.m, self.v) == (other.e, other.m, other.v)
+    __slots__ = ()
 
     @property
     def arg(self) -> complex:
@@ -246,19 +239,8 @@ def hecke_residual(r: Fraction, p: int, f: Eigenform, table: PeriodTable) -> flo
     return abs(lhs - rhs)
 
 
-class SymbolValue:
-    """Evaluated symbol at a/c: real value, plus part, and the level gcd."""
-
-    __slots__ = ("numer", "denom", "d", "m_minus", "m_plus")
-
-    def __init__(self, numer: int, denom: int, d: int, m_minus: float, m_plus: float):
-        self.numer, self.denom, self.d = numer, denom, d
-        self.m_minus, self.m_plus = m_minus, m_plus
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+SymbolValue = namedtuple("SymbolValue", "numer denom d m_minus m_plus")
+SymbolValue.__doc__ = "Evaluated symbol at a/c: real value, plus part, and the level gcd."
 
 
 def symbol(r: Fraction | Cusp, table: PeriodTable) -> SymbolValue:

@@ -30,6 +30,7 @@ import math
 import os
 import traceback
 import warnings
+from collections import namedtuple
 from itertools import chain
 
 from .eigenform import _smallest_prime_factors
@@ -235,7 +236,7 @@ class SymbolStore:
         part = (i, w) walks worker i's share of w workers: the lanes
         [s i / w, s (i + 1) / w) of the s = m // 2, and 0/1 for worker 0."""
         q, step, (i, w) = self.q, self._step, part
-        mod = np.arange(m + 1) % q
+        mod = (np.arange(m + 1) % q).astype(np.min_scalar_type(q - 1))  # gathered at every point
 
         def emit(c, a, n):
             for sink in sinks:
@@ -260,7 +261,7 @@ class SymbolStore:
                 b = (x[0, t - 1] + m) // x[0, t]
                 np.subtract(np.multiply(x[:, t], b, out=x[:, t + 1]), x[:, t - 1], out=x[:, t + 1])
             r = mod.take(x[0, 1:])  # each step adds the class (c' : c) to n
-            ns = step.take(r[1:] * q + r[:-1])
+            ns = step.take(np.multiply(r[1:], q, dtype=np.int32) + r[:-1])
             ns[0] += n
             for t in range(1, rows):
                 ns[t] += ns[t - 1]
@@ -463,11 +464,7 @@ def contiguous_avg(store: SymbolStore, m_max: int, n_grid: int) -> np.ndarray:
     return store.quantum * out / m_max
 
 
-class WeylEntry:
-    __slots__ = ("n", "total", "ratio")
-
-    def __init__(self, n: int, total: complex, ratio: float):
-        self.n, self.total, self.ratio = n, total, ratio
+WeylEntry = namedtuple("WeylEntry", "n total ratio")
 
 
 def _moebius_totient(n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -506,21 +503,14 @@ def weyl_report(spec: ScanSpec) -> list[WeylEntry]:
     return entries
 
 
-class FitResult:
-    """Variance-law fits for one gcd class, in the real sign convention.
+FitResult = namedtuple("FitResult", "fixed_slope_shift_real slope_real shift_real")
+FitResult.__doc__ = """Variance-law fits for one gcd class, in the real sign convention.
 
     fixed_slope_shift_real pins the slope at the theoretical value and
     averages the residual with phi(c) weights; slope/shift are the free
     weighted least squares in log c.  Paper-convention values are their
     negations (the paper symbol is i times the real one).
     """
-
-    __slots__ = ("fixed_slope_shift_real", "slope_real", "shift_real")
-
-    def __init__(self, fixed_slope_shift_real: float, slope_real: float, shift_real: float):
-        self.fixed_slope_shift_real = fixed_slope_shift_real
-        self.slope_real = slope_real
-        self.shift_real = shift_real
 
 
 def _fit_class(cs, phis, variances, slope_real: float) -> tuple[float, ...]:
@@ -565,8 +555,9 @@ def variance_fit(rows: np.recarray, slope_real: float) -> dict[int, FitResult]:
     return out
 
 
-class DistributionReport:
-    """Standardized-sample statistics under both variance normalizations.
+DistributionReport = namedtuple("DistributionReport", "n_sample moments_shift moments_slope "
+                                "ks_shift ks_slope hist_edges hist_counts")
+DistributionReport.__doc__ = """Standardized-sample statistics under both variance normalizations.
 
     The slope-only normalization divides by sqrt(slope * log c(r)) where
     c(r) = c*sqrt(q/d) is the scaled denominator the variance law is stated
@@ -575,17 +566,6 @@ class DistributionReport:
     are raw sample moments of the standardized values; the KS statistic is
     the exact one-sample sup distance to the standard normal CDF.
     """
-
-    __slots__ = ("n_sample", "moments_shift", "moments_slope", "ks_shift", "ks_slope",
-                 "hist_edges", "hist_counts")
-
-    def __init__(self, n_sample: int, moments_shift: tuple[float, ...],
-                 moments_slope: tuple[float, ...], ks_shift: float, ks_slope: float,
-                 hist_edges: np.ndarray, hist_counts: np.ndarray):
-        self.n_sample = n_sample
-        self.moments_shift, self.moments_slope = moments_shift, moments_slope
-        self.ks_shift, self.ks_slope = ks_shift, ks_slope
-        self.hist_edges, self.hist_counts = hist_edges, hist_counts
 
 
 def distribution_report(

@@ -8,8 +8,10 @@ symmetric-square L-value independently of SYM2_LVALUES.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
-from .eigenform import CurveSpec, Eigenform, TruncationError, format_curve, terms_needed
+from .curves import CurveSpec, format_curve
+from .eigenform import Eigenform, TruncationError, terms_needed
 from .exactmath import divisors_squarefree, lazy_numpy, p1_table, squarefree_factors
 from .periods import cusp_shift
 
@@ -119,22 +121,10 @@ def ghat(f: Eigenform, xs) -> np.ndarray:
 # Petersson norm by fundamental-domain quadrature
 
 
-class PeterssonResult:
-    """value, its mesh_error and max_cutoff; truncated counts the (class,
+PeterssonResult = namedtuple("PeterssonResult", "value mesh_error truncated nodes")
+PeterssonResult.__doc__ = """value and its mesh_error; truncated counts the (class,
     x-node) columns of the last two passes cut short of the certified length,
     and nodes is the Gauss-Legendre order of the fine pass."""
-
-    __slots__ = ("value", "mesh_error", "max_cutoff", "truncated", "nodes")
-
-    def __init__(self, value: float, mesh_error: float, max_cutoff: float, truncated: int,
-                 nodes: int):
-        self.value, self.mesh_error, self.max_cutoff = value, mesh_error, max_cutoff
-        self.truncated, self.nodes = truncated, nodes
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def _map_rule(rule, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +211,6 @@ def petersson_quadrature(f: Eigenform, tol: float = PETERSSON_TOL) -> PeterssonR
     return PeterssonResult(
         value=fine,
         mesh_error=abs(fine - coarse),
-        max_cutoff=max(w[1] for w, _ in groups),
         truncated=cut_coarse + cut_fine,
         nodes=nodes,
     )

@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modsym.eigenform import CurveSpec, build_eigenform
+from modsym.curves import CurveSpec
+from modsym.eigenform import build_eigenform
 from modsym.periods import ScanSpec, build_period_table, symbol
 from modsym.scanstats import LatticeCounts, SymbolStore, scan
 from modsym.theory import petersson_quadrature, slope_from_L, sym2_lvalues

@@ -16,11 +16,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modsym import eigenform
+from modsym import curves, eigenform
+from modsym.curves import CacheFormatError, ConductorError, CurveSpec
 from modsym.eigenform import (
-    CacheFormatError,
-    ConductorError,
-    CurveSpec,
     Eigenform,
     TOL_FLOOR,
     TruncationError,
@@ -533,7 +531,7 @@ def test_n_max_below_a_level_prime_is_refused(tmp_path):
     spec = CurveSpec(*CURVE_15A1)
     path = eigenform.coeffs_cache_path(str(tmp_path), spec, 3)
     identity = eigenform._coeffs_identity(spec, 3)
-    eigenform.write_cache(path, eigenform._COEFFS_MAGIC, identity, ["1 1", "2 -1", "3 -1"])
+    curves.write_cache(path, eigenform._COEFFS_MAGIC, identity, ["1 1", "2 -1", "3 -1"])
     assert read_coeffs_cache(path, spec, 3).tolist() == [0, 1, -1, -1]
     with pytest.raises(ValueError, match="n_max 3 stops short of the prime 5 of the level 15"):
         load_or_build_eigenform(spec, 3, str(tmp_path))
@@ -567,6 +565,26 @@ def test_duplicated_coefficient_line_is_rebuilt(tmp_path, caplog):
     assert "rebuilding" in caplog.text
     assert f.coeffs[11] == -4
     assert read_coeffs_cache(str(cache_file), spec, 60)[11] == -4
+
+
+def test_coefficient_past_int64_is_rebuilt(tmp_path, caplog):
+    # int() reads the value, but the int64 array cannot hold it
+    spec = CurveSpec(*CURVE_15A1)
+    cache_dir = tmp_path / "cache"
+    load_or_build_eigenform(spec, 60, str(cache_dir))
+    cache_file = cache_dir / "coeffs-q15-N60.txt"
+    fresh = cache_file.read_bytes()
+    lines = fresh.decode().splitlines()
+    assert lines[5] == "5 1"
+    lines[5] = "5 " + "9" * 25
+    cache_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError, match=r"a\(5\) = 9{25}, past int64"):
+        read_coeffs_cache(str(cache_file), spec, 60)
+    with caplog.at_level("WARNING"):
+        f = load_or_build_eigenform(spec, 60, str(cache_dir))
+    assert "rebuilding" in caplog.text
+    assert f.coeffs[5] == 1
+    assert cache_file.read_bytes() == fresh
 
 
 def test_edited_prime_coefficient_is_rebuilt(tmp_path, caplog):

@@ -20,9 +20,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modsym import curves, eigenform, periods
+from modsym.curves import CacheFormatError, CurveSpec
 from modsym.eigenform import (
-    CacheFormatError,
-    CurveSpec,
     Eigenform,
     TruncationError,
     _series,

@@ -17,7 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modsym import scanstats
-from modsym.periods import ScanSpec, symbol
+from modsym.exactmath import Cusp
+from modsym.periods import ScanSpec, cusp_shift, symbol
 from modsym.scanstats import (
     FORK_MIN,
     LatticeCounts,
@@ -897,3 +898,26 @@ def test_fit_and_weyl_and_dist_and_contig_csv(tmp_path, store15, slopes15):
     assert contig_lines[0] == "# fingerprint=c0a704"
     assert contig_lines[1] == "x,A_M_real,ghat"
     assert float(contig_lines[3].split(",")[1]) == a_m[1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda fx: Cusp(2, 5),
+        lambda fx: cusp_shift(3, 1, fx("form15_small")),
+        lambda fx: symbol(Fraction(2, 5), fx("table15")),
+        lambda fx: fx("petersson15"),
+        lambda fx: variance_fit(scan(ScanSpec(q=15, m_max=60), fx("store15")), 0.35)[1],
+        lambda fx: weyl_report(ScanSpec(q=15, m_max=60))[1],
+        lambda fx: distribution_report(ScanSpec(q=15, m_max=60, d_filter=1), fx("store15"),
+                                       0.35, 0.44),
+    ],
+    ids=["Cusp", "ExpansionShift", "SymbolValue", "PeterssonResult", "FitResult", "WeylEntry",
+         "DistributionReport"],
+)
+def test_value_records_are_immutable_and_equal_by_fields(make, request):
+    record = make(request.getfixturevalue)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert record == type(record)(**{name: getattr(record, name) for name in record._fields})

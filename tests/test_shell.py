@@ -16,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from modsym import shell, theory
-from modsym.eigenform import CacheFormatError, CurveSpec, TruncationError
+from modsym.curves import CacheFormatError, CurveSpec
+from modsym.eigenform import TruncationError
 from modsym.periods import read_table_cache
 from modsym.scanstats import FORK_MIN, SymbolStore
 from modsym.shell import (
@@ -759,9 +760,7 @@ def test_verify_fails_a_quadrature_cut_short_of_its_certificate(cli, capsys, mon
     quadrature = shell.petersson_quadrature
 
     def cut_short(f, tol):
-        norm = quadrature(f, tol=tol)
-        return theory.PeterssonResult(norm.value, norm.mesh_error, norm.max_cutoff, truncated=1,
-                                      nodes=norm.nodes)
+        return quadrature(f, tol=tol)._replace(truncated=1)
 
     monkeypatch.setattr(shell, "petersson_quadrature", cut_short)
     assert run("verify", "--M", "600") == EXIT_GATE
@@ -830,18 +829,20 @@ def test_table_commands_run_without_loading_numpy(command, cache_state, cli, tmp
     # the lazy top-level entry may be there; any submodule means numpy loaded;
     # nor may the scan or theory layer load, or pickle and multiprocessing,
     # which only a sweep could use; json and logging only the other commands
-    # use, and hashlib none, so none loads past what the interpreter had before
-    # main.  A warm symbol reads the table cache alone: it loads no eigenform
-    # (the coefficient build, which a cold run needs), no dataclasses (with
-    # its inspect) and no fractions (with its decimal)
+    # use, and hashlib and typing (whose import takes about 3 ms) none, so none
+    # loads past what the interpreter had before main; typing is dropped from
+    # that first, as a site .pth file may have loaded it.  A warm symbol reads
+    # the table cache alone: it loads no eigenform (the coefficient build, which
+    # a cold run needs), no dataclasses (with its inspect) and no fractions
+    # (with its decimal)
     warm_path = ("modsym.eigenform", "dataclasses", "inspect", "fractions", "decimal")
     probe = (
-        "import sys; bare = set(sys.modules); from modsym.shell import main; "
-        "rc = main(sys.argv[1:]); "
+        "import sys; sys.modules.pop('typing', None); bare = set(sys.modules); "
+        "from modsym.shell import main; rc = main(sys.argv[1:]); "
         "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.')), "
         "[m for m in ('modsym.scanstats', 'modsym.theory', 'pickle', 'multiprocessing') "
         "if m in sys.modules], "
-        "[m for m in ('hashlib', 'json', 'logging') if m in set(sys.modules) - bare], "
+        "[m for m in ('hashlib', 'json', 'logging', 'typing') if m in set(sys.modules) - bare], "
         f"[m for m in {warm_path} if m in sys.modules])"
     )
     *lines, last = _fresh_interpreter(probe, *argv)

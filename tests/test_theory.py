@@ -14,15 +14,8 @@ import numpy as np
 import pytest
 
 from modsym import theory
-from modsym.eigenform import (
-    CurveSpec,
-    Eigenform,
-    _series,
-    build_eigenform,
-    format_curve,
-    parse_curve,
-    terms_needed,
-)
+from modsym.curves import CurveSpec, format_curve, parse_curve
+from modsym.eigenform import Eigenform, _series, build_eigenform, terms_needed
 from modsym.exactmath import p1_table
 from modsym.periods import cusp_shift
 from modsym.theory import (
@@ -173,7 +166,6 @@ def test_profile_truncation_certificate(form15):
 def test_petersson_quadrature_self_checks(petersson15):
     assert petersson15.value > 0
     assert petersson15.mesh_error < 1e-5  # the tolerance verify holds it to
-    assert petersson15.max_cutoff < 20.0
 
 
 def test_petersson_recovers_fixture_lvalue(form15, petersson15, lfix):
@@ -208,7 +200,6 @@ def test_petersson_quadrature_is_frozen_bit_for_bit(form15_small):
     rough = petersson_quadrature(form15_small, tol=1e-3)
     assert rough.value == 0.05654015872824968
     assert rough.mesh_error == 2.1230408320249694e-08
-    assert rough.max_cutoff == 9.550641899748028
     assert rough.truncated == 0
 
 
@@ -280,7 +271,7 @@ def _per_class_quadrature(f, tol, orders):
     of orders, each class's series summed over every (point, term) pair in
     complex exponentials.
 
-    Returns (value, mesh_error, max_cutoff, truncated, shifts, lengths) from the
+    Returns (value, mesh_error, truncated, shifts, lengths) from the
     last two orders, where lengths[nodes, k] lists the series length of class k
     at each x-node of the pass with that node count.
     """
@@ -310,7 +301,7 @@ def _per_class_quadrature(f, tol, orders):
                 total += wx * float(np.sum(wys * np.abs(vals) ** 2))
             passes[-1] += (1 / sh.v) ** 2 * total
     coarse, fine = passes[-2:]
-    return fine, abs(fine - coarse), max(cutoffs), truncated, shifts, lengths
+    return fine, abs(fine - coarse), truncated, shifts, lengths
 
 
 @pytest.mark.parametrize(
@@ -337,12 +328,12 @@ def test_width_kernel_matches_the_per_class_oracle(form, tol, request, monkeypat
     got = petersson_quadrature(f, tol=tol)
     # the orders the quadrature doubled through, from 4 to its fine pass
     orders = [2**k for k in range(2, got.nodes.bit_length())]
-    value, mesh, max_cutoff, truncated, shifts, lengths = _per_class_quadrature(
+    value, mesh, truncated, shifts, lengths = _per_class_quadrature(
         f, tol, orders
     )
     assert got.value == pytest.approx(value, rel=1e-13)
     assert got.mesh_error == pytest.approx(mesh, abs=1e-13 * value)
-    assert (got.max_cutoff, got.truncated) == (max_cutoff, truncated)
+    assert got.truncated == truncated
     assert set(seen) == {(nodes, shifts[k].v) for nodes, k in lengths}
     for (nodes, k), cols in lengths.items():
         assert seen[nodes, shifts[k].v] == cols
