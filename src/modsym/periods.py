@@ -276,9 +276,6 @@ class ScanSpec(Frozen):
         if d_filter != "all" and (not isinstance(d_filter, int) or d_filter < 1 or q % d_filter):
             raise ValueError(f"d_filter {d_filter!r} is not a positive divisor of {q}")
 
-    def wants(self, c: int) -> bool:
-        return self.d_filter == "all" or math.gcd(c, self.q) == self.d_filter
-
 
 def direct_symbol_oracle(r: Fraction | Cusp, f: Eigenform) -> complex:
     """Independent evaluation of P(r) from a single scaled coset matrix.

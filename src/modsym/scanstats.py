@@ -33,7 +33,6 @@ import warnings
 from collections import namedtuple
 from itertools import chain
 
-from .eigenform import _smallest_prime_factors
 from .exactmath import lazy_numpy
 from .periods import PeriodTable, ScanSpec
 
@@ -126,11 +125,12 @@ class SymbolStore:
     chunk, not with the number of points.  Each sink accounts for the
     images itself, as the points come or in one fold() at the end.
 
-    counts(m, x0, x1) sinks the points into per-row counts of each n, over
-    all coprime residues and over a window; the counts of the last sweep
-    serve any smaller bound with the same window.  Its sweep, like the one
-    of contiguous_avg, is dealt to worker processes (_sweep), each walking
-    a run of consecutive lanes.  dense(c) sweeps to c in this process and
+    counts(spec) sinks the points into per-row counts of each n, over all
+    coprime residues and over the window of the spec: the one way scan and
+    distribution_report reach their sample, which serves the same bound and
+    window again from its last sweep.  Its sweep, like the one of
+    contiguous_avg, is dealt to worker processes (_sweep), each walking a
+    run of consecutive lanes.  dense(c) sweeps to c in this process and
     keeps row c, writing each walked a and its image c - a: the per-point
     oracle.
     """
@@ -143,17 +143,19 @@ class SymbolStore:
         self._first = int(table.lattice[table.classes.index_of(1, 0)])
         self._last = None
 
-    def counts(
-        self, m: int, x0: Fraction | int = 0, x1: Fraction | int = 1
-    ) -> tuple[LatticeCounts, LatticeCounts]:
-        """Counts of every row c <= m over all coprime residues and over the
-        window [x0, x1); the two are one object when the window is [0, 1)."""
-        if self._last is None or self._last[0] < m or self._last[1:3] != (x0, x1):
+    def counts(self, spec: ScanSpec) -> tuple[LatticeCounts, LatticeCounts]:
+        """Counts of every row c <= spec.m_max over all coprime residues and
+        over the window [spec.x0, spec.x1), one object when it is [0, 1); a
+        spec of another level, whose gcd classes label neither, is refused."""
+        if spec.q != self.q:
+            raise ValueError(f"a scan of level {spec.q} cannot read a table of level {self.q}")
+        m, x0, x1 = key = spec.m_max, spec.x0, spec.x1
+        if self._last is None or self._last[0] != key:
             full = LatticeCounts(m)
             window = full if (x0, x1) == (0, 1) else LatticeCounts(m, x0, x1)
             self._sweep(m, *((full,) if window is full else (full, window)))
-            self._last = (m, x0, x1, full, window)
-        return self._last[3:]
+            self._last = (key, full, window)
+        return self._last[1:]
 
     def dense(self, c: int) -> np.ndarray:
         """quantum * n at the coprime residues a of row c, 0 elsewhere."""
@@ -385,13 +387,17 @@ def _row_columns(n: int) -> np.recarray:
     return np.recarray(n, dtype=names)
 
 
+def _denominators(spec: ScanSpec) -> np.ndarray:
+    """Every c <= spec.m_max of the gcd class spec.d_filter, ascending, as int64."""
+    cs = np.arange(1, spec.m_max + 1, dtype=np.int64)
+    return cs if spec.d_filter == "all" else cs[np.gcd(cs, spec.q) == spec.d_filter]
+
+
 def scan(spec: ScanSpec, store: SymbolStore) -> np.recarray:
     """One row per admissible denominator, in ascending c, as the columns
     of a record array (_row_columns)."""
-    if spec.q != store.q:
-        raise ValueError(f"a scan of level {spec.q} cannot read a table of level {store.q}")
-    full, window = store.counts(spec.m_max, spec.x0, spec.x1)
-    cs = np.array([c for c in range(1, spec.m_max + 1) if spec.wants(c)], dtype=np.int64)
+    full, window = store.counts(spec)
+    cs = _denominators(spec)
     rows = _row_columns(len(cs))
     rows.c, rows.d = cs, np.gcd(cs, spec.q)
     phi, s = _row_sums(full, MOMENTS, store.quantum)
@@ -468,12 +474,12 @@ WeylEntry = namedtuple("WeylEntry", "n total ratio")
 
 
 def _moebius_totient(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """mu(0..n_max) and phi(0..n_max) from one prime sieve."""
-    spf = _smallest_prime_factors(n_max)
+    """mu(0..n_max) and phi(0..n_max) from one sieve: when it reaches p,
+    phi[p] is still p exactly when p is prime, as no smaller prime divides it."""
     mu = np.ones(n_max + 1, dtype=np.int64)
     phi = np.arange(n_max + 1, dtype=np.int64)
     for p in range(2, n_max + 1):
-        if spf[p] == p:
+        if phi[p] == p:
             mu[::p] *= -1
             mu[:: p * p] = 0
             phi[::p] -= phi[::p] // p
@@ -490,7 +496,7 @@ def weyl_report(spec: ScanSpec) -> list[WeylEntry]:
     even in n, and the n=0 entry is the sample count.
     """
     mu, phi = _moebius_totient(spec.m_max)
-    cs = np.array([c for c in range(1, spec.m_max + 1) if spec.wants(c)], dtype=np.int64)
+    cs = _denominators(spec)
     phis = phi[cs]
     count = int(phis.sum())
     if not count:
@@ -586,21 +592,16 @@ def distribution_report(
     the report's peak is under 100 bytes per atom (6.1 MB, by tracemalloc,
     for the 63,981 atoms of d = 1 on [1/10, 7/20) at M = 16000).
     """
-    if spec.q != store.q:
-        raise ValueError(f"a scan of level {spec.q} cannot read a table of level {store.q}")
     if spec.d_filter == "all":
         raise ValueError("the distribution report needs a single gcd class, not 'all'")
-    _, window = store.counts(spec.m_max, spec.x0, spec.x1)
+    _, window = store.counts(spec)
     half_log_class = 0.5 * math.log(spec.q / spec.d_filter)
-    cs, sd_shift, sd_slope = [], [], []
-    for c in range(1, spec.m_max + 1):
-        if not spec.wants(c):
-            continue
+    cs, sd_shift, sd_slope = _denominators(spec), [], []
+    for c in cs.tolist():
         var_slope = slope_real * (math.log(c) + half_log_class)
         var_shift = slope_real * math.log(c) + shift_real
         if var_slope <= 0 or var_shift <= 0:
             raise ValueError(f"modelled variance is not positive at c={c}")
-        cs.append(c)
         sd_shift.append(math.sqrt(var_shift))
         sd_slope.append(math.sqrt(var_slope))
     rows = window.counts[cs]
@@ -634,8 +635,8 @@ def distribution_report(
         moments_slope=raw_moments(z_slope),
         ks_shift=_ks_distance(z_shift, w),
         ks_slope=_ks_distance(z_slope, w),
-        hist_edges=edges,
-        hist_counts=hist.astype(np.int64),
+        hist_edges=tuple(edges.tolist()),
+        hist_counts=tuple(hist.tolist()),
     )
 
 
@@ -703,7 +704,7 @@ def write_fit_csv(path: str, fits: dict[int, FitResult], fingerprint: str) -> No
 
 def write_dist_csv(path: str, report: DistributionReport, fingerprint: str) -> None:
     edges = report.hist_edges
-    phi = [_normal_cdf(x) for x in edges[1:].tolist()]
+    phi = [_normal_cdf(x) for x in edges[1:]]
     cells = zip(edges[:-1], edges[1:], report.hist_counts, phi)
     head = ["bin_lo", "bin_hi", "count", "phi_cdf"]
     _write_csv(path, fingerprint, head, "{:.17g},{:.17g},{},{:.17g}\n", cells)

@@ -9,10 +9,9 @@ Only what a symbol query reads off a cached period table loads with this
 module: curves, exactmath and periods, with no dataclasses or fractions; and
 main builds the parser of the one command it runs, so a warm query is mostly
 interpreter start-up.  main binds the other layers' names here for the
-commands that run them: eigenform's for coeffs and table (and for symbol when
-_table must build the table), those of eigenform, scanstats and theory for the
-rest.  A lookup from outside binds them too; a name bound already (replaced in
-a test) is kept.
+commands that run them (_COMMAND_LAYERS), and _table binds eigenform's when
+it must build the table.  A lookup from outside binds them too; a name bound
+already (replaced in a test) is kept.
 """
 from __future__ import annotations
 
@@ -49,9 +48,11 @@ _LAYER_NAMES = {
     "theory": ("PETERSSON_TOL", "build_theory", "ghat", "petersson_quadrature",
                "sym2_l_from_petersson"),
 }
-# the layers coeffs and table run; symbol runs none, and _table binds
+# the layers each command runs past the one a warm query reads; _table binds
 # eigenform when it must build the table.  The other commands run all three
-_COMMAND_LAYERS = {"coeffs": ("eigenform",), "table": ("eigenform",), "symbol": ()}
+_COMMAND_LAYERS = {"coeffs": ("eigenform",), "table": ("eigenform",), "symbol": (),
+                   "scan": ("scanstats",), "weyl": ("scanstats",),
+                   "theory": ("eigenform", "theory")}
 
 
 def _bind_layers(modules=tuple(_LAYER_NAMES)) -> None:

@@ -140,13 +140,13 @@ def point_symbols():
 
 @pytest.fixture(scope="session")
 def counts_match_symbols(point_symbols):
-    """Asserts that SymbolStore.counts(m_max, x0, x1) of a table, or with w
+    """Asserts that SymbolStore.counts of a table over [x0, x1), or with w
     the shares of w workers summed, holds, row by row and n ascending, the
     counts of the expanded symbol values."""
 
     def check(table, m_max, x0, x1, w=None):
         if w is None:
-            full, window = SymbolStore(table).counts(m_max, x0, x1)
+            full, window = SymbolStore(table).counts(ScanSpec(table.q, m_max, x0=x0, x1=x1))
             assert (full is window) == (x1 - x0 == 1)
         else:
             full, window = _shares(table, m_max, x0, x1, w)

@@ -24,6 +24,8 @@ from modsym.scanstats import (
     LatticeCounts,
     SymbolStore,
     _BinSums,
+    _denominators,
+    _moebius_totient,
     _row_columns,
     _row_sums,
     contiguous_avg,
@@ -83,6 +85,24 @@ def test_spec_validation():
         ScanSpec(q=15, m_max=10, d_filter=4)
     with pytest.raises(ValueError):
         ScanSpec(q=15, m_max=10, x0=Fraction(1, 2), x1=Fraction(1, 3))
+
+
+@pytest.mark.parametrize("q", [15, 57])
+def test_denominators_are_the_gcd_class(q):
+    # the one column of admissible denominators scan, weyl_report and
+    # distribution_report read, against the filter each of them once applied
+    for d in ("all", *(d for d in range(1, q + 1) if q % d == 0)):
+        for m in (*range(1, 2 * q + 2), 1000, 1001):
+            cs = _denominators(ScanSpec(q=q, m_max=m, d_filter=d))
+            assert cs.dtype == np.int64
+            assert cs.tolist() == [c for c in range(1, m + 1)
+                                   if d == "all" or math.gcd(c, q) == d]
+
+
+def test_moebius_totient_sieve():
+    mu, phi = _moebius_totient(1000)
+    assert mu[1:].tolist() == [_moebius(n) for n in range(1, 1001)]
+    assert phi[1:].tolist() == [_totient(n) for n in range(1, 1001)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +271,9 @@ def test_shares_match_the_symbols_on_windows_inside_lanes(table15, counts_match_
         counts_match_symbols(table15, m, x0, x1, w=w)
 
 
-def test_counts_of_a_longer_sweep_serve_a_shorter_bound(table15, monkeypatch, row_atoms):
+def test_counts_reuse_a_sweep_only_for_the_same_bound_and_window(
+    table15, monkeypatch, row_atoms
+):
     sweeps = []
     compute = SymbolStore._compute
 
@@ -261,11 +283,15 @@ def test_counts_of_a_longer_sweep_serve_a_shorter_bound(table15, monkeypatch, ro
 
     monkeypatch.setattr(SymbolStore, "_compute", counting)
     store = SymbolStore(table15)
-    full, window = store.counts(400)
+    full, window = store.counts(ScanSpec(15, 400))
     assert full is window
-    assert store.counts(250) == (full, full)
-    short = store.counts(250, Fraction(1, 3), Fraction(1, 2))[0]
-    assert sweeps == [400, 250]
+    # another gcd class over the same bound and window reads the same counts
+    assert store.counts(ScanSpec(15, 400, d_filter=1)) == (full, full)
+    assert sweeps == [400]
+    # a smaller bound sweeps again, and so does another window
+    short = store.counts(ScanSpec(15, 250))[0]
+    store.counts(ScanSpec(15, 250, x0=Fraction(1, 3), x1=Fraction(1, 2)))
+    assert sweeps == [400, 250, 250]
     # a row counts the same points whatever the bound of the sweep
     for c in range(1, 251):
         assert all(np.array_equal(x, y) for x, y in zip(row_atoms(full, c), row_atoms(short, c)))
@@ -346,7 +372,7 @@ def test_worker_shares_add_up_to_the_sweep(table15, summed_shares, w, m):
 @pytest.mark.parametrize("x0, x1", WINDOWS, ids=["full", "1/10-7/20", "0-1/2", "1/2-1", "3/5-9/10"])
 def test_forked_counts_equal_the_serial_sweep(table15, cpus, w, m, x0, x1):
     forks = cpus(w)
-    full, window = SymbolStore(table15).counts(m, x0, x1)
+    full, window = SymbolStore(table15).counts(ScanSpec(15, m, x0=x0, x1=x1))
     assert len(forks) == (w - 1 if m >= FORK_MIN else 0)
     for got, want in zip((full, window), _serial_counts(table15, m, x0, x1)):
         assert np.array_equal(got.counts, want.counts)
@@ -371,7 +397,7 @@ def test_a_worker_reaching_a_larger_n_widens_the_merge(table15, cpus, x0, x1):
     serial = _serial_counts(table15, FORK_MIN, x0, x1)
     assert all(x.off < y.off for x, y in zip(home, serial))
     forks = cpus(3)
-    full, window = SymbolStore(table15).counts(FORK_MIN, x0, x1)
+    full, window = SymbolStore(table15).counts(ScanSpec(15, FORK_MIN, x0=x0, x1=x1))
     assert len(forks) == 2
     for got, want in zip((full, window), serial):
         assert got.off == want.off
@@ -473,10 +499,17 @@ def test_row_against_manual_reduction(store15, table15):
     assert row.s_int[0] == pytest.approx(sum(window_vals), abs=1e-12)
 
 
-def test_scan_refuses_a_table_of_another_level(table15):
-    # the gcd classes of 57 on the symbols of 15a1 would label rows of neither
-    with pytest.raises(ValueError, match="level 57 .* level 15"):
-        scan(ScanSpec(q=57, m_max=60), SymbolStore(table15))
+def test_counts_refuses_a_spec_of_another_level(table15, monkeypatch):
+    # the gcd classes of 57 on the symbols of 15a1 would label rows of neither;
+    # scan and the distribution report reach their sample only through counts,
+    # which refuses before it sweeps
+    monkeypatch.setattr(SymbolStore, "_compute", None)
+    store = SymbolStore(table15)
+    spec = ScanSpec(q=57, m_max=300, d_filter=1)
+    for run in (store.counts, lambda s: scan(s, store),
+                lambda s: distribution_report(s, store, 0.35, 0.1)):
+        with pytest.raises(ValueError, match="^a scan of level 57 cannot read a table of level 15$"):
+            run(spec)
 
 
 def test_scan_refuses_moment_sums_int64_could_not_hold(table15, monkeypatch):
@@ -485,7 +518,7 @@ def test_scan_refuses_moment_sums_int64_could_not_hold(table15, monkeypatch):
     counts = LatticeCounts(2)
     counts._widen(1 << 15)
     store = SymbolStore(table15)
-    monkeypatch.setattr(store, "counts", lambda m, x0, x1: (counts, counts))
+    monkeypatch.setattr(store, "counts", lambda spec: (counts, counts))
     counts.counts[1, 0] = 3
     assert scan(ScanSpec(q=15, m_max=2), store).s[0, 3] == 3 * store.quantum**4 * 2**60
     counts.counts[1, 0] = 4
@@ -494,7 +527,7 @@ def test_scan_refuses_moment_sums_int64_could_not_hold(table15, monkeypatch):
 
 
 def test_row_sums_are_the_exact_integer_sums(store15, row_atoms):
-    full, _ = store15.counts(10000)
+    full, _ = store15.counts(ScanSpec(15, 10000))
     # with quantum 1 every S_k is the int64 sum itself, compared in Python ints
     phi, sums = _row_sums(full, 8, 1)
     phi, sums = phi.tolist(), sums.T.tolist()
@@ -673,8 +706,20 @@ def test_distribution_report_structure(store15, slopes15):
     assert rep.n_sample == 14
     assert len(rep.moments_shift) == 6 and len(rep.moments_slope) == 6
     assert 0.0 <= rep.ks_shift <= 1.0 and 0.0 <= rep.ks_slope <= 1.0
-    assert rep.hist_edges.size == rep.hist_counts.size + 1
-    assert int(rep.hist_counts.sum()) <= rep.n_sample
+    assert len(rep.hist_edges) == len(rep.hist_counts) + 1
+    assert sum(rep.hist_counts) <= rep.n_sample
+
+
+def test_distribution_reports_are_equal_by_value(table15, slopes15):
+    # each computed from a sweep of its own: the histogram is held as values,
+    # so == compares the reports field by field
+    _, slope_real = slopes15
+    spec = ScanSpec(q=15, m_max=300, d_filter=1, x0=Fraction(1, 10), x1=Fraction(7, 20))
+    first, second = (distribution_report(spec, SymbolStore(table15), slope_real, 0.440048)
+                     for _ in range(2))
+    assert first == second and first is not second
+    other = ScanSpec(q=15, m_max=300, d_filter=1, x0=Fraction(1, 10), x1=Fraction(1, 2))
+    assert distribution_report(other, SymbolStore(table15), slope_real, 0.440048) != first
 
 
 def _expanded_report(rows, slope_real, shift_real, m_max, x0, x1):
@@ -729,11 +774,11 @@ def test_atom_report_matches_the_expanded_sample(store15, rows15, slopes15, x0, 
 def _per_row_report(spec, store, slope_real, shift_real, atoms):
     """distribution_report as one array of atoms per row, concatenated: the
     reference the report's single pass over the rows is held to."""
-    _, window = store.counts(spec.m_max, spec.x0, spec.x1)
+    _, window = store.counts(spec)
     half_log_class = 0.5 * math.log(spec.q / spec.d_filter)
     zs_shift, zs_slope, ws = [], [], []
     for c in range(1, spec.m_max + 1):
-        if not spec.wants(c):
+        if math.gcd(c, spec.q) != spec.d_filter:
             continue
         var_slope = slope_real * (math.log(c) + half_log_class)
         var_shift = slope_real * math.log(c) + shift_real
@@ -787,12 +832,6 @@ def test_distribution_report_rejects_nonpositive_variance(store15, slopes15):
     _, slope_real = slopes15
     with pytest.raises(ValueError):
         distribution_report(ScanSpec(q=15, m_max=10, d_filter=1), store15, slope_real, -0.5)
-
-
-def test_distribution_report_refuses_a_table_of_another_level(store15):
-    # as scan does: the gcd classes of 57 on the symbols of 15a1 would sample neither
-    with pytest.raises(ValueError, match="level 57 .* level 15"):
-        distribution_report(ScanSpec(q=57, m_max=300, d_filter=1), store15, 0.35, 0.1)
 
 
 def test_distribution_report_refuses_the_all_class(store15, slopes15):
@@ -884,10 +923,8 @@ def test_fit_and_weyl_and_dist_and_contig_csv(tmp_path, store15, slopes15):
     dist_lines = dist_path.read_text().splitlines()
     assert dist_lines[0] == "# fingerprint=d15703"
     assert dist_lines[1] == "bin_lo,bin_hi,count,phi_cdf"
-    assert len(dist_lines) == 2 + rep.hist_counts.size
-    assert sum(int(l.split(",")[2]) for l in dist_lines[2:]) == int(
-        rep.hist_counts.sum()
-    )
+    assert len(dist_lines) == 2 + len(rep.hist_counts)
+    assert sum(int(l.split(",")[2]) for l in dist_lines[2:]) == sum(rep.hist_counts)
 
     xs = [k / 4 for k in range(5)]
     a_m = contiguous_avg(store15, 40, 5)

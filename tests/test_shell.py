@@ -972,6 +972,41 @@ def test_dist_runs_without_loading_scipy(cli):
 
 
 @pytest.mark.parametrize(
+    "command, absent",
+    [(["scan", "--M", "100"], ["modsym.eigenform", "modsym.theory"]),
+     (["weyl", "--M", "50"], ["modsym.eigenform", "modsym.theory"]),
+     (["theory"], ["modsym.scanstats"]),
+     (["theory", "--petersson"], ["modsym.scanstats"])],
+    ids=["scan", "weyl", "theory", "theory-petersson"],
+)
+def test_commands_load_only_the_layers_they_run(command, absent, cli):
+    # a warm scan reads the table alone, weyl neither table nor coefficients,
+    # and theory no symbol: neither loads the layers of the others
+    _, cache, out = cli
+    argv = [*command, "--cache-dir", str(cache), "--out-dir", str(out)]
+    if command[0] != "weyl":
+        argv += ["--n-max", N_MAX]
+    probe = (
+        "import sys; from modsym.shell import main; rc = main(sys.argv[2:]); "
+        "print(rc, [m for m in sys.argv[1].split(',') if m in sys.modules])"
+    )
+    assert _fresh_interpreter(probe, ",".join(absent), *argv)[-1] == "0 []"
+
+
+def test_theory_runs_with_numpy_missing(cli, capsys):
+    # the closed-form constants are plain Python: blocked, numpy does not
+    # load, and the JSON is the one printed with it
+    _, cache, out = cli
+    argv = ["theory", "--n-max", N_MAX, "--cache-dir", str(cache), "--out-dir", str(out)]
+    probe = ("import sys; sys.modules['numpy'] = None; from modsym.shell import main; "
+             "print(main(sys.argv[1:]))")
+    *lines, last = _fresh_interpreter(probe, *argv)
+    assert last == "0"
+    assert main(argv) == EXIT_OK
+    assert lines == capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
     "command", [["verify", "--M", "600"], ["scan", "--M", "100"]], ids=["verify", "scan"]
 )
 def test_reports_hash_without_loading_openssl(command, cli):
