@@ -501,15 +501,16 @@ def test_row_against_manual_reduction(store15, table15):
 
 def test_counts_refuses_a_spec_of_another_level(table15, monkeypatch):
     # the gcd classes of 57 on the symbols of 15a1 would label rows of neither;
-    # scan and the distribution report reach their sample only through counts,
-    # which refuses before it sweeps
+    # counts refuses before it sweeps
     monkeypatch.setattr(SymbolStore, "_compute", None)
-    store = SymbolStore(table15)
-    spec = ScanSpec(q=57, m_max=300, d_filter=1)
-    for run in (store.counts, lambda s: scan(s, store),
-                lambda s: distribution_report(s, store, 0.35, 0.1)):
-        with pytest.raises(ValueError, match="^a scan of level 57 cannot read a table of level 15$"):
-            run(spec)
+    with pytest.raises(ValueError, match="^a scan of level 57 cannot read a table of level 15$"):
+        SymbolStore(table15).counts(ScanSpec(q=57, m_max=300, d_filter=1))
+
+
+def test_scan_refuses_a_table_of_another_level(table15):
+    # scan reaches its sample only through counts, which refuses the level
+    with pytest.raises(ValueError, match="level 57 .* level 15"):
+        scan(ScanSpec(q=57, m_max=60), SymbolStore(table15))
 
 
 def test_scan_refuses_moment_sums_int64_could_not_hold(table15, monkeypatch):
@@ -832,6 +833,12 @@ def test_distribution_report_rejects_nonpositive_variance(store15, slopes15):
     _, slope_real = slopes15
     with pytest.raises(ValueError):
         distribution_report(ScanSpec(q=15, m_max=10, d_filter=1), store15, slope_real, -0.5)
+
+
+def test_distribution_report_refuses_a_table_of_another_level(store15):
+    # as scan does: the gcd classes of 57 on the symbols of 15a1 would sample neither
+    with pytest.raises(ValueError, match="level 57 .* level 15"):
+        distribution_report(ScanSpec(q=57, m_max=300, d_filter=1), store15, 0.35, 0.1)
 
 
 def test_distribution_report_refuses_the_all_class(store15, slopes15):
