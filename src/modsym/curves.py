@@ -1,5 +1,5 @@
-"""The curve that names every result, and the header-checked text format of
-the caches keyed by it.
+"""The curve that names every result, and the header- and digest-checked
+text format of the caches keyed by it.
 
 This is the part of the eigenform layer that a warm query reads: the model
 and its conductor, the --curve and --n-max checks, and the cache reader.  It
@@ -8,6 +8,7 @@ command whose caches are warm compiles none of that.
 """
 from __future__ import annotations
 
+import importlib
 import math
 import os
 
@@ -122,21 +123,36 @@ def check_n_max(q: int, n_max: int) -> None:
 # One header-checked text format for every cache
 
 
+def _sha256():
+    """The sha256 constructor: CPython's builtin one (_sha2 from Python 3.12,
+    _sha256 before), hashlib's only where neither is built.  hashlib would
+    load OpenSSL's libcrypto and raise a command's peak RSS for the same digest."""
+    for module in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return importlib.import_module(module).sha256
+        except ImportError:
+            pass
+
+
 def _header(magic: str, fields: dict) -> str:
     return " ".join([magic, *(f"{k}={v}" for k, v in fields.items())])
 
 
 def write_cache(path: str, magic: str, fields: dict, body) -> None:
-    """Write the header `magic k=v ...` and then the body lines, atomically.
+    """Write the header `magic k=v ... sha256=<hex>` and then the body lines,
+    atomically; the digest is that of the body's bytes, every line ended by
+    a newline.
 
     The text goes to a temp file beside path, which os.replace moves into
     place, so readers see the old file or the new one, never a partial write;
     the temp file is removed when the write fails.
     """
+    text = "\n".join([*body, ""]).encode("ascii")
+    header = _header(magic, {**fields, "sha256": _sha256()(text).hexdigest()})
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join([_header(magic, fields), *body]) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode("ascii") + b"\n" + text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -144,18 +160,26 @@ def write_cache(path: str, magic: str, fields: dict, body) -> None:
         raise
 
 
-def read_cache(path: str, magic: str, fields: dict):
-    """Yield the body rows, split on whitespace, of a write_cache file whose
-    header is exactly the one write_cache makes from magic and fields: the
-    identity of the cache is checked on every read, before the first row."""
-    want = _header(magic, fields)
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != want:
-            raise CacheFormatError(f"cache header {header!r} is not {want!r}")
-        for line in fh:
-            if not line.isspace():
-                yield line.split()
+def read_cache(path: str, magic: str, fields: dict, parse):
+    """parse(body) for a write_cache file whose header is the one write_cache
+    makes from magic and fields, and whose body has the sha256 the header
+    gives; body is the file, in binary mode, at its first body line.  The
+    identity and the integrity of the cache are checked on every read, before
+    parse reads a line; the digest reads the body 8 KB at a time, so no copy of
+    the whole body is held."""
+    want = _header(magic, fields) + " sha256="
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii").rstrip("\n")
+        if not header.startswith(want):
+            raise CacheFormatError(f"cache header {header!r} does not start {want!r}")
+        start, digest = fh.tell(), _sha256()()
+        for chunk in iter(lambda: fh.read(1 << 13), b""):
+            digest.update(chunk)
+        if digest.hexdigest() != header[len(want):]:
+            raise CacheFormatError(f"cache body does not have the sha256 {header[len(want):]!r} "
+                                   "of its header")
+        fh.seek(start)
+        return parse(fh)
 
 
 def read_usable(path: str, what: str, read, *identity):

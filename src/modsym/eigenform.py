@@ -14,6 +14,7 @@ cache miss or for a command that reads coefficients.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from array import array
@@ -351,7 +352,7 @@ def lfun1(f: Eigenform) -> float:
 # ---------------------------------------------------------------------------
 # The coefficient cache
 
-_COEFFS_MAGIC = "modsym-coeffs v2"
+_COEFFS_MAGIC = "modsym-coeffs v3"
 
 
 def coeffs_cache_path(cache_dir: str, curve: CurveSpec, n_max: int) -> str:
@@ -363,9 +364,10 @@ def _coeffs_identity(curve: CurveSpec, n_max: int) -> dict:
 
 
 def write_coeffs_cache(path: str, f: Eigenform) -> None:
-    """Plain-text coefficients; the header names the level, length and curve."""
-    body = (f"{n} {a}" for n, a in enumerate(f.coeffs[1:].tolist(), 1))
-    write_cache(path, _COEFFS_MAGIC, _coeffs_identity(f.curve, f.n_max), body)
+    """Plain-text coefficients, line n holding a(n); the header names the
+    level, length and curve, and the body's sha256."""
+    write_cache(path, _COEFFS_MAGIC, _coeffs_identity(f.curve, f.n_max),
+                map(str, f.coeffs[1:].tolist()))
 
 
 def _spot_check_primes(q: int, n_max: int) -> list[int]:
@@ -379,22 +381,27 @@ def _spot_check_primes(q: int, n_max: int) -> list[int]:
     return primes
 
 
+def _parse_coeffs(body) -> array:
+    """[0, a(1), a(2), ...] from a coefficient cache body, line n holding a(n),
+    parsed a line at a time into the array alone."""
+    start, coeffs = body.tell(), array("q", [0])
+    try:
+        coeffs.extend(map(int, body))
+    except OverflowError:  # extend keeps the values before the one it cannot hold
+        n = len(coeffs)
+        body.seek(start)
+        a_s = next(itertools.islice(body, n - 1, None)).decode("ascii").strip()
+        raise CacheFormatError(f"coefficient cache has a({n}) = {a_s}, past int64") from None
+    return coeffs
+
+
 def read_coeffs_cache(path: str, curve: CurveSpec, n_max: int) -> array:
     """a(0..n_max) from a write_coeffs_cache file of this curve and length,
-    which must list n = 1..n_max once each, in order, and whose a(p) at the
-    _spot_check_primes agree with count_points."""
-    rows = read_cache(path, _COEFFS_MAGIC, _coeffs_identity(curve, n_max))
-    coeffs = array("q", [0])
-    n = 0
-    for n, (n_s, a_s) in enumerate(rows, 1):
-        if n > n_max or n_s != str(n):
-            raise CacheFormatError(f"coefficient cache lists n = {n_s} in place of {n}")
-        try:
-            coeffs.append(int(a_s))
-        except OverflowError:
-            raise CacheFormatError(f"coefficient cache has a({n}) = {a_s}, past int64") from None
-    if n != n_max:
-        raise CacheFormatError(f"coefficient cache has {n} entries, not {n_max}")
+    whose body has the digest of its header and holds n_max values, and whose
+    a(p) at the _spot_check_primes agree with count_points."""
+    coeffs = read_cache(path, _COEFFS_MAGIC, _coeffs_identity(curve, n_max), _parse_coeffs)
+    if len(coeffs) != n_max + 1:
+        raise CacheFormatError(f"coefficient cache has {len(coeffs) - 1} entries, not {n_max}")
     for p in _spot_check_primes(curve.q, n_max):
         counted = count_points(curve, p)
         if coeffs[p] != counted:

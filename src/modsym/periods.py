@@ -40,6 +40,7 @@ from collections import namedtuple
 
 from .curves import CacheFormatError, CurveSpec, Frozen, format_curve, read_cache, write_cache
 from .exactmath import (
+    Cusp,
     P1Table,
     _crt_least_abs,
     atkin_lehner_matrix,
@@ -224,18 +225,26 @@ def period_sum(r: Fraction | Cusp, table: PeriodTable) -> complex:
     return sum((table.values[k] for k in _path_classes(r, table)), 0j)
 
 
-def hecke_residual(r: Fraction, p: int, f: Eigenform, table: PeriodTable) -> float:
+def _reduced(a: int, c: int) -> Cusp:
+    """The cusp a/c, c > 0, in lowest terms."""
+    g = math.gcd(a, c)
+    return Cusp(a // g, c // g)
+
+
+def hecke_residual(r: Fraction | Cusp, p: int, f: Eigenform, table: PeriodTable) -> float:
     """Defect of the Hecke identity a_p P(r) = P(pr) + sum_b P((r+b)/p).
 
-    Valid for primes p not dividing the level; every argument stays an exact
-    Fraction, so the residual is purely the table's float error.
+    Valid for primes p not dividing the level; every argument is an exact
+    cusp in lowest terms, formed in integers, so the residual is purely the
+    table's float error.
     """
     if f.q % p == 0:
         raise ValueError(f"{p} divides the level {f.q}")
+    a, c = r.numerator, r.denominator
     lhs = int(f.coeffs[p]) * period_sum(r, table)
-    rhs = period_sum(p * r, table)
+    rhs = period_sum(_reduced(p * a, c), table)
     for b in range(p):
-        rhs += period_sum((r + b) / p, table)
+        rhs += period_sum(_reduced(a + b * c, p * c), table)
     return abs(lhs - rhs)
 
 
@@ -310,7 +319,7 @@ def direct_symbol_oracle(r: Fraction | Cusp, f: Eigenform) -> complex:
 # ---------------------------------------------------------------------------
 # Period table cache
 
-_TABLE_MAGIC = "modsym-table v2"
+_TABLE_MAGIC = "modsym-table v3"
 
 
 def table_cache_path(cache_dir: str, curve: CurveSpec) -> str:
@@ -332,7 +341,8 @@ def write_table_cache(path: str, table: PeriodTable) -> None:
 def read_table_cache(path: str, curve: CurveSpec) -> PeriodTable:
     """Reload the table of this curve, written at TABLE_TOL, which must list
     every class once, in canonical order; %.17g round-trips doubles exactly."""
-    rows = list(read_cache(path, _TABLE_MAGIC, _table_identity(curve)))
+    rows = read_cache(path, _TABLE_MAGIC, _table_identity(curve),
+                      lambda body: [line.decode("ascii").split() for line in body])
     if [key for key, _, _ in rows] != [f"{c}:{d}" for c, d in p1_table(curve.q).reps]:
         raise CacheFormatError("period table does not list each class once, in order")
     values = tuple(float(re_s) + 1j * float(im_s) for _, re_s, im_s in rows)

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from .curves import CurveSpec, check_n_max, parse_curve, read_usable
+from .curves import CurveSpec, _sha256, check_n_max, parse_curve, read_usable
 from .exactmath import Cusp, squarefree_factors
 from .periods import (
     LATTICE_BOUND,
@@ -128,17 +128,6 @@ class RunConfig(ScanSpec):
         return _sha256()(payload.encode("ascii")).hexdigest()[:12]
 
 
-def _sha256():
-    """The sha256 constructor: CPython's builtin one (_sha2 from Python 3.12,
-    _sha256 before), hashlib's only where neither is built.  hashlib would
-    load OpenSSL's libcrypto and raise a report's peak RSS for the same digest."""
-    for module in ("_sha2", "_sha256", "hashlib"):
-        try:
-            return importlib.import_module(module).sha256
-        except ImportError:
-            pass
-
-
 # ---------------------------------------------------------------------------
 # Configuration parsing
 
@@ -229,6 +218,16 @@ def _table(cfg: RunConfig) -> PeriodTable:
     return table
 
 
+def _refuse_an_empty_fit(cfg: RunConfig) -> None:
+    """Refuse, before any sweep, a class with no denominator 2 <= c <= M, as
+    weyl refuses an empty class: the variance fits skip c = 1."""
+    d = cfg.d_filter
+    if not any(d in ("all", math.gcd(c, cfg.q)) for c in range(2, cfg.m_max + 1)):
+        low = "2 <= " if d in ("all", 1) else ""
+        of_class = "" if d == "all" else f" has gcd {d} with q"
+        raise ValueError(f"no denominator {low}c <= {cfg.m_max}{of_class}")
+
+
 def _out(cfg: RunConfig, name: str) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
@@ -296,6 +295,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 def cmd_fit(cfg: RunConfig, args) -> int:
     theory = build_theory(cfg.curve)
+    _refuse_an_empty_fit(cfg)
     store = SymbolStore(_table(cfg))
     rows = scan(cfg, store)
     fits = variance_fit(rows, theory["slope_real"])
@@ -317,6 +317,7 @@ def cmd_dist(cfg: RunConfig, args) -> int:
     if cfg.d_filter == "all":
         raise ValueError("dist needs a single gcd class: pass --d")
     slope_real = build_theory(cfg.curve)["slope_real"]
+    _refuse_an_empty_fit(cfg)
     store = SymbolStore(_table(cfg))
     rows = scan(cfg, store)
     shift_real = variance_fit(rows, slope_real)[cfg.d_filter].fixed_slope_shift_real
@@ -386,7 +387,6 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     """Cross-checks every internal consistency gate and emits a JSON verdict."""
     import json
     import random
-    from fractions import Fraction
     gates: list[dict] = []
 
     def gate(name: str, value: float, threshold: float):
@@ -406,7 +406,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     gate("relation_three_term", table.residual_three, 3.0 * TABLE_TOL)
     gate("symbol_lattice", table.lattice_residual, LATTICE_BOUND)
 
-    p0 = period_sum(Fraction(0, 1), table)
+    p0 = period_sum(Cusp(0, 1), table)
     l_at_1 = lfun1(f)
     gate("value_at_zero_plus", abs(-2.0 * math.pi * p0.imag - l_at_1), 1e-8)
     gate("value_at_zero_minus", abs(2.0 * math.pi * p0.real), 1e-8)
@@ -426,7 +426,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         if math.gcd(a, c) != 1:
             continue
         p = good_primes[k % len(good_primes)]
-        worst = max(worst, hecke_residual(Fraction(a, c), p, f, table))
+        worst = max(worst, hecke_residual(Cusp(a, c), p, f, table))
     gate("hecke_identity", worst, 1e-8)
 
     worst = 0.0
@@ -438,10 +438,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         if math.gcd(a, c) != 1:
             continue
         try:
-            direct = direct_symbol_oracle(Fraction(a, c), f)
+            direct = direct_symbol_oracle(Cusp(a, c), f)
         except TruncationError:
             continue
-        worst = max(worst, abs(period_sum(Fraction(a, c), table) - direct))
+        worst = max(worst, abs(period_sum(Cusp(a, c), table) - direct))
         done += 1
     if done < ORACLE_CHECKS:
         raise TruncationError(

@@ -455,19 +455,28 @@ def test_coeffs_cache_round_trip(tmp_path, form15_small):
 @pytest.mark.parametrize(
     "curve,q,n_max,digest",
     [
-        (CURVE_15A1, 15, 2000, "4d10ff80ca52041eed97e7e9e136b34b9bc741586bdf9120bb85dee2b17aac9e"),
-        ((0, -1, 1, -2, 2), 57, 5000, "6da3f589b79216b0e465d0964852a8585fdc981c803d66a1f9b0569c6330c74b"),
+        (CURVE_15A1, 15, 2000, "79e25a7cb435d587070ecfcef71d53edd600fd1ef36c4d4aa7ca9a70ff641ea0"),
+        ((0, -1, 1, -2, 2), 57, 5000, "237c9c5bed8319fa42b15805833196a621281c84a6c70617bce3860dd38e75ef"),
     ],
+    ids=["15a1-2000", "57a1-5000"],
 )
 def test_coeffs_cache_bytes_are_pinned(tmp_path, curve, q, n_max, digest):
     # sha256 of the files written when counting and the recursions ran in
-    # numpy; both reach past the crossover into baby-step giant-step
+    # numpy, re-pinned for the positional body and the digest in the header;
+    # both reach past the crossover into baby-step giant-step
     spec = CurveSpec(*curve)
     assert spec.q == q
     load_or_build_eigenform(spec, n_max, str(tmp_path))
     path = eigenform.coeffs_cache_path(str(tmp_path), spec, n_max)
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+def _write_coeffs_body(path, spec, n_max, lines):
+    """A coefficient cache of these body lines under a header whose digest
+    matches them, as a faulty build would write it."""
+    curves.write_cache(str(path), eigenform._COEFFS_MAGIC,
+                       eigenform._coeffs_identity(spec, n_max), lines)
 
 
 def test_coefficients_have_one_type_built_or_read(tmp_path):
@@ -530,8 +539,7 @@ def test_n_max_below_a_level_prime_is_refused(tmp_path):
     # a(1..3) reads cleanly, so the refusal has to come before the read
     spec = CurveSpec(*CURVE_15A1)
     path = eigenform.coeffs_cache_path(str(tmp_path), spec, 3)
-    identity = eigenform._coeffs_identity(spec, 3)
-    curves.write_cache(path, eigenform._COEFFS_MAGIC, identity, ["1 1", "2 -1", "3 -1"])
+    _write_coeffs_body(path, spec, 3, ["1", "-1", "-1"])
     assert read_coeffs_cache(path, spec, 3).tolist() == [0, 1, -1, -1]
     with pytest.raises(ValueError, match="n_max 3 stops short of the prime 5 of the level 15"):
         load_or_build_eigenform(spec, 3, str(tmp_path))
@@ -549,35 +557,78 @@ def test_coeffs_cache_rejects_another_identity(tmp_path, form15_small):
 
 
 def test_duplicated_coefficient_line_is_rebuilt(tmp_path, caplog):
-    # the entry count still matches the header, so only an index check sees it
-    spec = CurveSpec(*CURVE_15A1)
-    cache_dir = tmp_path / "cache"
-    load_or_build_eigenform(spec, 60, str(cache_dir))
-    cache_file = cache_dir / "coeffs-q15-N60.txt"
-    lines = cache_file.read_text().splitlines()
-    assert lines[10:12] == ["10 -1", "11 -4"]
-    lines[11] = lines[10]
-    cache_file.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheFormatError):
-        read_coeffs_cache(str(cache_file), spec, 60)
-    with caplog.at_level("WARNING"):
-        f = load_or_build_eigenform(spec, 60, str(cache_dir))
-    assert "rebuilding" in caplog.text
-    assert f.coeffs[11] == -4
-    assert read_coeffs_cache(str(cache_file), spec, 60)[11] == -4
-
-
-def test_coefficient_past_int64_is_rebuilt(tmp_path, caplog):
-    # int() reads the value, but the int64 array cannot hold it
+    # the entry count still matches the header, so only the digest sees it
     spec = CurveSpec(*CURVE_15A1)
     cache_dir = tmp_path / "cache"
     load_or_build_eigenform(spec, 60, str(cache_dir))
     cache_file = cache_dir / "coeffs-q15-N60.txt"
     fresh = cache_file.read_bytes()
     lines = fresh.decode().splitlines()
-    assert lines[5] == "5 1"
-    lines[5] = "5 " + "9" * 25
+    assert lines[10:12] == ["-1", "-4"]
+    lines[11] = lines[10]
     cache_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError, match="sha256"):
+        read_coeffs_cache(str(cache_file), spec, 60)
+    with caplog.at_level("WARNING"):
+        f = load_or_build_eigenform(spec, 60, str(cache_dir))
+    assert "rebuilding" in caplog.text
+    assert f.coeffs[11] == -4
+    assert cache_file.read_bytes() == fresh
+
+
+def test_edited_coefficient_between_the_spot_checks_is_rebuilt(tmp_path, caplog):
+    # a(1000) is no spot-check prime, and the file keeps its layout and its
+    # length: only the digest sees the edit, which an index column missed
+    spec = CurveSpec(*CURVE_15A1)
+    cache_dir = tmp_path / "cache"
+    load_or_build_eigenform(spec, 3000, str(cache_dir))
+    assert 1000 not in eigenform._spot_check_primes(15, 3000)
+    cache_file = cache_dir / "coeffs-q15-N3000.txt"
+    fresh = cache_file.read_bytes()
+    lines = fresh.decode().splitlines()
+    assert lines[1000] == "3"
+    lines[1000] = "4"
+    cache_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError, match="sha256"):
+        read_coeffs_cache(str(cache_file), spec, 3000)
+    with caplog.at_level("WARNING"):
+        f = load_or_build_eigenform(spec, 3000, str(cache_dir))
+    assert caplog.text.count("rebuilding") == 1
+    assert f.coeffs[1000] == 3
+    assert cache_file.read_bytes() == fresh
+
+
+def test_v2_coefficient_cache_is_rebuilt_as_v3(tmp_path, caplog):
+    # the layout the previous format wrote, `n a(n)` under a header with no
+    # digest: refused by its magic, with one warning, and rebuilt into the
+    # bytes of a fresh cache
+    spec = CurveSpec(*CURVE_15A1)
+    fresh_dir, old_dir = tmp_path / "fresh", tmp_path / "old"
+    f = load_or_build_eigenform(spec, 60, str(fresh_dir))
+    old_dir.mkdir()
+    v2 = ["modsym-coeffs v2 q=15 N=60 curve=1,1,1,-10,-10",
+          *(f"{n} {a}" for n, a in enumerate(f.coeffs[1:].tolist(), 1))]
+    cache_file = old_dir / "coeffs-q15-N60.txt"
+    cache_file.write_text("\n".join(v2) + "\n")
+    with caplog.at_level("WARNING"):
+        g = load_or_build_eigenform(spec, 60, str(old_dir))
+    assert caplog.text.count("rebuilding") == 1
+    assert g.coeffs == f.coeffs
+    assert cache_file.read_bytes() == (fresh_dir / "coeffs-q15-N60.txt").read_bytes()
+
+
+def test_coefficient_past_int64_is_rebuilt(tmp_path, caplog):
+    # int() reads the value and the digest matches it, but the int64 array
+    # cannot hold it
+    spec = CurveSpec(*CURVE_15A1)
+    cache_dir = tmp_path / "cache"
+    load_or_build_eigenform(spec, 60, str(cache_dir))
+    cache_file = cache_dir / "coeffs-q15-N60.txt"
+    fresh = cache_file.read_bytes()
+    lines = fresh.decode().splitlines()[1:]
+    assert lines[4] == "1"
+    lines[4] = "9" * 25
+    _write_coeffs_body(cache_file, spec, 60, lines)
     with pytest.raises(CacheFormatError, match=r"a\(5\) = 9{25}, past int64"):
         read_coeffs_cache(str(cache_file), spec, 60)
     with caplog.at_level("WARNING"):
@@ -587,9 +638,22 @@ def test_coefficient_past_int64_is_rebuilt(tmp_path, caplog):
     assert cache_file.read_bytes() == fresh
 
 
+def test_coefficient_count_is_checked_past_the_digest(tmp_path):
+    # a body one value short or one long, each under a digest that matches it
+    spec = CurveSpec(*CURVE_15A1)
+    f = build_eigenform(spec, 60)
+    values = [str(a) for a in f.coeffs[1:].tolist()]
+    path = tmp_path / "coeffs.txt"
+    for lines, n in [(values[:-1], 59), (values + ["0"], 61)]:
+        _write_coeffs_body(path, spec, 60, lines)
+        with pytest.raises(CacheFormatError, match=f"has {n} entries, not 60"):
+            read_coeffs_cache(str(path), spec, 60)
+
+
 def test_edited_prime_coefficient_is_rebuilt(tmp_path, caplog):
-    # the layout is intact, so only the recount at the three largest primes
-    # not dividing the level sees the edit
+    # a cache whose digest matches a wrong a(p), as a faulty build would
+    # write it: only the recount at the three largest primes not dividing
+    # the level sees it
     assert eigenform._spot_check_primes(15, 3000) == [2999, 2971, 2969]
     assert eigenform._spot_check_primes(57, 20) == [17, 13, 11]
     spec = CurveSpec(*CURVE_15A1)
@@ -597,10 +661,10 @@ def test_edited_prime_coefficient_is_rebuilt(tmp_path, caplog):
     load_or_build_eigenform(spec, 3000, str(cache_dir))
     cache_file = cache_dir / "coeffs-q15-N3000.txt"
     fresh = cache_file.read_bytes()
-    lines = fresh.decode().splitlines()
-    assert lines[2999] == "2999 56"
-    lines[2999] = "2999 58"
-    cache_file.write_text("\n".join(lines) + "\n")
+    lines = fresh.decode().splitlines()[1:]
+    assert lines[2998] == "56"
+    lines[2998] = "58"
+    _write_coeffs_body(cache_file, spec, 3000, lines)
     with pytest.raises(CacheFormatError, match=r"a\(2999\) = 58"):
         read_coeffs_cache(str(cache_file), spec, 3000)
     with caplog.at_level("WARNING"):

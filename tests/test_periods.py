@@ -33,7 +33,7 @@ from modsym.eigenform import (
     read_coeffs_cache,
     write_coeffs_cache,
 )
-from modsym.exactmath import atkin_lehner_matrix, cf_decompose, p1_table, squarefree_factors
+from modsym.exactmath import Cusp, atkin_lehner_matrix, cf_decompose, p1_table, squarefree_factors
 from modsym.periods import (
     LATTICE_BOUND,
     ExpansionShift,
@@ -311,6 +311,43 @@ def test_hecke_identity_random_arguments(p, form15, table15):
     assert worst < 1e-8
 
 
+def _hecke_with_its_cusps(r, p, f, table):
+    """hecke_residual(r, p, f, table), and the (numerator, denominator) of
+    every argument it hands period_sum, in order."""
+    seen = []
+    period_sum = periods.period_sum
+
+    def recording(x, tab):
+        seen.append((x.numerator, x.denominator))
+        return period_sum(x, tab)
+
+    periods.period_sum = recording
+    try:
+        return hecke_residual(r, p, f, table), seen
+    finally:
+        periods.period_sum = period_sum
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(-10**6, 10**6),
+    c=st.integers(1, 10**6),
+    p=st.sampled_from([2, 7, 11, 13, 17]),
+)
+def test_hecke_residual_of_a_cusp_is_that_of_its_fraction(a, c, p, form15, table15):
+    # the integer cusps p r and (r + b)/p are the reduced Fractions the
+    # identity names, so the same paths are summed and the residual is the
+    # same bit for bit
+    assume(math.gcd(a, c) == 1)
+    r = Fraction(a, c)
+    got, cusps = _hecke_with_its_cusps(Cusp(a, c), p, form15, table15)
+    want, fractions = _hecke_with_its_cusps(r, p, form15, table15)
+    assert got.hex() == want.hex()
+    assert cusps == fractions == [
+        (x.numerator, x.denominator) for x in [r, p * r, *((r + b) / p for b in range(p))]
+    ]
+
+
 C_130 = (1 << 130) + 1  # a denominator past any fixed-width integer
 
 
@@ -418,9 +455,11 @@ def test_cache_headers_and_names_are_pinned(tmp_path, form15_small, table15):
     curve = table15.curve
     for write, obj, path, header in [
         (write_coeffs_cache, form15_small, coeffs_cache_path(str(tmp_path), curve, 3000),
-         b"modsym-coeffs v2 q=15 N=3000 curve=1,1,1,-10,-10\n"),
+         b"modsym-coeffs v3 q=15 N=3000 curve=1,1,1,-10,-10 "
+         b"sha256=5e65e95af36c7edffbc71520feb01c188600e2a2a5a763553f085bcdd2fbac7c\n"),
         (write_table_cache, table15, table_cache_path(str(tmp_path), curve),
-         b"modsym-table v2 q=15 tol=9.9999999999999998e-13 curve=1,1,1,-10,-10\n"),
+         b"modsym-table v3 q=15 tol=9.9999999999999998e-13 curve=1,1,1,-10,-10 "
+         b"sha256=10cdf21098d5fb9ce013f58688030f189ab242780f59c2f9081a60e8679a640b\n"),
     ]:
         write(path, obj)
         with open(path, "rb") as fh:
@@ -428,14 +467,25 @@ def test_cache_headers_and_names_are_pinned(tmp_path, form15_small, table15):
     assert sorted(os.listdir(tmp_path)) == ["coeffs-q15-N3000.txt", "table-q15-tol1e-12.txt"]
 
 
+def _write_table_body(path, curve, lines):
+    """A table cache of these body lines under a header whose digest matches
+    them, as a faulty build would write it."""
+    curves.write_cache(str(path), periods._TABLE_MAGIC, periods._table_identity(curve), lines)
+
+
 def test_table_cache_detects_tampered_values(tmp_path, table15):
-    # residuals are recomputed from the parsed values, so edits surface
+    # an edit is refused by the digest; one that comes with its digest, as a
+    # faulty build would write it, surfaces in the residuals, which are
+    # recomputed from the parsed values
     path = tmp_path / "tampered.txt"
     write_table_cache(str(path), table15)
     lines = path.read_text().splitlines()
     key, re_s, im_s = lines[1].split()
     lines[1] = f"{key} {float(re_s) + 0.25!r} {im_s}"
     path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError, match="sha256"):
+        read_table_cache(str(path), table15.curve)
+    _write_table_body(path, table15.curve, lines[1:])
     back = read_table_cache(str(path), table15.curve)
     assert back.residual_two > 0.1
 
@@ -450,7 +500,7 @@ def test_table_cache_refuses_values_that_are_not_finite(tmp_path, table15, colum
     parts = lines[1].split()
     parts[column] = value
     lines[1] = " ".join(parts)
-    path.write_text("\n".join(lines) + "\n")
+    _write_table_body(path, table15.curve, lines[1:])
     with pytest.raises(CacheFormatError, match="not finite"):
         read_table_cache(str(path), table15.curve)
 

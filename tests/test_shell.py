@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from modsym import shell, theory
+from modsym import curves, periods, shell, theory
 from modsym.curves import CacheFormatError, CurveSpec
 from modsym.eigenform import TruncationError
 from modsym.periods import read_table_cache
@@ -395,6 +395,13 @@ def test_theory_refuses_a_quadrature_cut_short_of_its_certificate(tmp_path, caps
     assert err.rstrip().endswith("raise --n-max")
 
 
+def _write_table_body(path, lines):
+    """A 15a1 table cache of these body lines under a header whose digest
+    matches them, as a faulty build would write it."""
+    curve = CurveSpec(1, 1, 1, -10, -10)
+    curves.write_cache(str(path), periods._TABLE_MAGIC, periods._table_identity(curve), lines)
+
+
 def test_tampered_table_cache_trips_the_gate(cli, tmp_path, capsys):
     run, cache, _ = cli
     bad_cache = tmp_path / "cache"
@@ -403,7 +410,7 @@ def test_tampered_table_cache_trips_the_gate(cli, tmp_path, capsys):
     lines = table_file.read_text().splitlines()
     key, re_s, im_s = lines[1].split()
     lines[1] = f"{key} {float(re_s) + 0.25!r} {im_s}"
-    table_file.write_text("\n".join(lines) + "\n")
+    _write_table_body(table_file, lines[1:])  # with its digest, as a faulty build would
     code = main(
         ["table", "--cache-dir", str(bad_cache), "--n-max", N_MAX]
     )
@@ -492,7 +499,7 @@ def test_table_cache_with_a_value_that_is_not_finite_is_rebuilt(
     key, _, im_s = lines[1].split()
     assert key == "0:1"
     lines[1] = f"{key} {value} {im_s}"
-    table_file.write_text("\n".join(lines) + "\n")
+    _write_table_body(table_file, lines[1:])
     with caplog.at_level(logging.WARNING, logger="modsym"):
         code = main(["symbol", "1", "15", "--cache-dir", str(bad_cache), "--n-max", N_MAX])
     assert code == EXIT_OK
@@ -655,6 +662,27 @@ def test_dist_on_an_empty_window_exits_2(argv, cli, tmp_path):
     assert not (tmp_path / "dist.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["dist", "--M", "10", "--d", "15"], "no denominator c <= 10 has gcd 15 with q"),
+        (["fit", "--M", "10", "--d", "15"], "no denominator c <= 10 has gcd 15 with q"),
+        (["dist", "--M", "1", "--d", "1"], "no denominator 2 <= c <= 1 has gcd 1 with q"),
+        (["fit", "--M", "1"], "no denominator 2 <= c <= 1"),
+    ],
+    ids=["dist-d15", "fit-d15", "dist-m1", "fit-m1"],
+)
+def test_fits_refuse_an_empty_class_before_the_sweep(argv, message, cli, tmp_path, capsys,
+                                                     monkeypatch):
+    # the class has no denominator 2 <= c <= M for the fits to read: refused
+    # before any sweep, naming the class and M as weyl does
+    monkeypatch.setattr(SymbolStore, "_compute", None)  # no sweep may start
+    run, _, _ = cli
+    assert run(*argv, out_dir=tmp_path) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_contig_command_reports_sup_deviation(cli, tmp_path, capsys):
     run, _, _ = cli
     out = tmp_path / "contig"
@@ -753,6 +781,21 @@ def test_verify_runs_every_gate(cli, capsys):
         m_max=600, n_max=int(N_MAX)
     ).fingerprint()
     assert verdict["petersson_nodes"] == 8  # beside the gates, not one of them
+
+
+def test_verify_loads_neither_fractions_nor_decimal(cli, capsys):
+    # its Hecke and oracle points are integer cusps: with both imports
+    # blocked, as None in sys.modules blocks them, it prints the same verdict
+    _, cache, out = cli
+    argv = ["verify", "--M", "600", "--n-max", N_MAX, "--cache-dir", str(cache),
+            "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    expect = capsys.readouterr().out
+    probe = ("import sys; sys.modules.update(dict.fromkeys(['fractions', 'decimal'])); "
+             "from modsym.shell import main; print(main(sys.argv[1:]))")
+    *lines, last = _fresh_interpreter(probe, *argv)
+    assert last == "0"
+    assert lines == expect.splitlines()
 
 
 def test_verify_fails_a_quadrature_cut_short_of_its_certificate(cli, capsys, monkeypatch):

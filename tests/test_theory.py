@@ -196,11 +196,30 @@ def test_petersson_coarse_run_stays_within_requested_tol(form15):
 
 def test_petersson_quadrature_is_frozen_bit_for_bit(form15_small):
     # any change to node placement or summation order moves these bits;
-    # test_width_kernel_matches_the_per_class_oracle bounds a deliberate move
+    # test_width_kernel_matches_the_per_class_oracle bounds a deliberate move.
+    # The default tolerance's pair is the one verify reports
     rough = petersson_quadrature(form15_small, tol=1e-3)
     assert rough.value == 0.05654015872824968
     assert rough.mesh_error == 2.1230408320249694e-08
     assert rough.truncated == 0
+    default = petersson_quadrature(form15_small)
+    assert default.value == 0.056629823041196584
+    assert default.mesh_error == 2.7832072188593848e-08
+    assert default.truncated == 0
+
+
+def test_petersson_quadrature_temporaries_stay_small(form15):
+    # the x-node blocks keep their temporaries near 1 MB, and the peak of
+    # 1.5 MB is the cutoffs' two arrays of 8 bytes a coefficient at N = 10^5;
+    # with every x-node of a pass in one block the peak was 4.2 MB
+    petersson_quadrature(form15)  # the rules and the class table, made once
+    tracemalloc.start()
+    try:
+        petersson_quadrature(form15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_petersson_quadrature_computes_each_rule_once(form15_small, monkeypatch):
