@@ -4,14 +4,16 @@ Evaluates the real symbol at every sample point a/c with c up to M in one
 streaming sweep over the certified integer class weights: consecutive
 points of the Farey sequence F_M are neighbours, so each point adds one
 class weight to the value of the point before it.  The sweep walks [0, 1/2]
-only, in independent lanes stepped side by side, and hands the lattice
-integers n of the walked points to accumulators as it goes: per-denominator
-counts of each n over all coprime residues and over a subinterval of
-[0,1), or, for the contiguous averages, integer sums of n per denominator
-and grid bin.  The real symbol is odd and 1-periodic, so a walked a/c with
-value n stands for its image (c - a)/c with -n as well: an accumulator
-counts that image as the point comes, or folds every image in at once when
-the sweep ends.  No point is stored, so memory is O(M * width + chunk).
+only, in independent lanes stepped side by side, each stepping only its
+denominators c and its running n, as a walked point's numerator follows
+from c and its lane.  It hands the lattice integers n of the walked points
+to accumulators as it goes: per-denominator counts of each n over all
+coprime residues and over a subinterval of [0,1), or, for the contiguous
+averages, integer sums of n per denominator and grid bin, each deciding
+its window or bins per lane where a whole lane falls alike.  The real
+symbol is odd and 1-periodic, so a walked a/c with value n stands for its
+image (c - a)/c with -n as well: an accumulator counts that image as the
+point comes, or folds every image in at once when the sweep ends.  No point is stored, so memory is O(M * width + chunk).
 From M = FORK_MIN on, the lanes are dealt to forked worker processes, one
 per usable CPU up to MAX_WORKERS; each walks its share into accumulators of
 its own, and the parent adds their integer counts to its own, ROW_BLOCK
@@ -48,12 +50,30 @@ MAX_WORKERS = 4  # so a large host does not fork dozens of 40 MB processes
 ROW_BLOCK = 512  # rows a merge, fold or CSV write takes at a time; floats a report converts
 
 
+class _Chunk(namedtuple("_Chunk", "c n lanes span")):
+    """Walked points of the sweep, as a sink's take_chunk sees them: int32
+    arrays c and n whose last axis runs over lanes in ascending order, shaped
+    (steps, lanes) for steps of whole lanes, one column a lane, or (points,)
+    for single points.  lanes holds the lane j of each column or point, the
+    points of lane j lying in (j/span, (j+1)/span]; lane -1 holds 0/1 alone."""
+
+    def numerators(self, at=slice(None)) -> np.ndarray:
+        """The numerators a of the points in the columns at, as int64: the one
+        integer in (c j/span, c (j+1)/span] (SymbolStore)."""
+        return np.multiply(self.c[..., at], self.lanes[at] + 1, dtype=np.int64) // self.span
+
+
 class LatticeCounts:
     """How often each lattice integer n occurs in each row c <= m: counts[c,
     n + off] over the points a/c with ceil(c x0) <= a < ceil(c x1).  A sink
     of the sweep, which hands it the walked points a/c in [0, 1/2]; their
     images (c - a)/c, with -n, a window counts as they come, and the full
-    rows take them from fold().  The width grows with the largest |n| seen."""
+    rows take them from fold().  The width grows with the largest |n| seen.
+
+    A window decides per lane: it counts a lane whole when the lane, or its
+    image, lies in [x0, x1), skips it when it lies outside, and tests the
+    points one by one only in the lanes that hold an edge, and in the lane
+    that ends at 1/2, its own image."""
 
     def __init__(self, m: int, x0: Fraction | int = 0, x1: Fraction | int = 1):
         self.off = 0
@@ -61,17 +81,35 @@ class LatticeCounts:
         self._bounds = None
         if (x0, x1) != (0, 1):
             self._bounds = [_ceil_multiples(m, x) for x in (x0, x1)]
+            self._lanes = _window_lanes(2 * (m // 2) or 2, x0, x1)  # the span of the sweep to m
 
-    def __call__(self, c: np.ndarray, a: np.ndarray, n: np.ndarray) -> None:
-        if self._bounds is not None:
-            lo, hi = (x.take(c) for x in self._bounds)
-            b = c - a  # the image (c - a)/c, except at 0/1 and 1/2 (c <= 2), their own
-            keep, image = (a >= lo) & (a < hi), (b >= lo) & (b < hi) & (c > 2)
-            c, n = np.concatenate((c[keep], c[image])), np.concatenate((n[keep], -n[image]))
+    def take_chunk(self, chunk: _Chunk) -> None:
+        c, n, lanes, _ = chunk
+        if self._bounds is None:
+            self._add(c, n)
+            return
+        inside, image, edges, flags = self._lanes
+        at = slice(*np.searchsorted(lanes, inside))
+        self._add(c[..., at], n[..., at])
+        at = slice(*np.searchsorted(lanes, image))
+        self._add(c[..., at], n[..., at], -1)
+        lo, hi = np.searchsorted(lanes, edges), np.searchsorted(lanes, edges, "right")
+        if not (lo < hi).any():
+            return
+        at = np.concatenate([np.arange(x, y) for x, y in zip(lo.tolist(), hi.tolist())])
+        mirror = np.repeat(flags, hi - lo)
+        c, n, a = c[..., at], n[..., at], chunk.numerators(at)
+        a = np.where(mirror, c - a, a)  # the image (c - a)/c, except at 0/1 and 1/2 (c <= 2), their own
+        keep = (a >= self._bounds[0].take(c)) & (a < self._bounds[1].take(c)) & ((c > 2) | ~mirror)
+        self._add(c[keep], np.where(mirror, -n, n)[keep])
+
+    def _add(self, c: np.ndarray, n: np.ndarray, sign: int = 1) -> None:
+        """Count each point c, sign * n once."""
         if not n.size:
             return
         self._widen(max(-int(n.min()), int(n.max())))
-        np.add.at(self.counts.reshape(-1), c * self.counts.shape[1] + (n + self.off), 1)
+        at = c * self.counts.shape[1] + (n + self.off if sign > 0 else self.off - n)
+        np.add.at(self.counts.reshape(-1), at, 1)
 
     def _widen(self, top: int) -> None:
         if top > self.off:
@@ -102,12 +140,31 @@ def _ceil_multiples(m: int, x: Fraction) -> np.ndarray:
     return np.array([-(-c * num // den) for c in range(m + 1)], dtype=np.int32)
 
 
+def _window_lanes(span: int, x0: Fraction | int, x1: Fraction | int) -> tuple:
+    """How a window [x0, x1) meets the lanes (j/span, (j+1)/span], j < span/2,
+    and their images [k/span, (k+1)/span), k = span - 1 - j: the lanes
+    [j0, j1) lie in it, the lanes [i0, i1) have their images in it, and the
+    lanes in edges hold an edge, in their images where flags is True; every
+    other lane and image lies outside.  The lane that ends at 1/2 is tested point
+    by point for its image, so its own image 1/2 counts once."""
+    half = span // 2 - 1
+    lo, hi = (-(-span * x // 1) for x in (x0, x1))  # ceil(span x0), ceil(span x1)
+    floors = [span * x // 1 for x in (x0, x1)]
+    j0, j1 = lo, hi - 1
+    i0, i1 = span - floors[1], min(span - lo, half)
+    edges = [(j0 - 1, False), (j1, False), (half, True)]
+    edges += [(span - 1 - f, True) for f, x in zip(floors, (x0, x1)) if f != span * x]
+    edges = sorted(set(edges))
+    return ((j0, j1), (i0, i1), np.array([j for j, _ in edges]),
+            np.array([image for _, image in edges]))
+
+
 class SymbolStore:
     """The real symbol m_minus(a/c) = quantum * n on the certified lattice,
     streamed over every point a/c with c up to a bound.
 
     The sweep to m walks the Farey sequence F_m: after the neighbours
-    a/c < a'/c' comes a''/c'' with c'' = b c' - c, a'' = b a' - a and
+    a/c < a'/c' comes a''/c'' with c'' = b c' - c = m - (m + c) mod c',
     b = (m + c) // c', and as a'c - ac' = 1, the symbol steps from a/c to
     a'/c' by the weight of the single class (c' : c).  It walks [0, 1/2]
     as the s = m // 2 lanes (j/2s, (j+1)/2s], all stepped at once in numpy,
@@ -120,10 +177,21 @@ class SymbolStore:
     s <= c < 2s.  So the last TAIL lanes are finished one point at a time
     in Python.  The points in (1/2, 1) are not walked: they are the images
     (c - a)/c of the points a/c in (0, 1/2), where the odd symbol is -n.
-    The sweep stores no point: it hands each chunk of about CHUNK walked
-    points (c, a, n) to its sinks once, so its working set grows with the
-    chunk, not with the number of points.  Each sink accounts for the
-    images itself, as the points come or in one fold() at the end.
+
+    A lane steps its denominators c and its running n alone: the numerator
+    of a walked a/c of lane j is a = floor(c (j+1) / 2s), the one integer
+    in (c j/2s, c (j+1)/2s], and 0/1 is lane -1.  Indeed a/c <= (j+1)/2s gives
+    a <= c (j+1)/2s, and (a+1)/c > (j+1)/2s holds: for c <= 2s as a/c > j/2s
+    and 1/c >= 1/2s.  The one c past 2s is c = m = 2s + 1 at odd m, and there
+    a/c > j/2s means 2s a - c j >= 1, so 2s (a+1) - c (j+1) = 2s a - c j - 1
+    >= 0, where equality would need 2s | c (j+1), so 2s | j + 1 with c
+    coprime to 2s, which 0 < j + 1 <= s rules out.  The sweep stores no
+    point: it hands each chunk of about CHUNK walked points to its sinks
+    once, so its working set grows with the chunk, not with the number of
+    points, and forms the numerators only for a sink that reads them as
+    flat arrays.  Each sink accounts for the images itself, as the points
+    come or in one fold() at the end, and decides its window or grid bins
+    per lane where the whole lane falls alike.
 
     counts(spec) sinks the points into per-row counts of each n, over all
     coprime residues and over the window of the spec: the one way scan and
@@ -184,8 +252,12 @@ class SymbolStore:
         and adds them to its own, so it never holds a second copy of them.
         The counts are integer sums, so the merged ones are the serial ones.
         A child that fails or whose counts end short makes this call raise,
-        and every child is reaped whatever happens."""
+        and every child is reaped whatever happens.  Worker i runs on the
+        i-th CPU this process may use, this thread on the first until its
+        share is walked: left to the scheduler, two workers were seen to
+        share one of two CPUs (_workers)."""
         w = _workers(m)
+        cpus = sorted(os.sched_getaffinity(0)) if w > 1 else []
         pids, fds = [], []  # a pid is None once reaped
         try:
             for i in range(1, w):
@@ -204,11 +276,18 @@ class SymbolStore:
                     raise
                 if pid == 0:
                     os.close(fd)
+                    _pin(cpus[i])
                     _child(lambda: self._compute(m, *sinks, part=(i, w)), sinks, out)
                 os.close(out)
                 pids.append(pid)
                 fds.append(fd)
-            self._compute(m, *sinks, part=(0, w))
+            if cpus:
+                _pin(cpus[0])
+            try:
+                self._compute(m, *sinks, part=(0, w))
+            finally:
+                if cpus:
+                    _pin(*cpus)
             for i in range(1, w):
                 with open(fds[i - 1], "rb", closefd=False) as fh:
                     whole = all(_merge_from(fh, sink) for sink in sinks)
@@ -231,61 +310,87 @@ class SymbolStore:
 
     def _compute(self, m: int, *sinks, part: tuple[int, int] = (0, 1)) -> None:
         """Sweep every point a/c in [0, 1/2] with c <= m once, handing each
-        chunk of points to every sink as sink(c, a, n), three int32 arrays
-        that the sinks share, so a sink may neither keep nor modify them.
-        The images (c - a)/c of the points with c > 2 are left to the sinks.
+        chunk of points to every sink.  A sink with a method take_chunk is
+        handed the _Chunk, lanes and all; any other sink is called as
+        sink(c, a, n) with three flat int32 arrays, for which alone the
+        numerators a are formed.  The sinks share the arrays, so a sink may
+        neither keep nor modify them.  The images (c - a)/c of the points with
+        c > 2 are left to the sinks.
 
         part = (i, w) walks worker i's share of w workers: the lanes
         [s i / w, s (i + 1) / w) of the s = m // 2, and 0/1 for worker 0."""
         q, step, (i, w) = self.q, self._step, part
         mod = (np.arange(m + 1) % q).astype(np.min_scalar_type(q - 1))  # gathered at every point
+        s = m // 2
+        span = 2 * s or 2  # at m = 1 there is no lane, and 0/1 is in lane -1 of any span
+        flat = not all(hasattr(sink, "take_chunk") for sink in sinks)
 
-        def emit(c, a, n):
+        def emit(c, n, lanes):
+            chunk = _Chunk(c, n, lanes, span)
+            if flat:
+                points = c.reshape(-1), chunk.numerators().astype(np.int32).reshape(-1), n.reshape(-1)
             for sink in sinks:
-                sink(c, a, n)
+                if hasattr(sink, "take_chunk"):
+                    sink.take_chunk(chunk)
+                else:
+                    sink(*points)
 
         if i == 0:
-            emit(*(np.array([v], dtype=np.int32) for v in (1, 0, self._first)))
-        s = m // 2
-        j = np.arange(s * i // w, s * (i + 1) // w)
-        g = np.gcd(j, 2 * s)
-        h, k, end = j // g, 2 * s // g, 2 * s // np.gcd(j + 1, 2 * s)
+            emit(np.ones(1, dtype=np.int32), np.full(1, self._first, dtype=np.int32), np.full(1, -1))
+        lanes = np.arange(s * i // w, s * (i + 1) // w)
+        g = np.gcd(lanes, 2 * s)
+        h, k, end = lanes // g, 2 * s // g, (2 * s // np.gcd(lanes + 1, 2 * s)).astype(np.int32)
         n, d = self._euclid(h, k)
         d += (m - d) // k * k  # the point before h/k in F_m has the largest d = h^-1 mod k
         # steps a chunk: about CHUNK points in all, and at most m/16, a fifth of a lane
-        rows = max(1, min(CHUNK // max(j.size, 1), s // 8))
-        # c and a of the last two points of every lane, at first before h/k and h/k
-        state = np.array([[d, k], [(h * d - 1) // k, h]], dtype=np.int32)
+        rows = max(1, min(CHUNK // max(lanes.size, 1), s // 8))
+        # c of the last two points of every lane, at first before h/k and h/k,
+        # then the rows of the steps; one buffer, its lanes fewer as they end
+        buf, b = np.empty((rows + 2) * lanes.size, dtype=np.int32), np.empty(lanes.size, dtype=np.int32)
+        x = buf.reshape(rows + 2, lanes.size)
+        x[0], x[1] = d, k
         while len(n) > TAIL:
-            x = np.empty((2, rows + 2, len(n)), dtype=np.int32)
-            x[:, :2] = state
-            for t in range(1, rows + 1):
-                b = (x[0, t - 1] + m) // x[0, t]
-                np.subtract(np.multiply(x[:, t], b, out=x[:, t + 1]), x[:, t - 1], out=x[:, t + 1])
-            r = mod.take(x[0, 1:])  # each step adds the class (c' : c) to n
+            for t in range(1, rows + 1):  # c'' = m - (m + c) mod c'
+                np.add(x[t - 1], m, out=b)
+                np.remainder(b, x[t], out=b)
+                np.subtract(m, b, out=x[t + 1])
+            r = mod.take(x[1:])  # each step adds the class (c' : c) to n
             ns = step.take(np.multiply(r[1:], q, dtype=np.int32) + r[:-1])
             ns[0] += n
             for t in range(1, rows):
                 ns[t] += ns[t - 1]
-            state, n = x[:, -2:].copy(), ns[-1].copy()
-            c, a = x[:, 2:]
+            c = x[2:]
             hit = c == end
             done = hit.any(axis=0)
-            if done.any():
-                keep = np.arange(rows)[:, None] <= np.where(done, hit.argmax(axis=0), rows)
-                c, a, ns = c[keep], a[keep], ns[keep]
-                state, n, end = state[:, :, ~done], n[~done], end[~done]
-            emit(c.reshape(-1), a.reshape(-1), ns.reshape(-1))
+            if not done.any():
+                emit(c, ns, lanes)
+                n = ns[-1].copy()
+                x[:2] = x[-2:]
+                continue
+            # a lane is done at its end: its points up to there, lane by lane
+            over = np.flatnonzero(done)
+            last = hit[:, over].argmax(axis=0)
+            keep = np.arange(rows) <= last[:, None]
+            emit(c[:, over].T[keep], ns[:, over].T[keep], np.repeat(lanes[over], last + 1))
+            live = ~done
+            state, n = x[-2:, live], ns[-1, live]
+            emit(c[:, live], ns[:, live], lanes[live])
+            lanes, end, b = lanes[live], end[live], b[: len(n)]
+            x = buf[: (rows + 2) * len(n)].reshape(rows + 2, len(n))
+            x[:2] = state
         # the last few lanes, the longest ones, point by point
-        out = []
+        out, runs = [], []
         step, mod = step.tolist(), mod.tolist()
-        for cp, c, ap, a, nc, e in zip(*state.reshape(4, -1).tolist(), n.tolist(), end.tolist()):
+        for cp, c, nc, e in zip(*x[:2].tolist(), n.tolist(), end.tolist()):
+            size = len(out)
             while c != e:
-                b = (m + cp) // c
-                cp, c, ap, a = c, b * c - cp, a, b * a - ap
+                cp, c = c, m - (m + cp) % c
                 nc += step[mod[c] * q + mod[cp]]
-                out += (c, a, nc)
-        emit(*np.array(out, dtype=np.int32).reshape(-1, 3).T)
+                out += (c, nc)
+            runs.append((len(out) - size) // 2)
+        if out:
+            c, n = np.array(out, dtype=np.int32).reshape(-1, 2).T
+            emit(c, n, np.repeat(lanes, runs))
 
     def _euclid(self, h: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """n at the reduced fractions h/k in [0, 1), and h^-1 mod k, from one
@@ -321,10 +426,31 @@ def _workers(m: int) -> int:
     14-20, 15, 25-28, 29-31 and 31 of the pairs.  So the fork pays from
     about m = 3000, which FORK_MIN is.  On the same host perfbench/run.py
     found it faster than one process in 8 of 12 alternating pairs of scan and
-    of explore passes, and explore's peak RSS lower in all 12 (33.46/33.91 MB)."""
+    of explore passes, and explore's peak RSS lower in all 12 (33.46/33.91 MB).
+    Measured again since, the harness read one process at m = 7000 slower
+    (pass_s 0.4056 against 0.4386 s, lower in 1 of 8 pairs, with a peak RSS
+    0.2 MB higher), while direct loops found it faster in 33 of 36 pairs.
+    Left unpinned there, a forked worker ran at half speed beside its
+    parent, its wall time about twice its CPU time: both ran on one CPU.
+    With the lanes stepping c alone, scan --M 7000 measured the same: each
+    of the two shares took 0.18-0.20 s of wall time for 0.09-0.10 s of CPU,
+    and 0.07-0.08 s of each with the worker pinned to the other CPU.  So
+    _sweep pins every worker to a CPU of its own.  That took the command
+    from 0.44 to 0.33 s (medians of 12 alternating pairs, all 12 faster),
+    and against one process the pinned fork was then faster at m = 7000
+    (0.196 against 0.219 s, 12 of 12 pairs), about even at m = 4000 (7 of
+    10) and slower at m = 3000 (0.142 against 0.136 s, 3 of 10)."""
     if m < FORK_MIN or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
+
+
+def _pin(*cpus: int) -> None:
+    """Let this thread run on the CPUs cpus alone, where the host allows it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # a CPU the host lacks: the thread runs where it may
+        pass
 
 
 def _merge_from(fh, sink) -> bool:
@@ -422,10 +548,20 @@ class _BinSums:
         self.g = np.int64(g)
         self.counts = np.zeros((m + 1, g + 1), dtype=np.int64)
 
-    def __call__(self, c: np.ndarray, a: np.ndarray, n: np.ndarray) -> None:
-        # i/g < a/c exactly for i < a g / c, so the bin is ceil(a g / c)
-        at = c * (self.g + 1) - (-a * self.g // c)
-        np.add.at(self.counts.reshape(-1), at, n.astype(np.int64))
+    def take_chunk(self, chunk: _Chunk) -> None:
+        # i/g < a/c exactly for i < a g / c, so the bin is ceil(a g / c).  The
+        # first grid point past a lane's start j/span is floor(j g / span) + 1,
+        # which is the bin of every point of a lane that holds no grid point
+        # before its end; only the other lanes need their numerators
+        c, n, lanes, span = chunk
+        first = lanes * self.g // span + 1
+        at = np.multiply(c, self.g + 1, dtype=np.intp)
+        at += first
+        split = np.flatnonzero(first * span < (lanes + 1) * self.g)
+        if split.size:
+            c = c[..., split]
+            at[..., split] = c * (self.g + 1) - (-chunk.numerators(split) * self.g // c)
+        np.add.at(self.counts.reshape(-1), at.reshape(-1), n.astype(np.int64).reshape(-1))
 
     def merge(self, block: np.ndarray, at: int) -> None:
         self.counts[at : at + len(block)] += block
@@ -677,20 +813,26 @@ def _write_csv(path: str, fingerprint: str, head: list[str], line: str, rows) ->
 
 
 def write_aggregates_csv(path: str, rows: np.recarray, fingerprint: str) -> None:
+    """The rows as CSV, ROW_BLOCK rows to a string.  Each row's count and
+    sums over all residues are formatted once, and stand for the window's
+    too when every window column equals its full one bit for bit."""
     ks = range(1, MOMENTS + 1)
     head = ["c", "d", "phi", *(f"S{k}" for k in ks), "I_count", *(f"I_S{k}" for k in ks)]
-    sums = ["{:.17g}"] * MOMENTS
-    line = ",".join(["{}", "{}", "{}", *sums, "{}", *sums]) + "\n"
+    cells = ",".join(["{}", *["{:.17g}"] * MOMENTS]).format
+    same = all(np.array_equal(x.view(np.int64), y.view(np.int64))
+               for x, y in ((rows.n_int, rows.phi), (rows.s_int, rows.s)))
 
-    def cells():
+    def blocks():
         # a block of rows at a time as Python numbers, so no row of them all is held
         for at in range(0, len(rows), ROW_BLOCK):
             block = rows[at : at + ROW_BLOCK]
-            phi, n_int = (x.astype(np.int64).tolist() for x in (block.phi, block.n_int))
-            s, s_int = block.s.T.tolist(), block.s_int.T.tolist()
-            yield from zip(block.c.tolist(), block.d.tolist(), phi, *s, n_int, *s_int)
+            full = list(map(cells, block.phi.astype(np.int64).tolist(), *block.s.T.tolist()))
+            window = full if same else map(cells, block.n_int.astype(np.int64).tolist(),
+                                           *block.s_int.T.tolist())
+            yield ("".join(f"{c},{d},{x},{y}\n" for c, d, x, y in
+                           zip(block.c.tolist(), block.d.tolist(), full, window)),)
 
-    _write_csv(path, fingerprint, head, line, cells())
+    _write_csv(path, fingerprint, head, "{}", blocks())
 
 
 def write_fit_csv(path: str, fits: dict[int, FitResult], fingerprint: str) -> None:

@@ -16,6 +16,7 @@ already (replaced in a test) is kept.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import math
 import os
@@ -219,13 +220,26 @@ def _table(cfg: RunConfig) -> PeriodTable:
 
 
 def _refuse_an_empty_fit(cfg: RunConfig) -> None:
-    """Refuse, before any sweep, a class with no denominator 2 <= c <= M, as
-    weyl refuses an empty class: the variance fits skip c = 1."""
-    d = cfg.d_filter
-    if not any(d in ("all", math.gcd(c, cfg.q)) for c in range(2, cfg.m_max + 1)):
-        low = "2 <= " if d in ("all", 1) else ""
-        of_class = "" if d == "all" else f" has gcd {d} with q"
-        raise ValueError(f"no denominator {low}c <= {cfg.m_max}{of_class}")
+    """Refuse, before the table is read or any sweep runs, every class the
+    fits would read that holds fewer than two denominators 2 <= c <= M: the
+    free fit needs two, and skips c = 1.  A class with none is refused as
+    weyl refuses it.  The first two c >= 2 of every class are at most 2q
+    (d and d + q for d > 1, q + 1 and 2q - 1 for d = 1), so no c past 2q is
+    read."""
+    d, m = cfg.d_filter, cfg.m_max
+    classes: dict[int, list[int]] = {}
+    for c in range(2, min(m, 2 * cfg.q) + 1):
+        classes.setdefault(math.gcd(c, cfg.q), []).append(c)
+    if d != "all":
+        classes = {d: classes.get(d, [])}
+    for e, cs in sorted(classes.items()) or [(d, [])]:
+        low = "2 <= " if e in ("all", 1) else ""
+        of_class = "" if e == "all" else f" has gcd {e} with q"
+        if not cs:
+            raise ValueError(f"no denominator {low}c <= {m}{of_class}")
+        if len(cs) < 2:
+            raise ValueError(f"only one denominator {low}c <= {m}{of_class} (c = {cs[0]}); "
+                             "the fit needs two")
 
 
 def _out(cfg: RunConfig, name: str) -> str:
@@ -550,5 +564,15 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def entry() -> int:
+    """main() on sys.argv, as the modsym script and python -m modsym.shell run
+    it: then the heap is frozen, so the collection at interpreter exit does
+    not walk the objects the imports made.  Exit handlers and stream flushes
+    still run."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -162,6 +162,18 @@ def test_mirrored_half_is_exact_at_random_points(rows15, table15, c, data):
         assert dense[a] == 0.0
 
 
+@settings(max_examples=30, deadline=None)
+@given(c=st.integers(min_value=1, max_value=1501))
+def test_dense_rows_read_the_numerators_off_their_lanes(store15, table15, point_symbols, c):
+    # dense(c) sweeps to c and keeps its last row, where for odd c = 2s + 1
+    # a lane (j/2s, (j+1)/2s] is wider than 1/c: its numerators still come
+    # from the lane alone
+    want = np.zeros(c)
+    for a, n in point_symbols(table15, c):
+        want[a] = store15.quantum * n
+    assert np.array_equal(store15.dense(c), want)
+
+
 # rows 1 and 2 hold only 0/1 and 1/2, their own images; from row 3 on dense
 # writes each walked a and its image c - a
 @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 12, 97])
@@ -269,6 +281,44 @@ def test_shares_match_the_symbols_on_windows_inside_lanes(table15, counts_match_
     assume(x0 < x1)
     for w in (1, 2, 3):
         counts_match_symbols(table15, m, x0, x1, w=w)
+
+
+# the sweeps to 300 and 301 both have the lanes (j/300, (j+1)/300]; a window
+# counts the lanes that lie in it, or whose images do, whole, and tests points
+# one by one only in the lanes that hold an edge
+LANE_WINDOWS = {
+    "edges-inside-lanes": (Fraction(1, 7), Fraction(2, 7)),
+    "edges-on-lane-boundaries": (Fraction(1, 10), Fraction(7, 20)),
+    "edge-at-1/2": (Fraction(1, 7), Fraction(1, 2)),
+    "from-1/2": (Fraction(1, 2), Fraction(6, 7)),
+    "across-1/2": (Fraction(1, 7), Fraction(4, 7)),
+    "across-1/2-on-boundaries": (Fraction(7, 20), Fraction(13, 20)),
+}
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("m", [300, 301])
+@pytest.mark.parametrize("window", LANE_WINDOWS)
+def test_windows_decided_per_lane_match_the_expanded_symbols(
+    table15, counts_match_symbols, window, m, w
+):
+    counts_match_symbols(table15, m, *LANE_WINDOWS[window], w=w)
+
+
+@pytest.mark.parametrize("m", [300, 301])
+@pytest.mark.parametrize("g", [7, 450])
+def test_bins_decided_per_lane_match_the_symbols(table15, bin_sums_match_symbols, m, g):
+    # the grid points i/7 fall inside the lanes (j/300, (j+1)/300], and row 7
+    # lies on them; of the i/450, every third is a lane boundary, a lane may
+    # hold two, and the rows c | 450 lie on them
+    for w in (1, 2, 3):
+        bins = _BinSums(m, g)
+        for i in range(w):
+            part = _BinSums(m, g)
+            SymbolStore(table15)._compute(m, part, part=(i, w))
+            bins.merge(part.counts, 0)
+        bins.fold()
+        bin_sums_match_symbols(table15, bins.counts, g)
 
 
 def test_counts_reuse_a_sweep_only_for_the_same_bound_and_window(
@@ -386,6 +436,29 @@ def test_forked_contiguous_avg_equals_the_serial_one(table15, cpus):
         forks.clear()
         assert np.array_equal(contiguous_avg(SymbolStore(table15), FORK_MIN, 21), serial)
         assert len(forks) == w - 1
+
+
+def test_each_worker_runs_on_a_cpu_of_its_own(table15, cpus, monkeypatch, tmp_path):
+    # worker i is bound to the i-th usable CPU, this thread to the first for
+    # its own share and to all of them again after it; a CPU the host lacks
+    # leaves the worker where it may run, with the same counts
+    log = tmp_path / "pins"
+
+    def pin(pid, cpu_set):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {sorted(cpu_set)}\n")
+        if 2 in cpu_set:
+            raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
+    forks = cpus(3)
+    full, _ = SymbolStore(table15).counts(ScanSpec(15, FORK_MIN))
+    pins = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    home = str(os.getpid())
+    assert [cpu_set for pid, cpu_set in pins if pid == home] == ["[0]", "[0, 1, 2]"]
+    assert sorted((int(pid), cpu_set) for pid, cpu_set in pins if pid != home) == sorted(
+        zip(forks, ["[1]", "[2]"]))
+    assert np.array_equal(full.counts, _serial_counts(table15, FORK_MIN, 0, 1)[0].counts)
 
 
 @pytest.mark.parametrize("x0, x1", WINDOWS[:2], ids=["full", "1/10-7/20"])
@@ -898,6 +971,40 @@ def test_aggregates_csv_round_trip(tmp_path, store15):
     row = rows[10]
     assert int(cells[0]) == row.c
     assert float(cells[3]) == row.s[0]  # 17 significant digits round-trip
+
+
+def _cell_by_cell_aggregates_csv(path, rows, fingerprint):
+    """The aggregates as a writer that formats every cell of every row."""
+    ks = range(1, 5)
+    head = ["c", "d", "phi", *(f"S{k}" for k in ks), "I_count", *(f"I_S{k}" for k in ks)]
+    line = ",".join(["{}", "{}", "{}", *["{:.17g}"] * 4, "{}", *["{:.17g}"] * 4]) + "\n"
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(f"# fingerprint={fingerprint}\n" + ",".join(head) + "\n")
+        for row in rows:
+            fh.write(line.format(int(row.c), int(row.d), int(row.phi), *row.s.tolist(),
+                                 int(row.n_int), *row.s_int.tolist()))
+
+
+@pytest.mark.parametrize("change", ["none", "count", "sum", "ulp", "sign-of-zero"])
+def test_aggregates_csv_reuses_the_full_cells_only_where_the_window_equals_them(
+    tmp_path, store15, change
+):
+    # the writer formats the window's cells apart as soon as one row's window
+    # differs from its full cells in one bit, past the first block of rows
+    rows = scan(ScanSpec(q=15, m_max=1100), store15).copy()
+    row = rows[700]
+    if change == "count":
+        row.n_int -= 1
+    elif change == "sum":
+        row.s_int[1] -= 2.0
+    elif change == "ulp":
+        row.s_int[3] = np.nextafter(row.s[3], np.inf)
+    elif change == "sign-of-zero":
+        assert row.s[0] == 0.0
+        row.s_int[0] = -0.0
+    write_aggregates_csv(str(tmp_path / "agg.csv"), rows, "cafe01")
+    _cell_by_cell_aggregates_csv(tmp_path / "want.csv", rows, "cafe01")
+    assert (tmp_path / "agg.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_fit_and_weyl_and_dist_and_contig_csv(tmp_path, store15, slopes15):

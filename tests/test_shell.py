@@ -669,18 +669,54 @@ def test_dist_on_an_empty_window_exits_2(argv, cli, tmp_path):
         (["fit", "--M", "10", "--d", "15"], "no denominator c <= 10 has gcd 15 with q"),
         (["dist", "--M", "1", "--d", "1"], "no denominator 2 <= c <= 1 has gcd 1 with q"),
         (["fit", "--M", "1"], "no denominator 2 <= c <= 1"),
+        (["fit", "--M", "2", "--d", "1"],
+         "only one denominator 2 <= c <= 2 has gcd 1 with q (c = 2); the fit needs two"),
+        (["dist", "--M", "5", "--d", "5"],
+         "only one denominator c <= 5 has gcd 5 with q (c = 5); the fit needs two"),
+        (["fit", "--M", "5", "--d", "5"],
+         "only one denominator c <= 5 has gcd 5 with q (c = 5); the fit needs two"),
+        # every class is fitted, and class 15 holds only c = 15
+        (["fit", "--M", "20"], "only one denominator c <= 20 has gcd 15 with q (c = 15); the fit needs two"),
     ],
-    ids=["dist-d15", "fit-d15", "dist-m1", "fit-m1"],
+    ids=["dist-d15", "fit-d15", "dist-m1", "fit-m1", "fit-m2-d1", "dist-m5-d5", "fit-m5-d5",
+         "fit-m20"],
 )
 def test_fits_refuse_an_empty_class_before_the_sweep(argv, message, cli, tmp_path, capsys,
                                                      monkeypatch):
-    # the class has no denominator 2 <= c <= M for the fits to read: refused
-    # before any sweep, naming the class and M as weyl does
+    # the class has fewer than the two denominators 2 <= c <= M the free fit
+    # needs: refused before the table is read or any sweep runs, naming the
+    # class and M as weyl does
     monkeypatch.setattr(SymbolStore, "_compute", None)  # no sweep may start
     run, _, _ = cli
     assert run(*argv, out_dir=tmp_path) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("script", ["module", "entry"])
+def test_the_script_keeps_exit_codes_and_piped_output(script, cli, tmp_path, capsys):
+    # the script freezes the heap once main returns; the exit code, and all of
+    # a piped stdout, which the interpreter flushes only as it exits, survive
+    run, cache, _ = cli
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    start = {"module": ["-m", "modsym.shell"],
+             "entry": ["-c", "import sys; from modsym.shell import entry; sys.exit(entry())"]}
+    bad_cache = tmp_path / "bad-cache"
+    shutil.copytree(cache, bad_cache)
+    table_file = next(bad_cache.glob("table-*.txt"))
+    lines = table_file.read_text().splitlines()
+    key, re_s, im_s = lines[1].split()
+    _write_table_body(table_file, [f"{key} {float(re_s) + 0.25!r} {im_s}", *lines[2:]])
+    for argv, code in ((["theory"], EXIT_OK), (["scan", "--M", "10", "--d", "0"], EXIT_VALIDATION),
+                       (["table", "--cache-dir", str(bad_cache)], EXIT_GATE)):
+        argv = [*argv, "--n-max", N_MAX, "--out-dir", str(tmp_path / "out")]
+        if "--cache-dir" not in argv:
+            argv += ["--cache-dir", str(cache)]
+        assert main(argv) == code
+        want = capsys.readouterr()
+        done = subprocess.run([sys.executable, *start[script], *argv], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+        assert (done.returncode, done.stdout, done.stderr) == (code, want.out, want.err)
 
 
 def test_contig_command_reports_sup_deviation(cli, tmp_path, capsys):
