@@ -6,14 +6,16 @@ points of the Farey sequence F_M are neighbours, so each point adds one
 class weight to the value of the point before it.  The sweep walks [0, 1/2]
 only, in independent lanes stepped side by side, each stepping only its
 denominators c and its running n, as a walked point's numerator follows
-from c and its lane.  It hands the lattice integers n of the walked points
-to accumulators as it goes: per-denominator counts of each n over all
-coprime residues and over a subinterval of [0,1), or, for the contiguous
-averages, integer sums of n per denominator and grid bin, each deciding
-its window or bins per lane where a whole lane falls alike.  The real
-symbol is odd and 1-periodic, so a walked a/c with value n stands for its
-image (c - a)/c with -n as well: an accumulator counts that image as the
-point comes, or folds every image in at once when the sweep ends.  No point is stored, so memory is O(M * width + chunk).
+from c and its lane.  It calls every accumulator (a sink) one way, with
+each chunk of walked points as it goes: per-denominator counts of each
+lattice integer n over all coprime residues and over a subinterval of
+[0,1), or, for the contiguous averages, integer sums of n per denominator
+and grid bin, each deciding its window or bins per lane where a whole
+lane falls alike.  The real symbol is odd and 1-periodic, so a walked a/c
+with value n stands for its image (c - a)/c with -n as well: an
+accumulator counts that image as the point comes, or folds every image in
+at once when the sweep ends.  No point is stored, so memory is O(M *
+width + chunk).
 From M = FORK_MIN on, the lanes are dealt to forked worker processes, one
 per usable CPU up to MAX_WORKERS; each walks its share into accumulators of
 its own, and the parent adds their integer counts to its own, ROW_BLOCK
@@ -51,11 +53,18 @@ ROW_BLOCK = 512  # rows a merge, fold or CSV write takes at a time; floats a rep
 
 
 class _Chunk(namedtuple("_Chunk", "c n lanes span")):
-    """Walked points of the sweep, as a sink's take_chunk sees them: int32
-    arrays c and n whose last axis runs over lanes in ascending order, shaped
-    (steps, lanes) for steps of whole lanes, one column a lane, or (points,)
-    for single points.  lanes holds the lane j of each column or point, the
-    points of lane j lying in (j/span, (j+1)/span]; lane -1 holds 0/1 alone."""
+    """Walked points of the sweep: int32 arrays c and n whose last axis runs
+    over lanes in ascending order, shaped (steps, lanes) for steps of whole
+    lanes, one column a lane, or (points,) for single points.  lanes holds
+    the lane j of each column or point, the points of lane j lying in
+    (j/span, (j+1)/span]; lane -1 holds 0/1 alone.
+
+    Every sink keeps one contract: SymbolStore._compute calls it as
+    sink(chunk) with each chunk, and leaves it the images (c - a)/c of the
+    points with c > 2.  All sinks share the chunk, so a sink may neither
+    keep nor modify it.  A sink of SymbolStore._sweep also holds its int64
+    counts as .counts, adds rows at, at + 1, ... of another worker's with
+    merge(block, at), and adds the images it has not counted in fold()."""
 
     def numerators(self, at=slice(None)) -> np.ndarray:
         """The numerators a of the points in the columns at, as int64: the one
@@ -66,9 +75,9 @@ class _Chunk(namedtuple("_Chunk", "c n lanes span")):
 class LatticeCounts:
     """How often each lattice integer n occurs in each row c <= m: counts[c,
     n + off] over the points a/c with ceil(c x0) <= a < ceil(c x1).  A sink
-    of the sweep, which hands it the walked points a/c in [0, 1/2]; their
-    images (c - a)/c, with -n, a window counts as they come, and the full
-    rows take them from fold().  The width grows with the largest |n| seen.
+    of the sweep (_Chunk): a window counts the images (c - a)/c, with -n, as
+    they come, and the full rows take them from fold().  The width grows
+    with the largest |n| seen.
 
     A window decides per lane: it counts a lane whole when the lane, or its
     image, lies in [x0, x1), skips it when it lies outside, and tests the
@@ -83,7 +92,7 @@ class LatticeCounts:
             self._bounds = [_ceil_multiples(m, x) for x in (x0, x1)]
             self._lanes = _window_lanes(2 * (m // 2) or 2, x0, x1)  # the span of the sweep to m
 
-    def take_chunk(self, chunk: _Chunk) -> None:
+    def __call__(self, chunk: _Chunk) -> None:
         c, n, lanes, _ = chunk
         if self._bounds is None:
             self._add(c, n)
@@ -175,7 +184,12 @@ class SymbolStore:
     points, 2128 on average at m = 7000 with a 99th percentile of 2179,
     but the first few more: (1/2s, 1/s] holds the s unit fractions 1/c,
     s <= c < 2s.  So the last TAIL lanes are finished one point at a time
-    in Python.  The points in (1/2, 1) are not walked: they are the images
+    in Python: stepped in numpy to the end, the chunk's rows regrown as
+    lanes end, the same counts took 4.3 against 3.3 ms at m = 600 and 0.144
+    against 0.116 s at m = 7000 on a shared 2-core Xeon (medians of 15 and
+    7 calls, slower in 11 and 9 of 12 alternating pairs of processes),
+    where the tail walks only 1,662 and 1,058 of the 7.4 M points of two
+    shares.  The points in (1/2, 1) are not walked: they are the images
     (c - a)/c of the points a/c in (0, 1/2), where the odd symbol is -n.
 
     A lane steps its denominators c and its running n alone: the numerator
@@ -186,12 +200,9 @@ class SymbolStore:
     a/c > j/2s means 2s a - c j >= 1, so 2s (a+1) - c (j+1) = 2s a - c j - 1
     >= 0, where equality would need 2s | c (j+1), so 2s | j + 1 with c
     coprime to 2s, which 0 < j + 1 <= s rules out.  The sweep stores no
-    point: it hands each chunk of about CHUNK walked points to its sinks
-    once, so its working set grows with the chunk, not with the number of
-    points, and forms the numerators only for a sink that reads them as
-    flat arrays.  Each sink accounts for the images itself, as the points
-    come or in one fold() at the end, and decides its window or grid bins
-    per lane where the whole lane falls alike.
+    point: it hands each chunk of about CHUNK walked points once to its
+    sinks (_Chunk), so its working set grows with the chunk, not with the
+    number of points.
 
     counts(spec) sinks the points into per-row counts of each n, over all
     coprime residues and over the window of the spec: the one way scan and
@@ -229,9 +240,9 @@ class SymbolStore:
         """quantum * n at the coprime residues a of row c, 0 elsewhere."""
         out = np.zeros(c)
 
-        def keep(cs, a, n):
-            at = cs == c
-            a, n = a[at], n[at]
+        def keep(chunk):
+            at = chunk.c == c
+            a, n = chunk.numerators()[at], chunk.n[at]
             out[a] = self.quantum * n
             if c > 2:  # 0/1 and 1/2 are their own images
                 out[c - a] = self.quantum * -n
@@ -241,11 +252,9 @@ class SymbolStore:
 
     def _sweep(self, m: int, *sinks) -> None:
         """self._compute(m, *sinks), dealt to _workers(m) processes, then
-        every sink's fold().
+        every sink's fold(); the sinks also hold counts and merge (_Chunk).
 
-        Each sink holds an int64 array .counts and adds a block of rows of
-        another worker's counts, from row at on, with merge(block, at).  A
-        forked child walks its share into its copies of the sinks, writes
+        A forked child walks its share into its copies of the sinks, writes
         their counts down a pipe as raw int64 (each sink's size, then its
         rows) and leaves through os._exit; this process walks share 0, then
         reads each child's counts ROW_BLOCK rows at a time into one buffer
@@ -309,31 +318,23 @@ class SymbolStore:
                 os.close(fd)
 
     def _compute(self, m: int, *sinks, part: tuple[int, int] = (0, 1)) -> None:
-        """Sweep every point a/c in [0, 1/2] with c <= m once, handing each
-        chunk of points to every sink.  A sink with a method take_chunk is
-        handed the _Chunk, lanes and all; any other sink is called as
-        sink(c, a, n) with three flat int32 arrays, for which alone the
-        numerators a are formed.  The sinks share the arrays, so a sink may
-        neither keep nor modify them.  The images (c - a)/c of the points with
-        c > 2 are left to the sinks.
+        """Sweep every point a/c in [0, 1/2] with c <= m once, calling every
+        sink with each chunk of points (_Chunk).
 
         part = (i, w) walks worker i's share of w workers: the lanes
         [s i / w, s (i + 1) / w) of the s = m // 2, and 0/1 for worker 0."""
         q, step, (i, w) = self.q, self._step, part
-        mod = (np.arange(m + 1) % q).astype(np.min_scalar_type(q - 1))  # gathered at every point
+        # gathered at every point, so as narrow as q allows: on a 2-core Xeon a
+        # fresh process's first sweep to 7000 took 0.121 s with uint8 against
+        # 0.126 s with int32 (medians of 12 alternating processes, faster in 8)
+        mod = (np.arange(m + 1) % q).astype(np.min_scalar_type(q - 1))
         s = m // 2
         span = 2 * s or 2  # at m = 1 there is no lane, and 0/1 is in lane -1 of any span
-        flat = not all(hasattr(sink, "take_chunk") for sink in sinks)
 
         def emit(c, n, lanes):
             chunk = _Chunk(c, n, lanes, span)
-            if flat:
-                points = c.reshape(-1), chunk.numerators().astype(np.int32).reshape(-1), n.reshape(-1)
             for sink in sinks:
-                if hasattr(sink, "take_chunk"):
-                    sink.take_chunk(chunk)
-                else:
-                    sink(*points)
+                sink(chunk)
 
         if i == 0:
             emit(np.ones(1, dtype=np.int32), np.full(1, self._first, dtype=np.int32), np.full(1, -1))
@@ -416,30 +417,21 @@ def _workers(m: int) -> int:
     Every worker steps as often as the longest of its lanes, so a second
     process halves the work per point but not the cost per step, and a
     fork with its copy-on-write faults and pipe costs several ms.  On a
-    shared 2-core Xeon, where two CPU-bound processes ran side by side (two
-    at once took a median of 1.02 to 1.05 times the wall time of one, at
-    worst 2.2), a sweep into one LatticeCounts took, in one process and in
-    two (medians of 31 alternating pairs, in each of two sessions):
-    26 and 26 ms to m = 2000, 32.5 and 32.6 ms to m = 2500 (second session
-    only), 45 and 37-40 ms to m = 3000, 66-71 and 49-52 ms to m = 4000,
-    177-179 and 113-116 ms to m = 7000, two processes being faster in
-    14-20, 15, 25-28, 29-31 and 31 of the pairs.  So the fork pays from
-    about m = 3000, which FORK_MIN is.  On the same host perfbench/run.py
-    found it faster than one process in 8 of 12 alternating pairs of scan and
-    of explore passes, and explore's peak RSS lower in all 12 (33.46/33.91 MB).
-    Measured again since, the harness read one process at m = 7000 slower
-    (pass_s 0.4056 against 0.4386 s, lower in 1 of 8 pairs, with a peak RSS
-    0.2 MB higher), while direct loops found it faster in 33 of 36 pairs.
-    Left unpinned there, a forked worker ran at half speed beside its
-    parent, its wall time about twice its CPU time: both ran on one CPU.
-    With the lanes stepping c alone, scan --M 7000 measured the same: each
-    of the two shares took 0.18-0.20 s of wall time for 0.09-0.10 s of CPU,
-    and 0.07-0.08 s of each with the worker pinned to the other CPU.  So
-    _sweep pins every worker to a CPU of its own.  That took the command
-    from 0.44 to 0.33 s (medians of 12 alternating pairs, all 12 faster),
-    and against one process the pinned fork was then faster at m = 7000
-    (0.196 against 0.219 s, 12 of 12 pairs), about even at m = 4000 (7 of
-    10) and slower at m = 3000 (0.142 against 0.136 s, 3 of 10)."""
+    shared 2-core Xeon a sweep into one LatticeCounts, with the worker
+    pinned, took in one process and in two (medians of 31 alternating
+    pairs): 12.1 and 12.0 ms to m = 2000, 15.9 and 16.1 ms to m = 2500,
+    32.6 and 27.3 ms to m = 3000, 58.4 and 43.8 ms to m = 4000, 163 and
+    105 ms to m = 7000, two processes being faster in 15, 14, 27, 28 and
+    30 of the pairs.  So the fork pays from about m = 3000, which FORK_MIN
+    is.  A command also pays for the fork's start-up in a fresh process: at
+    the CLI the pinned fork won scan --M 7000 (0.196 against 0.219 s, 12 of
+    12 pairs), tied at m = 4000 (7 of 10) and lost scan --M 3000 (0.142
+    against 0.136 s, 3 of 10).  Left to the scheduler, a forked worker was
+    seen to share its parent's CPU: on scan --M 7000 each of the two shares
+    took 0.18-0.20 s of wall time for 0.09-0.10 s of CPU, and 0.07-0.08 s
+    of each with the worker pinned to the other CPU.  So _sweep pins every
+    worker to a CPU of its own, which took the command from 0.44 to 0.33 s
+    (medians of 12 alternating pairs, all 12 faster)."""
     if m < FORK_MIN or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
@@ -541,14 +533,13 @@ def scan(spec: ScanSpec, store: SymbolStore) -> np.recarray:
 class _BinSums:
     """The sums of n per row c <= m and bin j: counts[c, j] over the points
     a/c with exactly j of the grid points i/g below them.  A sink of the
-    sweep, which hands it the walked points a/c in [0, 1/2]; fold() adds
-    their images."""
+    sweep (_Chunk); fold() adds the images."""
 
     def __init__(self, m: int, g: int):
         self.g = np.int64(g)
         self.counts = np.zeros((m + 1, g + 1), dtype=np.int64)
 
-    def take_chunk(self, chunk: _Chunk) -> None:
+    def __call__(self, chunk: _Chunk) -> None:
         # i/g < a/c exactly for i < a g / c, so the bin is ceil(a g / c).  The
         # first grid point past a lane's start j/span is floor(j g / span) + 1,
         # which is the bin of every point of a lane that holds no grid point
@@ -815,7 +806,10 @@ def _write_csv(path: str, fingerprint: str, head: list[str], line: str, rows) ->
 def write_aggregates_csv(path: str, rows: np.recarray, fingerprint: str) -> None:
     """The rows as CSV, ROW_BLOCK rows to a string.  Each row's count and
     sums over all residues are formatted once, and stand for the window's
-    too when every window column equals its full one bit for bit."""
+    too when every window column equals its full one bit for bit: on the
+    rows of scan --M 7000 on a 2-core Xeon the same bytes took 25 ms,
+    against 47 ms when both were formatted (medians of 15 calls, faster in
+    10 of 10 alternating processes)."""
     ks = range(1, MOMENTS + 1)
     head = ["c", "d", "phi", *(f"S{k}" for k in ks), "I_count", *(f"I_S{k}" for k in ks)]
     cells = ",".join(["{}", *["{:.17g}"] * MOMENTS]).format

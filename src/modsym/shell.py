@@ -414,6 +414,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         )
 
     theory = build_theory(cfg.curve)  # before any cache is built
+    _refuse_an_empty_fit(cfg)
     table = _table(cfg)
     f = _form(cfg)
     gate("relation_two_term", table.residual_two, 2.0 * TABLE_TOL)

@@ -53,8 +53,8 @@ class CollectedRows:
         self._flat = np.zeros(m * (m + 1) // 2, dtype=np.int32)
         store._compute(m, self._put)
 
-    def _put(self, c, a, n):
-        c = c.astype(np.int64)
+    def _put(self, chunk):
+        c, a, n = chunk.c.astype(np.int64), chunk.numerators(), chunk.n
         self._flat[c * (c - 1) // 2 + a] = n
         image = c > 2
         c = c[image]

@@ -261,6 +261,25 @@ def test_folded_bin_sums_match_the_symbols(table15, bin_sums_match_symbols, g):
     bin_sums_match_symbols(table15, bins.counts, g)
 
 
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_the_sweep_hands_every_point_over_exactly_once(table15, point_symbols, w):
+    # the chunk of 0/1, the chunks of lanes that end and the Python tail
+    # together hand over each reduced a/c in [0, 1/2] once, in one share,
+    # with its own n; the counts tests compare only totals per (c, n)
+    store = SymbolStore(table15)
+    for m in (*range(1, 121), 300, 301):
+        got = []
+
+        def collect(chunk):
+            got.extend(zip(*(x.ravel().tolist() for x in (chunk.c, chunk.numerators(), chunk.n))))
+
+        for i in range(w):
+            store._compute(m, collect, part=(i, w))
+        want = [(c, a, n) for c in range(1, m + 1)
+                for a, n in point_symbols(table15, c) if 2 * a <= c]
+        assert sorted(got) == want, m
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_counts_at_the_smallest_bounds(table15, counts_match_symbols, m):
     # at m = 1 there is no lane; at m = 2 the one lane (0, 1/2] holds only 1/2,
@@ -508,7 +527,7 @@ def test_a_failing_worker_fails_the_sweep_and_leaves_no_child(table15, cpus, cap
     cpus(3)
     home = os.getpid()
 
-    def breaks_in_children(c, a, n):
+    def breaks_in_children(chunk):
         if os.getpid() != home:
             raise ZeroDivisionError("worker sink")
 
@@ -523,7 +542,7 @@ def test_a_failing_parent_reaps_its_workers(table15, cpus):
     forks = cpus(3)
     home = os.getpid()
 
-    def breaks_at_home(c, a, n):
+    def breaks_at_home(chunk):
         if os.getpid() == home:
             raise KeyboardInterrupt
 

@@ -677,16 +677,23 @@ def test_dist_on_an_empty_window_exits_2(argv, cli, tmp_path):
          "only one denominator c <= 5 has gcd 5 with q (c = 5); the fit needs two"),
         # every class is fitted, and class 15 holds only c = 15
         (["fit", "--M", "20"], "only one denominator c <= 20 has gcd 15 with q (c = 15); the fit needs two"),
+        # verify fits every class too
+        (["verify", "--M", "20"],
+         "only one denominator c <= 20 has gcd 15 with q (c = 15); the fit needs two"),
+        (["verify", "--M", "2"],
+         "only one denominator 2 <= c <= 2 has gcd 1 with q (c = 2); the fit needs two"),
+        (["verify", "--M", "1"], "no denominator 2 <= c <= 1"),
     ],
     ids=["dist-d15", "fit-d15", "dist-m1", "fit-m1", "fit-m2-d1", "dist-m5-d5", "fit-m5-d5",
-         "fit-m20"],
+         "fit-m20", "verify-m20", "verify-m2", "verify-m1"],
 )
 def test_fits_refuse_an_empty_class_before_the_sweep(argv, message, cli, tmp_path, capsys,
                                                      monkeypatch):
     # the class has fewer than the two denominators 2 <= c <= M the free fit
-    # needs: refused before the table is read or any sweep runs, naming the
-    # class and M as weyl does
+    # needs: refused before the table is read, the Petersson quadrature runs
+    # or any sweep starts, naming the class and M as weyl does
     monkeypatch.setattr(SymbolStore, "_compute", None)  # no sweep may start
+    monkeypatch.setattr(shell, "petersson_quadrature", None)
     run, _, _ = cli
     assert run(*argv, out_dir=tmp_path) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
