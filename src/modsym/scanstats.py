@@ -16,28 +16,26 @@ with value n stands for its image (c - a)/c with -n as well: an
 accumulator counts that image as the point comes, or folds every image in
 at once when the sweep ends.  No point is stored, so memory is O(M *
 width + chunk).
-From M = FORK_MIN on, the lanes are dealt to forked worker processes, one
-per usable CPU up to MAX_WORKERS; each walks its share into accumulators of
-its own, and the parent adds their integer counts to its own, ROW_BLOCK
-rows at a time as it reads them from the worker's pipe, before it folds,
-so every output is the one a single process gives.  Every report reads
-the lattice through those accumulators: the moment rows are exact integer
-sums over the counts, held as numpy columns, the distribution report works
-on the (c, n) atoms with their weights, also numpy columns, and a scan
-followed by a report over the same window shares one sweep.  The Weyl sums
+From M = FORK_MIN on, the lanes are dealt to forked worker processes by
+forks.deal, which also deals a coefficient build's point count; each walks
+its share into accumulators of its own, and the parent adds their integer
+counts to its own, ROW_BLOCK rows at a time as it reads them from the
+worker's pipe, before it folds, so every output is one process's.  Every
+report reads the lattice through those accumulators: the moment rows are
+exact integer sums over the counts, held as numpy columns, the distribution
+report works on the (c, n) atoms with their weights, also numpy columns,
+and a scan followed by a report over the same window shares one sweep.  The Weyl sums
 read no symbol value and run no sweep: over the coprime residues of c they
 are Ramanujan sums, which the report evaluates exactly in integers.
 """
 from __future__ import annotations
 
 import math
-import os
-import traceback
-import warnings
 from collections import namedtuple
 from itertools import chain
 
 from .exactmath import lazy_numpy
+from .forks import deal, workers
 from .periods import PeriodTable, ScanSpec
 
 np = lazy_numpy()
@@ -47,8 +45,17 @@ MOMENTS = 4  # the moment sums S_1 .. S_MOMENTS a scan row carries
 WEYL_MODES = (0, 1, 2, 3, 4, 5)  # the modes n of the Weyl sums weyl_report totals
 CHUNK = 1 << 15  # about the most points the sweep buffers before it hands them to the sinks
 TAIL = 8  # the sweep finishes its last lanes point by point once this few are left
-FORK_MIN = 3000  # the smallest bound whose sweep is dealt to worker processes
-MAX_WORKERS = 4  # so a large host does not fork dozens of 40 MB processes
+# FORK_MIN is the smallest bound whose sweep is dealt to worker processes.  Every worker
+# steps as often as its longest lane, so a second process halves the work per point but
+# not the cost per step, and a fork costs several ms.  On a shared 2-core Xeon a sweep
+# into one LatticeCounts, the worker pinned, took in one process and in two (medians of
+# 31 alternating pairs): 12.1 and 12.0 ms to m = 2000, 15.9 and 16.1 ms to m = 2500,
+# 32.6 and 27.3 ms to m = 3000, 58.4 and 43.8 ms to m = 4000, 163 and 105 ms to
+# m = 7000, two processes being faster in 15, 14, 27, 28 and 30 of the pairs, so the
+# fork pays from about m = 3000.  At the CLI, which also pays the fork's start-up, the
+# pinned fork won scan --M 7000 (0.196 against 0.219 s, 12 of 12 pairs), tied at
+# m = 4000 (7 of 10) and lost scan --M 3000 (0.142 against 0.136 s, 3 of 10).
+FORK_MIN = 3000
 ROW_BLOCK = 512  # rows a merge, fold or CSV write takes at a time; floats a report converts
 
 
@@ -251,71 +258,19 @@ class SymbolStore:
         return out
 
     def _sweep(self, m: int, *sinks) -> None:
-        """self._compute(m, *sinks), dealt to _workers(m) processes, then
-        every sink's fold(); the sinks also hold counts and merge (_Chunk).
+        """self._compute(m, *sinks) dealt to processes (forks.deal), then every sink's
+        fold(); the sinks also hold counts and merge (_Chunk).  A worker sends its sinks'
+        counts as raw int64, each sink's size, then its rows, which this process reads
+        ROW_BLOCK rows at a time into one buffer, never holding a second copy of them."""
+        w = workers(m, FORK_MIN)
 
-        A forked child walks its share into its copies of the sinks, writes
-        their counts down a pipe as raw int64 (each sink's size, then its
-        rows) and leaves through os._exit; this process walks share 0, then
-        reads each child's counts ROW_BLOCK rows at a time into one buffer
-        and adds them to its own, so it never holds a second copy of them.
-        The counts are integer sums, so the merged ones are the serial ones.
-        A child that fails or whose counts end short makes this call raise,
-        and every child is reaped whatever happens.  Worker i runs on the
-        i-th CPU this process may use, this thread on the first until its
-        share is walked: left to the scheduler, two workers were seen to
-        share one of two CPUs (_workers)."""
-        w = _workers(m)
-        cpus = sorted(os.sched_getaffinity(0)) if w > 1 else []
-        pids, fds = [], []  # a pid is None once reaped
-        try:
-            for i in range(1, w):
-                fd, out = os.pipe()
-                try:
-                    with warnings.catch_warnings():
-                        # the CLI runs OpenBLAS on one thread, but a library caller
-                        # may have loaded numpy with its pool, and 3.12 warns that a
-                        # fork beside threads may hang the child; the child only
-                        # runs numpy's loops and exits
-                        warnings.simplefilter("ignore", DeprecationWarning)
-                        pid = os.fork()
-                except OSError:  # EAGAIN or ENOMEM: no child holds this pipe
-                    os.close(fd)
-                    os.close(out)
-                    raise
-                if pid == 0:
-                    os.close(fd)
-                    _pin(cpus[i])
-                    _child(lambda: self._compute(m, *sinks, part=(i, w)), sinks, out)
-                os.close(out)
-                pids.append(pid)
-                fds.append(fd)
-            if cpus:
-                _pin(cpus[0])
-            try:
-                self._compute(m, *sinks, part=(0, w))
-            finally:
-                if cpus:
-                    _pin(*cpus)
-            for i in range(1, w):
-                with open(fds[i - 1], "rb", closefd=False) as fh:
-                    whole = all(_merge_from(fh, sink) for sink in sinks)
-                status = os.waitpid(pids[i - 1], 0)[1]
-                pids[i - 1] = None
-                if status or not whole:
-                    code = os.waitstatus_to_exitcode(status)
-                    short = "" if whole else ", its counts cut short"
-                    raise RuntimeError(f"sweep worker {i} of {w} failed (exit code {code}{short})")
-            for sink in sinks:  # counts add, so the merged counts fold as the serial ones
-                sink.fold()
-        finally:
-            for pid, fd in zip(pids, fds):
-                if pid is not None:  # only when the sweep failed
-                    from signal import SIGKILL
+        def walk(i):  # a generator, so walking share 0 reads no counts
+            self._compute(m, *sinks, part=(i, w))
+            return (b for x in sinks for b in (np.int64(x.counts.size).tobytes(), x.counts.data))
 
-                    os.kill(pid, SIGKILL)
-                    os.waitpid(pid, 0)
-                os.close(fd)
+        deal("sweep", w, walk, lambda i, fh: all(_merge_from(fh, sink) for sink in sinks))
+        for sink in sinks:  # counts add, so the merged counts fold as the serial ones
+            sink.fold()
 
     def _compute(self, m: int, *sinks, part: tuple[int, int] = (0, 1)) -> None:
         """Sweep every point a/c in [0, 1/2] with c <= m once, calling every
@@ -410,44 +365,9 @@ class SymbolStore:
         return n, inv % k
 
 
-def _workers(m: int) -> int:
-    """How many processes sweep to m: one per CPU this process may use, at
-    most MAX_WORKERS, and one below FORK_MIN or without os.fork.
-
-    Every worker steps as often as the longest of its lanes, so a second
-    process halves the work per point but not the cost per step, and a
-    fork with its copy-on-write faults and pipe costs several ms.  On a
-    shared 2-core Xeon a sweep into one LatticeCounts, with the worker
-    pinned, took in one process and in two (medians of 31 alternating
-    pairs): 12.1 and 12.0 ms to m = 2000, 15.9 and 16.1 ms to m = 2500,
-    32.6 and 27.3 ms to m = 3000, 58.4 and 43.8 ms to m = 4000, 163 and
-    105 ms to m = 7000, two processes being faster in 15, 14, 27, 28 and
-    30 of the pairs.  So the fork pays from about m = 3000, which FORK_MIN
-    is.  A command also pays for the fork's start-up in a fresh process: at
-    the CLI the pinned fork won scan --M 7000 (0.196 against 0.219 s, 12 of
-    12 pairs), tied at m = 4000 (7 of 10) and lost scan --M 3000 (0.142
-    against 0.136 s, 3 of 10).  Left to the scheduler, a forked worker was
-    seen to share its parent's CPU: on scan --M 7000 each of the two shares
-    took 0.18-0.20 s of wall time for 0.09-0.10 s of CPU, and 0.07-0.08 s
-    of each with the worker pinned to the other CPU.  So _sweep pins every
-    worker to a CPU of its own, which took the command from 0.44 to 0.33 s
-    (medians of 12 alternating pairs, all 12 faster)."""
-    if m < FORK_MIN or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
-
-
-def _pin(*cpus: int) -> None:
-    """Let this thread run on the CPUs cpus alone, where the host allows it."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:  # a CPU the host lacks: the thread runs where it may
-        pass
-
-
 def _merge_from(fh, sink) -> bool:
-    """Add the counts a worker wrote to fh (_child) to the sink's, ROW_BLOCK
-    rows at a time through one buffer; False if they end short."""
+    """Add the counts a worker wrote to fh (SymbolStore._sweep) to the sink's,
+    ROW_BLOCK rows at a time through one buffer; False if they end short."""
     head = fh.read(8)
     if len(head) < 8:
         return False
@@ -460,26 +380,6 @@ def _merge_from(fh, sink) -> bool:
             return False
         sink.merge(block, at)
     return True
-
-
-def _child(walk, sinks, out: int) -> None:
-    """The body of a forked sweep worker: walk, write every sink's counts
-    to the fd out as int64 (its size, then the flat counts), and leave
-    through os._exit, which runs no atexit handler and flushes no
-    inherited stdio.  A failure exits 1, printing the traceback of an
-    exception but not of an interrupt."""
-    code = 1
-    try:
-        walk()
-        with open(out, "wb") as fh:
-            for sink in sinks:
-                fh.write(np.int64(sink.counts.size).tobytes())
-                fh.write(sink.counts.data)
-        code = 0
-    except Exception:
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(code)
 
 
 def _row_sums(counts: LatticeCounts, k_max: int, quantum: float) -> tuple[np.ndarray, np.ndarray]:

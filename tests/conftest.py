@@ -6,6 +6,7 @@ Petersson quadrature) are session-scoped so the acceptance suite and the
 unit tests share one build.
 """
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,27 @@ from modsym.theory import petersson_quadrature, slope_from_L, sym2_lvalues
 
 CURVE_15A1 = (1, 1, 1, -10, -10)
 Q = 15
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(w) makes w CPUs usable; the pids of the forks made are listed."""
+    forks = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+
+    def use(w):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
+        return forks
+
+    return use
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ antiderivative reference value comes from a 200-term mpmath evaluation at
 """
 import hashlib
 import math
+import os
 import random
 import time
 from array import array
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modsym import curves, eigenform
+from modsym import curves, eigenform, forks
 from modsym.curves import CacheFormatError, ConductorError, CurveSpec
 from modsym.eigenform import (
+    COUNT_FORK_MIN,
     Eigenform,
     TOL_FLOOR,
     TruncationError,
@@ -313,6 +315,123 @@ def test_build_eigenform_conductor_mismatch():
     for derive in (lambda: spec.q, lambda: build_eigenform(spec, n_max=50)):
         with pytest.raises(ConductorError, match="2 divides its discriminant 64 and c4 = 48"):
             derive()
+
+
+# ---------------------------------------------------------------------------
+# the point count dealt to worker processes
+
+CURVES_15_57 = [CURVE_15A1, (0, -1, 1, -2, 2), (0, 1, 1, 20, -32)]
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("n_max", [COUNT_FORK_MIN - 1, COUNT_FORK_MIN])
+@pytest.mark.parametrize("curve", CURVES_15_57, ids=["15a1", "57a1", "57b1"])
+def test_forked_traces_equal_the_serial_count(cpus, curve, n_max, w):
+    spec = CurveSpec(*curve)
+    forked = cpus(w)
+    got = build_eigenform(spec, n_max).coeffs
+    assert len(forked) == (w - 1 if n_max >= COUNT_FORK_MIN else 0)
+    primes = [p for p in range(2, n_max + 1) if _is_prime(p)]
+    assert [got[p] for p in primes] == [count_points(spec, p) for p in primes]
+
+
+@pytest.fixture(scope="module")
+def forked57():
+    """57a1, of rank 1, to N = 2 10^4, its primes counted by three processes;
+    and those primes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        f = build_eigenform(CurveSpec(0, -1, 1, -2, 2), 20000)
+    return f, [p for p in range(2, 20001) if _is_prime(p)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 141), n=st.integers(1, 141), at=st.integers(0, 2261), k=st.integers(1, 13))
+def test_a_forked_build_keeps_the_hecke_relations(forked57, m, n, at, k):
+    # 141^2 <= N, and the 2262 primes up to N
+    f, primes = forked57
+    a, p = f.coeffs, primes[at]
+    if math.gcd(m, n) == 1:
+        assert a[m * n] == a[m] * a[n]
+    if f.q % p:
+        assert a[p] ** 2 <= 4 * p
+    if p ** (k + 1) <= f.n_max:
+        good = a[p] * a[p ** k] - p * a[p ** (k - 1)]
+        assert a[p ** (k + 1)] == (good if f.q % p else a[p] ** (k + 1))
+
+
+def test_a_failing_count_worker_fails_the_build_and_leaves_no_child(cpus, monkeypatch, capfd):
+    cpus(3)
+    home, count = os.getpid(), eigenform.count_points
+
+    def breaks_in_children(curve, p):
+        if os.getpid() != home:
+            raise ZeroDivisionError("worker count")
+        return count(curve, p)
+
+    monkeypatch.setattr(eigenform, "count_points", breaks_in_children)
+    with pytest.raises(RuntimeError, match="count worker 1 of 3 failed"):
+        build_eigenform(CurveSpec(*CURVE_15A1), COUNT_FORK_MIN)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "ZeroDivisionError: worker count" in capfd.readouterr().err
+
+
+def test_a_failing_count_in_the_parent_reaps_its_workers(cpus, monkeypatch):
+    forked = cpus(3)
+    home, count = os.getpid(), eigenform.count_points
+
+    def breaks_at_home(curve, p):
+        if os.getpid() == home:
+            raise KeyboardInterrupt
+        return count(curve, p)
+
+    monkeypatch.setattr(eigenform, "count_points", breaks_at_home)
+    with pytest.raises(KeyboardInterrupt):
+        build_eigenform(CurveSpec(*CURVE_15A1), COUNT_FORK_MIN)
+    assert len(forked) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+def test_a_failed_count_fork_closes_its_pipe_and_reaps_the_workers(cpus, monkeypatch):
+    forked = cpus(3)
+    fork = os.fork
+
+    def second_fails():
+        if forked:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        build_eigenform(CurveSpec(*CURVE_15A1), COUNT_FORK_MIN)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+def test_a_count_worker_whose_traces_end_short_fails_the_build(cpus, monkeypatch):
+    def writes_part(walk, out):  # 100 of its 275 traces
+        try:
+            with open(out, "wb") as fh:
+                fh.write(array("q", [0] * 100))
+        finally:
+            os._exit(0)
+
+    monkeypatch.setattr(forks, "_child", writes_part)
+    cpus(2)
+    before = sorted(os.listdir("/proc/self/fd"))
+    short = r"count worker 1 of 2 failed \(exit code 0, its counts cut short\)"
+    with pytest.raises(RuntimeError, match=short):
+        build_eigenform(CurveSpec(*CURVE_15A1), COUNT_FORK_MIN)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_al_sign_multiplicative(form15):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modsym import scanstats
+from modsym import forks, scanstats
 from modsym.exactmath import Cusp
 from modsym.periods import ScanSpec, cusp_shift, symbol
 from modsym.scanstats import (
@@ -396,27 +396,6 @@ WINDOWS = [
 ]
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """cpus(w) makes w CPUs usable; the pids of the forks made are listed."""
-    forks = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-
-    def use(w):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
-        return forks
-
-    return use
-
-
 def _serial_counts(table, m, x0, x1):
     full, window = LatticeCounts(m), LatticeCounts(m, x0, x1)
     SymbolStore(table)._compute(m, full, window)
@@ -502,7 +481,9 @@ def test_a_worker_reaching_a_larger_n_widens_the_merge(table15, cpus, x0, x1):
 def test_a_worker_whose_counts_end_short_fails_the_sweep(table15, cpus, monkeypatch, code, cut):
     # whatever its exit code, a worker that writes part of its counts makes
     # the sweep raise, naming it, and leaves no child and no open fd
-    def writes_part(walk, sinks, out):
+    sinks = LatticeCounts(FORK_MIN), LatticeCounts(FORK_MIN, Fraction(1, 10), Fraction(7, 20))
+
+    def writes_part(walk, out):
         try:
             data = b"".join(np.int64(x.counts.size).tobytes() + x.counts.tobytes() for x in sinks)
             end = {"in-a-header": 4, "half": len(data) // 2, "all-but-one-count": len(data) - 8}
@@ -511,10 +492,9 @@ def test_a_worker_whose_counts_end_short_fails_the_sweep(table15, cpus, monkeypa
         finally:
             os._exit(code)
 
-    monkeypatch.setattr(scanstats, "_child", writes_part)
+    monkeypatch.setattr(forks, "_child", writes_part)
     cpus(2)
     before = sorted(os.listdir("/proc/self/fd"))
-    sinks = LatticeCounts(FORK_MIN), LatticeCounts(FORK_MIN, Fraction(1, 10), Fraction(7, 20))
     short = rf"sweep worker 1 of 2 failed \(exit code {code}, its counts cut short\)"
     with pytest.raises(RuntimeError, match=short):
         SymbolStore(table15)._sweep(FORK_MIN, *sinks)

@@ -197,14 +197,17 @@ def test_petersson_coarse_run_stays_within_requested_tol(form15):
 def test_petersson_quadrature_is_frozen_bit_for_bit(form15_small):
     # any change to node placement or summation order moves these bits;
     # test_width_kernel_matches_the_per_class_oracle bounds a deliberate move.
-    # The default tolerance's pair is the one verify reports
+    # The default tolerance's pair is the one verify reports.  Re-pinned when
+    # the rules came from gauss_legendre instead of numpy's leggauss, whose
+    # values were 0.05654015872824968, 2.1230408320249694e-08,
+    # 0.056629823041196584 and 2.7832072188593848e-08
     rough = petersson_quadrature(form15_small, tol=1e-3)
-    assert rough.value == 0.05654015872824968
-    assert rough.mesh_error == 2.1230408320249694e-08
+    assert rough.value == 0.05654015872824971
+    assert rough.mesh_error == 2.123040836882195e-08
     assert rough.truncated == 0
     default = petersson_quadrature(form15_small)
-    assert default.value == 0.056629823041196584
-    assert default.mesh_error == 2.7832072188593848e-08
+    assert default.value == 0.056629823041196604
+    assert default.mesh_error == 2.7832072216349424e-08
     assert default.truncated == 0
 
 
@@ -222,31 +225,54 @@ def test_petersson_quadrature_temporaries_stay_small(form15):
     assert peak < 2 << 20
 
 
-def test_petersson_quadrature_computes_each_rule_once(form15_small, monkeypatch):
-    orders = []
-    leggauss = np.polynomial.legendre.leggauss
-
-    def counting(n):
-        orders.append(n)
-        return leggauss(n)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    petersson_quadrature(form15_small, tol=1e-3)
-    assert orders == [4, 8]  # coarse and fine node counts, once each
-
-
 @pytest.fixture
 def leggauss_orders(monkeypatch):
     """The orders of the Gauss-Legendre rules computed while the test runs."""
     orders = []
-    leggauss = np.polynomial.legendre.leggauss
+    rule = theory.gauss_legendre
 
     def counting(n):
         orders.append(n)
-        return leggauss(n)
+        return rule(n)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    monkeypatch.setattr(theory, "gauss_legendre", counting)
     return orders
+
+
+def test_petersson_quadrature_computes_each_rule_once(form15_small, leggauss_orders):
+    petersson_quadrature(form15_small, tol=1e-3)
+    assert leggauss_orders == [4, 8]  # coarse and fine node counts, once each
+
+
+def _reference_rule(n):
+    """The n-point Gauss-Legendre rule to 40 digits: Newton's method in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        nodes, weights = [], []
+        for k in range(n, 0, -1):
+            x = mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(8):
+                p0, p1 = 1, x
+                for j in range(2, n + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_gauss_legendre_matches_leggauss(n):
+    # every order the quadrature may double through; numpy's own weights of
+    # order 64 are 2.3e-15 off the 40-digit rule, where these are 1.7e-16 off
+    x, w = theory.gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - ref_x).max() <= 1e-15
+    assert np.abs(w - ref_w).max() <= (1e-15 if n < 64 else 2.5e-15)
+    ref_x, ref_w = _reference_rule(n)
+    assert np.abs(x - ref_x).max() <= 1e-15
+    assert np.abs(w - ref_w).max() <= 1e-15
 
 
 @pytest.mark.parametrize("tol,orders", [(1e-5, [4, 8]), (1e-9, [4, 8, 16])])
