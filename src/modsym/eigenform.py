@@ -3,8 +3,9 @@
 The model alone names the form: its level is its conductor, read off the
 discriminant.  Prime coefficients come from projective point counts, singular
 points included, so multiplicative primes give +-1 directly: by baby-step
-giant-step above a crossover prime, by the Legendre character sum below it and
-at bad primes.  The Hecke recursions extend them, and the analytic side gives
+giant-step above a crossover prime, over the group orders that the rational
+2-power torsion divides, and by the Legendre character sum below it and at
+bad primes.  The Hecke recursions extend them, and the analytic side gives
 certified series lengths, the antiderivative and the central L-value.  All but
 the series work in Python integers, so building coefficients loads no numpy,
 and from COUNT_FORK_MIN on forks.deal, which also deals the Farey sweep of
@@ -16,6 +17,8 @@ cache miss or for a command that reads coefficients.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import os
@@ -47,19 +50,20 @@ class TruncationError(ValueError):
 # which the curve or its twist has a point leaving one candidate, and by the
 # character sum at and below it.  On 15a1, in one process, the plain-Python
 # sum takes 20 ms over the 166 primes 5 <= p <= 1000 but 1.2 ms over the 48
-# primes <= 229; baby-step giant-step takes 4.4 ms over the 118 good primes in
-# (229, 1000], with no fallback onto the sum.
+# primes <= 229; baby-step giant-step takes 3.9 ms over the 118 good primes in
+# (229, 1000] (5.4 searching every order; medians of 41), with no fallback.
 _BSGS_MIN_P = 229
 # Samples x = 0, 1, 2, ... after which _bsgs_trace gives up; at every good
 # prime in (229, 10^5] of 15a1, 57a1, 57b1, y^2 = x^3 + x + 1 and
-# y^2 = x^3 - x, 11 samples at most pinned a_p.
+# y^2 = x^3 - x, 11 samples at most pinned a_p, searching every order or not.
 _BSGS_ATTEMPTS = 16
 # The smallest n_max whose point count is dealt to worker processes.  On a shared
 # 2-core Xeon, a build of 15a1 without numpy took in one process and in two
-# (medians of 31 alternating pairs): 12.5 and 13.0 ms at N = 2500, 13.9 and 14.5
-# at 3000, 22.7 and 16.3 at 3500, 26.8 and 18.6 at 4000, 35.1 and 22.3 at 5000,
-# two being faster in 16, 18, 22, 27 and 28 pairs; 47.1 and 34.4 ms at 10^4,
-# 94.7 and 69.8 ms at 2 10^4 (21 of 21), 0.89 and 0.41 s at 10^5 (5 of 5).
+# (medians of 31 alternating pairs): 14.7 and 12.5 ms at N = 2500, 15.8 and 13.4
+# at 3000, 19.0 and 17.1 at 4000, 34.2 and 22.6 at 5000, 41.2 and 26.7 at 6000,
+# 70.5 and 42.5 at 10^4, 142.5 and 82.8 at 2 10^4, two being faster in 22, 22,
+# 25, 31, 28, 30 and 31 pairs, but in 14 of 31 at 2500 and 26 at 3000 in another
+# set; 0.56 and 0.36 s at 10^5 (5 of 5).
 COUNT_FORK_MIN = 4000
 
 
@@ -106,14 +110,18 @@ def _bsgs_trace(curve: CurveSpec, p: int) -> int | None:
     None when _BSGS_ATTEMPTS samples leave more than one candidate.
 
     On the short model y^2 = f(x) = x^3 + A x + B, A = -27 c4, B = -54 c6,
-    a sample x with d = f(x) != 0 gives the point (x d, d^2) of the twist
+    a sample x with d = f(x) != 0 gives the point P = (x d, d^2) of the twist
     y^2 = x^3 + A d^2 x + B d^3, whose group has order p + 1 - chi(d) a_p
-    (chi the Legendre character), so no square root is taken.  The
-    candidates are the a_p whose order in the Hasse interval kills the
-    point, intersected over x = 0, 1, 2, ...  For p > 229 the curve or its
-    quadratic twist has a point that leaves one candidate (Mestre).
+    (chi the Legendre character), so no square root is taken.  Rational torsion
+    injects into it, so t = t_e (_torsion_divisors) divides that order when
+    chi(d) = 1, and t = t2 when not, as the twist keeps the 2-torsion (d e, 0).
+    The candidates are the a_p whose order t k kills P, k searched for on
+    Q = tP over [lo/t, hi/t] of the Hasse interval (on P if Q = O or 2Q = O),
+    intersected over x = 0, 1, 2, ...  For p > 229 the curve or its quadratic
+    twist has a point that leaves one candidate (Mestre).
     """
     A, B = -27 * curve.c4 % p, -54 * curve.c6 % p
+    t2, t_e = _torsion_divisors(curve)
     bound = math.isqrt(4 * p)
     lo, hi = p + 1 - bound, p + 1 + bound
     candidates = None
@@ -124,13 +132,41 @@ def _bsgs_trace(curve: CurveSpec, p: int) -> int | None:
             tried += 1
             chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
             dd = d * d % p
-            orders = _orders_in(x * d % p, dd, A * dd % p, p, lo, hi)
-            found = {chi * (p + 1 - n) for n in orders}
+            a, P, t = A * dd % p, (x * d % p, dd), t_e if chi == 1 else t2
+            Q = _ec_mul(t, P, a, p) if t > 1 else P
+            if Q is None or Q[1] == 0:
+                t, Q = 1, P
+            found = {chi * (p + 1 - t * k) for k in _orders_in(*Q, a, p, -(-lo // t), hi // t)}
             candidates = found if candidates is None else candidates & found
             if len(candidates) == 1:
                 return candidates.pop()
         x += 1
     return None
+
+
+def _integer_roots(A: int, B: int) -> list[int]:
+    """The integer roots of x^3 + A x + B: on each piece of [-R, R], R the Cauchy
+    bound, where the cubic f is monotone, bisection finds the first x with
+    sign f(x) >= 0, the one integer there that can be a root, checked exactly."""
+    R, s = 1 + max(abs(A), abs(B)), math.isqrt(max(-A, 0) // 3)
+    roots = []
+    for lo, hi, sign in (-R, -s - 1, 1), (-s, s, -1), (s + 1, R, 1):
+        x = lo + bisect.bisect_left(range(lo, hi), 0, key=lambda x: sign * ((x * x + A) * x + B))
+        if (x * x + A) * x + B == 0:
+            roots.append(x)
+    return roots
+
+
+@functools.lru_cache(maxsize=16)
+def _torsion_divisors(curve: CurveSpec) -> tuple[int, int]:
+    """(t2, t_e): t2 = |E(Q)[2]|, one more than the integer roots e of the
+    short model's cubic, and t_e = 8 when E(Q) holds Z/2 x Z/4, some (e, 0)
+    being in 2E(Q) (2-descent: e - e' and e - e'' are squares), else t2."""
+    roots = _integer_roots(-27 * curve.c4, -54 * curve.c6)
+    t2 = 1 + len(roots)
+    halved = t2 == 4 and any(
+        all(math.isqrt(abs(e - f)) ** 2 == e - f for f in roots if f != e) for e in roots)
+    return t2, 8 if halved else t2
 
 
 def _ec_add(P, Q, a: int, p: int):
@@ -153,7 +189,30 @@ def _ec_add(P, Q, a: int, p: int):
 
 
 def _ec_mul(n: int, P, a: int, p: int):
-    """nP for n >= 0, by double-and-add."""
+    """nP for n >= 1 and P != O by double-and-add in Jacobian coordinates
+    (X : Y : Z) = (X/Z^2, Y/Z^3), inverting once at the end; a step leaving
+    them (doubling Y = 0, adding P to +-P: H = 0) redoes nP affinely."""
+    x, y = P
+    X, Y, Z = x, y, 1
+    for bit in bin(n)[3:]:
+        if Y == 0:
+            break
+        YY, ZZ = Y * Y % p, Z * Z % p
+        S, M = 4 * X * YY % p, (3 * X * X + a * ZZ * ZZ) % p
+        X = (M * M - 2 * S) % p
+        Y, Z = (M * (S - X) - 8 * YY * YY) % p, 2 * Y * Z % p
+        if bit == "1":
+            ZZ = Z * Z % p
+            H, r = (x * ZZ - X) % p, (y * ZZ * Z - Y) % p
+            if H == 0:
+                break
+            HH = H * H % p
+            HHH, V = H * HH % p, X * HH % p
+            X = (r * r - HHH - 2 * V) % p
+            Y, Z = (r * (V - X) - Y * HHH) % p, Z * H % p
+    else:
+        zi = pow(Z, -1, p)
+        return (X * zi * zi % p, Y * zi * zi * zi % p)
     R = None
     for bit in bin(n)[2:]:
         R = _ec_add(R, R, a, p)

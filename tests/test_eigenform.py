@@ -28,9 +28,12 @@ from modsym.eigenform import (
     _bsgs_trace,
     _character_sum,
     _ec_add,
+    _ec_mul,
+    _integer_roots,
     _orders_in,
     _series,
     _smallest_prime_factors,
+    _torsion_divisors,
     al_sign,
     antiderivative_batch,
     build_eigenform,
@@ -176,11 +179,21 @@ def _c4_c6(a1, a2, a3, a4, a6):
 
 
 @pytest.mark.parametrize(
-    "curve,q", [(CURVE_15A1, 15), ((0, -1, 1, -2, 2), 57), ((0, 1, 1, 20, -32), 57)]
+    "curve,q",
+    [
+        (CURVE_15A1, 15),
+        ((0, -1, 1, -2, 2), 57),
+        ((0, 1, 1, 20, -32), 57),
+        ((1, 0, 1, 4, -6), 14),
+        ((1, 0, 0, -4, -1), 21),
+        ((1, 1, 0, -11, 0), 33),
+    ],
 )
 def test_count_points_matches_the_character_sum_to_2e4(curve, q):
-    # 15a1, 57a1 and 57b1 at every prime up to 2e4, on both sides of the
-    # crossover, bad primes included
+    # at every prime up to 2e4, on both sides of the crossover, bad primes
+    # included: 57a1 and 57b1 search every order, 14a1 multiples of 2 alone,
+    # 33a1 multiples of 4, and 15a1 and 21a1 multiples of 8 on the curve and
+    # of 4 on the twist
     spec = CurveSpec(*curve)
     assert spec.q == q
     for p in range(5, 20001):
@@ -203,6 +216,38 @@ def test_bsgs_matches_the_character_sum(a, start):
     trace = _bsgs_trace(spec, p)
     assert trace == _one_expression_sum(spec, p)
     assert trace * trace <= 4 * p
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    e=st.lists(st.integers(-60, 60), min_size=3, max_size=3, unique=True),
+    start=st.integers(_BSGS_MIN_P + 1, 200000),
+)
+def test_bsgs_on_full_two_torsion_matches_the_character_sum(e, start):
+    # y^2 = (x - e1)(x - e2)(x - e3): every sample's order is searched among
+    # multiples of 4 or 8 alone
+    e1, e2, e3 = e
+    a = (0, -(e1 + e2 + e3), 0, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3)
+    disc = 16 * ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2
+    p = next(n for n in range(start, 2 * start) if _is_prime(n) and 6 * disc % n)
+    assume(p <= 200000)
+    spec = CurveSpec(*a)
+    assert _torsion_divisors(spec)[0] == 4
+    trace = _bsgs_trace(spec, p)
+    assert trace == _one_expression_sum(spec, p)
+    assert trace * trace <= 4 * p
+
+
+def test_the_search_takes_multiples_of_the_torsion_alone(monkeypatch):
+    # 15a1 has E(Q)_tors = Z/2 x Z/4: a sample on the curve searches the
+    # multiples of 8 of the Hasse interval, one on the twist those of 4
+    p = 19997
+    bound = math.isqrt(4 * p)
+    lo, hi = p + 1 - bound, p + 1 + bound
+    spec, seen = CurveSpec(*CURVE_15A1), []
+    monkeypatch.setattr(eigenform, "_orders_in", lambda *args: seen.append(args[-2:]) or _orders_in(*args))
+    assert count_points(spec, p) == _one_expression_sum(spec, p)
+    assert seen and set(seen) <= {(-(-lo // t), hi // t) for t in (4, 8)}
 
 
 def test_bsgs_reads_a_p_off_the_twist(monkeypatch):
@@ -231,6 +276,9 @@ def test_count_points_falls_back_on_the_character_sum(monkeypatch):
     assert sums == [p]
 
 
+SMALL_CURVES = [(1, 1), (-1, 0), (2, 3), (-3, 7), (5, -2), (0, 11)]
+
+
 def test_orders_in_matches_the_order_of_every_point():
     # each point's order by repeated addition, against baby-step giant-step
     # over the Hasse interval: with m baby steps, orders up to 2m come from a
@@ -241,7 +289,7 @@ def test_orders_in_matches_the_order_of_every_point():
         bound = math.isqrt(4 * p)
         lo, hi = p + 1 - bound, p + 1 + bound
         m = math.isqrt(bound)
-        for a, b in [(1, 1), (-1, 0), (2, 3), (-3, 7), (5, -2), (0, 11)]:
+        for a, b in SMALL_CURVES:
             if (4 * a ** 3 + 27 * b * b) % p == 0:
                 continue
             for x in range(p):
@@ -256,6 +304,83 @@ def test_orders_in_matches_the_order_of_every_point():
                     assert sorted(_orders_in(x, y, a % p, p, lo, hi)) == want
                     seen.add("2m" if order == 2 * m else order > 2 * m)
     assert seen == {"2m", True, False}
+
+
+def test_ec_mul_matches_repeated_addition(monkeypatch):
+    # every point of the small curves, those of order 2 too, times every
+    # n <= 3 order; the affine redo runs when a doubling meets Y = 0 (n = 2
+    # on a point of order 2) and when an addition meets H = 0 (n = 3 on a
+    # point of order 3, 2P = -P)
+    redone, calls, add = set(), [], eigenform._ec_add
+    monkeypatch.setattr(eigenform, "_ec_add", lambda *args: calls.append(1) or add(*args))
+    for p in (37, 61, 113):
+        for a, b in SMALL_CURVES:
+            if (4 * a ** 3 + 27 * b * b) % p == 0:
+                continue
+            for x in range(p):
+                for y in range(p):
+                    if (y * y - x ** 3 - a * x - b) % p:
+                        continue
+                    P, multiples = (x, y), [(x, y)]
+                    while multiples[-1] is not None:
+                        multiples.append(add(multiples[-1], P, a % p, p))
+                    order = len(multiples)
+                    for n in range(1, 3 * order + 1):
+                        calls.clear()
+                        assert _ec_mul(n, P, a % p, p) == multiples[(n - 1) % order]
+                        if calls:
+                            redone.add((order, n))
+    assert {(2, 2), (3, 3)} <= redone
+
+
+@pytest.mark.parametrize(
+    "curve,torsion",
+    [
+        ((0, -1, 1, -10, -20), (1, 1)),
+        ((1, 0, 1, 4, -6), (2, 2)),
+        (CURVE_15A1, (4, 8)),
+        ((1, -1, 1, -1, -14), (2, 2)),
+        ((1, 0, 0, -4, -1), (4, 8)),
+        ((1, 1, 0, -11, 0), (4, 4)),
+        ((0, 0, 1, -1, 0), (1, 1)),
+        ((0, -1, 1, -2, 2), (1, 1)),
+    ],
+    ids=["11a1", "14a1", "15a1", "17a1", "21a1", "33a1", "37a1", "57a1"],
+)
+def test_torsion_divisors_of_the_panel(curve, torsion):
+    # (|E(Q)[2]|, 8 where E(Q) holds Z/2 x Z/4): 11a1 has Z/5, 14a1 Z/6,
+    # 15a1 and 21a1 Z/2 x Z/4, 17a1 Z/4, 33a1 Z/2 x Z/2, 37a1 and 57a1 none
+    assert _torsion_divisors(CurveSpec(*curve)) == torsion
+
+
+def _cubic_roots(a, b):
+    r = 1 + max(abs(a), abs(b))
+    return [x for x in range(-r, r + 1) if (x * x + a) * x + b == 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(-3000, 3000), b=st.integers(-3000, 3000))
+def test_integer_roots_match_a_brute_force(a, b):
+    assert sorted(_integer_roots(a, b)) == _cubic_roots(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e1=st.integers(-10 ** 6, 10 ** 6), e2=st.integers(-10 ** 6, 10 ** 6))
+def test_integer_roots_of_three_distinct_roots(e1, e2):
+    # x^3 + A x + B has no x^2 term, so its roots sum to 0
+    e3 = -e1 - e2
+    assume(len({e1, e2, e3}) == 3 and abs(e3) <= 10 ** 6)
+    a, b = e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3
+    assert sorted(_integer_roots(a, b)) == sorted([e1, e2, e3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.integers(-10 ** 6, 10 ** 6), c=st.integers(-10 ** 6, 10 ** 6))
+def test_integer_roots_of_one_root_and_an_irreducible_quadratic(e, c):
+    # (x - e)(x^2 + e x + c) = x^3 + (c - e^2) x - e c
+    disc = e * e - 4 * c
+    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+    assert _integer_roots(c - e * e, -e * c) == [e]
 
 
 def test_count_points_rejects_bad_p():
@@ -589,6 +714,26 @@ def test_coeffs_cache_bytes_are_pinned(tmp_path, curve, q, n_max, digest):
     path = eigenform.coeffs_cache_path(str(tmp_path), spec, n_max)
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "curve,digest",
+    [
+        (CURVE_15A1, "8d49bc8489b8425b0c5459cb052470a7e9889367836a9d76e86f159cbf263523"),
+        ((0, -1, 1, -2, 2), "0d05409ef65671ecc8a004812a6164f6dd4c1f350fc194b54dee3d46e1bfa17c"),
+        ((1, 0, 1, 4, -6), "535ba90d838cc6da9ad18574b1d01c634d69ea24362e6b4734ed1754465068f2"),
+        ((1, 1, 0, -11, 0), "7354434085a3b2799ccd3f99f2fc45f5df8e8ee17ce43fe80ccd52d8caf53555"),
+    ],
+    ids=["15a1", "57a1", "14a1", "33a1"],
+)
+def test_coefficient_bodies_to_2e4_are_pinned(tmp_path, curve, digest):
+    # sha256 of the bodies at N = 2 10^4 written when every order of the Hasse
+    # interval was searched; the header carries the same digest
+    path = tmp_path / "coeffs.txt"
+    write_coeffs_cache(str(path), build_eigenform(CurveSpec(*curve), 20000))
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert hashlib.sha256(body).hexdigest() == digest
+    assert header.endswith(f" sha256={digest}".encode())
 
 
 def _write_coeffs_body(path, spec, n_max, lines):
